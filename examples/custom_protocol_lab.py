@@ -3,9 +3,10 @@
 
 Shows the library's lower-level API — constructing the simulator,
 testbed, MNTP instance, and a custom measurement loop directly instead
-of using the scenario registry.  The scenario here is an MNTP variant
-with tightened hint thresholds and a false-ticker-contaminated pool,
-demonstrating both the channel gate and the warm-up rejection.
+of loading a scenario spec from ``scenarios/``.  The scenario here is
+an MNTP variant with tightened hint thresholds and a
+false-ticker-contaminated pool, demonstrating both the channel gate
+and the warm-up rejection.
 
 Usage::
 

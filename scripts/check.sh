@@ -66,13 +66,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     # ranked triage suspects before the REGRESSION lines.
     python scripts/bench.py --smoke
 
-    echo "== run-health SLO gate (smoke)"
-    # Runs the chaos smoke scenario under the streaming HealthMonitor
-    # (smoke SloSpec) and fails unless the seeded fault episode lands
-    # on a degraded/violated -> recovered cycle with every violation
-    # inside a fault window; see docs/OBSERVABILITY.md "Health & SLOs".
-    python -m repro.cli health --smoke > /dev/null
-
     echo "== telemetry overhead gate (instrumented <= 15% over bare)"
     # Median per-pair ratio over five interleaved instrumented/bare
     # runs of the smoke scenario (health monitor attached); fails if
@@ -82,10 +75,12 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "== scenario matrix gate (smoke tier)"
     # Runs the smoke-tagged specs under scenarios/ through the
     # fault-tolerant matrix runner (chaos smoke matrix + wired
-    # baseline), judges each against its embedded SloSpec guarantees,
+    # baseline), judges each against its embedded SloSpec guarantees
+    # (chaos_smoke: smoke_spec() with no Minimal tier, so any
+    # out-of-fault violation fails the gate),
     # and appends a "mode": "matrix" timing run (wall time, specs/min)
     # to the BENCH_obs.json trajectory.  Exit 1 on any hard-failed
-    # spec; see docs/SCENARIOS.md.
+    # spec; see docs/SCENARIO_SPECS.md.
     python scripts/bench.py --matrix scenarios
 
     echo "== profile harness (smoke)"

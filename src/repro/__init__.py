@@ -21,7 +21,7 @@ paper-vs-measured record of every table and figure.
 """
 
 from repro.core import Mntp, MntpConfig, HintThresholds
-from repro.testbed import ExperimentRunner, TestbedOptions, run_scenario, SCENARIOS
+from repro.testbed import ExperimentRunner, TestbedOptions, run_scenario, scenario_names
 from repro.tuner import TraceLogger, MntpEmulator, ParameterSearcher
 from repro.logs import LogStudy
 from repro.cellular import CellularExperiment
@@ -35,7 +35,7 @@ __all__ = [
     "ExperimentRunner",
     "TestbedOptions",
     "run_scenario",
-    "SCENARIOS",
+    "scenario_names",
     "TraceLogger",
     "MntpEmulator",
     "ParameterSearcher",

@@ -30,6 +30,7 @@ import cProfile
 import json
 import pstats
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -68,22 +69,12 @@ def profile_scenario(
     scenario_name: str, seed: int = 0, duration_s: Optional[float] = None
 ) -> Tuple[cProfile.Profile, float]:
     """Run a scenario under cProfile; returns (profiler, wall seconds)."""
-    from repro.testbed.experiment import ExperimentRunner
-    from repro.testbed.scenarios import SCENARIOS
+    from repro.testbed.specs import load_scenario
 
-    scenario = SCENARIOS[scenario_name]
-    runner = ExperimentRunner(
-        seed=seed,
-        options=scenario.options_factory(),
-        duration=duration_s if duration_s is not None else scenario.duration,
-        sntp_cadence=scenario.cadence,
-        run_sntp=scenario.run_sntp,
-        mntp_config=(
-            scenario.mntp_config_factory()
-            if scenario.mntp_config_factory is not None
-            else None
-        ),
-    )
+    spec = load_scenario(scenario_name)
+    if duration_s is not None:
+        spec = replace(spec, duration_s=duration_s)
+    runner = spec.build_runner(seed=seed, health_spec=None)
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
@@ -272,17 +263,19 @@ def append_trajectory(
 
 def run_profile_command(args: Any) -> int:
     """Back end of the ``repro-mntp profile`` subcommand."""
-    from repro.testbed.scenarios import SCENARIOS
+    from repro.testbed.specs import load_scenario
 
     scenario = args.scenario or SMOKE_SCENARIO
-    if scenario not in SCENARIOS:
+    try:
+        spec = load_scenario(scenario)
+    except KeyError:
         print(f"error: unknown scenario: {scenario}")
         return 2
     duration_s = args.duration
     if duration_s is None and args.smoke:
         duration_s = SMOKE_DURATION_S
     if duration_s is None:
-        duration_s = SCENARIOS[scenario].duration
+        duration_s = spec.duration_s
 
     profiler, wall_s = profile_scenario(
         scenario, seed=args.seed, duration_s=duration_s

@@ -105,7 +105,6 @@ class BareExceptRule(Rule):
 
 #: Modules that *are* scenario-wiring code, always in ROB002 scope.
 _SCENARIO_MODULES = frozenset({
-    "repro.testbed.scenarios",
     "repro.testbed.specs",
     "repro.testbed.matrix",
 })
@@ -114,9 +113,8 @@ _SCENARIO_MODULES = frozenset({
 #: ``repro.testbed`` facade) marks the importer as scenario-wiring
 #: code and puts it in ROB002 scope.
 _SCENARIO_IMPORT_NAMES = frozenset({
-    "Scenario", "SCENARIOS", "run_scenario",
-    "ScenarioSpec", "TopologySpec", "spec_for_scenario",
-    "chaos_matrix_spec", "default_specs", "write_default_specs",
+    "run_scenario", "scenario_names",
+    "ScenarioSpec", "TopologySpec",
     "load_spec", "load_spec_dir", "save_spec", "run_spec",
     "MatrixOptions", "run_matrix",
 })

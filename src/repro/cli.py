@@ -2,7 +2,7 @@
 
 Exposes the main experiment flows without writing code::
 
-    repro-mntp scenarios                     # list named scenarios
+    repro-mntp scenarios                     # list scenarios/*.json
     repro-mntp run mntp_wireless_corrected   # run one scenario
     repro-mntp logstudy --servers AG1 SU1    # the §3.1 pipeline
     repro-mntp cellular                      # Figure 5
@@ -15,8 +15,6 @@ Exposes the main experiment flows without writing code::
     repro-mntp explain run.json --worst 5    # root-cause offset errors
     repro-mntp metrics run.json              # Prometheus-format metrics
     repro-mntp metrics --merge a.json b.json # merge shard telemetry
-    repro-mntp sharddemo --shards 4          # process-pool shard demo
-    repro-mntp chaos --smoke                 # fault-matrix survival run
     repro-mntp matrix scenarios --smoke      # spec-file guarantee matrix
     repro-mntp lint src                      # domain static analysis
     repro-mntp profile --smoke               # hot-path profile artifact
@@ -40,7 +38,7 @@ from repro.logs import LogStudy
 from repro.logs.generator import GeneratorOptions
 from repro.logs.servers import TABLE1_SERVERS, server_by_id
 from repro.reporting import render_cdf, render_series, render_table
-from repro.testbed import SCENARIOS, run_scenario
+from repro.testbed import run_scenario, scenario_names
 from repro.tuner import (
     AutoTuneOptions,
     AutoTuner,
@@ -59,10 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1, help="root RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("scenarios", help="list named experiment scenarios")
+    sub.add_parser("scenarios",
+                   help="list the scenario specs under scenarios/")
 
     run = sub.add_parser("run", help="run one named scenario")
-    run.add_argument("scenario", choices=sorted(SCENARIOS))
+    run.add_argument("scenario", choices=scenario_names())
     run.add_argument("--save", metavar="PATH",
                      help="archive the result as JSON")
     run.add_argument("--telemetry", metavar="PATH",
@@ -140,11 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "against (defaults otherwise)")
     health.add_argument("--json", action="store_true",
                         help="print the report as JSON instead of text")
-    health.add_argument("--smoke", action="store_true",
-                        help="CI gate: run the chaos_smoke scenario live "
-                        "under the smoke SLO spec and require a full "
-                        "degraded->recovered cycle with no violation "
-                        "outside a fault window")
 
     diff = sub.add_parser(
         "diff",
@@ -178,33 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --merge: also write the canonical merged telemetry "
         "as JSONL (byte-identical for any shard order)",
     )
-
-    sharddemo = sub.add_parser(
-        "sharddemo",
-        help="run N independent experiment shards across a process pool "
-        "and merge their telemetry (the scale-out demo)",
-    )
-    sharddemo.add_argument("--shards", type=int, default=2,
-                           help="number of shard processes (default 2)")
-    sharddemo.add_argument("--exchanges", type=int, default=400,
-                           help="total SNTP exchanges across all shards "
-                           "(default 400)")
-    sharddemo.add_argument("--sample-rate", dest="sample_rate", type=int,
-                           default=None, metavar="N",
-                           help="per-shard 1-in-N trace sampling")
-    sharddemo.add_argument("--ring-capacity", dest="ring_capacity",
-                           type=int, default=None, metavar="SLOTS",
-                           help="per-shard telemetry ring-buffer size")
-    sharddemo.add_argument("--wireless", action="store_true",
-                           help="use the wireless channel model")
-    sharddemo.add_argument("--serial", action="store_true",
-                           help="run shards in-process (no pool)")
-    sharddemo.add_argument("--jobs", type=int, default=None,
-                           help="pool worker count (default: cpu count)")
-    sharddemo.add_argument("--out-dir", dest="out_dir", metavar="DIR",
-                           default=None,
-                           help="write each shard envelope plus the "
-                           "merged JSONL into this directory")
 
     logstudy = sub.add_parser("logstudy", help="the §3.1 server-log study")
     logstudy.add_argument(
@@ -248,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "matrix",
         help="execute a directory of scenario-spec JSON files across a "
         "fault-tolerant worker pool and print the aggregated "
-        "mntp-matrix-report-v1 verdict (see docs/SCENARIOS.md)",
+        "mntp-matrix-report-v1 verdict (see docs/SCENARIO_SPECS.md)",
     )
     matrix.add_argument("directory",
                         help="directory of ScenarioSpec JSON files "
@@ -278,32 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print the report as JSON instead of the "
                         "table")
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the fault-injection matrix: plain SNTP vs hardened "
-        "MNTP, with a per-episode survival report (see "
-        "docs/ROBUSTNESS.md)",
-    )
-    chaos.add_argument("--smoke", action="store_true",
-                       help="reduced matrix + duration (the CI gate)")
-    chaos.add_argument("--faults", metavar="PATH",
-                       help="load a custom FaultSchedule JSON instead of "
-                       "the default matrix")
-    chaos.add_argument("--duration", type=float, default=None,
-                       help="virtual seconds to simulate (default matches "
-                       "the matrix)")
-    chaos.add_argument("--threshold-ms", dest="threshold_ms", type=float,
-                       default=25.0,
-                       help="recovery bar on |error| (default 25 ms)")
-    chaos.add_argument("--grace", type=float, default=None,
-                       help="settling seconds after an episode before "
-                       "judging recovery (default 90, smoke 60)")
-    chaos.add_argument("--save", metavar="PATH",
-                       help="write the survival report JSON to a file")
-    chaos.add_argument("--json", action="store_true",
-                       help="print the full report as JSON instead of "
-                       "the table")
-
     lint = sub.add_parser(
         "lint",
         help="run the repro static-analysis rules (determinism, time-unit "
@@ -323,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "artifact that 'lint --profile' ranks findings by",
     )
     profile.add_argument(
-        "--scenario", choices=sorted(SCENARIOS), default=None,
+        "--scenario", choices=scenario_names(), default=None,
         help=f"scenario to profile (default: {SMOKE_SCENARIO})",
     )
     profile.add_argument(
@@ -374,8 +315,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_diff(args)
     if command == "metrics":
         return _cmd_metrics(args)
-    if command == "sharddemo":
-        return _cmd_sharddemo(args)
     if command == "logstudy":
         return _cmd_logstudy(args)
     if command == "cellular":
@@ -386,8 +325,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_autotune(args)
     if command == "calibrate":
         return _cmd_calibrate(args)
-    if command == "chaos":
-        return _cmd_chaos(args)
     if command == "matrix":
         return _cmd_matrix(args)
     if command == "lint":
@@ -400,9 +337,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_scenarios() -> int:
+    from repro.testbed.specs import SCENARIO_DIR, load_spec_dir
+
     rows = [
-        [name, f"{s.duration / 3600:.1f} h", s.description]
-        for name, s in sorted(SCENARIOS.items())
+        [spec.name, f"{spec.duration_s / 3600:.1f} h", spec.description]
+        for spec in load_spec_dir(SCENARIO_DIR)
     ]
     print(render_table(["scenario", "duration", "description"], rows))
     return 0
@@ -696,10 +635,9 @@ def _cmd_health(args) -> int:
         spec = _load_slo_spec(args.slo)
         if spec is None:
             return 2
-    if getattr(args, "smoke", False):
-        return _health_smoke(args, spec)
     if args.path is None:
-        print("give an archived run path or --smoke", file=sys.stderr)
+        print("give an archived run path (JSON written by 'run --save')",
+              file=sys.stderr)
         return 2
     from repro.obs import replay_health
     from repro.testbed.persistence import load_result
@@ -723,28 +661,6 @@ def _cmd_health(args) -> int:
     else:
         print(render_health_text(report))
     return 1 if report["verdict"] == "violated" else 0
-
-
-def _health_smoke(args, spec) -> int:
-    """The CI gate: a live fault-matrix run must cycle back to healthy."""
-    from repro.obs import recovered_transitions, render_health_text, smoke_spec
-
-    result = run_scenario(
-        "chaos_smoke", seed=args.seed,
-        health_spec=spec if spec is not None else smoke_spec(),
-    )
-    report = result.health
-    assert report is not None
-    if getattr(args, "json", False):
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(render_health_text(report))
-    recovered = recovered_transitions(report)
-    ok = report["verdict"] != "violated" and recovered >= 1
-    print(f"health smoke: verdict={report['verdict']} "
-          f"recovered_transitions={recovered} -> "
-          f"{'OK' if ok else 'FAIL'}")
-    return 0 if ok else 1
 
 
 def _load_diff_document(path: str):
@@ -845,62 +761,6 @@ def _merge_shard_files(paths: List[str], out: Optional[str]) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     sys.stdout.write(render_prometheus(merged))
-    return 0
-
-
-def _cmd_sharddemo(args) -> int:
-    from repro.obs import merge_documents, run_demo_shards, write_merged_jsonl
-
-    if args.shards < 1 or args.exchanges < args.shards:
-        print("need --shards >= 1 and --exchanges >= --shards",
-              file=sys.stderr)
-        return 2
-    per_shard = args.exchanges // args.shards
-    try:
-        envelopes = run_demo_shards(
-            shards=args.shards,
-            exchanges_per_shard=per_shard,
-            seed=args.seed,
-            sample_rate=args.sample_rate,
-            ring_capacity=args.ring_capacity,
-            wireless=args.wireless,
-            jobs=args.jobs,
-            serial=args.serial,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    rows = [
-        [e["shard"], e["meta"]["seed"], f"{e['meta']['duration_s']:.0f}",
-         e["meta"]["exchanges"], e["meta"]["records"]]
-        for e in envelopes
-    ]
-    print(render_table(
-        ["shard", "seed", "sim (s)", "exchanges", "records"], rows,
-    ))
-    merged = merge_documents(envelopes)
-    exchanges = sum(e["meta"]["exchanges"] for e in envelopes)
-    print(f"merged: {len(envelopes)} shards, {exchanges} exchanges, "
-          f"{len(merged['records'])} records, "
-          f"{len(merged['metrics'])} metric series")
-    sampling = merged.get("sampling")
-    if sampling is not None:
-        print(f"sampling 1-in-{sampling['rate']}: kept {sampling['kept']}, "
-              f"dropped {sampling['dropped']}")
-    if getattr(args, "out_dir", None):
-        import os
-
-        os.makedirs(args.out_dir, exist_ok=True)
-        for envelope in envelopes:
-            path = os.path.join(args.out_dir, f"{envelope['shard']}.json")
-            with open(path, "w") as f:
-                json.dump(envelope, f, sort_keys=True, indent=2)
-                f.write("\n")
-        merged_path = os.path.join(args.out_dir, "merged.jsonl")
-        with open(merged_path, "w") as f:
-            lines = write_merged_jsonl(envelopes, f)
-        print(f"wrote {len(envelopes)} shard envelopes and "
-              f"{merged_path} ({lines} lines) under {args.out_dir}")
     return 0
 
 
@@ -1058,69 +918,6 @@ def _cmd_matrix(args) -> int:
     else:
         print(render_matrix_text(report))
     return 0 if report["verdict"]["ok"] else 1
-
-
-def _cmd_chaos(args) -> int:
-    from repro.faults import ChaosOptions, FaultSchedule, run_chaos
-    from repro.faults.chaos import report_to_json
-
-    schedule = None
-    if getattr(args, "faults", None):
-        try:
-            with open(args.faults) as f:
-                schedule = FaultSchedule.from_json(f.read())
-        except (OSError, ValueError) as exc:
-            print(f"cannot load {args.faults}: {exc}", file=sys.stderr)
-            return 2
-    grace = args.grace
-    if grace is None:
-        grace = 60.0 if args.smoke else 90.0
-    report = run_chaos(
-        ChaosOptions(
-            seed=args.seed,
-            duration=args.duration,
-            threshold_s=args.threshold_ms / 1e3,
-            grace_s=grace,
-            smoke=args.smoke,
-        ),
-        schedule=schedule,
-    )
-    text = report_to_json(report)
-    if getattr(args, "save", None):
-        with open(args.save, "w") as f:
-            f.write(text + "\n")
-        print(f"survival report written to {args.save}", file=sys.stderr)
-    survived = report["verdict"]["mntp_survived"]
-    if getattr(args, "json", False):
-        print(text)
-        return 0 if survived else 1
-
-    def cell(side: Dict[str, Any]) -> "tuple[str, str]":
-        max_err = side["max_abs_error_s"]
-        shown = "n/a" if max_err is None else f"{max_err * 1e3:.1f}"
-        return ("ok" if side["recovered"] else "FAIL"), shown
-
-    rows = []
-    for e in report["episodes"]:
-        m_verdict, m_err = cell(e["mntp"])
-        s_verdict, s_err = cell(e["sntp"])
-        rows.append([
-            e["kind"], e["target"], f"{e['start']:.0f}-{e['end']:.0f}",
-            m_verdict, m_err, s_verdict, s_err,
-        ])
-    print(render_table(
-        ["fault", "target", "t (s)", "mntp", "max|err| (ms)",
-         "sntp", "max|err| (ms)"], rows,
-    ))
-    verdict = report["verdict"]
-    print(f"hardened MNTP survived: {verdict['mntp_survived']}  "
-          f"(steps detected: {report['mntp']['step_detections']}, "
-          f"failovers: {report['mntp']['queries']['failovers']}, "
-          f"wasted queries: {report['mntp']['queries_wasted']})")
-    print(f"plain SNTP survived:    {verdict['sntp_survived']}  "
-          f"(failures: {report['sntp']['failures']}, "
-          f"wasted queries: {report['sntp']['queries_wasted']})")
-    return 0 if survived else 1
 
 
 def _cmd_autotune(args) -> int:

@@ -1,20 +1,21 @@
 """Deterministic fault injection for chaos experiments.
 
-The subsystem has three layers:
+The subsystem has two layers:
 
 * :mod:`repro.faults.schedule` — declarative timed
   :class:`~repro.faults.schedule.FaultEpisode` lists
   (:class:`~repro.faults.schedule.FaultSchedule`), JSON-round-trippable
-  so a survival report can name the exact hostile conditions it was
-  produced under;
+  so a scenario spec can embed the exact hostile conditions it runs
+  under;
 * :mod:`repro.faults.injectors` — the
   :class:`~repro.faults.injectors.FaultInjector` that arms a schedule
   against a live simulation, wrapping the per-link effect hooks and
   mutating :class:`~repro.ntp.server.NtpServer` fault state at episode
-  boundaries, with every episode visible as a ``fault.episode`` span;
-* :mod:`repro.faults.chaos` — the chaos harness: the default fault
-  matrix, the hardened-vs-plain comparison run, and the deterministic
-  survival report behind ``repro-mntp chaos``.
+  boundaries, with every episode visible as a ``fault.episode`` span.
+
+The fault matrices themselves are data: ``scenarios/chaos_smoke.json``
+and ``scenarios/chaos_full.json`` embed their schedules, and
+``repro-mntp matrix`` runs and judges them.
 """
 
 from repro.faults.schedule import (
@@ -26,10 +27,8 @@ from repro.faults.schedule import (
     SERVER_KINDS,
 )
 from repro.faults.injectors import FaultInjector
-from repro.faults.chaos import ChaosOptions, default_fault_matrix, run_chaos
 
 __all__ = [
-    "ChaosOptions",
     "DIRECTIONS",
     "FaultEpisode",
     "FaultInjector",
@@ -37,6 +36,4 @@ __all__ = [
     "FaultSchedule",
     "NETWORK_KINDS",
     "SERVER_KINDS",
-    "default_fault_matrix",
-    "run_chaos",
 ]

@@ -11,8 +11,8 @@ so the same root seed and schedule always produce the same run, byte
 for byte.
 
 Schedules serialize to a stable JSON document (sorted keys) and load
-back losslessly, which is what lets an archived chaos report name the
-exact hostile conditions it was produced under.
+back losslessly, which is what lets a scenario spec embed the exact
+hostile conditions it runs under.
 """
 
 from __future__ import annotations

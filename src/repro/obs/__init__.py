@@ -14,7 +14,6 @@ from repro.obs.merge import (
     iter_merged_records,
     make_shard,
     merge_documents,
-    run_demo_shards,
     write_merged_jsonl,
 )
 from repro.obs.metrics import (
@@ -114,7 +113,6 @@ __all__ = [
     "iter_merged_records",
     "make_shard",
     "merge_documents",
-    "run_demo_shards",
     "stable_hash",
     "stream_jsonl",
     "write_merged_jsonl",

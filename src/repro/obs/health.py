@@ -418,13 +418,15 @@ class HealthMonitor:
 
 
 def smoke_spec() -> SloSpec:
-    """The SLO spec of the ``health --smoke`` CI gate.
+    """The SLO spec the ``chaos_smoke`` scenario is judged against.
 
-    Tuned to the ``chaos_smoke`` scenario: a window short enough to
-    flush fault-era samples soon after each episode, and a grace period
-    covering the post-episode settling, so the gate demonstrates the
-    full ok → degraded/violated → recovered cycle with every violation
-    annotated as in-fault.
+    ``scenarios/chaos_smoke.json`` embeds it verbatim as its guarantees
+    block (a test pins the two equal), so the ``matrix scenarios
+    --smoke`` CI gate judges with it.  Tuned to that scenario: a window
+    short enough to flush fault-era samples soon after each episode,
+    and a grace period covering the post-episode settling, so a run
+    shows the full ok → degraded/violated → recovered cycle with every
+    violation annotated as in-fault.
     """
     return SloSpec(
         window_s=120.0,

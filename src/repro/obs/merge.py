@@ -20,8 +20,9 @@ contract for combining them:
 
 The merge is **canonical**: any permutation of the same shards yields
 a byte-identical JSONL export, and merging a single shard is the
-identity.  :func:`run_demo_shards` exercises the contract end-to-end
-with a process pool (``repro-mntp sharddemo``).
+identity.  The scenario matrix runner (:mod:`repro.testbed.matrix`)
+is the multi-shard consumer: one envelope per spec, merged into one
+canonical document.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "iter_merged_records",
     "make_shard",
     "merge_documents",
-    "run_demo_shards",
     "write_merged_jsonl",
 ]
 
@@ -305,85 +305,3 @@ def write_merged_jsonl(
         records=iter_merged_records(shards),
         record_count=total,
     )
-
-
-# -- process-pool demo runner ----------------------------------------------
-
-
-def _run_one_shard(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: run one shard's experiment, return its envelope.
-
-    Module-level (not a closure) so :class:`ProcessPoolExecutor` can
-    pickle it; imports are local to keep worker start cheap and avoid
-    an obs -> testbed import cycle at module load.
-    """
-    from repro.testbed.experiment import ExperimentRunner
-    from repro.testbed.nodes import TestbedOptions
-
-    runner = ExperimentRunner(
-        seed=int(spec["seed"]),
-        options=TestbedOptions(
-            wireless=bool(spec["wireless"]), ntp_correction=True
-        ),
-        duration=float(spec["duration_s"]),
-        sntp_cadence=float(spec["cadence_s"]),
-        sample_truth=False,
-        sample_rate=spec.get("sample_rate"),
-        ring_capacity=spec.get("ring_capacity"),
-    )
-    result = runner.run()
-    exchanges = len(result.sntp) + result.sntp_failures
-    return make_shard(
-        result.telemetry,
-        spec["shard_id"],
-        meta={
-            "seed": int(spec["seed"]),
-            "duration_s": float(spec["duration_s"]),
-            "exchanges": exchanges,
-            "records": len(result.telemetry.get("records", [])),
-        },
-    )
-
-
-def run_demo_shards(
-    shards: int = 2,
-    exchanges_per_shard: int = 200,
-    seed: int = 0,
-    sample_rate: Optional[int] = None,
-    ring_capacity: Optional[int] = None,
-    cadence_s: float = 1.0,
-    wireless: bool = False,
-    jobs: Optional[int] = None,
-    serial: bool = False,
-) -> List[Dict[str, Any]]:
-    """Run N independent experiment shards and return their envelopes.
-
-    Shards run across a process pool when the platform allows it
-    (serial fallback otherwise, same results: each shard is an
-    independent seeded simulation).  ``exchanges_per_shard`` sets the
-    simulated duration via the SNTP cadence, so a 100k-exchange demo
-    is just ``shards * exchanges_per_shard`` reaching that total.
-    """
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    specs = [
-        {
-            "shard_id": f"shard-{index:04d}",
-            "seed": seed + index,
-            "duration_s": exchanges_per_shard * cadence_s,
-            "cadence_s": cadence_s,
-            "wireless": wireless,
-            "sample_rate": sample_rate,
-            "ring_capacity": ring_capacity,
-        }
-        for index in range(shards)
-    ]
-    if not serial and shards > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_run_one_shard, specs))
-        except (ImportError, NotImplementedError, OSError, PermissionError):
-            pass  # fall back to in-process execution below
-    return [_run_one_shard(spec) for spec in specs]

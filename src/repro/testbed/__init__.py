@@ -10,22 +10,15 @@ from repro.testbed.nodes import Testbed, TestbedOptions
 from repro.testbed.monitor import MonitorNode, MonitorParams
 from repro.testbed.pingtool import PingTool, PingStats
 from repro.testbed.experiment import ExperimentRunner, ExperimentResult, OffsetPoint
-from repro.testbed.scenarios import (
-    SCENARIOS,
-    Scenario,
-    run_scenario,
-)
 from repro.testbed.specs import (
     ScenarioSpec,
     TopologySpec,
-    chaos_matrix_spec,
-    default_specs,
     load_spec,
     load_spec_dir,
+    run_scenario,
     run_spec,
     save_spec,
-    spec_for_scenario,
-    write_default_specs,
+    scenario_names,
 )
 from repro.testbed.matrix import MatrixOptions, run_matrix
 from repro.testbed.calibration import CalibrationReport, run_calibration
@@ -41,19 +34,14 @@ __all__ = [
     "ExperimentRunner",
     "ExperimentResult",
     "OffsetPoint",
-    "SCENARIOS",
-    "Scenario",
     "run_scenario",
+    "scenario_names",
     "ScenarioSpec",
     "TopologySpec",
-    "chaos_matrix_spec",
-    "default_specs",
     "load_spec",
     "load_spec_dir",
     "run_spec",
     "save_spec",
-    "spec_for_scenario",
-    "write_default_specs",
     "MatrixOptions",
     "run_matrix",
     "CalibrationReport",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.testbed.scenarios import run_scenario
+from repro.testbed.specs import run_scenario
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,17 @@ nesting level, numeric fields carry unit suffixes (``duration_s``,
 offending path so a typo'd spec fails loudly instead of silently
 running the wrong experiment.
 
-:func:`spec_for_scenario` derives a spec from every named scenario in
-:mod:`repro.testbed.scenarios`, :func:`chaos_matrix_spec` expresses the
-full 12-episode chaos matrix, and :func:`write_default_specs` emits
-them all as JSON files (the repo checks them in under ``scenarios/``).
-The matrix runner (:mod:`repro.testbed.matrix`) executes a directory of
+The checked-in ``scenarios/*.json`` files are the only definition of
+a named scenario: :func:`run_scenario` loads ``scenarios/<name>.json``
+and runs it, and :func:`scenario_names` lists the directory.  The
+matrix runner (:mod:`repro.testbed.matrix`) executes a directory of
 these files and aggregates the verdicts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -47,16 +47,18 @@ from repro.clock.temperature import (
     TemperatureProfile,
 )
 from repro.core.config import HintThresholds, MntpConfig
-from repro.faults.chaos import chaos_mntp_config, default_fault_matrix
 from repro.faults.schedule import FaultEpisode, FaultSchedule
 from repro.ntp.sntp_client import HardeningPolicy
-from repro.obs.health import HealthMonitor, SloSpec, replay_health, smoke_spec
+from repro.obs.health import HealthMonitor, SloSpec, replay_health
 from repro.testbed.experiment import ExperimentResult, ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
-from repro.testbed.scenarios import SCENARIOS
 
 #: Format tag carried by every spec document.
 SPEC_FORMAT = "mntp-scenario-spec-v1"
+
+#: Default of :meth:`ScenarioSpec.build_runner`'s ``health_spec``:
+#: monitor against the spec's own Success-tier guarantees.
+_GUARANTEES: Any = object()
 
 #: Judgement statuses in tier order; ``success`` and ``minimal`` keep
 #: the matrix green, everything else is a hard failure.
@@ -81,6 +83,25 @@ def _require_mapping(value: Any, where: str) -> Dict[str, Any]:
         raise ValueError(f"{where} must be a JSON object, got "
                          f"{type(value).__name__}")
     return value
+
+
+def _require_bool(value: Any, where: str) -> None:
+    """Raise unless ``value`` is a JSON boolean (``"false"`` is not)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{where} must be a boolean, got {value!r}")
+
+
+def _require_number(value: Any, where: str) -> None:
+    """Raise unless ``value`` is a finite int/float (bools excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+
+
+def _require_str(value: Any, where: str) -> None:
+    """Raise unless ``value`` is a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
 
 
 # -- temperature profiles --------------------------------------------------
@@ -270,7 +291,17 @@ class TopologySpec:
     temperature: Optional[TemperatureProfile] = None
 
     def __post_init__(self) -> None:
-        """Validate the structural fields."""
+        """Validate field types and the structural fields."""
+        for name in ("wireless", "ntp_correction", "monitor_active",
+                     "include_falseticker"):
+            _require_bool(getattr(self, name), f"topology.{name}")
+        for name in ("initial_clock_offset_s", "wired_base_delay_s"):
+            _require_number(getattr(self, name), f"topology.{name}")
+        pool_size = self.pool_size
+        if isinstance(pool_size, bool) or not isinstance(pool_size, int):
+            raise ValueError(
+                f"topology.pool_size must be an integer, got {pool_size!r}"
+            )
         if self.pool_size < 1:
             raise ValueError("topology.pool_size must be >= 1")
         if self.wired_base_delay_s <= 0:
@@ -359,15 +390,20 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         """Validate identity, timing, and tag fields."""
+        _require_str(self.name, "spec.name")
         if not self.name or any(c in self.name for c in "/\\ \t\n"):
             raise ValueError(
                 f"spec name must be a non-empty filename stem without "
                 f"separators or whitespace, got {self.name!r}"
             )
+        _require_str(self.description, "spec.description")
+        _require_bool(self.run_sntp, "spec.run_sntp")
+        for name in ("duration_s", "cadence_s"):
+            _require_number(getattr(self, name), f"spec.{name}")
         if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+            raise ValueError("spec.duration_s must be positive")
         if self.cadence_s <= 0:
-            raise ValueError("cadence_s must be positive")
+            raise ValueError("spec.cadence_s must be positive")
         if not all(isinstance(tag, str) and tag for tag in self.tags):
             raise ValueError("tags must be non-empty strings")
 
@@ -482,9 +518,17 @@ class ScenarioSpec:
         sample_rate: Optional[int] = None,
         ring_capacity: Optional[int] = None,
         on_health: Optional[Callable[[Dict[str, Any]], None]] = None,
+        health_spec: Any = _GUARANTEES,
     ) -> ExperimentRunner:
-        """An :class:`ExperimentRunner` for this spec, health-monitored
-        against the Success-tier guarantees."""
+        """An :class:`ExperimentRunner` for this spec.
+
+        ``health_spec`` is the :class:`SloSpec` the run is monitored
+        against; by default the Success-tier guarantees, and None runs
+        unmonitored (unless ``on_health`` is given, which implies the
+        default spec).
+        """
+        if health_spec is _GUARANTEES:
+            health_spec = self.guarantees
         return ExperimentRunner(
             seed=seed,
             options=self.build_options(),
@@ -494,7 +538,7 @@ class ScenarioSpec:
             mntp_config=self.mntp,
             sample_rate=sample_rate,
             ring_capacity=ring_capacity,
-            health_spec=self.guarantees,
+            health_spec=health_spec,
             on_health=on_health,
         )
 
@@ -552,6 +596,68 @@ def load_spec_dir(directory: str) -> List[ScenarioSpec]:
     return specs
 
 
+# -- the checked-in scenarios ---------------------------------------------
+
+#: The repo's ``scenarios/`` directory: one spec file per named scenario.
+SCENARIO_DIR = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "..", "..",
+    "scenarios",
+))
+
+
+def scenario_names() -> List[str]:
+    """Sorted names of the checked-in scenarios (spec filename stems)."""
+    return [
+        os.path.basename(path)[: -len(".json")]
+        for path in iter_spec_files(SCENARIO_DIR)
+    ]
+
+
+def load_scenario(name: str) -> ScenarioSpec:
+    """The spec of a checked-in scenario.
+
+    Raises:
+        KeyError: ``name`` is not one of :func:`scenario_names` (this
+            includes paths such as ``"../x"``).
+    """
+    if name not in scenario_names():
+        raise KeyError(name)
+    return load_spec(os.path.join(SCENARIO_DIR, f"{name}.json"))
+
+
+def run_scenario(
+    name: str,
+    seed: int = 0,
+    sample_rate: Optional[int] = None,
+    ring_capacity: Optional[int] = None,
+    health_spec: Optional[SloSpec] = None,
+    on_health: Optional[Callable[[Dict[str, Any]], None]] = None,
+) -> ExperimentResult:
+    """Run the named scenario ``scenarios/<name>.json``.
+
+    Args:
+        name: One of :func:`scenario_names`; anything else raises
+            :class:`KeyError` (see :func:`load_scenario`).
+        seed: Root seed for the run.
+        sample_rate: Optional 1-in-N trace sampling (see
+            :mod:`repro.obs.sampling`).
+        ring_capacity: Optional telemetry ring-buffer size override.
+        health_spec: Optional :class:`~repro.obs.health.SloSpec`;
+            attaches a streaming health monitor whose verdict lands on
+            the result's ``health`` field.  The spec's own guarantees
+            are not applied here (``run_spec`` judges those).
+        on_health: Optional per-evaluation callback (``run --watch``);
+            implies monitoring with the default spec.
+    """
+    return load_scenario(name).build_runner(
+        seed=seed,
+        sample_rate=sample_rate,
+        ring_capacity=ring_capacity,
+        on_health=on_health,
+        health_spec=health_spec,
+    ).run()
+
+
 # -- execution + judging ---------------------------------------------------
 
 
@@ -602,143 +708,3 @@ def run_spec(
         seed=seed, sample_rate=sample_rate, ring_capacity=ring_capacity
     ).run()
     return result, judge_result(spec, result)
-
-
-# -- the shipped spec set --------------------------------------------------
-
-#: Success-tier guarantees attached to generated named-scenario specs;
-#: scenarios not listed get the default :class:`SloSpec` envelope.
-#: ``chaos_smoke`` keeps the exact spec the ``health --smoke`` CI gate
-#: judges with, so the spec file reproduces today's verdict.
-_NAMED_GUARANTEES: Dict[str, Callable[[], SloSpec]] = {
-    "chaos_smoke": smoke_spec,
-}
-
-#: Names tagged into the CI smoke tier (fast, verdict-stable specs the
-#: ``matrix --smoke`` gate runs on every check).
-_SMOKE_NAMES = frozenset({"chaos_smoke", "wired_corrected"})
-
-
-def _chaos_guarantees() -> SloSpec:
-    """Success-tier envelope of the full chaos matrix.
-
-    The 12 episodes are spaced at most 240 s apart, so a fault grace of
-    240 s keeps the whole hostile stretch inside fault windows — any
-    violation *outside* them is a real robustness regression, exactly
-    like the smoke gate's rule.
-    """
-    return SloSpec.from_dict({
-        **smoke_spec().to_dict(), "fault_grace_s": 240.0,
-    })
-
-
-def _chaos_minimal_guarantees() -> SloSpec:
-    """Minimal-tier envelope of the full chaos matrix: MNTP may degrade
-    under fire but must never starve or lose the plot entirely."""
-    base = _chaos_guarantees().to_dict()
-    base.update({
-        "p99_abs_error_warn_ms": 200.0,
-        "p99_abs_error_violate_ms": 1000.0,
-        "drop_rate_warn_ratio": 0.5,
-        "drop_rate_violate_ratio": 0.9,
-        "starvation_warn_s": 600.0,
-        "starvation_violate_s": 1200.0,
-    })
-    return SloSpec.from_dict(base)
-
-
-def spec_for_scenario(name: str) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` form of a named scenario.
-
-    Raises:
-        KeyError: Unknown scenario name.
-        ValueError: The scenario uses options the spec schema cannot
-            yet express (non-default process-model parameter blocks).
-    """
-    scenario = SCENARIOS[name]
-    options = scenario.options_factory()
-    reference = TestbedOptions()
-    for unsupported in ("channel_params", "effects_params",
-                        "cross_traffic_params", "monitor_params",
-                        "suspend_node"):
-        if getattr(options, unsupported) != getattr(reference, unsupported):
-            raise ValueError(
-                f"scenario {name!r} varies TestbedOptions.{unsupported}, "
-                "which the spec schema does not express yet"
-            )
-    topology = TopologySpec(
-        wireless=options.wireless,
-        ntp_correction=options.ntp_correction,
-        monitor_active=options.monitor_active,
-        pool_size=options.pool_size,
-        include_falseticker=options.include_falseticker,
-        initial_clock_offset_s=options.initial_clock_offset,
-        wired_base_delay_s=options.wired_base_delay,
-        temperature=options.temperature,
-    )
-    guarantees_factory = _NAMED_GUARANTEES.get(name, SloSpec)
-    return ScenarioSpec(
-        name=name,
-        description=scenario.description,
-        duration_s=scenario.duration,
-        cadence_s=scenario.cadence,
-        run_sntp=scenario.run_sntp,
-        topology=topology,
-        mntp=(
-            scenario.mntp_config_factory()
-            if scenario.mntp_config_factory is not None
-            else None
-        ),
-        hardening=options.mntp_hardening,
-        faults=options.fault_schedule,
-        guarantees=guarantees_factory(),
-        tags=("smoke",) if name in _SMOKE_NAMES else (),
-    )
-
-
-def chaos_matrix_spec() -> ScenarioSpec:
-    """The full 12-episode chaos matrix as a declarative spec.
-
-    Same setup as ``repro-mntp chaos`` without ``--smoke``: wired
-    topology, free-running clock, hardened chaos MNTP config, every
-    fault kind once.  Success tier mirrors the smoke gate's rule with a
-    grace wide enough to bridge the episode spacing; the Minimal tier
-    demonstrates the two-tier judgement on the nastiest shipped spec.
-    """
-    return ScenarioSpec(
-        name="chaos_full",
-        description="Full fault matrix (every FaultKind once) against "
-        "the hardened MNTP client on the wired topology — the spec-file "
-        "form of 'repro-mntp chaos'",
-        duration_s=4200.0,
-        cadence_s=5.0,
-        topology=TopologySpec(
-            wireless=False, ntp_correction=False, monitor_active=False
-        ),
-        mntp=chaos_mntp_config(),
-        hardening=HardeningPolicy(),
-        faults=default_fault_matrix(smoke=False),
-        guarantees=_chaos_guarantees(),
-        minimal_guarantees=_chaos_minimal_guarantees(),
-        tags=("chaos",),
-    )
-
-
-def default_specs() -> List[ScenarioSpec]:
-    """Every shipped spec: the named scenarios plus the full chaos
-    matrix, sorted by name."""
-    specs = [spec_for_scenario(name) for name in SCENARIOS]
-    specs.append(chaos_matrix_spec())
-    return sorted(specs, key=lambda spec: spec.name)
-
-
-def write_default_specs(directory: str) -> List[str]:
-    """Write the shipped spec set as ``<name>.json`` files; returns the
-    written paths (regenerates the repo's ``scenarios/`` directory)."""
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for spec in default_specs():
-        path = os.path.join(directory, f"{spec.name}.json")
-        save_spec(spec, path)
-        paths.append(path)
-    return paths

@@ -87,7 +87,6 @@ def rob002_for(src, module):
 
 
 def test_rob002_flags_thresholds_in_scenario_modules():
-    assert "ROB002" in rules_for(THRESHOLD, "repro.testbed.scenarios")
     assert "ROB002" in rules_for(THRESHOLD, "repro.testbed.specs")
     assert "ROB002" in rules_for(THRESHOLD, "repro.testbed.matrix")
 
@@ -133,7 +132,7 @@ def test_rob002_spec_field_comparison_passes():
 
 
 def test_rob002_message_names_the_spec_home():
-    findings = rob002_for(THRESHOLD, "repro.testbed.scenarios")
+    findings = rob002_for(THRESHOLD, "repro.testbed.specs")
     assert len(findings) == 1
     assert "SloSpec guarantees block" in findings[0].message
     assert "'p99_abs_error_ms'" in findings[0].message

@@ -172,3 +172,30 @@ def test_episode_spans_are_emitted():
     assert len(spans) == 1
     assert spans[0]["data"]["fault"] == "blackout"
     assert spans[0]["data"]["t1"] == pytest.approx(3.0)
+
+
+def test_fault_episodes_visible_in_causal_exchanges():
+    from repro.obs.causal import assemble_exchanges
+    from repro.ntp.sntp_client import HardeningPolicy
+    from repro.testbed.experiment import ExperimentRunner
+    from repro.testbed.nodes import TestbedOptions
+
+    schedule = FaultSchedule(episodes=[
+        FaultEpisode(FaultKind.SERVER_STEP, start=100.0, duration=50.0,
+                     target="0.pool.ntp.org", params={"step_s": 0.5}),
+    ])
+    result = ExperimentRunner(
+        seed=0,
+        options=TestbedOptions(
+            wireless=False, ntp_correction=False, monitor_active=False,
+            fault_schedule=schedule, mntp_hardening=HardeningPolicy(),
+        ),
+        duration=200.0,
+    ).run()
+    exchanges = assemble_exchanges(result.telemetry)
+    overlapping = [e for e in exchanges if 100.0 <= e.t0 < 150.0]
+    assert overlapping
+    for exchange in overlapping:
+        assert any(f.fault == "server_step" for f in exchange.faults)
+    outside = [e for e in exchanges if e.t1 < 100.0]
+    assert outside and all(not e.faults for e in outside)

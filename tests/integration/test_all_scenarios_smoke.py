@@ -1,36 +1,30 @@
-"""Smoke-run every registered scenario (shortened durations).
+"""Smoke-run every checked-in scenario spec (shortened durations).
 
-Catches registry breakage — a scenario whose factories raise, whose
+Catches spec breakage — a file whose blocks fail to build, whose
 wiring dies mid-run, or which produces no data — without paying the
 full experiment durations.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.testbed.experiment import ExperimentRunner
-from repro.testbed.scenarios import SCENARIOS
+from repro.testbed.specs import load_scenario, scenario_names
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", scenario_names())
 def test_scenario_smoke(name):
-    scenario = SCENARIOS[name]
-    runner = ExperimentRunner(
-        seed=7,
-        options=scenario.options_factory(),
-        duration=min(scenario.duration, 180.0),
-        sntp_cadence=min(scenario.cadence, 5.0),
-        run_sntp=scenario.run_sntp,
-        mntp_config=(
-            scenario.mntp_config_factory()
-            if scenario.mntp_config_factory is not None
-            else None
-        ),
-    )
+    spec = load_scenario(name)
+    runner = replace(
+        spec,
+        duration_s=min(spec.duration_s, 180.0),
+        cadence_s=min(spec.cadence_s, 5.0),
+    ).build_runner(seed=7, health_spec=None)
     result = runner.run()
-    if scenario.run_sntp:
+    if spec.run_sntp:
         assert result.sntp or result.sntp_failures  # traffic flowed
     assert result.true_offsets
-    if scenario.mntp_config_factory is not None:
+    if spec.mntp is not None:
         # MNTP at least attempted queries (reports may be empty if the
         # channel was hostile for the whole 3 minutes).
         sent = runner.sim.trace.select(component="mntp", kind="query_sent")

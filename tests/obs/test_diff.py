@@ -14,7 +14,7 @@ from repro.obs import (
     rank_suspects,
     render_diff_text,
 )
-from repro.testbed.scenarios import run_scenario
+from repro.testbed.specs import run_scenario
 
 
 def build_snapshot(errors=(1.0, 2.0, 3.0), queries=5, spans=2,

@@ -13,7 +13,7 @@ from repro.obs import (
     replay_health,
     smoke_spec,
 )
-from repro.testbed.scenarios import run_scenario
+from repro.testbed.specs import run_scenario
 
 
 # -- SloSpec --------------------------------------------------------------

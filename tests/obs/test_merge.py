@@ -7,14 +7,11 @@ import json
 import pytest
 
 from repro.obs import (
-    SHARD_FORMAT,
-    TELEMETRY_FORMAT,
     Telemetry,
     content_id,
     iter_merged_records,
     make_shard,
     merge_documents,
-    run_demo_shards,
     stream_jsonl,
     write_merged_jsonl,
 )
@@ -184,18 +181,3 @@ def test_stream_jsonl_matches_snapshot_export():
     materialised = io.StringIO()
     assert lines == write_jsonl(telemetry.snapshot(), materialised)
     assert streamed.getvalue() == materialised.getvalue()
-
-
-def test_run_demo_shards_end_to_end_serial():
-    envelopes = run_demo_shards(
-        shards=2, exchanges_per_shard=30, seed=7, sample_rate=3, serial=True
-    )
-    assert [e["format"] for e in envelopes] == [SHARD_FORMAT] * 2
-    assert [e["shard"] for e in envelopes] == ["shard-0000", "shard-0001"]
-    merged = merge_documents(envelopes)
-    assert merged["format"] == TELEMETRY_FORMAT
-    assert merged["records"]
-    exchanges = sum(e["meta"]["exchanges"] for e in envelopes)
-    assert exchanges >= 2 * 30 * 0.9  # cadence 1s over 30s per shard
-    # Reversed input: same bytes.
-    assert merged_bytes(envelopes) == merged_bytes(envelopes[::-1])

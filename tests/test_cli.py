@@ -384,38 +384,6 @@ def test_metrics_merge_argument_validation(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
-def test_sharddemo_writes_shards_and_merged_jsonl(tmp_path, capsys):
-    import json
-
-    out_dir = tmp_path / "shards"
-    assert main(["--seed", "3", "sharddemo", "--shards", "2",
-                 "--exchanges", "60", "--sample-rate", "3", "--serial",
-                 "--out-dir", str(out_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "shard-0000" in out
-    assert "merged: 2 shards" in out
-    assert "sampling 1-in-3" in out
-    envelopes = sorted(out_dir.glob("shard-*.json"))
-    assert len(envelopes) == 2
-    document = json.loads(envelopes[0].read_text())
-    assert document["format"] == "mntp-telemetry-shard-v1"
-    merged = out_dir / "merged.jsonl"
-    assert merged.exists()
-    # The CLI merge of the written envelopes reproduces the same bytes.
-    check = tmp_path / "check.jsonl"
-    assert main(["metrics", "--merge", str(envelopes[1]), str(envelopes[0]),
-                 "--out", str(check)]) == 0
-    capsys.readouterr()
-    assert check.read_bytes() == merged.read_bytes()
-
-
-def test_sharddemo_argument_validation(capsys):
-    assert main(["sharddemo", "--shards", "0"]) == 2
-    assert "--shards >= 1" in capsys.readouterr().err
-    assert main(["sharddemo", "--shards", "5", "--exchanges", "3"]) == 2
-    assert "--exchanges" in capsys.readouterr().err
-
-
 def test_metrics_merge_single_shard_is_byte_identity(tmp_path, capsys):
     import io
     import json
@@ -436,13 +404,6 @@ def test_metrics_merge_single_shard_is_byte_identity(tmp_path, capsys):
     direct = io.StringIO()
     write_jsonl(snapshot, direct)
     assert out.read_text() == direct.getvalue()
-
-
-def test_health_smoke_gate(capsys):
-    assert main(["health", "--smoke"]) == 0
-    out = capsys.readouterr().out
-    assert "verdict: pass" in out
-    assert "health smoke:" in out and "-> OK" in out
 
 
 def test_health_archived_run_and_slo_spec(tmp_path, capsys):
@@ -470,12 +431,13 @@ def test_health_archived_run_and_slo_spec(tmp_path, capsys):
 
 def test_health_argument_validation(tmp_path, capsys):
     assert main(["health"]) == 2
-    assert "--smoke" in capsys.readouterr().err
+    assert "archived run path" in capsys.readouterr().err
     assert main(["health", str(tmp_path / "missing.json")]) == 2
     assert "cannot load" in capsys.readouterr().err
     bad_spec = tmp_path / "spec.json"
     bad_spec.write_text('{"p99_err_ms": 1}')
-    assert main(["health", "--smoke", "--slo", str(bad_spec)]) == 2
+    assert main(["health", str(tmp_path / "missing.json"),
+                 "--slo", str(bad_spec)]) == 2
     assert "unknown SloSpec fields" in capsys.readouterr().err
 
 

@@ -1,56 +1,67 @@
-"""ScenarioSpec: round-trip, strict validation, derivation, judging."""
+"""ScenarioSpec: round-trip, strict validation, shipped files, judging."""
 
+import math
 from pathlib import Path
 
 import pytest
 
-from repro.faults.chaos import default_fault_matrix
+from repro.clock.temperature import DiurnalTemperature
+from repro.faults.schedule import FaultKind
 from repro.obs.health import SloSpec, smoke_spec
-from repro.testbed.scenarios import SCENARIOS
 from repro.testbed.specs import (
+    SCENARIO_DIR,
     SPEC_FORMAT,
     ScenarioSpec,
     TopologySpec,
-    chaos_matrix_spec,
-    default_specs,
     judge_result,
+    load_scenario,
     load_spec,
     load_spec_dir,
     run_spec,
     save_spec,
-    spec_for_scenario,
-    write_default_specs,
+    scenario_names,
 )
 
-REPO_SCENARIOS = Path(__file__).resolve().parents[2] / "scenarios"
+REPO_SPEC_DIR = Path(__file__).resolve().parents[2] / "scenarios"
+SPEC_FILES = sorted(REPO_SPEC_DIR.glob("*.json"))
 
 
-# -- round-trip ------------------------------------------------------------
+# -- the shipped spec files ------------------------------------------------
 
 
 def test_every_default_spec_round_trips():
-    for spec in default_specs():
+    for spec in load_spec_dir(str(REPO_SPEC_DIR)):
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
 
+@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.stem)
+def test_checked_in_spec_file_is_canonical(path):
+    spec = load_spec(str(path))
+    assert path.read_bytes() == spec.to_json().encode(), (
+        f"{path.name} is not in canonical form; rewrite it with "
+        "save_spec(load_spec(path), path)"
+    )
+    assert spec.name == path.stem
+
+
 def test_named_scenarios_derive_equivalent_options():
-    for name, scenario in SCENARIOS.items():
-        spec = spec_for_scenario(name)
-        assert spec.build_options() == scenario.options_factory()
-        assert spec.duration_s == scenario.duration
-        assert spec.cadence_s == scenario.cadence
-        assert spec.run_sntp == scenario.run_sntp
-        expected_mntp = (
-            scenario.mntp_config_factory()
-            if scenario.mntp_config_factory is not None
-            else None
-        )
-        assert spec.mntp == expected_mntp
+    for spec in load_spec_dir(str(REPO_SPEC_DIR)):
+        options = spec.build_options()
+        topology = spec.topology
+        assert options.wireless == topology.wireless
+        assert options.ntp_correction == topology.ntp_correction
+        assert options.monitor_active == topology.monitor_active
+        assert options.pool_size == topology.pool_size
+        assert options.include_falseticker == topology.include_falseticker
+        assert options.initial_clock_offset == topology.initial_clock_offset_s
+        assert options.wired_base_delay == topology.wired_base_delay_s
+        assert options.temperature == topology.temperature
+        assert options.fault_schedule == spec.faults
+        assert options.mntp_hardening == spec.hardening
 
 
 def test_chaos_full_spec_carries_the_twelve_episode_matrix():
-    spec = chaos_matrix_spec()
-    assert spec.faults == default_fault_matrix(smoke=False)
+    spec = load_scenario("chaos_full")
     assert len(spec.faults.episodes) == 12
     assert spec.minimal_guarantees is not None
     rt = ScenarioSpec.from_json(spec.to_json())
@@ -58,34 +69,30 @@ def test_chaos_full_spec_carries_the_twelve_episode_matrix():
     assert rt.minimal_guarantees == spec.minimal_guarantees
 
 
+def test_chaos_full_covers_every_fault_kind():
+    kinds = {e.kind for e in load_scenario("chaos_full").faults}
+    assert kinds == set(FaultKind)
+    smoke_kinds = {e.kind for e in load_scenario("chaos_smoke").faults}
+    assert smoke_kinds < kinds
+
+
 def test_chaos_smoke_spec_embeds_the_smoke_slo_verbatim():
-    assert spec_for_scenario("chaos_smoke").guarantees == smoke_spec()
-
-
-def test_checked_in_spec_files_match_the_generator(tmp_path):
-    written = write_default_specs(str(tmp_path))
-    assert [Path(p).name for p in written] == sorted(
-        p.name for p in REPO_SCENARIOS.glob("*.json")
-    )
-    for path in written:
-        generated = Path(path).read_text()
-        checked_in = (REPO_SCENARIOS / Path(path).name).read_text()
-        assert generated == checked_in, (
-            f"{Path(path).name} is stale; regenerate with "
-            "write_default_specs('scenarios')"
-        )
+    spec = load_scenario("chaos_smoke")
+    assert spec.guarantees == smoke_spec()
+    assert spec.minimal_guarantees is None
 
 
 def test_load_spec_dir_round_trips_the_shipped_set():
-    specs = load_spec_dir(str(REPO_SCENARIOS))
-    assert [s.name for s in specs] == sorted(s.name for s in default_specs())
-    by_name = {s.name: s for s in default_specs()}
+    specs = load_spec_dir(str(REPO_SPEC_DIR))
+    assert Path(SCENARIO_DIR) == REPO_SPEC_DIR
+    assert [s.name for s in specs] == scenario_names()
+    assert scenario_names() == [p.stem for p in SPEC_FILES]
     for spec in specs:
-        assert spec == by_name[spec.name]
+        assert spec == load_scenario(spec.name)
 
 
 def test_load_spec_dir_rejects_duplicate_names(tmp_path):
-    spec = spec_for_scenario("wired_corrected")
+    spec = load_scenario("wired_corrected")
     save_spec(spec, str(tmp_path / "a.json"))
     save_spec(spec, str(tmp_path / "b.json"))
     with pytest.raises(ValueError, match="duplicate spec name"):
@@ -96,7 +103,7 @@ def test_load_spec_dir_rejects_duplicate_names(tmp_path):
 
 
 def base_dict():
-    return spec_for_scenario("wired_corrected").to_dict()
+    return load_scenario("wired_corrected").to_dict()
 
 
 def test_unknown_top_level_key_rejected():
@@ -122,14 +129,14 @@ def test_unknown_guarantee_key_names_the_block():
 
 
 def test_unknown_mntp_key_rejected():
-    data = spec_for_scenario("chaos_smoke").to_dict()
+    data = load_scenario("chaos_smoke").to_dict()
     data["mntp"]["warmup_periods"] = 1.0
     with pytest.raises(ValueError, match="spec.mntp: unknown keys"):
         ScenarioSpec.from_dict(data)
 
 
 def test_unknown_fault_episode_key_carries_its_index():
-    data = spec_for_scenario("chaos_smoke").to_dict()
+    data = load_scenario("chaos_smoke").to_dict()
     data["faults"]["episodes"][1]["strt"] = 1.0
     with pytest.raises(ValueError,
                        match=r"spec.faults.episodes\[1\]: unknown keys"):
@@ -151,12 +158,12 @@ def test_unknown_temperature_profile_rejected():
 
 
 def test_temperature_profiles_round_trip():
-    spec = spec_for_scenario("mntp_insitu_24h")
+    spec = load_scenario("mntp_insitu_24h")
     rt = ScenarioSpec.from_json(spec.to_json())
     assert rt.topology.temperature == spec.topology.temperature
-    assert rt.build_options() == SCENARIOS[
-        "mntp_insitu_24h"
-    ].options_factory()
+    assert rt.build_options().temperature == DiurnalTemperature(
+        mean_c=26.0, amplitude_c=8.0
+    )
 
 
 def test_invalid_timing_fields_rejected():
@@ -168,6 +175,38 @@ def test_invalid_timing_fields_rejected():
         ScenarioSpec(name="a/b")
     with pytest.raises(ValueError, match="pool_size"):
         TopologySpec(pool_size=0)
+    # Wrong JSON types are rejected, not coerced into a different run.
+    bad_values = [
+        ("duration_s", math.nan, "spec.duration_s must be a finite number"),
+        ("duration_s", True, "spec.duration_s must be a finite number"),
+        ("cadence_s", math.inf, "spec.cadence_s must be a finite number"),
+        ("run_sntp", "false", "spec.run_sntp must be a boolean"),
+        ("description", 5, "spec.description must be a string"),
+        ("name", 5, "spec.name must be a string"),
+    ]
+    for key, value, message in bad_values:
+        data = base_dict()
+        data[key] = value
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_dict(data)
+    bad_topology = [
+        ("wireless", "no", "topology.wireless must be a boolean"),
+        ("pool_size", 2.5, "topology.pool_size must be an integer"),
+        ("pool_size", True, "topology.pool_size must be an integer"),
+        ("wired_base_delay_s", math.nan,
+         "topology.wired_base_delay_s must be a finite number"),
+    ]
+    for key, value, message in bad_topology:
+        data = base_dict()
+        data["topology"][key] = value
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_dict(data)
+    # JSON's non-finite literals take the same path.
+    text = load_scenario("wired_corrected").to_json().replace(
+        '"cadence_s": 5.0', '"cadence_s": Infinity'
+    )
+    with pytest.raises(ValueError, match="spec.cadence_s must be a finite"):
+        ScenarioSpec.from_json(text)
 
 
 def test_load_spec_prefixes_the_path(tmp_path):
