@@ -19,18 +19,11 @@ CONDITIONS = (
 )
 
 
-def bench_fig4_sntp_wired_wireless(once, report, throughput):
+def bench_fig4_sntp_wired_wireless(once, report):
     def run():
         return {name: run_scenario(name, seed=SEED) for name, _ in CONDITIONS}
 
     results = once(run)
-    throughput(
-        exchanges=sum(
-            len(r.sntp) + r.sntp_failures for r in results.values()
-        ),
-        simulated_s=len(CONDITIONS) * 3600.0,
-        telemetry=[r.telemetry for r in results.values()],
-    )
 
     rows = []
     series_lines = []

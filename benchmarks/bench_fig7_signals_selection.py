@@ -15,7 +15,7 @@ from repro.testbed.nodes import TestbedOptions
 SEED = 1
 
 
-def bench_fig7_signals_selection(once, report, throughput):
+def bench_fig7_signals_selection(once, report):
     def run():
         runner = ExperimentRunner(
             seed=SEED,
@@ -23,23 +23,11 @@ def bench_fig7_signals_selection(once, report, throughput):
             duration=3600.0,
             mntp_config=MntpConfig.baseline_headtohead(),
         )
-        result = runner.run()
-        return runner, result
+        runner.run()
+        return runner
 
-    runner, result = once(run)
+    runner = once(run)
     trace = runner.sim.trace
-    # Exchange count from the protocol's own counters: every decision
-    # instant is one exchange attempt (deferrals included — the gate
-    # check is the per-cadence unit of work).
-    metrics = runner.sim.telemetry.metrics
-    throughput(
-        exchanges=sum(
-            metrics.value(name, 0.0)
-            for name in ("mntp_deferred_total", "mntp_query_sent_total")
-        ),
-        simulated_s=3600.0,
-        telemetry=result.telemetry,
-    )
 
     # Filtered iteration over the shared log (one pass per kind, lazy).
     deferred = list(trace.by_kind("deferred", component="mntp"))

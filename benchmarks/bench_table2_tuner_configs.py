@@ -6,12 +6,7 @@ the request count grows (13.08 ms @ 239 requests down to 8.9 ms @ 2913
 requests) and "MNTP performs well with only modest tuning".
 """
 
-import os
-
-import numpy as np
-
 from repro.core.config import TABLE2_CONFIGS
-from repro.obs import Telemetry
 from repro.reporting import render_table
 from repro.tuner import LoggerOptions, ParameterSearcher, TraceLogger
 
@@ -28,30 +23,16 @@ PAPER_TABLE2 = {
 }
 
 
-def bench_table2_tuner_configs(once, report, throughput):
-    # The emulator replay is not a simulator run; a standalone bundle
-    # gives the triage path a snapshot only when capture is armed.
-    telemetry = (
-        Telemetry.standalone()
-        if os.environ.get("REPRO_BENCH_TELEMETRY") else None
-    )
-
+def bench_table2_tuner_configs(once, report):
     def run():
         trace = TraceLogger(seed=SEED, options=LoggerOptions()).run()
-        searcher = ParameterSearcher(trace, telemetry=telemetry)
+        searcher = ParameterSearcher(trace)
         return {
             num: searcher.evaluate(config)
             for num, config in TABLE2_CONFIGS.items()
         }
 
     results = once(run)
-    # Each config replays the 4-hour logged trace through the emulator;
-    # its request count is the exchanges that replay performed.
-    throughput(
-        exchanges=sum(r.requests for r in results.values()),
-        simulated_s=len(results) * 4 * 3600.0,
-        telemetry=telemetry.snapshot() if telemetry is not None else None,
-    )
 
     rows = []
     for num, result in results.items():

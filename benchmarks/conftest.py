@@ -1,112 +1,12 @@
-"""Benchmark-suite fixtures and the bench-trajectory hook.
+"""Benchmark-suite fixtures.
 
 ``report`` prints through pytest's capture so the regenerated
 tables/series reach the terminal (and any ``tee``) even without ``-s``.
-
-When ``REPRO_BENCH_OBS`` names a file, every collected ``bench_*`` item
-is wall-clock timed (per bench module, repeats accumulate) and the
-totals are written there as JSON at session end — the payload
-``scripts/bench.py`` turns into ``BENCH_obs.json`` and regression
-verdicts.
-
-Benches that know how much simulated work they performed declare it
-through the ``throughput`` fixture (protocol exchanges + simulated
-virtual seconds); the session document then carries a ``throughput``
-section keyed like ``benches``, which ``scripts/bench.py`` converts
-into exchanges/sec and simulated-hours/sec rates and gates against the
-trajectory.
-
-When ``REPRO_BENCH_TELEMETRY`` additionally names a directory, benches
-may hand their runs' telemetry snapshots to the same fixture
-(``throughput(..., telemetry=...)``); the session then writes one
-canonically merged ``<bench>.json`` snapshot per bench module there,
-which ``scripts/bench.py`` archives per run and diffs on a tripped
-throughput gate (``repro.obs.diff``).
+``once`` runs a bench's experiment exactly one round.  Wall-time and
+per-layer cost are measured by ``perfbench/``, not here.
 """
 
-import json
-import os
-
 import pytest
-
-#: Format tag of the per-module timing document.
-BENCH_FORMAT = "mntp-bench-v1"
-
-_timer = None
-
-#: bench module name -> {"exchanges": ..., "simulated_s": ...},
-#: accumulated across items of the same module (repeats sum).
-_throughput = {}
-
-#: bench module name -> list of telemetry snapshots handed to the
-#: ``throughput`` fixture; only populated when REPRO_BENCH_TELEMETRY
-#: names an output directory.
-_telemetry = {}
-
-
-def pytest_configure(config):
-    """Arm the bench timer when REPRO_BENCH_OBS names an output file."""
-    global _timer
-    if os.environ.get("REPRO_BENCH_OBS"):
-        from repro.obs import RunTimer
-
-        _timer = RunTimer()
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_protocol(item, nextitem):
-    """Time each bench item under its module's name."""
-    if _timer is None:
-        yield
-        return
-    name = item.module.__name__.rsplit(".", 1)[-1]
-    with _timer.measure(name):
-        yield
-
-
-def _write_telemetry_snapshots():
-    """One canonically merged snapshot per bench into the capture dir."""
-    directory = os.environ.get("REPRO_BENCH_TELEMETRY")
-    if not directory or not _telemetry:
-        return
-    from repro.obs import make_shard, merge_documents
-
-    os.makedirs(directory, exist_ok=True)
-    for bench, snapshots in sorted(_telemetry.items()):
-        # Index-keyed envelopes keep identical snapshots distinct and
-        # the merge order deterministic.
-        merged = merge_documents([
-            make_shard(snapshot, f"{bench}-{index:04d}")
-            for index, snapshot in enumerate(snapshots)
-        ])
-        with open(os.path.join(directory, f"{bench}.json"), "w") as f:
-            json.dump(merged, f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write the accumulated per-module timings as JSON."""
-    _write_telemetry_snapshots()
-    if _timer is None:
-        return
-    path = os.environ["REPRO_BENCH_OBS"]
-    document = {
-        "format": BENCH_FORMAT,
-        "benches": {k: round(v, 6) for k, v in _timer.results().items()},
-        "total_seconds": round(_timer.total(), 6),
-        "exit_status": int(exitstatus),
-    }
-    if _throughput:
-        document["throughput"] = {
-            k: {
-                "exchanges": round(v["exchanges"], 3),
-                "simulated_s": round(v["simulated_s"], 3),
-            }
-            for k, v in sorted(_throughput.items())
-        }
-    with open(path, "w") as f:
-        json.dump(document, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 @pytest.fixture
@@ -122,43 +22,6 @@ def report(request):
             print(f"\n{text}")
 
     return _report
-
-
-@pytest.fixture
-def throughput(request):
-    """Record how much simulated work this bench's seconds bought.
-
-    ``throughput(exchanges=..., simulated_s=...)`` — total protocol
-    exchanges (requests that entered the wire, answered or not) and
-    total simulated virtual seconds across every run the bench timed.
-    Recorded under the bench's module name, matching the timing key, so
-    ``scripts/bench.py`` can denominate the wall clock in work done.
-    Repeated calls (parametrised items of one module) accumulate.
-
-    ``telemetry`` optionally carries the measured runs' telemetry
-    snapshot(s) — a single ``mntp-telemetry-v1`` dict or a sequence of
-    them.  They are only retained when ``REPRO_BENCH_TELEMETRY`` names
-    a capture directory (the bench-triage path); otherwise the
-    argument is ignored, so benches can pass it unconditionally.
-    """
-    name = request.module.__name__.rsplit(".", 1)[-1]
-
-    def _throughput_record(exchanges, simulated_s, telemetry=None):
-        entry = _throughput.setdefault(
-            name, {"exchanges": 0.0, "simulated_s": 0.0}
-        )
-        entry["exchanges"] += float(exchanges)
-        entry["simulated_s"] += float(simulated_s)
-        if telemetry and os.environ.get("REPRO_BENCH_TELEMETRY"):
-            snapshots = (
-                telemetry if isinstance(telemetry, (list, tuple))
-                else [telemetry]
-            )
-            _telemetry.setdefault(name, []).extend(
-                s for s in snapshots if s
-            )
-
-    return _throughput_record
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-shot verification gate: domain static analysis, ruff, mypy, and
-# the tier-1 test suite.  Intended for CI and as a pre-push check.
+# One-shot verification gate: domain static analysis, ruff, mypy, the
+# tier-1 test suite, the smoke benches and the smoke scenario matrix.
+# Intended for CI and as a pre-push check.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # skip the test suite
@@ -56,41 +57,22 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "== pytest (tier-1)"
     python -m pytest -x -q
 
-    echo "== bench harness (smoke)"
-    # Appends a run to the BENCH_obs.json trajectory; fails if the
-    # timing document cannot be produced, any smoke bench regresses
-    # >25% against benchmarks/bench-baseline.json, or a bench's
-    # exchanges/sec falls below the same-mode trajectory median.  On a
-    # tripped throughput gate the harness auto-diffs the run's archived
-    # telemetry against the trajectory's median baseline run and prints
-    # ranked triage suspects before the REGRESSION lines.
-    python scripts/bench.py --smoke
-
-    echo "== telemetry overhead gate (instrumented <= 15% over bare)"
-    # Median per-pair ratio over five interleaved instrumented/bare
-    # runs of the smoke scenario (health monitor attached); fails if
-    # the full telemetry stack costs more than 15%.
-    python scripts/obs_overhead.py
+    echo "== paper benches (smoke)"
+    # The fast figure/table benches; their shape asserts must hold.
+    # Wall time is not gated here: perfbench/ is the perf ledger.
+    python -m pytest -q \
+        benchmarks/bench_fig4_sntp_wired_wireless.py \
+        benchmarks/bench_fig7_signals_selection.py \
+        benchmarks/bench_table2_tuner_configs.py
 
     echo "== scenario matrix gate (smoke tier)"
     # Runs the smoke-tagged specs under scenarios/ through the
     # fault-tolerant matrix runner (chaos smoke matrix + wired
-    # baseline), judges each against its embedded SloSpec guarantees
-    # (chaos_smoke: smoke_spec() with no Minimal tier, so any
-    # out-of-fault violation fails the gate),
-    # and appends a "mode": "matrix" timing run (wall time, specs/min)
-    # to the BENCH_obs.json trajectory.  Exit 1 on any hard-failed
-    # spec; see docs/SCENARIO_SPECS.md.
-    python scripts/bench.py --matrix scenarios
-
-    echo "== profile harness (smoke)"
-    # Writes benchmarks/profile-smoke.json (git-ignored) and appends a
-    # profile run to the BENCH_obs.json trajectory.
-    python -m repro.cli profile --smoke
-
-    echo "== lint --profile (hot-path report ranked by measured cost)"
-    python -m repro.analysis src --profile benchmarks/profile-smoke.json \
-        --hot-report
+    # baseline) and judges each against its embedded SloSpec
+    # guarantees (chaos_smoke: smoke_spec() with no Minimal tier, so
+    # any out-of-fault violation fails the gate).  Exit 1 on any
+    # hard-failed spec; see docs/SCENARIO_SPECS.md.
+    python -m repro.cli matrix scenarios --smoke
 fi
 
 echo "== all checks passed"

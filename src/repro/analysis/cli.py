@@ -86,20 +86,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print per-phase timing and cache hit rate after the report",
     )
     parser.add_argument(
-        "--profile", metavar="PATH", dest="profile_path",
-        help="rank findings and the hot-path report by measured cost "
-             "from a 'repro-mntp profile' artifact",
-    )
-    parser.add_argument(
-        "--hot-report", action="store_true",
-        help="print the hot-closure report (static order, or measured "
-             "order with --profile)",
-    )
-    parser.add_argument(
-        "--hot-top", type=int, default=15, metavar="N",
-        help="rows shown in the hot-path report (default 15)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help=f"disable the incremental cache ({DEFAULT_CACHE_NAME})",
     )
@@ -149,16 +135,6 @@ def run_lint(args: argparse.Namespace) -> int:
 
     if args.explain:
         return _explain(args.explain)
-
-    profile = None
-    if args.profile_path:
-        from repro.analysis.profile import load_profile
-
-        try:
-            profile = load_profile(Path(args.profile_path))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     try:
         engine = Engine(
@@ -249,23 +225,6 @@ def run_lint(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     match = match_baseline(result.findings, baseline)
-
-    if profile is not None:
-        from repro.analysis.flow.hot import rank_findings_by_profile
-
-        match.new = rank_findings_by_profile(
-            match.new, result.project, profile
-        )
-
-    if (args.hot_report or profile is not None) and result.project is not None:
-        from repro.analysis.flow.hot import render_hot_report
-
-        report = render_hot_report(
-            result.project, profile=profile, top=args.hot_top
-        )
-        # Keep json/sarif stdout machine-parseable.
-        stream = sys.stdout if args.output_format == "human" else sys.stderr
-        print(report, file=stream)
 
     if args.output_format == "json":
         print(render_json(result, match))

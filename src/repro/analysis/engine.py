@@ -342,7 +342,7 @@ class AnalysisResult:
 
     ``project`` is the phase-two :class:`~repro.analysis.flow.project.
     Project` when interprocedural rules ran (``None`` otherwise); it is
-    never serialized, but the CLI uses it for the hot-path report.
+    never serialized.
     ``stats`` carries per-phase timings and cache hit counts for
     ``lint --stats``.
     """

@@ -33,7 +33,6 @@ from repro.analysis.flow.hot import (
     HOT_ROOTS,
     SHARD_PACKAGES,
     hot_closure,
-    render_hot_report,
 )
 from repro.analysis.flow.project import (
     ClassEntry,
@@ -87,6 +86,5 @@ __all__ = [
     "Project",
     "SHARD_PACKAGES",
     "hot_closure",
-    "render_hot_report",
     "summarize",
 ]

@@ -18,9 +18,8 @@ New hot entry points are added with a ``# repro: hot`` comment on the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.engine import Finding
 from repro.analysis.flow.project import Project
 from repro.analysis.flow.summary import MODULE_BODY
 from repro.analysis.rules.determinism import SIMULATION_PACKAGES
@@ -109,86 +108,3 @@ def chain_label(chain: List[str]) -> str:
     if len(chain) > _CHAIN_SHOWN:
         shown = chain[: _CHAIN_SHOWN - 1] + ["...", chain[-1]]
     return "hot via " + " -> ".join(shown)
-
-
-# ---------------------------------------------------------------------------
-# ranked hot-path report
-
-
-def render_hot_report(
-    project: Project, profile: Optional[Any] = None, top: int = 15
-) -> str:
-    """The ranked hot-closure table for ``lint --hot-report/--profile``.
-
-    Without a profile, rows order by closure depth (roots first) then
-    name — the static picture.  With one (see
-    :mod:`repro.analysis.profile`), rows order by measured cumulative
-    time, so the report reflects where the smoke scenario actually
-    spends its cycles.
-    """
-    closure = hot_closure(project)
-    rows = []
-    for full, chain in closure.items():
-        entry = project.functions[full]
-        ncalls, cum_s = 0, 0.0
-        if profile is not None:
-            sample = profile.lookup(entry.module.path, entry.info.name)
-            if sample is not None:
-                ncalls = sample["ncalls"]
-                cum_s = sample["cumtime_s"]
-        rows.append((full, chain, ncalls, cum_s))
-    if profile is not None:
-        rows.sort(key=lambda r: (-r[3], -r[2], r[0]))
-    else:
-        rows.sort(key=lambda r: (len(r[1]), r[0]))
-    lines = [
-        f"hot closure: {len(closure)} function(s) from "
-        f"{sum(1 for c in closure.values() if len(c) == 1)} root(s)"
-        + ("" if profile is None else f", ranked by {profile.describe()}")
-    ]
-    for full, chain, ncalls, cum_s in rows[:top]:
-        if profile is not None:
-            lines.append(
-                f"  {cum_s:8.3f}s {ncalls:>9}x  {full}"
-            )
-        else:
-            lines.append(f"  depth {len(chain):>2}  {full}")
-    if len(rows) > top:
-        lines.append(f"  ... {len(rows) - top} more (use --hot-top)")
-    return "\n".join(lines)
-
-
-def rank_findings_by_profile(
-    findings: List[Finding], project: Optional[Project], profile: Any
-) -> List[Finding]:
-    """Order findings by the measured cost of their enclosing function.
-
-    Findings outside the profile (or outside any known function) keep
-    their relative position after the measured ones, still sorted by
-    location, so the output stays deterministic.
-    """
-    if project is None:
-        return list(findings)
-
-    def weight(f: Finding) -> Tuple[float, int, str, int, int, str]:
-        cum_s, ncalls = 0.0, 0
-        entry = _enclosing(project, f.path, f.line)
-        if entry is not None:
-            sample = profile.lookup(entry.module.path, entry.info.name)
-            if sample is not None:
-                ncalls = sample["ncalls"]
-                cum_s = sample["cumtime_s"]
-        return (-cum_s, -ncalls, f.path, f.line, f.col, f.rule)
-
-    return sorted(findings, key=weight)
-
-
-def _enclosing(project: Project, path: str, line: int):
-    best = None
-    for full, entry in project.functions.items():
-        if entry.module.path != path or entry.info.qualname == MODULE_BODY:
-            continue
-        if entry.info.lineno <= line:
-            if best is None or entry.info.lineno > best.info.lineno:
-                best = entry
-    return best

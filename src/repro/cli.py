@@ -17,7 +17,6 @@ Exposes the main experiment flows without writing code::
     repro-mntp metrics --merge a.json b.json # merge shard telemetry
     repro-mntp matrix scenarios --smoke      # spec-file guarantee matrix
     repro-mntp lint src                      # domain static analysis
-    repro-mntp profile --smoke               # hot-path profile artifact
 
 Summaries print as tables by default; ``--json`` on ``run``, ``replay``
 and ``cellular`` emits machine-readable JSON instead.
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Dict, List, Optional
@@ -46,6 +46,19 @@ from repro.tuner import (
     ParameterSearcher,
     TraceLogger,
 )
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type: a finite float > 0 (rejects nan, inf, 0, negatives)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number: {text!r}"
+        )
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="print the summary as JSON instead of tables")
 
     tune = sub.add_parser("tune", help="log a trace and print Table 2")
-    tune.add_argument("--hours", type=float, default=4.0)
+    tune.add_argument("--hours", type=_positive_float, default=4.0)
     tune.add_argument("--save", metavar="PATH", help="save the trace (JSONL)")
     tune.add_argument("--telemetry", metavar="PATH",
                       help="export search telemetry as JSONL")
@@ -205,9 +218,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check channel calibration against Figure-4 targets")
 
     autotune = sub.add_parser("autotune", help="self-tuning pass (§7)")
-    autotune.add_argument("--hours", type=float, default=4.0)
-    autotune.add_argument("--target-ms", type=float, default=10.0)
-    autotune.add_argument("--budget-per-hour", type=float, default=None)
+    autotune.add_argument("--hours", type=_positive_float, default=4.0)
+    autotune.add_argument("--target-ms", type=_positive_float, default=10.0)
+    autotune.add_argument("--budget-per-hour", type=_positive_float,
+                          default=None)
     autotune.add_argument("--telemetry", metavar="PATH",
                           help="export tuning telemetry as JSONL")
 
@@ -251,47 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "safety); see docs/STATIC_ANALYSIS.md",
     )
     add_lint_arguments(lint)
-
-    from repro.analysis.profile import (
-        DEFAULT_PROFILE_PATH,
-        DEFAULT_TRAJECTORY,
-        SMOKE_SCENARIO,
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="run a scenario under cProfile and write a hot-path "
-        "artifact that 'lint --profile' ranks findings by",
-    )
-    profile.add_argument(
-        "--scenario", choices=scenario_names(), default=None,
-        help=f"scenario to profile (default: {SMOKE_SCENARIO})",
-    )
-    profile.add_argument(
-        "--duration", type=float, default=None,
-        help="virtual seconds to simulate (default: the scenario's own "
-        "duration, or the reduced smoke duration with --smoke)",
-    )
-    profile.add_argument(
-        "--smoke", action="store_true",
-        help="reduced duration for the CI gate",
-    )
-    profile.add_argument(
-        "--out", metavar="PATH", default=DEFAULT_PROFILE_PATH,
-        help=f"artifact path (default: {DEFAULT_PROFILE_PATH})",
-    )
-    profile.add_argument(
-        "--top", type=int, default=10,
-        help="rows printed from the cumtime ranking (default 10)",
-    )
-    profile.add_argument(
-        "--trajectory", metavar="PATH", default=DEFAULT_TRAJECTORY,
-        help=f"bench trajectory to append to (default: {DEFAULT_TRAJECTORY})",
-    )
-    profile.add_argument(
-        "--no-trajectory", action="store_true",
-        help="skip the trajectory append",
-    )
     return parser
 
 
@@ -329,10 +302,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_matrix(args)
     if command == "lint":
         return run_lint(args)
-    if command == "profile":
-        from repro.analysis.profile import run_profile_command
-
-        return run_profile_command(args)
     return 2  # pragma: no cover - argparse enforces choices
 
 

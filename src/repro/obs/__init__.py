@@ -3,9 +3,9 @@
 The simulation side (metrics registry, span tracer) runs entirely on
 virtual time, so telemetry is a pure function of the run's seed —
 two runs with the same seed export byte-identical JSONL.  Wall-clock
-measurement is quarantined in :class:`~repro.obs.runtimer.RunTimer`
-for CLI/bench layers.  See ``docs/OBSERVABILITY.md`` for the metric
-naming scheme, the span taxonomy, and the exporter formats.
+cost is measured from outside by ``perfbench/``, never in here.  See
+``docs/OBSERVABILITY.md`` for the metric naming scheme, the span
+taxonomy, and the exporter formats.
 """
 
 from repro.obs.merge import (
@@ -40,7 +40,6 @@ from repro.obs.telemetry import (
     snapshot_metric_names,
     snapshot_span_kinds,
 )
-from repro.obs.runtimer import RunTimer
 from repro.obs.exporters import (
     chrome_trace_events,
     jsonl_lines,
@@ -123,7 +122,6 @@ __all__ = [
     "record_to_dict",
     "snapshot_metric_names",
     "snapshot_span_kinds",
-    "RunTimer",
     "chrome_trace_events",
     "jsonl_lines",
     "load_jsonl",

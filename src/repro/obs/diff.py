@@ -16,8 +16,8 @@ and — joined with :mod:`repro.obs.causal` / :mod:`repro.obs.explain` —
 ranks the **top suspect components** for an offset or throughput
 movement: which named cause (interference, queueing, asymmetry, server
 turnaround), outcome class, span kind or counter moved the most,
-relative to its baseline magnitude.  ``scripts/bench.py`` uses exactly
-this ranking to triage a tripped throughput gate automatically.
+relative to its baseline magnitude.  ``repro-mntp diff`` prints this
+ranking for any two documents.
 """
 
 from __future__ import annotations

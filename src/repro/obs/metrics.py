@@ -2,8 +2,8 @@
 
 Metrics carry *no* timestamps of their own — they are pure accumulators
 fed by simulation components, so a registry snapshot is a deterministic
-function of the run's seed.  Wall-clock measurement lives in
-:mod:`repro.obs.runtimer` and is reserved for CLI/bench layers.
+function of the run's seed.  Wall-clock cost is measured from outside
+the simulation by ``perfbench/``.
 
 Names follow the Prometheus convention (``mntp_offset_accepted_total``,
 ``mntp_abs_residual_ms``); :func:`repro.obs.exporters.render_prometheus`

@@ -16,8 +16,8 @@ always observe the exact emission order whether or not a sink is
 attached.
 
 The sink meters itself with ``obs_overhead_*`` counters so telemetry
-cost is observable in every snapshot and gated by
-``scripts/obs_overhead.py``.
+volume is observable in every snapshot; its wall-clock cost is the
+``obs.overhead_ratio`` row of the ``perfbench/`` ledger.
 """
 
 from __future__ import annotations

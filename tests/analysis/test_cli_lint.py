@@ -127,3 +127,50 @@ def test_python_dash_m_entry_point(tmp_path):
     )
     assert proc.returncode == 1
     assert "DET001" in proc.stdout
+
+
+def _seed_tree(tmp_path):
+    pkg = tmp_path / "repro" / "simcore"
+    pkg.mkdir(parents=True)
+    (pkg / "one.py").write_text(
+        '"""Fixture."""\n\nimport time\n\n\ndef f():\n'
+        "    return time.time()\n"
+    )
+    (pkg / "two.py").write_text(
+        '"""Fixture."""\n\n\ndef g():  # repro: hot\n'
+        "    out = []\n"
+        "    for i in range(3):\n"
+        "        out.append(i)\n"
+        "    return out\n"
+    )
+
+
+def test_jobs_output_matches_serial(tmp_path, capsys):
+    _seed_tree(tmp_path)
+    base = ["lint", str(tmp_path), "--no-baseline", "--no-cache"]
+    assert main(base) == 1
+    serial = capsys.readouterr().out
+    assert main(base + ["--jobs", "2"]) == 1
+    parallel = capsys.readouterr().out
+    assert serial == parallel
+    assert "DET001" in serial
+    assert "PERF004" in serial
+
+
+def test_jobs_must_be_positive(tmp_path, capsys):
+    assert main(["lint", str(tmp_path), "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_stats_reports_cache_and_phases(tmp_path, capsys):
+    _seed_tree(tmp_path)
+    cache = tmp_path / "cache.json"
+    base = ["lint", str(tmp_path), "--no-baseline", "--stats",
+            "--cache-path", str(cache)]
+    main(base)
+    cold = capsys.readouterr().out
+    assert "stats: 2 files, cache 0/2 hits (0%)" in cold
+    assert "phase1" in cold and "phase2" in cold
+    main(base)
+    warm = capsys.readouterr().out
+    assert "cache 2/2 hits (100%)" in warm

@@ -112,3 +112,34 @@ def test_tuner_search_spans_and_counter():
     for record in evals:
         assert "rmse_ms" in record["data"]
         assert "requests" in record["data"]
+
+
+def test_telemetry_never_changes_the_simulation():
+    """A bare run and a fully instrumented, monitored run agree exactly.
+
+    Runners are built from the spec's fields (as ``perfbench`` does) so
+    the bare leg can switch telemetry off; the instrumented leg also
+    attaches the streaming health monitor with the default SLO spec.
+    """
+    from repro.obs.health import SloSpec
+    from repro.testbed.specs import load_scenario
+
+    spec = load_scenario("mntp_wireless_corrected")
+
+    def run(instrument):
+        return ExperimentRunner(
+            seed=1,
+            options=spec.build_options(),
+            duration=900.0,
+            sntp_cadence=spec.cadence_s,
+            run_sntp=spec.run_sntp,
+            mntp_config=spec.mntp,
+            instrument=instrument,
+            health_spec=SloSpec() if instrument else None,
+        ).run()
+
+    bare, instrumented = run(False), run(True)
+    assert bare.sntp and bare.mntp_reports
+    assert instrumented.sntp == bare.sntp
+    assert instrumented.sntp_failures == bare.sntp_failures
+    assert instrumented.mntp_reports == bare.mntp_reports

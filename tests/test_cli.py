@@ -82,6 +82,37 @@ def test_autotune_infeasible(capsys):
     assert "no viable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["tune", "--hours", "nan"],
+    ["tune", "--hours", "-1"],
+    ["tune", "--hours", "0"],
+    ["tune", "--hours", "four"],
+    ["autotune", "--hours", "inf"],
+    ["autotune", "--hours", "-1"],
+    ["autotune", "--target-ms", "0"],
+    ["autotune", "--target-ms", "nan"],
+    ["autotune", "--budget-per-hour", "-5"],
+    ["autotune", "--budget-per-hour", "inf"],
+])
+def test_tuner_commands_reject_non_positive_or_non_finite(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert argv[1] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--smoke"],
+    ["lint", "src", "--profile", "x"],
+])
+def test_removed_perf_commands_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_run_save_and_replay(tmp_path, capsys):
     path = tmp_path / "run.json"
     assert main(["--seed", "1", "run", "wired_uncorrected",
