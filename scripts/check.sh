@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-shot verification gate: domain static analysis, ruff, mypy, the
-# tier-1 test suite, the smoke benches and the smoke scenario matrix.
+# One-shot verification gate: one domain static-analysis run over src
+# and tests, ruff, mypy, the tier-1 test suite, the smoke benches and
+# the smoke scenario matrix.
 # Intended for CI and as a pre-push check.
 #
 #   scripts/check.sh            # everything
@@ -14,30 +15,13 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== repro-mntp lint (domain static analysis, src)"
-# Warm runs hit the content-hash cache (.repro-lint-cache.json) and
-# skip re-parsing unchanged files entirely.
-python -m repro.analysis src
-
-echo "== repro-mntp lint (determinism rules, tests)"
-python -m repro.analysis tests --select DET001,DET002,DET003,DET004 --no-baseline
-
-echo "== repro-mntp lint (hot-path perf + parallel readiness, src)"
-# The tentpole gate: no unbaselined per-iteration cost in the sim hot
-# closure, no shared mutable state that would break a shard split, and
-# no telemetry emission bypassing the ring-buffer sink in hot code.
-python -m repro.analysis src \
-    --select PERF001,PERF002,PERF003,PERF004,CONC001,CONC002,CONC003,OBS003 \
-    --no-baseline
-
-echo "== repro-mntp lint (CFG dataflow: resource typestate + precision, src + tests)"
-# Phase 1.5 gate: no span/telemetry/file handle leaked on any path,
-# no _ns/_us precision lost to float windows, 16.16 truncation,
-# era-unsafe NTP compares, or collapsing division chains.  Runs with
-# --jobs/--stats so per-phase timing lands in CI logs.
-python -m repro.analysis src tests \
-    --select RES001,RES002,RES003,PREC001,PREC002,PREC003,PREC004 \
-    --no-baseline --jobs 4 --stats
+echo "== repro-mntp lint (domain static analysis, src + tests)"
+# One run over both trees.  Each rule states its own scope: under
+# tests/ only the determinism, resource and precision rules apply.
+# Any finding left after inline '# repro: noqa[RULE] reason' fails the
+# gate.  Warm runs hit the content-hash cache (.repro-lint-cache.json);
+# --stats puts per-phase timing in the CI log.
+python -m repro.analysis src tests --jobs 4 --stats
 
 if python -m ruff --version >/dev/null 2>&1; then
     echo "== ruff"

@@ -10,18 +10,13 @@ neither is checked by the interpreter:
   ``_ms``, ``_us``, ``_ns`` suffixes, NTP wire fixed-point) must never
   silently meet a quantity in another.
 
-This package enforces both (plus a few generic correctness rules) as an
-AST-based lint, runnable as ``repro-mntp lint`` or
-``python -m repro.analysis``.  See ``docs/STATIC_ANALYSIS.md`` for the
-rule catalogue and the suppression/baseline workflow.
+This package enforces both, plus the µs precision tier, leaked spans
+and handles, robustness and telemetry routing, as an AST-based lint
+runnable as ``repro-mntp lint`` or ``python -m repro.analysis``.  The
+one suppression mechanism is an inline ``# repro: noqa[RULE] reason``
+comment.  See ``docs/STATIC_ANALYSIS.md`` for the rules.
 """
 
-from repro.analysis.baseline import (
-    BaselineMatch,
-    load_baseline,
-    match_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
     AnalysisResult,
     Engine,
@@ -29,10 +24,9 @@ from repro.analysis.engine import (
     ProjectRule,
     Rule,
     SourceModule,
-    fingerprint_findings,
     load_source,
 )
-from repro.analysis.reporting import render_human, render_json, render_sarif
+from repro.analysis.reporting import render_human, render_json
 from repro.analysis.rules import all_project_rules, all_rules
 
 
@@ -50,7 +44,6 @@ def check_source(text, *, module="sample", path="<memory>", select=None,
 
 __all__ = [
     "AnalysisResult",
-    "BaselineMatch",
     "Engine",
     "Finding",
     "ProjectRule",
@@ -59,12 +52,7 @@ __all__ = [
     "all_project_rules",
     "all_rules",
     "check_source",
-    "fingerprint_findings",
-    "load_baseline",
     "load_source",
-    "match_baseline",
     "render_human",
     "render_json",
-    "render_sarif",
-    "write_baseline",
 ]

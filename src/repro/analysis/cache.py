@@ -8,9 +8,9 @@ hash, so a warm run over an unchanged tree re-reads bytes to hash them
 but re-parses nothing; the whole-program phase then runs from cached
 summaries alone.
 
-Separate engine configurations (e.g. the full ``src`` gate and the
-DET-only ``tests`` gate) occupy separate sections of the same file and
-do not evict each other.  A tool-version bump or a rule-set change
+Separate engine configurations (e.g. the full gate and a ``--select``
+run) occupy separate sections of the same file and do not evict each
+other.  A tool-version bump or a rule-set change
 invalidates only the affected section.  The cache file is a disposable
 artifact: it is git-ignored, and any read/parse problem degrades to an
 empty cache, never to an error.

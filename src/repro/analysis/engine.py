@@ -6,11 +6,13 @@ once and hands the tree to every enabled per-file rule.  A
 :class:`ProjectRule` runs in a second, whole-program phase over the
 :class:`repro.analysis.flow.project.Project` built from every analysed
 module's flow summary, so it can see across call and module boundaries.
-Findings carry a ``file:line:col`` anchor plus a line-independent
-*fingerprint* used by the baseline machinery (see
-:mod:`repro.analysis.baseline`); cross-file findings additionally name
-their far *endpoint* (``path::qualname``), which participates in the
-fingerprint so either end moving invalidates a baseline entry.
+Findings carry a ``file:line:col`` anchor; cross-file findings also
+name their far *endpoint* (``path::qualname``) so the reader sees both
+ends of the edge.
+
+Modules under ``tests/`` are policed only by rules that set
+:attr:`Rule.covers_tests` (determinism, resource typestate, precision);
+every other rule guards library code alone.
 
 Inline suppression follows the codebase convention::
 
@@ -18,23 +20,25 @@ Inline suppression follows the codebase convention::
 
 A bare ``# repro: noqa`` (no rule list) suppresses every rule on that
 line.  Suppressions apply to the physical line the finding is anchored
-to.  A malformed rule list (unclosed bracket, empty brackets, stray
-separators) suppresses *nothing* and is surfaced as a warning — a typo
-must never silently widen a suppression.
+to.  Markers are read from comment tokens only, so the same text inside
+a string literal is inert.  A malformed rule list (unclosed bracket,
+empty brackets, stray separators) suppresses *nothing* and is surfaced
+as a warning — a typo must never silently widen a suppression.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import io
 import re
 import time
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -44,7 +48,7 @@ from typing import (
 
 #: Bumped whenever findings, summaries, or rule semantics change shape;
 #: part of the incremental cache key so stale caches self-invalidate.
-TOOL_VERSION = "4.0"
+TOOL_VERSION = "5.0"
 
 #: Matches ``# repro: noqa`` with an optional ``[RULE1,RULE2]`` list.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?P<rest>\[[^\]]*\])?")
@@ -111,24 +115,6 @@ class Finding:
         )
 
 
-#: A line-independent identity for a finding: (rule, path, message,
-#: endpoint, occurrence index among identical tuples, ordered by line).
-#: Stable across unrelated edits that merely shift line numbers.
-Fingerprint = Tuple[str, str, str, str, int]
-
-
-def fingerprint_findings(findings: Iterable[Finding]) -> List[Fingerprint]:
-    """Fingerprints for ``findings``, occurrence-indexed in line order."""
-    counts: Dict[Tuple[str, str, str, str], int] = {}
-    prints: List[Fingerprint] = []
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
-        key = (f.rule, f.path, f.message, f.endpoint)
-        index = counts.get(key, 0)
-        counts[key] = index + 1
-        prints.append((f.rule, f.path, f.message, f.endpoint, index))
-    return prints
-
-
 @dataclass
 class SourceModule:
     """A parsed source file plus the metadata rules need."""
@@ -158,13 +144,37 @@ class SourceModule:
         return ".".join(self.module)
 
 
-def _parse_noqa(text: str) -> Tuple[Dict[int, Set[str]], List[Tuple[int, str]]]:
+def in_tests(module: Sequence[str]) -> bool:
+    """Whether dotted-module parts name a module of the tests tree."""
+    return tuple(module[:1]) == ("tests",)
+
+
+def _marker_comments(text: str) -> List[Tuple[int, str]]:
+    """(line, text) of every comment token that mentions ``repro:``.
+
+    Tokenizing rather than scanning raw lines keeps a ``# repro: noqa``
+    inside a string literal from acting as a marker.  The caller has
+    already parsed ``text``, so a tokenize failure is a syntax error.
+    """
+    if "repro:" not in text:
+        return []
+    try:
+        return [
+            (tok.start[0], tok.string)
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+            if tok.type == tokenize.COMMENT and "repro:" in tok.string
+        ]
+    except tokenize.TokenError as exc:
+        raise SyntaxError(f"cannot tokenize: {exc}") from exc
+
+
+def _parse_noqa(
+    comments: List[Tuple[int, str]],
+) -> Tuple[Dict[int, Set[str]], List[Tuple[int, str]]]:
     """Noqa table plus (line, description) pairs for malformed comments."""
     table: Dict[int, Set[str]] = {}
     problems: List[Tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "repro:" not in line:
-            continue
+    for lineno, line in comments:
         match = _NOQA_RE.search(line)
         if match is None:
             continue
@@ -194,13 +204,9 @@ def _parse_noqa(text: str) -> Tuple[Dict[int, Set[str]], List[Tuple[int, str]]]:
     return table, problems
 
 
-def _parse_hot(text: str) -> Set[int]:
+def _parse_hot(comments: List[Tuple[int, str]]) -> Set[int]:
     """Line numbers carrying a ``# repro: hot`` annotation."""
-    lines: Set[int] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "repro:" in line and _HOT_RE.search(line):
-            lines.add(lineno)
-    return lines
+    return {lineno for lineno, line in comments if _HOT_RE.search(line)}
 
 
 def module_parts_for(path: Path) -> Tuple[str, ...]:
@@ -208,9 +214,9 @@ def module_parts_for(path: Path) -> Tuple[str, ...]:
 
     The convention is that everything under a ``repro`` directory is the
     ``repro`` package (the repository keeps it under ``src/repro``), and
-    everything under a ``tests`` directory is the test tree (which the
-    determinism rules also police).  Files outside both get a
-    single-part module name, which no package-scoped rule matches.
+    everything under a ``tests`` directory is the test tree (policed by
+    the rules that set :attr:`Rule.covers_tests`).  Files outside both
+    get a single-part module name, which no package-scoped rule matches.
     """
     parts = list(path.parts)
     if parts and parts[-1].endswith(".py"):
@@ -231,10 +237,11 @@ def source_from_text(
 ) -> SourceModule:
     """Parse ``text`` into a SourceModule; raises ``SyntaxError``."""
     tree = ast.parse(text, filename=path)
-    noqa, problems = _parse_noqa(text)
+    comments = _marker_comments(text)
+    noqa, problems = _parse_noqa(comments)
     return SourceModule(
         path=path, text=text, tree=tree, module=module,
-        noqa=noqa, noqa_problems=problems, hot_lines=_parse_hot(text),
+        noqa=noqa, noqa_problems=problems, hot_lines=_parse_hot(comments),
     )
 
 
@@ -262,9 +269,9 @@ class Rule(ast.NodeVisitor):
 
     Subclasses set :attr:`rule_id` and :attr:`summary`, then override
     ``visit_*`` methods (or :meth:`run` for whole-module checks) and call
-    :meth:`report` for each diagnostic.  The optional catalogue fields
-    (:attr:`rationale`, :attr:`example`, :attr:`fix_hint`) feed
-    ``lint --explain``.
+    :meth:`report` for each diagnostic.  Every shipped rule also fills
+    :attr:`rationale`, :attr:`example` and :attr:`fix_hint`, which
+    ``lint --explain`` prints.
     """
 
     rule_id: str = ""
@@ -272,6 +279,10 @@ class Rule(ast.NodeVisitor):
     rationale: str = ""   # why the rule exists (one short paragraph)
     example: str = ""     # a minimal violating snippet
     fix_hint: str = ""    # how to repair a finding
+    #: Whether the rule also polices modules under ``tests/``.  Most
+    #: rules guard library code only: tests compare seeded replays
+    #: exactly on purpose and keep imports for their fixtures.
+    covers_tests: bool = False
 
     def __init__(self, module: SourceModule) -> None:
         self.module = module
@@ -300,8 +311,8 @@ class ProjectRule:
 
     Subclasses set :attr:`rule_id` and :attr:`summary` and implement
     :meth:`run` over ``self.project``, a
-    :class:`repro.analysis.flow.project.Project`.  The optional
-    catalogue fields mirror :class:`Rule`'s.
+    :class:`repro.analysis.flow.project.Project`.  The documentation
+    fields and :attr:`covers_tests` mirror :class:`Rule`'s.
     """
 
     rule_id: str = ""
@@ -309,6 +320,7 @@ class ProjectRule:
     rationale: str = ""
     example: str = ""
     fix_hint: str = ""
+    covers_tests: bool = False
 
     def __init__(self, project: Any) -> None:
         self.project = project
@@ -403,11 +415,29 @@ class Engine:
         return sorted(set(self._rules) | set(self._project_rules))
 
     def check_module(self, module: SourceModule) -> List[Finding]:
-        """Run every enabled per-file rule over one parsed module."""
+        """Run every enabled per-file rule in scope for one module."""
+        tests = in_tests(module.module)
         findings: List[Finding] = []
         for rule_cls in self._rules.values():
-            findings.extend(rule_cls(module).run())
+            if rule_cls.covers_tests or not tests:
+                findings.extend(rule_cls(module).run())
         return [f for f in findings if not _suppressed(f, module.noqa)]
+
+    def _check_project(
+        self,
+        project: Any,
+        noqa_by_path: Dict[str, Dict[int, Set[str]]],
+    ) -> List[Finding]:
+        """Run the project rules; drop suppressed and out-of-scope findings."""
+        test_paths = {s.path for s in project.summaries if in_tests(s.module)}
+        findings: List[Finding] = []
+        for rule_cls in self._project_rules.values():
+            for f in rule_cls(project).run():
+                if f.path in test_paths and not rule_cls.covers_tests:
+                    continue
+                if not _suppressed(f, noqa_by_path.get(f.path, {})):
+                    findings.append(f)
+        return findings
 
     def check_source(
         self,
@@ -427,12 +457,9 @@ class Engine:
         if project and self._project_rules:
             from repro.analysis.flow import Project, summarize
 
-            proj = Project([summarize(sm)])
-            for rule_cls in self._project_rules.values():
-                findings.extend(
-                    f for f in rule_cls(proj).run()
-                    if not _suppressed(f, sm.noqa)
-                )
+            findings.extend(self._check_project(
+                Project([summarize(sm)]), {sm.path: sm.noqa}
+            ))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
 
@@ -546,10 +573,7 @@ class Engine:
                 _reference_tokens(reference_roots, analysed=paths),
             )
             result.project = project
-            for rule_cls in self._project_rules.values():
-                for f in rule_cls(project).run():
-                    if not _suppressed(f, noqa_by_path.get(f.path, {})):
-                        result.findings.append(f)
+            result.findings.extend(self._check_project(project, noqa_by_path))
         result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         end = time.perf_counter()
         result.stats = {

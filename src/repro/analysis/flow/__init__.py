@@ -5,7 +5,9 @@ module to a JSON-serializable :class:`ModuleSummary`; phase two
 (:mod:`~repro.analysis.flow.project`) stitches summaries into a
 :class:`Project` — the call graph plus derived return units and
 transitive effect sets — that the interprocedural rules in
-:mod:`~repro.analysis.flow.rules` consume.
+:mod:`~repro.analysis.flow.rules` consume.  :mod:`~repro.analysis.flow.hot`
+derives the simulator's hot closure from the same call graph for
+OBS003.
 
 Phase 1.5 (:mod:`~repro.analysis.flow.cfg` +
 :mod:`~repro.analysis.flow.dataflow`) sits between them: per-function
@@ -29,11 +31,7 @@ from repro.analysis.flow.dataflow import (
     solve_backward,
     solve_forward,
 )
-from repro.analysis.flow.hot import (
-    HOT_ROOTS,
-    SHARD_PACKAGES,
-    hot_closure,
-)
+from repro.analysis.flow.hot import HOT_ROOTS, hot_closure
 from repro.analysis.flow.project import (
     ClassEntry,
     EffectPath,
@@ -48,10 +46,8 @@ from repro.analysis.flow.summary import (
     ClassInfo,
     EffectSite,
     FunctionInfo,
-    ModuleGlobal,
     ModuleSummary,
-    MutationSite,
-    PerfSite,
+    ObsSite,
     summarize,
 )
 
@@ -79,12 +75,9 @@ __all__ = [
     "FunctionInfo",
     "HOT_ROOTS",
     "MODULE_BODY",
-    "ModuleGlobal",
     "ModuleSummary",
-    "MutationSite",
-    "PerfSite",
+    "ObsSite",
     "Project",
-    "SHARD_PACKAGES",
     "hot_closure",
     "summarize",
 ]

@@ -3,11 +3,11 @@
 The simulator's cost concentrates in a small set of per-event code:
 the event-dispatch loop itself, link/wireless sampling, and the per
 exchange MNTP/SNTP handlers.  :data:`HOT_ROOTS` names those entry
-points; :func:`hot_closure` walks the PR 5 call graph from them (plus
-any function annotated ``# repro: hot``) and returns every reachable
-function with a witness chain back to its root.  The PERF rules only
-report inside this closure — a comprehension in a report formatter is
-fine; the same comprehension in the wireless sampler is not.
+points; :func:`hot_closure` walks the project call graph from them
+(plus any function annotated ``# repro: hot``) and returns every
+reachable function with a witness chain back to its root.  OBS003 only
+reports inside this closure — a direct ``trace.emit`` in a report
+formatter is fine; the same call in the wireless sampler is not.
 
 The static graph cannot follow the event queue's dynamic dispatch
 (``event.callback()``), which is why the roots enumerate the handlers
@@ -22,7 +22,6 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.flow.project import Project
 from repro.analysis.flow.summary import MODULE_BODY
-from repro.analysis.rules.determinism import SIMULATION_PACKAGES
 
 #: Statically-known entry points of the simulator inner loop.
 HOT_ROOTS: Tuple[str, ...] = (
@@ -42,16 +41,7 @@ HOT_ROOTS: Tuple[str, ...] = (
     "repro.core.protocol.Mntp._handle_offset",
 )
 
-#: Packages that will live inside simulator shards once the event loop
-#: splits across processes (ROADMAP #1); the CONC rules police shared
-#: state here.  A superset of the determinism scope: the net/faults/
-#: testbed layers run inside the loop even though DET rules exempt them.
-SHARD_PACKAGES = frozenset(SIMULATION_PACKAGES) | {
-    "net", "faults", "testbed",
-}
-
-#: Cap on witness-chain hops shown in messages (fingerprints include
-#: the message, so chains must stay short and stable).
+#: Cap on witness-chain hops shown in messages (keeps them one line).
 _CHAIN_SHOWN = 4
 
 

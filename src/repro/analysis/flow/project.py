@@ -53,7 +53,7 @@ class FunctionEntry:
         return f"{self.module.dotted()}.{self.info.qualname}"
 
     def endpoint(self) -> str:
-        """Baseline endpoint string: ``path::qualname``."""
+        """Endpoint string for cross-file findings: ``path::qualname``."""
         return f"{self.module.path}::{self.info.qualname}"
 
 

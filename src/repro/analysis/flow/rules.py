@@ -1,21 +1,23 @@
-"""Interprocedural rules: UNIT004, UNIT005, DET004, COR005.
+"""Interprocedural rules: UNIT004, UNIT005, DET004, OBS003, COR005.
 
 These run in the engine's second phase over a :class:`Project` built
 from every analysed module, so they see across function and module
 boundaries: a ``_ms`` value flowing into a ``_s`` parameter two modules
 away, a wall-clock call hidden behind a helper outside the simulation
-packages, a public function nothing calls.
+packages, a direct TraceLog write reachable from the simulator's inner
+loop, a public function nothing calls.
 
 Cross-file findings carry an *endpoint* (``path::qualname`` of the
-other end) that participates in the baseline fingerprint, so renaming
-or moving either end invalidates the baseline entry as it should.
+other end), rendered after the message so the reader sees both ends of
+the edge.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.analysis.engine import Finding, ProjectRule
+from repro.analysis.engine import Finding, ProjectRule, in_tests
+from repro.analysis.flow.hot import chain_label, hot_closure
 from repro.analysis.flow.project import FunctionEntry
 from repro.analysis.flow.summary import MODULE_BODY
 from repro.analysis.rules import register_project
@@ -29,7 +31,7 @@ def _in_det_scope(entry: FunctionEntry) -> bool:
     """Whether DET004 polices this function's body."""
     if entry.module.package in SIMULATION_PACKAGES:
         return True
-    return entry.module.module[:1] == ("tests",)
+    return in_tests(entry.module.module)
 
 
 @register_project
@@ -42,6 +44,13 @@ class CallSiteUnitRule(ProjectRule):
         "suffix) into a parameter declared in another, across any call "
         "in the analysed tree"
     )
+    rationale = (
+        "Units must survive call boundaries: passing seconds into a "
+        "_ms parameter is the same 1000x bug as UNIT001, one hop "
+        "removed."
+    )
+    example = "backoff(wait_ms=interval_s)"
+    fix_hint = "Convert at the call site to the parameter's declared unit."
 
     def run(self) -> List[Finding]:
         """Every resolvable call edge, argument by argument."""
@@ -110,6 +119,12 @@ class ReturnUnitRule(ProjectRule):
         "no assigning a call whose inferred return unit is one "
         "_s/_ms/_us/_ns unit to a name whose suffix declares another"
     )
+    rationale = (
+        "A call whose return unit is inferred as seconds assigned to "
+        "an _ms name poisons every later use of that name."
+    )
+    example = "elapsed_ms = stopwatch_seconds()"
+    fix_hint = "Rename the target or convert the value at the assignment."
 
     def run(self) -> List[Finding]:
         """Every recorded assignment-from-call site."""
@@ -147,6 +162,17 @@ class TransitiveEffectRule(ProjectRule):
         "reach a wall-clock or global-RNG call through helpers, even "
         "ones outside the simulation packages"
     )
+    rationale = (
+        "A sim-package function can launder a wall-clock or "
+        "global-RNG call through an innocent-looking helper; the "
+        "transitive closure is what matters."
+    )
+    example = "def step(self): util.stamp()  # stamp() calls time.time()"
+    fix_hint = (
+        "Follow the reported witness chain and replace the effectful "
+        "call at its source."
+    )
+    covers_tests = True
 
     _KIND_LABEL = {
         "wall-clock": "wall-clock call",
@@ -155,15 +181,23 @@ class TransitiveEffectRule(ProjectRule):
     }
 
     def run(self) -> List[Finding]:
-        """Every call edge out of a policed function."""
+        """Every call edge out of a policed function.
+
+        An edge from the tests tree into library code is not reported:
+        the callee's own package scope already decides whether its
+        effects matter, so a test driving the CLI is not a chain.
+        """
         project = self.project
         for caller in project.functions.values():
             if not _in_det_scope(caller):
                 continue
             module = caller.module.dotted()
+            from_tests = in_tests(caller.module.module)
             for call in caller.info.calls:
                 callee = project.resolve(call.ref, module)
                 if callee is None or callee.full not in project.effects:
+                    continue
+                if from_tests and not in_tests(callee.module.module):
                     continue
                 if not self._is_boundary(callee):
                     continue
@@ -207,6 +241,66 @@ class TransitiveEffectRule(ProjectRule):
 
 
 @register_project
+class DirectEmissionRule(ProjectRule):
+    """Flag telemetry emission bypassing the ring sink in hot code."""
+
+    rule_id = "OBS003"
+    summary = (
+        "no direct TraceLog append (trace.emit/trace.append) or "
+        "per-event registry resolution (metrics.counter/gauge/"
+        "histogram) in a hot-closure function; route emission through "
+        "the ring-buffer sink via telemetry.emit / telemetry.count"
+    )
+    rationale = (
+        "Direct TraceLog appends and per-event registry lookups in "
+        "the hot closure cost a dict resolve per event — the "
+        "ring-buffer sink batches them."
+    )
+    example = "trace.emit(t, 'mntp', 'tick')  # in the hot loop"
+    fix_hint = "Route through telemetry.emit / telemetry.count."
+
+    #: Human label per obs-site kind recorded by the summarizer.
+    _LABELS = {
+        "emit": "direct TraceLog write {detail}",
+        "registry": "per-event metric registry resolution {detail}",
+    }
+
+    _ADVICE = {
+        "emit": (
+            "batch it through the ring sink: telemetry.emit(...) "
+            "stages the record and flushes in bulk"
+        ),
+        "registry": (
+            "hoist the instrument to __init__ or use "
+            "telemetry.count(name), which accumulates deltas in the "
+            "ring and applies them at flush"
+        ),
+    }
+
+    def run(self) -> List[Finding]:
+        """Every obs site inside every hot function, with witness chain."""
+        project = self.project
+        closure = hot_closure(project)
+        for full in sorted(closure):
+            entry = project.functions[full]
+            chain = closure[full]
+            root = project.functions[chain[0]]
+            for site in entry.info.obs_sites:
+                self.report(
+                    path=entry.module.path,
+                    lineno=site.lineno,
+                    col=site.col,
+                    message=(
+                        f"{self._LABELS[site.kind].format(detail=site.detail)}"
+                        f" in hot function '{entry.display}' "
+                        f"({chain_label(chain)}); {self._ADVICE[site.kind]}"
+                    ),
+                    endpoint=root.endpoint() if len(chain) > 1 else "",
+                )
+        return self.findings
+
+
+@register_project
 class DeadPublicFunctionRule(ProjectRule):
     """Flag public module-level functions nothing calls or tests."""
 
@@ -215,6 +309,16 @@ class DeadPublicFunctionRule(ProjectRule):
         "no dead public API: a module-level public function that is "
         "never referenced in the analysed tree, scripts, or tests "
         "should be removed or exercised"
+    )
+    rationale = (
+        "A public function nothing calls or tests is dead weight that "
+        "still must be kept working; either it has users (add a test) "
+        "or it does not (remove it)."
+    )
+    example = "def helper(): ...  # no caller, no test, public name"
+    fix_hint = (
+        "Remove it, underscore-prefix it, or add the missing "
+        "caller/test."
     )
 
     def run(self) -> List[Finding]:

@@ -49,30 +49,6 @@ EFFECT_RULES = {
     "numpy-global-rng": "DET003",
 }
 
-#: Method names whose call mutates the receiver in place.
-MUTATING_METHODS = frozenset({
-    "append", "appendleft", "add", "clear", "discard", "extend", "insert",
-    "pop", "popitem", "popleft", "remove", "reverse", "setdefault", "sort",
-    "update",
-})
-
-#: Dotted constructors (via ImportMap) that build mutable containers.
-_MUTABLE_FACTORIES = frozenset({
-    "collections.Counter", "collections.OrderedDict",
-    "collections.defaultdict", "collections.deque",
-})
-
-#: Dotted decorators marking a process-global memo cache.
-_CACHE_DECORATORS = frozenset({"functools.cache", "functools.lru_cache"})
-
-#: An attribute-lookup chain must be at least this deep (dots) before
-#: repeating it in a loop is worth a PERF003 hoist report.
-_LOOKUP_MIN_DEPTH = 2
-
-#: Repetitions of the same lookup within one loop that trigger PERF003.
-_LOOKUP_MIN_COUNT = 3
-
-
 @dataclass
 class ArgUnit:
     """One call argument that might carry a unit."""
@@ -174,13 +150,13 @@ class AssignFromCall:
 
 
 @dataclass
-class PerfSite:
-    """One statically detected per-iteration cost inside a function.
+class ObsSite:
+    """A direct telemetry write that bypasses the ring-buffer sink.
 
-    ``kind`` selects the PERF rule family: ``alloc`` (container built
-    per iteration), ``format`` (string formatted per iteration),
-    ``lookup`` (deep attribute/key chain repeated within one loop),
-    ``append`` (loop whose whole body is one ``list.append``).
+    ``kind`` is ``emit`` (a ``trace.emit``/``trace.append`` straight
+    into the TraceLog) or ``registry`` (a per-call
+    ``metrics.counter``/``gauge``/``histogram`` lookup); OBS003 reports
+    the sites of hot-closure functions.
     """
 
     kind: str
@@ -196,70 +172,10 @@ class PerfSite:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PerfSite":
+    def from_dict(cls, data: Dict[str, Any]) -> "ObsSite":
         return cls(
             kind=data["kind"], lineno=data["lineno"], col=data["col"],
             detail=data["detail"],
-        )
-
-
-@dataclass
-class MutationSite:
-    """A write to state that outlives the function invocation.
-
-    ``scope`` is ``global`` (module-level name) or ``class`` (class
-    attribute reached through ``self``/the class object); ``how`` is
-    ``rebind`` (assignment), ``mutate`` (in-place method/subscript
-    write), or ``next`` (consuming a shared iterator/counter).
-    """
-
-    scope: str
-    name: str                      # the global, or "Class.attr"
-    how: str
-    lineno: int
-    col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "scope": self.scope, "name": self.name, "how": self.how,
-            "lineno": self.lineno, "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MutationSite":
-        return cls(
-            scope=data["scope"], name=data["name"], how=data["how"],
-            lineno=data["lineno"], col=data["col"],
-        )
-
-
-@dataclass
-class ModuleGlobal:
-    """A module-level binding of shared-state interest.
-
-    ``kind`` is ``mutable`` (list/dict/set/…, shared by every reader in
-    the process) or ``counter`` (``itertools.count``, a process-global
-    sequence).
-    """
-
-    name: str
-    kind: str
-    lineno: int
-    col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "name": self.name, "kind": self.kind,
-            "lineno": self.lineno, "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleGlobal":
-        return cls(
-            name=data["name"], kind=data["kind"],
-            lineno=data["lineno"], col=data["col"],
         )
 
 
@@ -283,10 +199,7 @@ class FunctionInfo:
     is_method: bool = False
     decorated: bool = False
     hot_annotated: bool = False    # "# repro: hot" on the def line
-    cache_decorator_lineno: Optional[int] = None  # functools.(lru_)cache
-    perf_sites: List[PerfSite] = field(default_factory=list)
-    mutations: List[MutationSite] = field(default_factory=list)
-    obs_sites: List[PerfSite] = field(default_factory=list)  # OBS003
+    obs_sites: List[ObsSite] = field(default_factory=list)  # OBS003
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (cache record)."""
@@ -303,9 +216,6 @@ class FunctionInfo:
             "is_public": self.is_public, "is_method": self.is_method,
             "decorated": self.decorated,
             "hot_annotated": self.hot_annotated,
-            "cache_decorator_lineno": self.cache_decorator_lineno,
-            "perf_sites": [p.to_dict() for p in self.perf_sites],
-            "mutations": [m.to_dict() for m in self.mutations],
             "obs_sites": [p.to_dict() for p in self.obs_sites],
         }
 
@@ -323,17 +233,8 @@ class FunctionInfo:
             effects=[EffectSite.from_dict(e) for e in data["effects"]],
             is_public=data["is_public"], is_method=data["is_method"],
             decorated=data["decorated"],
-            hot_annotated=data.get("hot_annotated", False),
-            cache_decorator_lineno=data.get("cache_decorator_lineno"),
-            perf_sites=[
-                PerfSite.from_dict(p) for p in data.get("perf_sites", [])
-            ],
-            mutations=[
-                MutationSite.from_dict(m) for m in data.get("mutations", [])
-            ],
-            obs_sites=[
-                PerfSite.from_dict(p) for p in data.get("obs_sites", [])
-            ],
+            hot_annotated=data["hot_annotated"],
+            obs_sites=[ObsSite.from_dict(p) for p in data["obs_sites"]],
         )
 
 
@@ -347,9 +248,6 @@ class ClassInfo:
     ctor_pos_params: List[Tuple[str, Optional[str]]] = field(default_factory=list)
     ctor_kw_units: Dict[str, Optional[str]] = field(default_factory=dict)
     methods: List[str] = field(default_factory=list)
-    #: Class-body ``attr = <mutable>`` assignments -> lineno (the
-    #: cross-instance shared-state hazard CONC002 polices).
-    mutable_class_attrs: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (cache record)."""
@@ -359,7 +257,6 @@ class ClassInfo:
             "ctor_pos_params": [list(p) for p in self.ctor_pos_params],
             "ctor_kw_units": dict(self.ctor_kw_units),
             "methods": list(self.methods),
-            "mutable_class_attrs": dict(self.mutable_class_attrs),
         }
 
     @classmethod
@@ -370,7 +267,6 @@ class ClassInfo:
             ctor_pos_params=[(p[0], p[1]) for p in data["ctor_pos_params"]],
             ctor_kw_units=dict(data["ctor_kw_units"]),
             methods=list(data["methods"]),
-            mutable_class_attrs=dict(data.get("mutable_class_attrs", {})),
         )
 
 
@@ -386,7 +282,6 @@ class ModuleSummary:
     referenced: Set[str] = field(default_factory=set)
     exports: List[str] = field(default_factory=list)
     import_bindings: Dict[str, str] = field(default_factory=dict)
-    module_globals: List[ModuleGlobal] = field(default_factory=list)
 
     def dotted(self) -> str:
         """The dotted module name (``repro.ntp.wire``)."""
@@ -408,7 +303,6 @@ class ModuleSummary:
             "referenced": sorted(self.referenced),
             "exports": list(self.exports),
             "import_bindings": dict(self.import_bindings),
-            "module_globals": [g.to_dict() for g in self.module_globals],
         }
 
     @classmethod
@@ -421,10 +315,6 @@ class ModuleSummary:
             referenced=set(data["referenced"]),
             exports=list(data["exports"]),
             import_bindings=dict(data["import_bindings"]),
-            module_globals=[
-                ModuleGlobal.from_dict(g)
-                for g in data.get("module_globals", [])
-            ],
         )
 
 
@@ -487,7 +377,6 @@ class _Summarizer:
                 self._collect(stmt, module_fn, function=MODULE_BODY,
                               collect_returns=False, class_name=None)
         self.summary.functions.append(module_fn)
-        self._module_globals(tree)
         self._references(tree)
         self.summary.exports = _all_exports(tree)
         self.summary.import_bindings = {
@@ -525,16 +414,10 @@ class _Summarizer:
             # Decorator application runs at import time.
             self._collect(decorator, module_fn, function=MODULE_BODY,
                           collect_returns=False, class_name=class_name)
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            if self.imports.resolve(target) in _CACHE_DECORATORS:
-                info.cache_decorator_lineno = decorator.lineno
         for stmt in node.body:
             self._collect(stmt, info, function=qualname,
                           collect_returns=True, class_name=class_name)
-        scan = _BodyScan(node, class_name)
-        info.perf_sites = scan.perf_sites
-        info.mutations = scan.mutations
-        info.obs_sites = scan.obs_sites
+        info.obs_sites = _obs_sites(node)
         self.summary.functions.append(info)
 
     def _class(self, node: ast.ClassDef, module_fn: FunctionInfo) -> None:
@@ -578,63 +461,7 @@ class _Summarizer:
         elif is_dataclass:
             cls_info.ctor_pos_params = fields
             cls_info.ctor_kw_units = dict(fields)
-        if not is_dataclass:
-            # Dataclass field defaults are per-instance (default_factory);
-            # plain class bodies binding a container share it instead.
-            for stmt in node.body:
-                targets: List[ast.Name] = []
-                value = None
-                if isinstance(stmt, ast.Assign):
-                    targets = [
-                        t for t in stmt.targets if isinstance(t, ast.Name)
-                    ]
-                    value = stmt.value
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    targets = [stmt.target]
-                    value = stmt.value
-                if value is None:
-                    continue
-                if _mutable_kind(value, self.imports) is None:
-                    continue
-                for t in targets:
-                    if not t.id.startswith("__"):
-                        cls_info.mutable_class_attrs[t.id] = stmt.lineno
         self.summary.classes.append(cls_info)
-
-    def _module_globals(self, tree: ast.Module) -> None:
-        """Record module-level mutable containers and shared counters.
-
-        Only direct module-body assignments count; conditional bindings
-        (``if TYPE_CHECKING`` blocks and friends) stay out so the facts
-        are conservative.
-        """
-        for stmt in tree.body:
-            targets: List[ast.Name] = []
-            value = None
-            if isinstance(stmt, ast.Assign):
-                targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                targets = [stmt.target]
-                value = stmt.value
-            if value is None:
-                continue
-            kind = _mutable_kind(value, self.imports)
-            if kind is None:
-                continue
-            for t in targets:
-                if t.id.startswith("__"):
-                    continue  # __all__ and other dunder metadata
-                self.summary.module_globals.append(
-                    ModuleGlobal(
-                        name=t.id, kind=kind,
-                        lineno=stmt.lineno, col=stmt.col_offset + 1,
-                    )
-                )
 
     # -- bodies ------------------------------------------------------------
 
@@ -826,24 +653,6 @@ def _signature_units(
     info.has_kwarg = args.kwarg is not None
 
 
-def _mutable_kind(value: ast.AST, imports: ImportMap) -> Optional[str]:
-    """``mutable``/``counter`` when ``value`` builds shared mutable state."""
-    if isinstance(value, (ast.List, ast.Dict, ast.Set,
-                          ast.ListComp, ast.DictComp, ast.SetComp)):
-        return "mutable"
-    if isinstance(value, ast.Call):
-        dotted = imports.resolve(value.func)
-        if dotted == "itertools.count":
-            return "counter"
-        if dotted in _MUTABLE_FACTORIES:
-            return "mutable"
-        if isinstance(value.func, ast.Name) and value.func.id in (
-            "list", "dict", "set"
-        ):
-            return "mutable"
-    return None
-
-
 def _attr_chain(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a pure Name-rooted attribute chain, else None."""
     parts: List[str] = []
@@ -856,356 +665,47 @@ def _attr_chain(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def _bound_names(node: ast.AST) -> Tuple[Set[str], Set[str]]:
-    """(locally bound names, ``global``-declared names) for a function.
+def _obs_sites(node: ast.AST) -> List[ObsSite]:
+    """Direct telemetry writes in a function body (OBS003 raw material).
 
-    Conservative: every Store target anywhere in the body (including
-    nested scopes) counts as bound, so a name is only treated as a
-    module global when nothing in the function could shadow it.
+    A call whose attribute chain ends ``<trace|_trace>.<emit|append>``
+    writes straight into the TraceLog; one ending
+    ``<metrics|_metrics>.<counter|gauge|histogram>`` does a per-call
+    registry lookup.  Both bypass the ring-buffer sink, which the
+    sanctioned ``telemetry.emit`` / ``telemetry.count`` facade routes
+    through.  Nested ``def``/``lambda`` bodies are skipped: they are not
+    executed by this function.
     """
-    bound: Set[str] = set()
-    globs: Set[str] = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Global):
-            globs.update(n.names)
-        elif isinstance(n, ast.arg):
-            bound.add(n.arg)
-        elif isinstance(n, ast.Name) and isinstance(
-            n.ctx, (ast.Store, ast.Del)
-        ):
-            bound.add(n.id)
-        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
-                            ast.ClassDef)):
-            bound.add(n.name)
-        elif isinstance(n, ast.ExceptHandler) and n.name:
-            bound.add(n.name)
-        elif isinstance(n, ast.alias):
-            bound.add((n.asname or n.name).split(".")[0])
-    return bound - globs, globs
-
-
-def _append_only_target(node: ast.For) -> Optional[str]:
-    """Name appended to when the loop body is exactly one ``x.append``.
-
-    A single guarding ``if`` (no else) around the append still counts —
-    that is a filtered comprehension / boolean-mask batch in disguise.
-    """
-    if node.orelse:
-        return None
-    body = node.body
-    if len(body) == 1 and isinstance(body[0], ast.If) and not body[0].orelse:
-        body = body[0].body
-    if len(body) != 1:
-        return None
-    stmt = body[0]
-    if (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Call)
-        and isinstance(stmt.value.func, ast.Attribute)
-        and stmt.value.func.attr == "append"
-        and isinstance(stmt.value.func.value, ast.Name)
-    ):
-        return stmt.value.func.value.id
-    return None
-
-
-class _BodyScan(ast.NodeVisitor):
-    """Per-function PERF/CONC fact extraction.
-
-    Records allocation/format/lookup/append sites relative to loop
-    nesting (the PERF rules only surface them when the function turns
-    out hot) and every write to state outliving the invocation (the
-    CONC rules' raw material).  Nested ``def``/``lambda`` bodies are
-    skipped: their execution is not tied to these loops.
-    """
-
-    def __init__(self, node: ast.AST, class_name: Optional[str]) -> None:
-        self.class_name = class_name
-        self.perf_sites: List[PerfSite] = []
-        self.mutations: List[MutationSite] = []
-        self.obs_sites: List[PerfSite] = []  # OBS003 raw material
-        self._depth = 0
-        self.bound, self.global_decls = _bound_names(node)
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for stmt in node.body:
-            self.visit(stmt)
-        self.perf_sites.sort(key=lambda s: (s.lineno, s.col, s.kind))
-        self.mutations.sort(key=lambda m: (m.lineno, m.col, m.name))
-        self.obs_sites.sort(key=lambda s: (s.lineno, s.col, s.kind))
-
-    # -- structure ---------------------------------------------------------
-
-    def visit_FunctionDef(self, node: ast.AST) -> None:
-        pass
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-    visit_Lambda = visit_FunctionDef
-
-    def visit_Raise(self, node: ast.Raise) -> None:
-        pass  # exceptional paths may build messages freely
-
-    def visit_Assert(self, node: ast.Assert) -> None:
-        self.visit(node.test)  # the message is an exceptional path too
-
-    def visit_For(self, node: ast.For) -> None:
-        self.visit(node.target)
-        self.visit(node.iter)
-        target = _append_only_target(node)
-        if target is not None:
-            self._site(node, "append", f"'{target}'")
-        self._enter_loop(node)
-
-    visit_AsyncFor = visit_For
-
-    def visit_While(self, node: ast.While) -> None:
-        # The test re-evaluates every iteration, so it scans in-loop.
-        self._enter_loop(node, extra=[node.test])
-
-    def _enter_loop(
-        self, node: ast.AST, extra: Optional[List[ast.AST]] = None
-    ) -> None:
-        if self._depth == 0:
-            self._count_lookups(node)
-        self._depth += 1
-        for child in extra or []:
-            self.visit(child)
-        for stmt in getattr(node, "body", []):
-            self.visit(stmt)
-        for stmt in getattr(node, "orelse", []):
-            self.visit(stmt)
-        self._depth -= 1
-
-    # -- per-iteration costs ----------------------------------------------
-
-    def _site(self, node: ast.AST, kind: str, detail: str) -> None:
-        self.perf_sites.append(
-            PerfSite(
-                kind=kind, lineno=node.lineno,
-                col=node.col_offset + 1, detail=detail,
-            )
-        )
-
-    def visit_List(self, node: ast.List) -> None:
-        if self._depth and node.elts:
-            self._site(node, "alloc", "list display")
-        self.generic_visit(node)
-
-    def visit_Set(self, node: ast.Set) -> None:
-        if self._depth and node.elts:
-            self._site(node, "alloc", "set display")
-        self.generic_visit(node)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        if self._depth and node.keys:
-            self._site(node, "alloc", "dict display")
-        self.generic_visit(node)
-
-    def visit_ListComp(self, node: ast.AST) -> None:
-        if self._depth:
-            self._site(node, "alloc", "comprehension")
-        self.generic_visit(node)
-
-    visit_SetComp = visit_ListComp
-    visit_DictComp = visit_ListComp
-    # Generator expressions stay exempt: lazy, no per-element container.
-
-    def visit_JoinedStr(self, node: ast.JoinedStr) -> None:
-        if self._depth:
-            self._site(node, "format", "f-string")
-        self.generic_visit(node)
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if (
-            self._depth
-            and isinstance(node.op, ast.Mod)
-            and isinstance(node.left, ast.Constant)
-            and isinstance(node.left.value, str)
-        ):
-            self._site(node, "format", "%-formatting")
-        self.generic_visit(node)
-
-    # -- calls: allocs, str.format, shared-state mutation ------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if self._depth:
-            if isinstance(func, ast.Name) and func.id in (
-                "list", "dict", "set", "tuple"
-            ):
-                self._site(node, "alloc", f"{func.id}() call")
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr == "format"
-                and isinstance(func.value, ast.Constant)
-                and isinstance(func.value.value, str)
-            ):
-                self._site(node, "format", "str.format()")
-        if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
-            base = func.value
-            if isinstance(base, ast.Name) and base.id not in self.bound:
-                self._mutation("global", base.id, "mutate", node)
-            elif self._self_attr(base) is not None:
-                self._mutation(
-                    "class", self._self_attr(base), "mutate", node
-                )
-        if (
-            isinstance(func, ast.Name)
-            and func.id == "next"
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id not in self.bound
-        ):
-            self._mutation("global", node.args[0].id, "next", node)
-        self._obs_site(node, func)
-        self.generic_visit(node)
-
-    def _obs_site(self, node: ast.Call, func: ast.AST) -> None:
-        """Record direct telemetry emission (OBS003 raw material).
-
-        A call whose attribute chain ends ``<trace|_trace>.<emit|append>``
-        writes straight into the TraceLog; one ending
-        ``<metrics|_metrics>.<counter|gauge|histogram>`` does a per-event
-        registry lookup.  Both bypass the ring-buffer sink, which the
-        sanctioned ``telemetry.emit`` / ``telemetry.count`` facade routes
-        through.  Sites are recorded unconditionally; the OBS003 rule
-        only surfaces them when the function sits in a hot closure.
-        """
-        chain = _attr_chain(func)
-        if chain is None:
-            return
-        parts = chain.split(".")
+    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    sites: List[ObsSite] = []
+    stack: List[ast.AST] = list(node.body)
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(child))
+        if not isinstance(child, ast.Call):
+            continue
+        chain = _attr_chain(child.func)
+        parts = chain.split(".") if chain is not None else []
         if len(parts) < 2:
-            return
+            continue
         recv, meth = parts[-2], parts[-1]
         if recv in ("trace", "_trace") and meth in ("emit", "append"):
-            self.obs_sites.append(
-                PerfSite(
-                    kind="emit", lineno=node.lineno,
-                    col=node.col_offset + 1, detail=f"'{chain}'",
-                )
-            )
+            kind = "emit"
         elif recv in ("metrics", "_metrics") and meth in (
             "counter", "gauge", "histogram"
         ):
-            self.obs_sites.append(
-                PerfSite(
-                    kind="registry", lineno=node.lineno,
-                    col=node.col_offset + 1, detail=f"'{chain}'",
-                )
-            )
-
-    # -- stores ------------------------------------------------------------
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._store(target, node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._store(node.target, node)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._store(node.target, node)
-        self.generic_visit(node)
-
-    def _store(self, target: ast.AST, node: ast.AST) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._store(element, node)
-            return
-        if isinstance(target, ast.Name) and target.id in self.global_decls:
-            self._mutation("global", target.id, "rebind", node)
-        elif isinstance(target, ast.Subscript):
-            base = target.value
-            if isinstance(base, ast.Name) and base.id not in self.bound:
-                self._mutation("global", base.id, "mutate", node)
-            elif self._self_attr(base) is not None:
-                self._mutation("class", self._self_attr(base), "mutate", node)
-        elif isinstance(target, ast.Attribute):
-            base = target.value
-            if isinstance(base, ast.Name) and (
-                base.id == self.class_name or base.id == "cls"
-            ):
-                name = f"{self.class_name}.{target.attr}"
-                self._mutation("class", name, "rebind", node)
-
-    def _self_attr(self, node: ast.AST) -> Optional[str]:
-        """``Class.attr`` when ``node`` is ``self.attr`` in a method."""
-        if (
-            self.class_name is not None
-            and isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return f"{self.class_name}.{node.attr}"
-        return None
-
-    def _mutation(
-        self, scope: str, name: Optional[str], how: str, node: ast.AST
-    ) -> None:
-        if name is None:
-            return
-        self.mutations.append(
-            MutationSite(
-                scope=scope, name=name, how=how,
-                lineno=node.lineno, col=node.col_offset + 1,
-            )
-        )
-
-    # -- repeated deep lookups (PERF003) -----------------------------------
-
-    def _count_lookups(self, loop: ast.AST) -> None:
-        """One pass per outermost loop: lookups repeated across its body."""
-        loop_bound: Set[str] = set()
-        stored_chains: Set[str] = set()
-        for n in ast.walk(loop):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                loop_bound.add(n.id)
-            elif isinstance(n, ast.arg):
-                loop_bound.add(n.arg)
-            elif isinstance(n, ast.Attribute) and isinstance(
-                n.ctx, ast.Store
-            ):
-                chain = _attr_chain(n)
-                if chain is not None:
-                    stored_chains.add(chain)
-        attr_nodes = [
-            n for n in ast.walk(loop)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-        ]
-        inner = {id(n.value) for n in attr_nodes}
-        counts: Dict[str, List[int]] = {}
-        for n in attr_nodes:
-            if id(n) in inner:
-                continue  # strict sub-chain of a longer lookup
-            chain = _attr_chain(n)
-            if chain is None or chain.count(".") < _LOOKUP_MIN_DEPTH:
-                continue
-            root = chain.split(".", 1)[0]
-            if root in loop_bound:
-                continue  # rebound per iteration; not hoistable
-            if any(
-                chain == s or chain.startswith(s + ".")
-                for s in stored_chains
-            ):
-                continue  # written inside the loop; not hoistable
-            entry = counts.setdefault(
-                chain, [0, n.lineno, n.col_offset + 1]
-            )
-            entry[0] += 1
-        for chain in sorted(
-            counts, key=lambda c: (counts[c][1], counts[c][2], c)
-        ):
-            count, lineno, col = counts[chain]
-            if count >= _LOOKUP_MIN_COUNT:
-                self.perf_sites.append(
-                    PerfSite(
-                        kind="lookup", lineno=lineno, col=col,
-                        detail=f"'{chain}' ({count}x in one loop)",
-                    )
-                )
+            kind = "registry"
+        else:
+            continue
+        sites.append(ObsSite(
+            kind=kind, lineno=child.lineno, col=child.col_offset + 1,
+            detail=f"'{chain}'",
+        ))
+    sites.sort(key=lambda s: (s.lineno, s.col, s.kind))
+    return sites
 
 
 def _all_exports(tree: ast.Module) -> List[str]:

@@ -1,163 +1,33 @@
-"""Finding renderers: human lines, machine JSON, and SARIF 2.1.0."""
+"""Finding renderers: human lines and machine JSON."""
 
 from __future__ import annotations
 
-import hashlib
 import json
-from typing import Dict, List
+from typing import List
 
-from repro.analysis.baseline import BaselineMatch
-from repro.analysis.engine import (
-    TOOL_VERSION,
-    AnalysisResult,
-    Finding,
-    fingerprint_findings,
-)
-
-#: partialFingerprints key: bump the suffix with the baseline version.
-_FINGERPRINT_KEY = "reproLintFingerprint/v2"
+from repro.analysis.engine import AnalysisResult
 
 
-def _partial_fingerprints(match: BaselineMatch) -> Dict[int, str]:
-    """``id(finding)`` -> stable hash of its 5-field baseline fingerprint.
-
-    Computed over new + baselined findings together so the occurrence
-    index matches the baseline file exactly; SARIF consumers use the
-    hash to track a result across runs even as line numbers move.
-    """
-    combined: List[Finding] = list(match.new) + list(match.baselined)
-    ordered = sorted(combined, key=lambda f: (f.path, f.line, f.col, f.rule))
-    table: Dict[int, str] = {}
-    for finding, fingerprint in zip(ordered, fingerprint_findings(combined)):
-        digest = hashlib.sha256(
-            json.dumps(list(fingerprint)).encode("utf-8")
-        ).hexdigest()[:16]
-        table[id(finding)] = digest
-    return table
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def render_human(result: AnalysisResult, match: BaselineMatch) -> str:
-    """One ``path:line:col: RULE message`` line per new finding + summary."""
-    lines: List[str] = [f.render() for f in match.new]
-    summary = (
-        f"{len(match.new)} finding{'s' if len(match.new) != 1 else ''} "
+def render_human(result: AnalysisResult) -> str:
+    """One ``path:line:col: RULE message`` line per finding + summary."""
+    lines: List[str] = [f.render() for f in result.findings]
+    lines.append(
+        f"{len(result.findings)} finding"
+        f"{'s' if len(result.findings) != 1 else ''} "
         f"in {result.files_checked} file"
         f"{'s' if result.files_checked != 1 else ''}"
     )
-    if match.baselined:
-        summary += f" ({len(match.baselined)} baselined)"
-    lines.append(summary)
-    for rule, path, message, endpoint, occurrence in match.stale:
-        lines.append(
-            f"stale baseline entry: {rule} {path} "
-            f"(occurrence {occurrence}): {message}"
-        )
     lines.extend(f"warning: {w}" for w in result.warnings)
     lines.extend(f"error: {err}" for err in result.errors)
     return "\n".join(lines)
 
 
-def render_json(result: AnalysisResult, match: BaselineMatch) -> str:
+def render_json(result: AnalysisResult) -> str:
     """The full run as a JSON document (stable key order)."""
     payload = {
         "files_checked": result.files_checked,
-        "findings": [
-            {
-                "rule": f.rule,
-                "path": f.path,
-                "line": f.line,
-                "col": f.col,
-                "message": f.message,
-                "endpoint": f.endpoint,
-            }
-            for f in match.new
-        ],
-        "baselined": len(match.baselined),
-        "stale_baseline": [
-            {"rule": rule, "path": path, "message": message,
-             "endpoint": endpoint, "occurrence": occurrence}
-            for rule, path, message, endpoint, occurrence in match.stale
-        ],
+        "findings": [f.to_dict() for f in result.findings],
         "warnings": list(result.warnings),
         "errors": list(result.errors),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_sarif(result: AnalysisResult, match: BaselineMatch) -> str:
-    """The run as a SARIF 2.1.0 log (new findings only, like the others)."""
-    from repro.analysis.rules import all_project_rules, all_rules
-
-    summaries: Dict[str, str] = {
-        rule_id: cls.summary
-        for rule_id, cls in {**all_rules(), **all_project_rules()}.items()
-    }
-    rule_ids = sorted({f.rule for f in match.new})
-    rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
-    rules = [
-        {
-            "id": rule_id,
-            "shortDescription": {"text": summaries.get(rule_id, rule_id)},
-        }
-        for rule_id in rule_ids
-    ]
-    fingerprints = _partial_fingerprints(match)
-    results = [
-        {
-            "ruleId": f.rule,
-            "ruleIndex": rule_index[f.rule],
-            "level": "error",
-            "message": {"text": f.message},
-            "partialFingerprints": {
-                _FINGERPRINT_KEY: fingerprints[id(f)],
-            },
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": f.path.replace("\\", "/")},
-                        "region": {
-                            "startLine": f.line,
-                            # SARIF columns are 1-based; ours are 0-based.
-                            "startColumn": f.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for f in match.new
-    ]
-    notifications = [
-        {"level": "warning", "message": {"text": text}}
-        for text in result.warnings
-    ] + [
-        {"level": "error", "message": {"text": text}}
-        for text in result.errors
-    ]
-    invocation = {"executionSuccessful": not result.errors}
-    if notifications:
-        invocation["toolExecutionNotifications"] = notifications
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-mntp-lint",
-                        "informationUri":
-                            "https://example.invalid/repro-mntp",
-                        "version": TOOL_VERSION,
-                        "rules": rules,
-                    }
-                },
-                "invocations": [invocation],
-                "results": results,
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

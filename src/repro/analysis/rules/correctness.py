@@ -41,6 +41,13 @@ class FloatEqualityRule(Rule):
         "no == / != on float time quantities (offsets, timestamps, "
         "*_s/_ms/... names); compare against a tolerance"
     )
+    rationale = (
+        "Float time quantities accumulate rounding error; exact "
+        "equality is true only by accident and flips with any "
+        "reordering of arithmetic."
+    )
+    example = "if t_s == deadline_s: fire()"
+    fix_hint = "Compare against a tolerance: abs(t_s - deadline_s) < 1e-9."
 
     def visit_Compare(self, node: ast.Compare) -> None:
         """Flag ==/!= where either side names a float time quantity."""
@@ -79,6 +86,13 @@ class MutableDefaultRule(Rule):
         "no mutable default arguments ([], {}, set(), ...); they persist "
         "across calls and leak state between experiments"
     )
+    rationale = (
+        "A mutable default is created once at def time and shared by "
+        "every call, so state leaks between experiments and runs stop "
+        "being independent."
+    )
+    example = "def run(samples=[]): samples.append(...)"
+    fix_hint = "Default to None and create the container inside the function."
 
     _MUTABLE_CALLS = {"list", "dict", "set", "bytearray"}
 
@@ -118,6 +132,16 @@ class MissingAllRule(Rule):
         "every repro package __init__.py that binds public names must "
         "declare __all__ so the public surface is explicit"
     )
+    rationale = (
+        "Without __all__ the public surface of a package is whatever "
+        "happens to be imported, and refactors silently change the "
+        "API."
+    )
+    example = (
+        "# __init__.py\n"
+        "from .clock import Clock  # no __all__"
+    )
+    fix_hint = "Add __all__ listing every intentionally public name."
 
     def run(self) -> List[Finding]:
         """Whole-module check: __init__.py files under repro only."""
@@ -157,6 +181,13 @@ class UnusedImportRule(Rule):
         "no unused imports; in __init__.py a name counts as used when "
         "it is listed in __all__"
     )
+    rationale = (
+        "Unused imports hide real dependencies, slow import time, and "
+        "mask typos (the intended name differs from the imported "
+        "one)."
+    )
+    example = "import os  # never referenced"
+    fix_hint = "Delete the import."
 
     def run(self) -> List[Finding]:
         """Whole-module check: compare bound imports against uses."""

@@ -72,6 +72,10 @@ RNG_HOME = ("repro", "simcore", "random")
 class _ImportAwareRule(Rule):
     """A rule that resolves call targets through the module's imports."""
 
+    #: The determinism rules police the tests tree too: a test reading
+    #: host time or the global RNG flakes like a simulator bug would.
+    covers_tests = True
+
     def run(self) -> List[Finding]:
         """Collect the module's imports, then visit the tree."""
         self._imports = ImportMap(self.module.tree)
@@ -88,6 +92,16 @@ class WallClockRule(_ImportAwareRule):
         "no wall-clock reads (time.time/monotonic/sleep, datetime.now) in "
         "simulation packages or the tests tree; simulated time comes "
         "from Simulator.now"
+    )
+    rationale = (
+        "Simulation output must be a pure function of the seed; a "
+        "wall-clock read makes runs unreproducible and breaks "
+        "byte-identical telemetry."
+    )
+    example = "t0 = time.time()  # inside repro.simcore"
+    fix_hint = (
+        "Use Simulator.now (simulated time) or take the timestamp as "
+        "a parameter."
     )
 
     def run(self) -> List[Finding]:
@@ -125,6 +139,16 @@ class StdlibRandomRule(_ImportAwareRule):
         "no stdlib random.* calls; draw from a named RngRegistry stream "
         "so runs stay seed-reproducible and streams stay isolated"
     )
+    rationale = (
+        "The global random module is one shared stream: any new draw "
+        "site reorders every later draw and changes results for "
+        "unrelated components."
+    )
+    example = "jitter = random.gauss(0, 1)"
+    fix_hint = (
+        "Draw from a named RngRegistry stream: rng = "
+        "registry.stream('wireless'); rng.gauss(0, 1)."
+    )
 
     def run(self) -> List[Finding]:
         """Everywhere is in scope except RngRegistry's own module."""
@@ -155,6 +179,12 @@ class NumpyGlobalRngRule(_ImportAwareRule):
         "no numpy.random global-state calls and no unseeded "
         "default_rng(); RNG streams come from RngRegistry"
     )
+    rationale = (
+        "numpy's global RNG and unseeded default_rng() have the same "
+        "reproducibility failure as DET002, just in numpy code."
+    )
+    example = "noise = numpy.random.normal(size=n)"
+    fix_hint = "Take a Generator from RngRegistry and call its methods."
 
     def run(self) -> List[Finding]:
         """Everywhere is in scope except RngRegistry's own module."""

@@ -55,6 +55,16 @@ class BarePrintRule(Rule):
         "no print() in library packages; emit a metric, span, or trace "
         "record (repro.obs) so output is structured and exportable"
     )
+    rationale = (
+        "print() output is unstructured, unexportable, and invisible "
+        "to the telemetry pipeline; findings based on it cannot be "
+        "asserted on or graphed."
+    )
+    example = "print(f'offset={offset_ms}')"
+    fix_hint = (
+        "Emit a metric or trace record via repro.obs (telemetry.emit "
+        "/ metrics.counter)."
+    )
 
     def run(self) -> List[Finding]:
         """Only ``repro`` library modules are in scope.
@@ -121,6 +131,16 @@ class TaxonomyRule(Rule):
         "span kinds must be registered in repro.obs.taxonomy and metric "
         "names must follow the Prometheus convention (counters end in "
         "_total; gauges/histograms carry a unit suffix)"
+    )
+    rationale = (
+        "Unregistered span kinds and off-convention metric names "
+        "fragment dashboards: the same quantity ends up under several "
+        "names."
+    )
+    example = "tracer.begin('my.new.kind')  # not in taxonomy"
+    fix_hint = (
+        "Register the kind in repro.obs.taxonomy; name counters "
+        "*_total and put units on gauges."
     )
 
     #: SpanTracer entry points that take a span kind first.
@@ -255,6 +275,13 @@ class SloLiteralRule(Rule):
         "SLO threshold literals in health-checking code must come from "
         "a unit-suffixed SloSpec field, not an inline magic number"
     )
+    rationale = (
+        "An inline SLO threshold is invisible to the guarantee "
+        "machinery and drifts from the spec the matrix runner "
+        "actually enforces."
+    )
+    example = "if p99_ms > 25: fail()"
+    fix_hint = "Read the threshold from a unit-suffixed SloSpec field."
 
     #: Structural constants (empty/disabled/sign checks), never SLOs.
     _EXEMPT = frozenset({0, 1, -1})

@@ -611,6 +611,8 @@ def precision_findings(module: SourceModule) -> List[Finding]:
 class _PrecisionRule(Rule):
     """Base: filter the shared precision analysis down to one rule id."""
 
+    covers_tests = True
+
     def run(self) -> List[Finding]:
         return [
             f for f in precision_findings(self.module)

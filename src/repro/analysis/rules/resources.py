@@ -446,6 +446,8 @@ def resource_findings(module: SourceModule) -> List[Finding]:
 class _ResourceRule(Rule):
     """Base: filter the shared resource analysis down to one rule id."""
 
+    covers_tests = True
+
     def run(self) -> List[Finding]:
         return [
             f for f in resource_findings(self.module)

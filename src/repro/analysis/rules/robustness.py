@@ -65,6 +65,19 @@ class BareExceptRule(Rule):
         "handlers swallow faults and interrupts), and no literal "
         "timeout=/poll_interval= <= 0 (a wait must be able to end)"
     )
+    rationale = (
+        "A bare except swallows KeyboardInterrupt and fault-injection "
+        "signals alike; a non-positive timeout turns a bounded wait "
+        "into a spin or a hang."
+    )
+    example = (
+        "try: step()\n"
+        "except: pass"
+    )
+    fix_hint = (
+        "Name the exceptions you mean to handle; make timeouts "
+        "positive."
+    )
 
     def run(self) -> List[Finding]:
         """Only ``repro`` library modules are in scope.
@@ -139,6 +152,16 @@ class ScenarioThresholdRule(Rule):
         "scenario/spec modules must not hard-code guarantee thresholds; "
         "a numeric literal compared against a unit-suffixed name "
         "belongs in an SloSpec guarantees block or a ScenarioSpec field"
+    )
+    rationale = (
+        "Guarantee thresholds hard-coded in scenario code bypass the "
+        "SloSpec machinery, so the matrix runner and the scenario "
+        "disagree about pass/fail."
+    )
+    example = "assert p99_offset_ms < 25  # in a scenario module"
+    fix_hint = (
+        "Declare the threshold in the spec's guarantees block and "
+        "read it from there."
     )
 
     #: Structural constants (empty/disabled/sign checks), never bars.

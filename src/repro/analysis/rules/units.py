@@ -43,6 +43,13 @@ class MixedUnitArithmeticRule(Rule):
         "no addition/subtraction between quantities whose _s/_ms/_us/_ns "
         "suffixes disagree; convert explicitly first"
     )
+    rationale = (
+        "Adding seconds to milliseconds is the classic silent 1000x "
+        "error; the suffix convention exists so the linter can catch "
+        "it."
+    )
+    example = "total = rtt_ms + offset_s"
+    fix_hint = "Convert explicitly first: rtt_ms + offset_s * 1e3."
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
         """Flag +/- whose operands declare different units."""
@@ -80,6 +87,12 @@ class MixedUnitComparisonRule(Rule):
         "no comparison between quantities whose _s/_ms/_us/_ns suffixes "
         "disagree; a threshold in the wrong unit is off by 1000x"
     )
+    rationale = (
+        "A threshold compared in the wrong unit is off by 1000x and "
+        "usually makes the check always-true or always-false."
+    )
+    example = "if delay_us > timeout_ms: drop()"
+    fix_hint = "Convert one side: delay_us > timeout_ms * 1e3."
 
     def visit_Compare(self, node: ast.Compare) -> None:
         """Flag comparisons whose operands declare different units."""
@@ -125,6 +138,12 @@ class NtpFixedPointRule(Rule):
         "no comparing/combining NTP fixed-point wire bytes "
         "(encode_timestamp/encode_short) with floats; decode first"
     )
+    rationale = (
+        "encode_timestamp/encode_short return fixed-point wire bytes, "
+        "not numbers; comparing them with floats is meaningless."
+    )
+    example = "if encode_short(d) > 0.5: ..."
+    fix_hint = "Decode to seconds first (decode_short / decode_timestamp)."
 
     def _check_pair(self, node: ast.AST, left: ast.AST, right: ast.AST) -> None:
         for wire, other in ((left, right), (right, left)):

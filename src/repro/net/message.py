@@ -11,7 +11,7 @@ from typing import Optional
 #: :class:`DatagramIdAllocator` on the :class:`~repro.simcore.simulator.
 #: Simulator` instead, so same-seed runs are byte-identical without any
 #: process-global reset.
-_datagram_ids = itertools.count(1)  # repro: noqa[CONC003]
+_datagram_ids = itertools.count(1)
 
 
 class DatagramIdAllocator:

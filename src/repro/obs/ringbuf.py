@@ -1,7 +1,7 @@
 """Bounded, preallocated ring-buffer sink for hot-path telemetry.
 
-PERF001–004 flag per-event object construction inside the simulator's
-hot closure, and the single biggest telemetry offender was exactly
+Per-event object construction inside the simulator's hot closure is
+pure overhead, and the single biggest telemetry offender was exactly
 that: every span end and trace record allocated a
 :class:`~repro.simcore.trace.TraceRecord` (and every inline counter
 update re-resolved its name through the registry) while the event loop

@@ -1,11 +1,11 @@
-"""Engine mechanics: suppressions, fingerprints, rule selection."""
+"""Engine mechanics: suppressions, rule selection, tests-tree scope."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Engine, Finding, check_source, fingerprint_findings
-from repro.analysis.engine import module_parts_for
+from repro.analysis import Engine, Finding, check_source
+from repro.analysis.engine import load_source, module_parts_for
 
 WALL_CLOCK_SRC = """\
 import time
@@ -93,7 +93,6 @@ def test_malformed_noqa_warns_and_suppresses_nothing(tmp_path, comment):
 
 
 def test_malformed_noqa_warning_reaches_human_and_json_output(tmp_path):
-    from repro.analysis.baseline import match_baseline
     from repro.analysis.reporting import render_human, render_json
 
     target = tmp_path / "repro" / "simcore" / "clk.py"
@@ -104,11 +103,31 @@ def test_malformed_noqa_warning_reaches_human_and_json_output(tmp_path):
         )
     )
     result = Engine(select=["DET001"]).check_paths([target])
-    match = match_baseline(result.findings, set())
-    assert "warning:" in render_human(result, match)
+    assert "warning:" in render_human(result)
     import json
 
-    assert json.loads(render_json(result, match))["warnings"]
+    assert json.loads(render_json(result))["warnings"]
+
+
+def test_noqa_text_inside_a_string_literal_suppresses_nothing():
+    src = WALL_CLOCK_SRC.replace(
+        "return time.time()", 'return time.time(), "# repro: noqa"'
+    )
+    findings = check_source(src, module="repro.simcore.clocksource")
+    assert [f.rule for f in findings] == ["DET001"]
+
+
+def test_marker_text_inside_a_string_literal_raises_no_warning(tmp_path):
+    target = tmp_path / "tests" / "test_markers.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(
+        'SAMPLE = "x = 1  # repro: noqa[]"\n'
+        'HOT = """\ndef f():  # repro: hot\n"""\n'
+    )
+    result = Engine().check_paths([target])
+    assert result.warnings == []
+    module = load_source(target)
+    assert module.noqa == {} and module.hot_lines == set()
 
 
 def test_noqa_on_different_line_does_not_suppress():
@@ -140,35 +159,6 @@ def test_unknown_rule_ids_rejected():
         Engine(ignore=["NOPE999"])
 
 
-def test_fingerprints_are_line_independent_with_occurrence_index():
-    first = [
-        Finding("COR004", "a.py", 3, 1, "import 'os' is never used"),
-        Finding("COR004", "a.py", 9, 1, "import 'os' is never used"),
-    ]
-    shifted = [
-        Finding("COR004", "a.py", 13, 1, "import 'os' is never used"),
-        Finding("COR004", "a.py", 29, 1, "import 'os' is never used"),
-    ]
-    assert fingerprint_findings(first) == fingerprint_findings(shifted)
-    assert fingerprint_findings(first) == [
-        ("COR004", "a.py", "import 'os' is never used", "", 0),
-        ("COR004", "a.py", "import 'os' is never used", "", 1),
-    ]
-
-
-def test_fingerprint_includes_endpoint_for_cross_file_findings():
-    plain = Finding("UNIT005", "a.py", 3, 1, "unit mismatch")
-    with_endpoint = Finding(
-        "UNIT005", "a.py", 3, 1, "unit mismatch", endpoint="b.py::helper"
-    )
-    assert fingerprint_findings([plain]) != fingerprint_findings(
-        [with_endpoint]
-    )
-    assert fingerprint_findings([with_endpoint]) == [
-        ("UNIT005", "a.py", "unit mismatch", "b.py::helper", 0),
-    ]
-
-
 def test_module_parts_inferred_from_repro_directory():
     assert module_parts_for(Path("src/repro/ntp/wire.py")) == (
         "repro", "ntp", "wire",
@@ -198,3 +188,21 @@ def test_check_paths_accepts_single_file(tmp_path):
     target.write_text(WALL_CLOCK_SRC)
     result = Engine().check_paths([target])
     assert [f.rule for f in result.findings] == ["DET001"]
+
+
+def test_cor001_is_skipped_under_tests_but_fires_under_src(tmp_path):
+    exact = (
+        '"""Fixture."""\n\n\n'
+        "def check(offset_s, expected_s):\n"
+        "    return offset_s == expected_s\n"
+    )
+    for tree in ("tests", "src/repro/core"):
+        target = tmp_path / tree / "exact.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(exact)
+    result = Engine(select=["COR001"]).check_paths(
+        [tmp_path / "src", tmp_path / "tests"]
+    )
+    assert [(f.rule, Path(f.path).parts[-2]) for f in result.findings] == [
+        ("COR001", "core"),
+    ]

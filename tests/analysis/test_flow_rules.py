@@ -230,6 +230,72 @@ def test_det004_outside_simulation_packages_not_policed(tmp_path):
     assert result.findings == []
 
 
+def test_det004_tests_helper_chain_is_flagged(tmp_path):
+    # A test -> a tests helper -> a tests helper that reads the clock.
+    _write_tree(tmp_path, {
+        "tests/helpers/clock.py": (
+            "import time\n\n\n"
+            "def stamp():\n    return time.time()\n"
+        ),
+        "tests/helpers/fixtures.py": (
+            "from tests.helpers.clock import stamp\n\n\n"
+            "def fixture():\n    return stamp()\n"
+        ),
+        "tests/test_node.py": (
+            "from tests.helpers.fixtures import fixture\n\n\n"
+            "def test_node():\n    assert fixture()\n"
+        ),
+    })
+    result = Engine(select=["DET004"]).check_paths(
+        [tmp_path / "tests"], reference_roots=[]
+    )
+    assert _rules_of(result.findings) == ["DET004"]
+    assert result.findings[0].path.endswith("fixtures.py")
+    assert "wall-clock call time.time()" in result.findings[0].message
+
+
+def test_det004_test_calling_library_code_is_not_flagged(tmp_path):
+    # The callee's own package scope decides: repro.cli is host-side
+    # code, so its monotonic clock is not the test's concern.
+    _write_tree(tmp_path, {
+        "src/repro/cli.py": (
+            "import time\n\n\n"
+            "def main():\n    return time.monotonic()\n"
+        ),
+        "tests/test_cli.py": (
+            "from repro.cli import main\n\n\n"
+            "def test_main():\n    assert main()\n"
+        ),
+    })
+    result = Engine(select=["DET004"]).check_paths(
+        [tmp_path / "src", tmp_path / "tests"], reference_roots=[]
+    )
+    assert result.findings == []
+
+
+def test_det004_simulation_chain_still_flagged_with_tests_in_run(tmp_path):
+    _write_tree(tmp_path, {
+        "src/repro/reporting/stamp.py": (
+            "import time\n\n\n"
+            "def stamp():\n    return time.time()\n"
+        ),
+        "src/repro/simcore/node.py": (
+            "from repro.reporting.stamp import stamp\n\n\n"
+            "def step():\n    return stamp()\n"
+        ),
+        "tests/test_node.py": (
+            "from repro.simcore.node import step\n\n\n"
+            "def test_step():\n    assert step()\n"
+        ),
+    })
+    result = Engine(select=["DET004"]).check_paths(
+        [tmp_path / "src", tmp_path / "tests"], reference_roots=[]
+    )
+    assert _rules_of(result.findings) == ["DET004"]
+    assert result.findings[0].path.endswith("node.py")
+    assert result.findings[0].endpoint.endswith("stamp.py::stamp")
+
+
 # ---------------------------------------------------------------------------
 # COR005 — dead public functions
 
