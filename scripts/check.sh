@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-shot verification gate: one domain static-analysis run over src
-# and tests, ruff, mypy, the tier-1 test suite, the smoke benches and
-# the smoke scenario matrix.
+# and tests, ruff, mypy, the tier-1 test suite, the smoke benches, the
+# perfbench self-tests and the smoke scenario matrix.
 # Intended for CI and as a pre-push check.
 #
 #   scripts/check.sh            # everything
@@ -48,6 +48,11 @@ if [[ "${1:-}" != "--fast" ]]; then
         benchmarks/bench_fig4_sntp_wired_wireless.py \
         benchmarks/bench_fig7_signals_selection.py \
         benchmarks/bench_table2_tuner_configs.py
+
+    echo "== perfbench self-tests"
+    # perfbench/ledger.py wraps repro functions by name; these tests
+    # fail when a wrapped name moves or the benchmark stops running.
+    python -m pytest perfbench -q
 
     echo "== scenario matrix gate (smoke tier)"
     # Runs the smoke-tagged specs under scenarios/ through the

@@ -14,7 +14,6 @@ Exposes the main experiment flows without writing code::
     repro-mntp trace run.json                # inspect archived telemetry
     repro-mntp explain run.json --worst 5    # root-cause offset errors
     repro-mntp metrics run.json              # Prometheus-format metrics
-    repro-mntp metrics --merge a.json b.json # merge shard telemetry
     repro-mntp matrix scenarios --smoke      # spec-file guarantee matrix
     repro-mntp lint src                      # domain static analysis
 
@@ -61,6 +60,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """Argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer: {text!r}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mntp",
@@ -81,15 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="export the run's telemetry as JSONL")
     run.add_argument("--json", action="store_true",
                      help="print the summary as JSON instead of tables")
-    run.add_argument("--sample-rate", dest="sample_rate", type=int,
-                     default=None, metavar="N",
-                     help="keep 1-in-N trace exchanges (deterministic "
-                     "keyed sampling; errors/drops/fault windows always "
-                     "kept)")
-    run.add_argument("--ring-capacity", dest="ring_capacity", type=int,
-                     default=None, metavar="SLOTS",
-                     help="telemetry ring-buffer slots before a batch "
-                     "flush (default 1024)")
     run.add_argument("--watch", action="store_true",
                      help="attach the streaming health monitor and print "
                      "one line per SLO evaluation during the run")
@@ -114,13 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="re-export the telemetry as JSONL")
     trace.add_argument("--component", help="show only this component")
     trace.add_argument("--kind", help="show only this record kind")
-    trace.add_argument("--limit", type=int, default=20,
+    trace.add_argument("--limit", type=_non_negative_int, default=20,
                        help="max records to print (default 20)")
-    trace.add_argument("--sample-rate", dest="sample_rate", type=int,
-                       default=None, metavar="N",
-                       help="downsample the archived records to 1-in-N "
-                       "exchanges before display/export (same "
-                       "deterministic rules as 'run --sample-rate')")
 
     explain = sub.add_parser(
         "explain",
@@ -128,11 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "trees from the telemetry trace)",
     )
     explain.add_argument("path", help="JSON file written by 'run --save'")
-    explain.add_argument("--worst", type=int, default=5,
+    explain.add_argument("--worst", type=_non_negative_int, default=5,
                          help="how many worst samples to list (default 5)")
     explain.add_argument("--trace-id", dest="trace_id", metavar="ID",
                          help="print one exchange's causal tree instead")
-    explain.add_argument("--window", type=float, default=300.0,
+    explain.add_argument("--window", type=_positive_float, default=300.0,
                          help="aggregation window in seconds (default 300)")
     explain.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of text")
@@ -156,15 +154,15 @@ def _build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff",
         help="canonical diff of two telemetry documents (snapshots, "
-        "shard envelopes, merged shards, or archived runs) with ranked "
-        "suspect components for any movement",
+        "JSONL exports or archived runs) with ranked suspect components "
+        "for any movement",
     )
     diff.add_argument("a", help="baseline document")
     diff.add_argument("b", help="candidate document")
     diff.add_argument("--json", action="store_true",
                       help="print the mntp-telemetry-diff-v1 document "
                       "instead of text")
-    diff.add_argument("--top", type=int, default=5,
+    diff.add_argument("--top", type=_non_negative_int, default=5,
                       help="suspects to print in text mode (default 5)")
 
     metrics = sub.add_parser(
@@ -173,17 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "path", nargs="?", default=None,
         help="archived run (default: simulate mntp_wireless_corrected)",
-    )
-    metrics.add_argument(
-        "--merge", nargs="+", metavar="SHARD", default=None,
-        help="merge telemetry shard envelopes / snapshots (order of the "
-        "arguments does not affect the result) and print the merged "
-        "metrics instead",
-    )
-    metrics.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="with --merge: also write the canonical merged telemetry "
-        "as JSONL (byte-identical for any shard order)",
     )
 
     logstudy = sub.add_parser("logstudy", help="the §3.1 server-log study")
@@ -238,7 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker processes running concurrently "
                         "(default 2; the report is byte-identical for "
                         "any value)")
-    matrix.add_argument("--timeout-s", dest="timeout_s", type=float,
+    matrix.add_argument("--timeout-s", dest="timeout_s",
+                        type=_positive_float,
                         default=600.0,
                         help="per-spec deadline in wall seconds; a hung "
                         "worker is terminated and its spec marked "
@@ -329,8 +317,6 @@ def _cmd_run(args) -> int:
         result = run_scenario(
             args.scenario,
             seed=args.seed,
-            sample_rate=getattr(args, "sample_rate", None),
-            ring_capacity=getattr(args, "ring_capacity", None),
             health_spec=health_spec,
             on_health=_print_health_line if watch else None,
         )
@@ -489,23 +475,6 @@ def _cmd_trace(args) -> int:
     if snapshot is None:
         return 2
     records = snapshot.get("records", [])
-    rate = getattr(args, "sample_rate", None)
-    if rate is not None:
-        from repro.obs import TraceSampler
-
-        try:
-            sampler = TraceSampler(rate)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        records = [
-            r for r in records
-            if sampler.keep_record(r.get("kind", ""), r.get("data", {}))
-        ]
-        snapshot = dict(snapshot)
-        snapshot["records"] = records
-        print(f"sampled 1-in-{sampler.rate}: kept {sampler.kept}, "
-              f"dropped {sampler.dropped}")
     if getattr(args, "chrome", None):
         with open(args.chrome, "w") as f:
             n = write_chrome_trace(snapshot, f)
@@ -683,15 +652,6 @@ def _cmd_diff(args) -> int:
 def _cmd_metrics(args) -> int:
     from repro.obs import render_prometheus
 
-    if getattr(args, "merge", None):
-        if args.path is not None:
-            print("give either a run path or --merge, not both",
-                  file=sys.stderr)
-            return 2
-        return _merge_shard_files(args.merge, args.out)
-    if getattr(args, "out", None):
-        print("--out only applies with --merge", file=sys.stderr)
-        return 2
     if args.path is not None:
         snapshot = _load_archived_telemetry(args.path)
         if snapshot is None:
@@ -700,36 +660,6 @@ def _cmd_metrics(args) -> int:
         result = run_scenario("mntp_wireless_corrected", seed=args.seed)
         snapshot = result.telemetry
     sys.stdout.write(render_prometheus(snapshot))
-    return 0
-
-
-def _merge_shard_files(paths: List[str], out: Optional[str]) -> int:
-    """Merge shard envelope/snapshot files; print Prometheus metrics.
-
-    With ``out`` also streams the canonical merged JSONL there — the
-    bytes are identical for any permutation of ``paths``.
-    """
-    from repro.obs import merge_documents, render_prometheus, write_merged_jsonl
-
-    documents = []
-    for path in paths:
-        try:
-            with open(path) as f:
-                documents.append(json.load(f))
-        except (OSError, ValueError) as exc:
-            print(f"cannot load {path}: {exc}", file=sys.stderr)
-            return 2
-    try:
-        merged = merge_documents(documents)
-        if out:
-            with open(out, "w") as f:
-                lines = write_merged_jsonl(documents, f)
-            print(f"merged telemetry ({lines} lines) written to {out}",
-                  file=sys.stderr)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    sys.stdout.write(render_prometheus(merged))
     return 0
 
 

@@ -429,12 +429,7 @@ class Mntp:
         residual = None
         if outcome is not None and outcome.predicted == outcome.predicted:  # not NaN
             residual = uncorrected - outcome.predicted
-            abs_residual_ms = abs(residual) * 1000.0
-            self._residual_hist.observe(abs_residual_ms)
-            if self._sim.telemetry.sampler is not None:
-                self._sim.telemetry.observe_exemplar(
-                    "mntp_abs_residual_ms", abs_residual_ms, ref=f"t={now:.3f}"
-                )
+            self._residual_hist.observe(abs(residual) * 1000.0)
         report = MntpReport(
             time=now, offset=offset, accepted=accepted, phase=self.phase,
             residual=residual,

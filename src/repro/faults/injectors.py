@@ -97,12 +97,6 @@ class FaultInjector:
                 # The run-health monitor annotates SLO transitions that
                 # happen inside a fault window (or its grace period).
                 health.fault_begin(self._sim.now)
-            sampler = self._sim.telemetry.sampler
-            if sampler is not None:
-                # Fault windows always keep their causal trees: the
-                # sampler suspends 1-in-N dropping until the episode
-                # (and any overlapping ones) ends.
-                sampler.fault_begin()
             state["span"] = self._sim.telemetry.spans.begin(
                 "fault.episode",
                 fault=episode.kind.value,
@@ -117,9 +111,6 @@ class FaultInjector:
             span = state["span"]
             if span is not None:
                 span.end()
-            sampler = self._sim.telemetry.sampler
-            if sampler is not None:
-                sampler.fault_end()
             health = getattr(self._sim, "health", None)
             if health is not None:
                 health.fault_end(self._sim.now)

@@ -8,14 +8,6 @@ cost is measured from outside by ``perfbench/``, never in here.  See
 taxonomy, and the exporter formats.
 """
 
-from repro.obs.merge import (
-    SHARD_FORMAT,
-    content_id,
-    iter_merged_records,
-    make_shard,
-    merge_documents,
-    write_merged_jsonl,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -23,13 +15,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.ringbuf import DEFAULT_RING_CAPACITY, RingBufferSink
-from repro.obs.sampling import (
-    DEFAULT_EXEMPLARS,
-    ERROR_KINDS,
-    Reservoir,
-    TraceSampler,
-    stable_hash,
-)
 from repro.obs.spans import SPAN_COMPONENT, Span, SpanTracer
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
@@ -45,7 +30,6 @@ from repro.obs.exporters import (
     jsonl_lines,
     load_jsonl,
     render_prometheus,
-    stream_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
@@ -95,26 +79,14 @@ from repro.obs.diff import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_EXEMPLARS",
     "DEFAULT_RING_CAPACITY",
-    "ERROR_KINDS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Reservoir",
     "RingBufferSink",
-    "SHARD_FORMAT",
     "SPAN_COMPONENT",
     "Span",
     "SpanTracer",
-    "TraceSampler",
-    "content_id",
-    "iter_merged_records",
-    "make_shard",
-    "merge_documents",
-    "stable_hash",
-    "stream_jsonl",
-    "write_merged_jsonl",
     "TELEMETRY_FORMAT",
     "ManualClock",
     "Telemetry",

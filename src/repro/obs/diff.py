@@ -4,8 +4,8 @@ Two same-seed runs produce byte-identical telemetry, so *any*
 difference between two snapshots is a real behavioural change — a code
 change, a config change, or a different seed.  This module computes a
 deterministic, JSON-round-trippable diff document
-(``mntp-telemetry-diff-v1``) over two snapshots (bare, shard-enveloped,
-merged multi-shard, or full experiment archives):
+(``mntp-telemetry-diff-v1``) over two snapshots (bare, or inside full
+experiment archives):
 
 * counter / gauge deltas and new / removed metric series,
 * histogram count, sum and estimated p50/p90/p99 quantile shifts,
@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.explain import CAUSES, explain_run
-from repro.obs.merge import SHARD_FORMAT
 from repro.obs.spans import SPAN_COMPONENT
 from repro.obs.telemetry import TELEMETRY_FORMAT
 
@@ -47,9 +46,7 @@ def coerce_snapshot(
 ) -> Tuple[Dict[str, Any], Optional[List[Tuple[float, float, float]]]]:
     """(snapshot, truth samples) from any diffable document.
 
-    Accepts a bare ``mntp-telemetry-v1`` snapshot (including merged
-    multi-shard ones — the merge emits the same format), a
-    ``mntp-telemetry-shard-v1`` envelope, or a full
+    Accepts a bare ``mntp-telemetry-v1`` snapshot or a full
     ``mntp-experiment-v1`` archive; the archive also yields its
     truth-bearing SNTP samples so suspect ranking can use the error
     decomposition, not just raw offsets.
@@ -61,11 +58,6 @@ def coerce_snapshot(
     fmt = document.get("format")
     if fmt == TELEMETRY_FORMAT:
         return document, None
-    if fmt == SHARD_FORMAT:
-        snapshot = document.get("snapshot", {})
-        if snapshot.get("format") != TELEMETRY_FORMAT:
-            raise ValueError("shard envelope without a telemetry snapshot")
-        return snapshot, None
     if fmt == _EXPERIMENT_FORMAT:
         snapshot = document.get("telemetry")
         if not isinstance(snapshot, dict):
@@ -79,8 +71,8 @@ def coerce_snapshot(
         ]
         return snapshot, samples or None
     raise ValueError(
-        f"cannot diff a {fmt!r} document (expected {TELEMETRY_FORMAT}, "
-        f"{SHARD_FORMAT} or {_EXPERIMENT_FORMAT})"
+        f"cannot diff a {fmt!r} document (expected {TELEMETRY_FORMAT} "
+        f"or {_EXPERIMENT_FORMAT})"
     )
 
 

@@ -25,6 +25,7 @@ both byte-identical for same-seed runs, like everything in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -380,9 +381,12 @@ def explain_run(
             ``OffsetPoint``-like objects or ``(time, offset, truth)``
             tuples — joined to exchanges by exact (time, offset).
         window_s: Aggregation window for the time-series view.
+
+    Raises:
+        ValueError: If ``window_s`` is not a positive finite number.
     """
-    if window_s <= 0:
-        raise ValueError("window must be positive")
+    if not (math.isfinite(window_s) and window_s > 0):
+        raise ValueError("window must be a positive finite number")
     exchanges = assemble_exchanges(snapshot)
     truths = _truth_map(samples)
     outcomes: Dict[str, int] = {}

@@ -18,7 +18,7 @@ All three render the plain-dict snapshot produced by
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterable, Iterator, List, Optional
+from typing import IO, Any, Dict, Iterator, List
 
 from repro.obs.spans import SPAN_COMPONENT
 from repro.obs.telemetry import TELEMETRY_FORMAT
@@ -32,90 +32,33 @@ def _dumps(obj: Any) -> str:
 # -- JSONL ---------------------------------------------------------------
 
 
-def jsonl_lines(
-    snapshot: Dict[str, Any],
-    records: Optional[Iterable[Dict[str, Any]]] = None,
-    record_count: Optional[int] = None,
-) -> Iterator[str]:
-    """The JSONL export, line by line (without trailing newlines).
-
-    Record lines are produced one at a time from whatever iterable is
-    given — the snapshot's own list by default, or a generator (a
-    shard merge, a live trace walk) supplied via ``records`` together
-    with its known ``record_count``.  Nothing beyond the line being
-    encoded is materialised, so sampled multi-shard exports stay
-    O(batch) in memory.
-    """
-    if records is None:
-        records = snapshot.get("records", [])
-        record_count = len(records)
-    elif record_count is None:
-        raise ValueError("record_count is required with an external iterable")
+def jsonl_lines(snapshot: Dict[str, Any]) -> Iterator[str]:
+    """The JSONL export, line by line (without trailing newlines)."""
     metrics = snapshot.get("metrics", [])
+    records = snapshot.get("records", [])
     yield _dumps(
         {
             "type": "meta",
             "format": snapshot.get("format", TELEMETRY_FORMAT),
             "metric_count": len(metrics),
-            "record_count": record_count,
+            "record_count": len(records),
         }
     )
     for metric in metrics:
         # Nested: the metric's own "type" (counter/gauge/...) must not
         # collide with the line discriminator.
         yield _dumps({"type": "metric", "metric": metric})
-    sampling = snapshot.get("sampling")
-    if sampling:
-        yield _dumps({"type": "sampling", "sampling": sampling})
-    for name, reservoir in sorted(snapshot.get("exemplars", {}).items()):
-        yield _dumps({"type": "exemplar", "name": name, "reservoir": reservoir})
     for record in records:
         yield _dumps({"type": "record", **record})
 
 
-def write_jsonl(
-    snapshot: Dict[str, Any],
-    fileobj: IO[str],
-    records: Optional[Iterable[Dict[str, Any]]] = None,
-    record_count: Optional[int] = None,
-) -> int:
+def write_jsonl(snapshot: Dict[str, Any], fileobj: IO[str]) -> int:
     """Write the JSONL export; returns the number of lines written."""
     n = 0
-    for line in jsonl_lines(snapshot, records=records, record_count=record_count):
+    for line in jsonl_lines(snapshot):
         fileobj.write(line + "\n")
         n += 1
     return n
-
-
-def stream_jsonl(telemetry: Any, fileobj: IO[str]) -> int:
-    """Stream a live bundle's telemetry as JSONL without snapshotting.
-
-    Unlike ``write_jsonl(telemetry.snapshot(), ...)`` this never builds
-    the full record-dict list: records are converted and encoded one at
-    a time straight off the :class:`~repro.simcore.trace.TraceLog`.
-    Returns the number of lines written.
-    """
-    telemetry.flush()
-    snapshot = {
-        "format": TELEMETRY_FORMAT,
-        "metrics": telemetry.metrics.snapshot(),
-    }
-    sampler = getattr(telemetry, "sampler", None)
-    if sampler is not None:
-        snapshot["sampling"] = {
-            "rate": sampler.rate,
-            "kept": sampler.kept,
-            "dropped": sampler.dropped,
-        }
-        exemplars = sampler.exemplars_snapshot()
-        if exemplars:
-            snapshot["exemplars"] = exemplars
-    return write_jsonl(
-        snapshot,
-        fileobj,
-        records=telemetry.iter_record_dicts(),
-        record_count=len(telemetry.trace),
-    )
 
 
 def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
@@ -127,8 +70,6 @@ def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
     meta: Dict[str, Any] = {}
     metrics: List[Dict[str, Any]] = []
     records: List[Dict[str, Any]] = []
-    sampling: Dict[str, Any] = {}
-    exemplars: Dict[str, Any] = {}
     for lineno, line in enumerate(fileobj, start=1):
         line = line.strip()
         if not line:
@@ -144,24 +85,15 @@ def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
             metrics.append(dict(obj.get("metric", {})))
         elif kind == "record":
             records.append({k: v for k, v in obj.items() if k != "type"})
-        elif kind == "sampling":
-            sampling = dict(obj.get("sampling", {}))
-        elif kind == "exemplar":
-            exemplars[str(obj.get("name", ""))] = dict(obj.get("reservoir", {}))
         else:
             raise ValueError(f"line {lineno}: unknown entry type {kind!r}")
     if meta.get("format") != TELEMETRY_FORMAT:
         raise ValueError(f"not a {TELEMETRY_FORMAT} document")
-    snapshot: Dict[str, Any] = {
+    return {
         "format": TELEMETRY_FORMAT,
         "metrics": metrics,
         "records": records,
     }
-    if sampling:
-        snapshot["sampling"] = sampling
-    if exemplars:
-        snapshot["exemplars"] = exemplars
-    return snapshot
 
 
 # -- Chrome trace-event format -------------------------------------------

@@ -148,8 +148,8 @@ class HealthMonitor:
         telemetry: When given (the live run loop passes the
             simulator's bundle), transitions are also emitted as
             ``health.transition`` spans and counters through the
-            ring-buffered path, so the monitor stays OBS003-clean and
-            inside the obs-overhead gate.  Replay monitors omit it.
+            ring-buffered path, so the monitor stays OBS003-clean.
+            Replay monitors omit it.
     """
 
     def __init__(

@@ -22,7 +22,7 @@ volume is observable in every snapshot; its wall-clock cost is the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.simcore.trace import TraceLog, TraceRecord
 
@@ -41,14 +41,10 @@ class RingBufferSink:
             :meth:`TraceLog.attach_sink` so direct emits/reads drain it.
         metrics: Registry receiving batched counter deltas.
         capacity: Ring slot count (records staged before auto-flush).
-        sampler: Optional :class:`~repro.obs.sampling.TraceSampler`
-            consulted at flush time; sampled-out records never reach
-            the log.
     """
 
     __slots__ = (
         "capacity",
-        "sampler",
         "_trace",
         "_metrics",
         "_slots",
@@ -56,7 +52,6 @@ class RingBufferSink:
         "_deltas",
         "_records_total",
         "_flushes_total",
-        "_sampled_out_total",
         "_delta_keys_total",
     )
 
@@ -65,12 +60,10 @@ class RingBufferSink:
         trace: TraceLog,
         metrics: Any,
         capacity: int = DEFAULT_RING_CAPACITY,
-        sampler: Optional[Any] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("ring capacity must be >= 1")
         self.capacity = int(capacity)
-        self.sampler = sampler
         self._trace = trace
         self._metrics = metrics
         self._slots: list = [None] * self.capacity
@@ -83,10 +76,6 @@ class RingBufferSink:
         self._flushes_total = metrics.counter(
             "obs_overhead_flushes_total",
             "ring-buffer batch flushes into the trace log/registry",
-        )
-        self._sampled_out_total = metrics.counter(
-            "obs_overhead_sampled_out_total",
-            "staged records discarded by the trace sampler at flush",
         )
         self._delta_keys_total = metrics.counter(
             "obs_overhead_metric_deltas_total",
@@ -118,28 +107,14 @@ class RingBufferSink:
     def flush(self) -> int:
         """Materialise staged records and apply deltas; returns appends."""
         staged = self._n
-        written = 0
         if staged:
             slots = self._slots
-            sampler = self.sampler
-            if sampler is None:
-                # Bulk materialisation: one list comprehension + one
-                # extend beats a per-record append call by ~2x on the
-                # flush path the obs-overhead gate meters.
-                self._trace.extend([
-                    TraceRecord(t, component, kind, data)
-                    for t, component, kind, data in slots[:staged]
-                ])
-                written = staged
-            else:
-                keep = sampler.keep_record
-                kept = [
-                    TraceRecord(t, component, kind, data)
-                    for t, component, kind, data in slots[:staged]
-                    if keep(kind, data)
-                ]
-                self._trace.extend(kept)
-                written = len(kept)
+            # Bulk materialisation: one list comprehension + one
+            # extend beats a per-record append call by ~2x.
+            self._trace.extend([
+                TraceRecord(t, component, kind, data)
+                for t, component, kind, data in slots[:staged]
+            ])
             slots[:staged] = [None] * staged
             self._n = 0
         deltas = self._deltas
@@ -153,8 +128,6 @@ class RingBufferSink:
             self._flushes_total.inc()
             if staged:
                 self._records_total.inc(staged)
-                if staged != written:
-                    self._sampled_out_total.inc(staged - written)
             if applied:
                 self._delta_keys_total.inc(applied)
-        return written
+        return staged

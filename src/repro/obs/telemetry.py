@@ -14,11 +14,10 @@ for persistence and the exporters (:mod:`repro.obs.exporters`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.ringbuf import DEFAULT_RING_CAPACITY, RingBufferSink
-from repro.obs.sampling import TraceSampler
+from repro.obs.ringbuf import RingBufferSink
 from repro.obs.spans import SpanTracer
 from repro.simcore.trace import TraceLog, TraceRecord
 
@@ -199,12 +198,11 @@ class Telemetry:
         trace: Existing log to share (the simulator passes its own so
             span records land next to component events); a fresh log is
             created when omitted.
-        ring_capacity: When set, a :class:`RingBufferSink` of this many
-            slots becomes the bundle's emission path (the simulator
-            always passes one; standalone bundles stay direct so their
-            snapshots carry no self-metering counters).
-        sample_rate: Keep roughly 1-in-N exchanges (needs a ring; see
-            :mod:`repro.obs.sampling` for the always-keep rules).
+        ring: When true, a :class:`RingBufferSink` of
+            :data:`~repro.obs.ringbuf.DEFAULT_RING_CAPACITY` slots
+            becomes the bundle's emission path (the simulator always
+            uses one; standalone bundles stay direct so their snapshots
+            carry no self-metering counters).
         enabled: ``False`` swaps in no-op metrics/spans/ring so an
             uninstrumented run measures the bare simulator cost.
     """
@@ -213,8 +211,7 @@ class Telemetry:
         self,
         now_fn: Callable[[], float],
         trace: Optional[TraceLog] = None,
-        ring_capacity: Optional[int] = None,
-        sample_rate: Optional[int] = None,
+        ring: bool = False,
         enabled: bool = True,
     ) -> None:
         self.trace = trace if trace is not None else TraceLog()
@@ -225,25 +222,9 @@ class Telemetry:
             self.metrics: Any = _NullMetricsRegistry()
             self.spans: Any = _NullSpanTracer()
             self.ring: Any = _NullRing()
-            self.sampler: Optional[TraceSampler] = None
             return
         self.metrics = MetricsRegistry()
-        if sample_rate is not None and sample_rate < 1:
-            raise ValueError("sample rate must be >= 1")
-        self.sampler = (
-            TraceSampler(sample_rate)
-            if sample_rate is not None and sample_rate > 1
-            else None
-        )
-        if ring_capacity is not None or self.sampler is not None:
-            self.ring = RingBufferSink(
-                self.trace,
-                self.metrics,
-                capacity=ring_capacity or DEFAULT_RING_CAPACITY,
-                sampler=self.sampler,
-            )
-        else:
-            self.ring = None
+        self.ring = RingBufferSink(self.trace, self.metrics) if ring else None
         self.spans = SpanTracer(self.trace, now_fn, sink=self.ring)
 
     @classmethod
@@ -287,7 +268,7 @@ class Telemetry:
 
         This is the sanctioned emission path for hot-closure call
         sites (OBS003): a sink-backed bundle stages the record (one
-        tuple store, sampled at flush); a direct bundle falls through
+        tuple store); a direct bundle falls through
         to the log.
         """
         ring = self.ring
@@ -304,35 +285,22 @@ class Telemetry:
         else:
             self.metrics.counter(name).inc(amount)  # repro: noqa[OBS003]
 
-    def observe_exemplar(self, name: str, value: float, ref: str = "") -> None:
-        """Offer a histogram observation to the sampler's reservoirs."""
-        sampler = self.sampler
-        if sampler is not None:
-            sampler.observe_exemplar(name, value, ref)
-
     def flush(self) -> None:
         """Drain any staged records/deltas into the log and registry."""
         ring = self.ring
         if ring is not None and ring.pending:
             ring.flush()
 
-    def iter_record_dicts(self) -> Iterator[Dict[str, Any]]:
-        """Lazily yield JSON-ready records (the streaming export path)."""
-        self.flush()
-        for record in self.trace:
-            yield record_to_dict(record)
-
     def snapshot(self) -> Dict[str, Any]:
         """Freeze metrics and trace records into a plain dict."""
         self.flush()
-        snap: Dict[str, Any] = {
+        return {
             "format": TELEMETRY_FORMAT,
             "metrics": self.metrics.snapshot(),
             # record_to_dict inlined and the payload dict aliased, not
             # copied: thousands of records materialise here per run,
-            # and snapshot consumers (exporters, merge, diff) treat
-            # record payloads as read-only — merge already aliases
-            # them across documents.
+            # and snapshot consumers (exporters, diff) treat record
+            # payloads as read-only.
             "records": [
                 {
                     "t": r.time,
@@ -343,17 +311,6 @@ class Telemetry:
                 for r in self.trace
             ],
         }
-        sampler = self.sampler
-        if sampler is not None:
-            snap["sampling"] = {
-                "rate": sampler.rate,
-                "kept": sampler.kept,
-                "dropped": sampler.dropped,
-            }
-            exemplars = sampler.exemplars_snapshot()
-            if exemplars:
-                snap["exemplars"] = exemplars
-        return snap
 
 
 def snapshot_span_kinds(snapshot: Dict[str, Any]) -> List[str]:

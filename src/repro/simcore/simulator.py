@@ -114,26 +114,19 @@ class Simulator:
     Args:
         seed: Root seed for every named random stream.
         start_time: Initial virtual time.
-        ring_capacity: Slot count of the telemetry ring buffer (see
-            :mod:`repro.obs.ringbuf`); ``None`` uses the default.
-        sample_rate: Keep roughly 1-in-N traced exchanges
-            (:mod:`repro.obs.sampling`); ``None`` keeps all.
-        instrument: ``False`` runs with no-op telemetry (the bare leg
-            of the obs-overhead bench).
+        instrument: ``False`` runs with no-op telemetry (the ``bare``
+            leg of ``perfbench/``).
     """
 
     def __init__(
         self,
         seed: int = 0,
         start_time: float = 0.0,
-        ring_capacity: Optional[int] = None,
-        sample_rate: Optional[int] = None,
         instrument: bool = True,
     ) -> None:
         # Imported here, not at module scope: repro.obs and repro.net
         # depend on repro.simcore, so top-level imports would be circular.
         from repro.net.message import DatagramIdAllocator
-        from repro.obs.ringbuf import DEFAULT_RING_CAPACITY
         from repro.obs.telemetry import Telemetry
 
         self.now = float(start_time)
@@ -144,10 +137,7 @@ class Simulator:
         self.telemetry = Telemetry(
             now_fn=lambda: self.now,
             trace=self.trace,
-            ring_capacity=(
-                ring_capacity if ring_capacity is not None else DEFAULT_RING_CAPACITY
-            ),
-            sample_rate=sample_rate,
+            ring=True,
             enabled=instrument,
         )
         self._events_total = self.telemetry.metrics.counter(

@@ -210,12 +210,8 @@ class ExperimentRunner:
         run_sntp: Whether to run the unmodified SNTP client.
         mntp_config: When given, run MNTP alongside with this config.
         sample_truth: Whether to sample ground-truth clock offsets.
-        sample_rate: Keep roughly 1-in-N traced exchanges
-            (:mod:`repro.obs.sampling`); ``None`` keeps all.
-        ring_capacity: Telemetry ring-buffer slots; ``None`` uses the
-            default (:data:`repro.obs.ringbuf.DEFAULT_RING_CAPACITY`).
-        instrument: ``False`` runs with no-op telemetry (the bare leg
-            of the obs-overhead gate).
+        instrument: ``False`` runs with no-op telemetry (the ``bare``
+            leg of ``perfbench/``).
         health_spec: When given, a streaming
             :class:`repro.obs.health.HealthMonitor` with these SLO
             thresholds watches the run and its ``mntp-health-report-v1``
@@ -235,8 +231,6 @@ class ExperimentRunner:
         run_sntp: bool = True,
         mntp_config: Optional[MntpConfig] = None,
         sample_truth: bool = True,
-        sample_rate: Optional[int] = None,
-        ring_capacity: Optional[int] = None,
         instrument: bool = True,
         health_spec: Optional[Any] = None,
         on_health: Optional[Any] = None,
@@ -252,8 +246,6 @@ class ExperimentRunner:
         self.run_sntp = run_sntp
         self.mntp_config = mntp_config
         self.sample_truth = sample_truth
-        self.sample_rate = sample_rate
-        self.ring_capacity = ring_capacity
         self.instrument = instrument
         self.health_spec = health_spec
         self.on_health = on_health
@@ -264,12 +256,7 @@ class ExperimentRunner:
 
     def run(self) -> ExperimentResult:
         """Build the testbed, run the protocols, return the series."""
-        sim = Simulator(
-            seed=self.seed,
-            ring_capacity=self.ring_capacity,
-            sample_rate=self.sample_rate,
-            instrument=self.instrument,
-        )
+        sim = Simulator(seed=self.seed, instrument=self.instrument)
         testbed = Testbed(sim, self.options)
         self.sim, self.testbed = sim, testbed
         result = ExperimentResult(duration=self.duration)

@@ -25,15 +25,14 @@ exactly one spec, never the matrix:
 
 Determinism: the report never mentions worker counts, wall-clock
 times, or completion order — per-spec entries are sorted by name,
-worst-case tables break ties lexicographically, and telemetry shards
-go through the canonical order-independent merge of
-:mod:`repro.obs.merge` — so ``--jobs 1`` and ``--jobs 4`` produce
-byte-identical reports for the same seed.
+and worst-case tables break ties lexicographically — so ``--jobs 1``
+and ``--jobs 4`` produce byte-identical reports for the same seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -42,7 +41,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.merge import make_shard, merge_documents
 from repro.testbed.specs import ScenarioSpec, load_spec, run_spec
 
 #: Format tag of the aggregated report document.
@@ -91,12 +89,14 @@ class MatrixOptions:
         """Validate the knob ranges."""
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        # NaN compares false against every deadline, so a NaN timeout
+        # would never kill a hung worker.
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError("timeout_s must be a positive finite number")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
+            raise ValueError("backoff_s must be a finite number >= 0")
 
 
 def _execute_spec(spec_json: str, seed: int, attempt: int) -> Dict[str, Any]:
@@ -118,16 +118,12 @@ def _execute_spec(spec_json: str, seed: int, attempt: int) -> Dict[str, Any]:
         mntp = result.mntp_error_stats()
         summary["mntp_reports"] = len(result.mntp_reports)
         summary["mntp_mean_abs_error_ms"] = round(mntp.mean_abs * 1000.0, 3)
-    shard = None
-    if result.telemetry is not None:
-        shard = make_shard(result.telemetry, spec.name, meta={"seed": seed})
     return {
         "name": spec.name,
         "status": judgement["status"],
         "guarantees": judgement["guarantees"],
         "minimal_guarantees": judgement["minimal_guarantees"],
         "summary": summary,
-        "shard": shard,
     }
 
 
@@ -165,9 +161,6 @@ def _entry(
         "guarantees": outcome.get("guarantees"),
         "minimal_guarantees": outcome.get("minimal_guarantees"),
         "summary": outcome.get("summary"),
-        # Carried to aggregation, then lifted out of the per-spec entry
-        # into the canonical telemetry merge.
-        "shard": outcome.get("shard"),
     }
 
 
@@ -368,20 +361,6 @@ def _worst_tables(specs: List[Dict[str, Any]]) -> Dict[str, Any]:
     return worst
 
 
-def _telemetry_summary(
-    shards: Dict[str, Dict[str, Any]]
-) -> Optional[Dict[str, Any]]:
-    """Compact summary of the canonical cross-spec telemetry merge."""
-    if not shards:
-        return None
-    merged = merge_documents([shards[name] for name in sorted(shards)])
-    return {
-        "shards": sorted(shards),
-        "records": len(merged.get("records", [])),
-        "metrics": len(merged.get("metrics", {})),
-    }
-
-
 def run_matrix(
     directory: str,
     options: MatrixOptions = MatrixOptions(),
@@ -418,25 +397,15 @@ def _aggregate(
         entry["name"] for entry in ordered
         if entry["status"] in HARD_FAIL_STATUSES
     ]
-    shards = {
-        entry["name"]: entry.pop("shard")
-        for entry in ordered
-        if entry.get("shard") is not None
-    }
-    specs = []
-    for entry in ordered:
-        entry.pop("shard", None)
-        specs.append(entry)
     return {
         "format": MATRIX_FORMAT,
         "seed": options.seed,
         "timeout_s": options.timeout_s,
         "retries": options.retries,
         "tags": list(options.tags),
-        "specs": specs,
+        "specs": ordered,
         "counts": {status: counts[status] for status in sorted(counts)},
-        "worst": _worst_tables(specs),
-        "telemetry": _telemetry_summary(shards),
+        "worst": _worst_tables(ordered),
         "verdict": {"ok": not hard_failed, "hard_failed": hard_failed},
     }
 

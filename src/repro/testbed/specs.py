@@ -355,8 +355,7 @@ class ScenarioSpec:
     """One experiment condition with its pass/fail guarantees, as data.
 
     Attributes:
-        name: Spec identifier (also the telemetry shard id in matrix
-            runs); must be a valid filename stem.
+        name: Spec identifier; must be a valid filename stem.
         description: What condition the spec reproduces.
         duration_s: Virtual seconds to simulate.
         cadence_s: SNTP request cadence in seconds.
@@ -515,8 +514,6 @@ class ScenarioSpec:
     def build_runner(
         self,
         seed: int = 0,
-        sample_rate: Optional[int] = None,
-        ring_capacity: Optional[int] = None,
         on_health: Optional[Callable[[Dict[str, Any]], None]] = None,
         health_spec: Any = _GUARANTEES,
     ) -> ExperimentRunner:
@@ -536,8 +533,6 @@ class ScenarioSpec:
             sntp_cadence=self.cadence_s,
             run_sntp=self.run_sntp,
             mntp_config=self.mntp,
-            sample_rate=sample_rate,
-            ring_capacity=ring_capacity,
             health_spec=health_spec,
             on_health=on_health,
         )
@@ -628,8 +623,6 @@ def load_scenario(name: str) -> ScenarioSpec:
 def run_scenario(
     name: str,
     seed: int = 0,
-    sample_rate: Optional[int] = None,
-    ring_capacity: Optional[int] = None,
     health_spec: Optional[SloSpec] = None,
     on_health: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> ExperimentResult:
@@ -639,9 +632,6 @@ def run_scenario(
         name: One of :func:`scenario_names`; anything else raises
             :class:`KeyError` (see :func:`load_scenario`).
         seed: Root seed for the run.
-        sample_rate: Optional 1-in-N trace sampling (see
-            :mod:`repro.obs.sampling`).
-        ring_capacity: Optional telemetry ring-buffer size override.
         health_spec: Optional :class:`~repro.obs.health.SloSpec`;
             attaches a streaming health monitor whose verdict lands on
             the result's ``health`` field.  The spec's own guarantees
@@ -651,8 +641,6 @@ def run_scenario(
     """
     return load_scenario(name).build_runner(
         seed=seed,
-        sample_rate=sample_rate,
-        ring_capacity=ring_capacity,
         on_health=on_health,
         health_spec=health_spec,
     ).run()
@@ -698,13 +686,8 @@ def judge_result(
 
 
 def run_spec(
-    spec: ScenarioSpec,
-    seed: int = 0,
-    sample_rate: Optional[int] = None,
-    ring_capacity: Optional[int] = None,
+    spec: ScenarioSpec, seed: int = 0
 ) -> Tuple[ExperimentResult, Dict[str, Any]]:
     """Run one spec and judge it; returns (result, judgement)."""
-    result = spec.build_runner(
-        seed=seed, sample_rate=sample_rate, ring_capacity=ring_capacity
-    ).run()
+    result = spec.build_runner(seed=seed).run()
     return result, judge_result(spec, result)

@@ -9,8 +9,6 @@ from repro.obs import (
     Telemetry,
     coerce_snapshot,
     diff_snapshots,
-    make_shard,
-    merge_documents,
     rank_suspects,
     render_diff_text,
 )
@@ -59,18 +57,6 @@ def test_different_seed_runs_diff_nonempty():
     b = run_scenario("wired_corrected", seed=6)
     diff = diff_snapshots(a.telemetry, b.telemetry)
     assert diff["identical"] is False
-
-
-def test_shard_merge_order_diffs_empty():
-    shards = [
-        make_shard(build_snapshot(queries=i + 1), f"s{i}") for i in range(3)
-    ]
-    forward = merge_documents(shards)
-    backward = merge_documents(list(reversed(shards)))
-    assert diff_snapshots(forward, backward)["identical"] is True
-    assert json.dumps(forward, sort_keys=True) == json.dumps(
-        backward, sort_keys=True
-    )
 
 
 # -- sections -------------------------------------------------------------
@@ -182,12 +168,6 @@ def test_coerce_accepts_all_diffable_formats(tmp_path):
     snapshot = build_snapshot()
     bare, samples = coerce_snapshot(snapshot)
     assert bare is snapshot and samples is None
-    shard = make_shard(snapshot, "s0")
-    unwrapped, _ = coerce_snapshot(shard)
-    assert unwrapped["records"] == snapshot["records"]
-    merged = merge_documents([make_shard(snapshot, "s0")])
-    coerced, _ = coerce_snapshot(merged)
-    assert coerced["records"] == snapshot["records"]
 
 
 def test_coerce_experiment_archive_yields_truth_samples(tmp_path):
@@ -207,5 +187,8 @@ def test_coerce_experiment_archive_yields_truth_samples(tmp_path):
 def test_coerce_rejects_unknown_documents():
     with pytest.raises(ValueError):
         coerce_snapshot({"format": "mystery-v9"})
+    with pytest.raises(ValueError):
+        coerce_snapshot({"format": "mntp-telemetry-shard-v1",
+                         "snapshot": build_snapshot()})
     with pytest.raises(ValueError):
         coerce_snapshot({})

@@ -1,6 +1,9 @@
 """The explain engine: decomposition algebra, reports, determinism."""
 
 import json
+import math
+
+import pytest
 
 from repro.obs import (
     CAUSES,
@@ -121,6 +124,12 @@ def test_windowed_aggregation_buckets_by_time():
     assert [w.count for w in report.windows] == [2, 1]
     assert report.windows[0].t0 == 0.0
     assert report.windows[1].t0 == 300.0
+
+
+@pytest.mark.parametrize("window_s", [0.0, -1.0, math.inf, math.nan])
+def test_window_must_be_positive_and_finite(window_s):
+    with pytest.raises(ValueError, match="window"):
+        explain_run(snapshot_of(exchange_records()), window_s=window_s)
 
 
 def test_report_to_dict_and_text_render():

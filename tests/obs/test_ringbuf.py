@@ -7,15 +7,14 @@ from repro.obs import (
     MetricsRegistry,
     RingBufferSink,
     Telemetry,
-    TraceSampler,
 )
 from repro.simcore.trace import TraceLog
 
 
-def make_sink(capacity=8, sampler=None):
+def make_sink(capacity=8):
     trace = TraceLog()
     metrics = MetricsRegistry()
-    sink = RingBufferSink(trace, metrics, capacity=capacity, sampler=sampler)
+    sink = RingBufferSink(trace, metrics, capacity=capacity)
     return trace, metrics, sink
 
 
@@ -76,17 +75,6 @@ def test_counter_deltas_batch_until_flush():
     del trace
 
 
-def test_sampler_filters_at_flush_time():
-    sampler = TraceSampler(rate=1_000_000)
-    trace, metrics, sink = make_sink(sampler=sampler)
-    sink.emit(0.0, "c", "query", {"trace_id": "tn-x/1"})
-    sink.emit(1.0, "c", "drop", {"trace_id": "tn-x/2"})  # error: kept
-    sink.emit(2.0, "c", "phase", {})  # no trace id: kept
-    sink.flush()
-    assert [r.kind for r in trace] == ["drop", "phase"]
-    assert metrics.value("obs_overhead_sampled_out_total") == 1.0
-
-
 def test_self_metering_counters():
     trace, metrics, sink = make_sink()
     for i in range(4):
@@ -98,7 +86,13 @@ def test_self_metering_counters():
     assert metrics.value("obs_overhead_records_total") == 4.0
     assert metrics.value("obs_overhead_flushes_total") == 1.0
     assert metrics.value("obs_overhead_metric_deltas_total") == 2.0
-    assert metrics.value("obs_overhead_sampled_out_total") == 0.0
+    assert sorted(metrics.names()) == [
+        "obs_overhead_flushes_total",
+        "obs_overhead_metric_deltas_total",
+        "obs_overhead_records_total",
+        "x_total",
+        "y_total",
+    ]
     del trace
 
 
@@ -109,7 +103,8 @@ def test_capacity_validation():
 
 
 def test_telemetry_emit_routes_through_ring():
-    telemetry = Telemetry(now_fn=lambda: 0.0, ring_capacity=16)
+    telemetry = Telemetry(now_fn=lambda: 0.0, ring=True)
+    assert telemetry.ring.capacity == DEFAULT_RING_CAPACITY
     telemetry.emit(0.0, "mntp", "query_sent", server="a")
     telemetry.count("mntp_query_sent_total")
     assert telemetry.ring.pending
@@ -131,8 +126,10 @@ def test_telemetry_without_ring_is_direct():
 
 def test_ring_keeps_runs_byte_deterministic():
     def run():
-        telemetry = Telemetry(now_fn=lambda: 0.0, ring_capacity=4)
-        for i in range(11):
+        telemetry = Telemetry(now_fn=lambda: 0.0, ring=True)
+        # Long enough to wrap the ring twice: auto-flushes land
+        # mid-stream.
+        for i in range(2 * DEFAULT_RING_CAPACITY + 3):
             telemetry.emit(float(i), "c", "k", i=i)
             telemetry.count("k_total")
         return telemetry.snapshot()

@@ -113,6 +113,40 @@ def test_removed_perf_commands_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "wired_corrected", "--sample-rate", "2"],
+    ["run", "wired_corrected", "--ring-capacity", "8"],
+    ["trace", "x", "--sample-rate", "2"],
+    ["metrics", "--merge", "a", "b"],
+    ["metrics", "--out", "x"],
+])
+def test_removed_telemetry_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "run.json", "--worst", "-1"],
+    ["explain", "run.json", "--window", "inf"],
+    ["explain", "run.json", "--window", "nan"],
+    ["explain", "run.json", "--window", "0"],
+    ["trace", "run.json", "--limit", "-1"],
+    ["diff", "a.json", "b.json", "--top", "-1"],
+    ["diff", "a.json", "b.json", "--top", "two"],
+    ["matrix", "scenarios", "--timeout-s", "nan"],
+    ["matrix", "scenarios", "--timeout-s", "inf"],
+])
+def test_out_of_range_counts_and_durations_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert argv[-2] in err
+
+
 def test_run_save_and_replay(tmp_path, capsys):
     path = tmp_path / "run.json"
     assert main(["--seed", "1", "run", "wired_uncorrected",
@@ -165,6 +199,8 @@ def test_run_telemetry_export_meets_acceptance(tmp_path, capsys):
         snap = load_jsonl(f)
     assert len(snapshot_metric_names(snap)) >= 5
     assert len(snapshot_span_kinds(snap)) >= 4
+    # The run meters its own telemetry volume.
+    assert "obs_overhead_records_total" in snapshot_metric_names(snap)
     # Byte-identical on re-run with the same seed.
     first = path.read_bytes()
     assert main(["--seed", "1", "run", "mntp_wireless_corrected",
@@ -187,14 +223,19 @@ def test_trace_and_metrics_subcommands(tmp_path, capsys):
     import json
 
     run_path = tmp_path / "run.json"
+    run_jsonl = tmp_path / "run.jsonl"
     assert main(["--seed", "1", "run", "mntp_wireless_corrected",
-                 "--save", str(run_path)]) == 0
+                 "--save", str(run_path), "--telemetry", str(run_jsonl)]) == 0
     capsys.readouterr()
 
     chrome_path = tmp_path / "chrome.json"
+    trace_jsonl = tmp_path / "trace.jsonl"
     assert main(["trace", str(run_path), "--chrome", str(chrome_path),
+                 "--jsonl", str(trace_jsonl),
                  "--kind", "deferred", "--limit", "2"]) == 0
     out = capsys.readouterr().out
+    # Re-exporting the archive reproduces the run's export byte for byte.
+    assert trace_jsonl.read_bytes() == run_jsonl.read_bytes()
     assert "sim.run" in out            # span summary table
     assert "mntp/deferred" in out      # filtered record listing
     with open(chrome_path) as f:
@@ -297,144 +338,6 @@ def test_explain_without_telemetry_payload(tmp_path, capsys):
 def test_explain_missing_file(capsys):
     assert main(["explain", "does-not-exist.json"]) == 2
     assert "cannot load" in capsys.readouterr().err
-
-
-# -- scale-out telemetry surface ------------------------------------------
-
-
-def test_run_with_sampling_and_ring_flags(tmp_path, capsys):
-    from repro.obs import load_jsonl
-
-    full = tmp_path / "full.jsonl"
-    sampled = tmp_path / "sampled.jsonl"
-    assert main(["--seed", "1", "run", "wired_corrected",
-                 "--telemetry", str(full)]) == 0
-    assert main(["--seed", "1", "run", "wired_corrected",
-                 "--sample-rate", "8", "--ring-capacity", "64",
-                 "--telemetry", str(sampled)]) == 0
-    capsys.readouterr()
-    with open(full) as f:
-        full_snap = load_jsonl(f)
-    with open(sampled) as f:
-        sampled_snap = load_jsonl(f)
-    assert len(sampled_snap["records"]) < len(full_snap["records"])
-    info = sampled_snap["sampling"]
-    assert info["rate"] == 8
-    # Cold-path records append directly (never offered to the sampler),
-    # so the snapshot holds the kept ones plus those.
-    assert info["kept"] <= len(sampled_snap["records"])
-    assert info["dropped"] > 0
-    # The sampled run self-meters its own telemetry cost.
-    names = {m["name"] for m in sampled_snap["metrics"]}
-    assert "obs_overhead_records_total" in names
-    # Sampling changes what is recorded, not what is simulated.
-    assert (
-        [m for m in sampled_snap["metrics"]
-         if m["name"] == "sntp_queries_total"]
-        == [m for m in full_snap["metrics"]
-            if m["name"] == "sntp_queries_total"]
-    )
-
-
-def test_run_rejects_bad_sample_rate(capsys):
-    assert main(["run", "wired_corrected", "--sample-rate", "0"]) == 2
-    assert "sample rate" in capsys.readouterr().err
-
-
-def test_trace_sample_rate_downsamples_deterministically(tmp_path, capsys):
-    run_path = tmp_path / "run.json"
-    assert main(["--seed", "1", "run", "wired_corrected",
-                 "--save", str(run_path)]) == 0
-    capsys.readouterr()
-    out_a = tmp_path / "a.jsonl"
-    out_b = tmp_path / "b.jsonl"
-    assert main(["trace", str(run_path), "--sample-rate", "4",
-                 "--jsonl", str(out_a), "--limit", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "sampled 1-in-4" in out
-    assert main(["trace", str(run_path), "--sample-rate", "4",
-                 "--jsonl", str(out_b), "--limit", "1"]) == 0
-    capsys.readouterr()
-    assert out_a.read_bytes() == out_b.read_bytes()
-    full = tmp_path / "full.jsonl"
-    assert main(["trace", str(run_path), "--jsonl", str(full),
-                 "--limit", "1"]) == 0
-    capsys.readouterr()
-    assert len(out_a.read_text().splitlines()) < len(
-        full.read_text().splitlines()
-    )
-
-
-def test_trace_rejects_bad_sample_rate(tmp_path, capsys):
-    run_path = tmp_path / "run.json"
-    assert main(["--seed", "1", "run", "wired_corrected",
-                 "--save", str(run_path)]) == 0
-    capsys.readouterr()
-    assert main(["trace", str(run_path), "--sample-rate", "0"]) == 2
-    assert "sample rate" in capsys.readouterr().err
-
-
-def test_metrics_merge_is_order_independent(tmp_path, capsys):
-    import json
-
-    from repro.obs import Telemetry, make_shard
-
-    def shard(seed, name):
-        telemetry = Telemetry.standalone()
-        telemetry.metrics.counter("q_total").inc(seed)
-        telemetry.trace.emit(float(seed), "mntp", "tick", i=seed)
-        path = tmp_path / name
-        path.write_text(json.dumps(make_shard(telemetry.snapshot(), name)))
-        return path
-
-    a = shard(1, "a.json")
-    b = shard(2, "b.json")
-    out_ab = tmp_path / "ab.jsonl"
-    out_ba = tmp_path / "ba.jsonl"
-    assert main(["metrics", "--merge", str(a), str(b),
-                 "--out", str(out_ab)]) == 0
-    prom_ab = capsys.readouterr().out
-    assert main(["metrics", "--merge", str(b), str(a),
-                 "--out", str(out_ba)]) == 0
-    prom_ba = capsys.readouterr().out
-    assert out_ab.read_bytes() == out_ba.read_bytes()
-    assert prom_ab == prom_ba
-    assert "q_total 3" in prom_ab  # counters summed across shards
-
-
-def test_metrics_merge_argument_validation(tmp_path, capsys):
-    assert main(["metrics", "run.json", "--merge", "a.json"]) == 2
-    assert "not both" in capsys.readouterr().err
-    assert main(["metrics", "--out", "x.jsonl"]) == 2
-    assert "--out only applies" in capsys.readouterr().err
-    assert main(["metrics", "--merge", str(tmp_path / "missing.json")]) == 2
-    assert "cannot load" in capsys.readouterr().err
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"format": "other"}')
-    assert main(["metrics", "--merge", str(bad)]) == 2
-    assert "expected" in capsys.readouterr().err
-
-
-def test_metrics_merge_single_shard_is_byte_identity(tmp_path, capsys):
-    import io
-    import json
-
-    from repro.obs import Telemetry, make_shard, write_jsonl
-
-    telemetry = Telemetry.standalone()
-    telemetry.metrics.counter("q_total").inc(4)
-    telemetry.trace.emit(1.0, "mntp", "tick", i=1)
-    snapshot = telemetry.snapshot()
-    # Unknown snapshot keys must survive the single-shard pass-through.
-    snapshot["future_extension"] = {"x": 1}
-    shard = tmp_path / "only.json"
-    shard.write_text(json.dumps(make_shard(snapshot, "only")))
-    out = tmp_path / "merged.jsonl"
-    assert main(["metrics", "--merge", str(shard), "--out", str(out)]) == 0
-    capsys.readouterr()
-    direct = io.StringIO()
-    write_jsonl(snapshot, direct)
-    assert out.read_text() == direct.getvalue()
 
 
 def test_health_archived_run_and_slo_spec(tmp_path, capsys):
