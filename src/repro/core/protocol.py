@@ -358,7 +358,7 @@ class Mntp:
             self._emit(MntpEventKind.QUERY_FAILED, phase="warmup")
             self._schedule(
                 self.config.warmup_wait_time,
-                self._guarded(self._warmup_round), "warmup",
+                self._guarded(self._warmup_round), "mntp:warmup",
             )
             return
         verdict = reject_false_tickers(offsets)
@@ -371,7 +371,7 @@ class Mntp:
         if epoch == self._phase_epoch:
             self._schedule(
                 self.config.warmup_wait_time,
-                self._guarded(self._warmup_round), "warmup",
+                self._guarded(self._warmup_round), "mntp:warmup",
             )
 
     # -- regular phase ---------------------------------------------------------------
@@ -409,7 +409,7 @@ class Mntp:
             if epoch == self._phase_epoch:
                 self._schedule(
                     self.config.regular_wait_time,
-                    self._guarded(self._regular_round), "regular",
+                    self._guarded(self._regular_round), "mntp:regular",
                 )
 
         self.client.query(source, on_result, timeout=self.config.query_timeout)
@@ -501,9 +501,9 @@ class Mntp:
         )
         self._enter_warmup()
 
-    def _schedule(self, delay: float, fn: Callable[[], None], tag: str) -> None:
+    def _schedule(self, delay: float, fn: Callable[[], None], label: str) -> None:
         if self._running:
-            self._sim.call_after(delay, fn, label=f"mntp:{tag}")
+            self._sim.call_after(delay, fn, label)
 
     # -- convenience accessors ----------------------------------------------------
 

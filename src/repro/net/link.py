@@ -74,6 +74,8 @@ class Link:
         self._receive = receive
         self._effect_hook = effect_hook
         self.name = name
+        self._deliver_label = f"{name}:deliver"
+        self._duplicate_label = f"{name}:deliver-dup"
         self.sent = 0
         self.delivered = 0
         self.lost = 0
@@ -112,7 +114,7 @@ class Link:
             span.end()
             self._receive(datagram)
 
-        self._sim.call_after(delay, deliver, label=f"{self.name}:deliver")
+        self._sim.call_after(delay, deliver, self._deliver_label)
         if effect.duplicate_extra is not None:
             self._send_duplicate(datagram, delay + effect.duplicate_extra)
 
@@ -141,4 +143,4 @@ class Link:
             span.end()
             self._receive(duplicate)
 
-        self._sim.call_after(delay, deliver, label=f"{self.name}:deliver-dup")
+        self._sim.call_after(delay, deliver, self._duplicate_label)

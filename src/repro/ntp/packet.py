@@ -23,19 +23,35 @@ exactly that shape, which is also what the log-study classifier keys on.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.ntp.constants import LeapIndicator, Mode, NTP_HEADER_LEN, Version
 from repro.ntp.timestamps import (
-    ZERO_TIMESTAMP,
-    decode_short,
-    decode_timestamp,
-    encode_short,
-    encode_timestamp,
-    is_zero_timestamp,
+    short_from_word,
+    short_word,
+    timestamp_from_words,
+    timestamp_words,
 )
+
+#: The whole header in one call: first octet, stratum, poll, precision,
+#: root delay and dispersion (16.16 words), reference id, then the
+#: (seconds, fraction) words of the four timestamps.
+_HEADER = struct.Struct("!BBbbII4sIIIIIIII")
+assert _HEADER.size == NTP_HEADER_LEN
+
+#: Enum members indexed by their wire value (every value has a member).
+_LEAPS = tuple(LeapIndicator)
+_MODES = tuple(Mode)
+assert list(_LEAPS) == list(range(4)) and list(_MODES) == list(range(8))
+
+#: Integer fields and the ranges their wire slots hold.
+_INT_RANGES = (("stratum", 0, 255), ("poll", -128, 127), ("precision", -128, 127))
+
+#: The words of an unset (``None``) timestamp: the wire zero sentinel.
+_ZERO_WORDS = (0, 0)
 
 
 @dataclass
@@ -110,33 +126,50 @@ class NtpPacket:
     # -- codec ------------------------------------------------------------------
 
     def encode(self) -> bytes:
-        """Serialise to the 48-byte wire format."""
-        first = (int(self.leap) & 0x3) << 6 | (int(self.version) & 0x7) << 3 | (
-            int(self.mode) & 0x7
-        )
-        head = struct.pack(
-            "!BBbb",
-            first,
-            int(self.stratum),
-            int(self.poll),
-            int(self.precision),
-        )
-        body = (
-            encode_short(self.root_delay)
-            + encode_short(self.root_dispersion)
-            + self.ref_id
-            + self._ts(self.reference_ts)
-            + self._ts(self.origin_ts)
-            + self._ts(self.receive_ts)
-            + self._ts(self.transmit_ts)
-        )
-        packet = head + body
-        assert len(packet) == NTP_HEADER_LEN
-        return packet
+        """Serialise to the 48-byte wire format.
 
-    @staticmethod
-    def _ts(value: Optional[float]) -> bytes:
-        return ZERO_TIMESTAMP if value is None else encode_timestamp(value)
+        Raises:
+            ValueError: naming the field that has no wire form (out of
+                range, negative or non-finite).
+        """
+        if len(self.ref_id) != 4:
+            raise ValueError("ref_id must be exactly 4 bytes")
+        ref, org = self.reference_ts, self.origin_ts
+        rec, xmt = self.receive_ts, self.transmit_ts
+        try:
+            return _HEADER.pack(
+                (int(self.leap) & 0x3) << 6
+                | (int(self.version) & 0x7) << 3
+                | (int(self.mode) & 0x7),
+                int(self.stratum),
+                int(self.poll),
+                int(self.precision),
+                short_word(self.root_delay),
+                short_word(self.root_dispersion),
+                self.ref_id,
+                *(_ZERO_WORDS if ref is None else timestamp_words(ref)),
+                *(_ZERO_WORDS if org is None else timestamp_words(org)),
+                *(_ZERO_WORDS if rec is None else timestamp_words(rec)),
+                *(_ZERO_WORDS if xmt is None else timestamp_words(xmt)),
+            )
+        except (OverflowError, TypeError, ValueError, struct.error) as exc:
+            raise self._encode_error(exc) from None
+
+    def _encode_error(self, exc: Exception) -> ValueError:
+        """The error naming the first field :meth:`encode` cannot pack."""
+        for name, low, high in _INT_RANGES:
+            value = getattr(self, name)
+            if not low <= int(value) <= high:
+                return ValueError(f"{name} out of range: {value}")
+        for name in ("root_delay", "root_dispersion"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                return ValueError(f"{name} must be a finite non-negative duration: {value}")
+        for name in ("reference_ts", "origin_ts", "receive_ts", "transmit_ts"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                return ValueError(f"{name} must be finite: {value}")
+        return ValueError(f"cannot encode NTP packet: {exc}")
 
     @classmethod
     def decode(cls, data: bytes, pivot_unix: float = 0.0) -> "NtpPacket":
@@ -148,30 +181,24 @@ class NtpPacket:
         """
         if len(data) < NTP_HEADER_LEN:
             raise ValueError(f"NTP packet too short: {len(data)} bytes")
-        first, stratum, poll, precision = struct.unpack("!BBbb", data[:4])
-        leap = LeapIndicator((first >> 6) & 0x3)
-        version = (first >> 3) & 0x7
-        mode = Mode(first & 0x7)
-
-        def ts(chunk: bytes) -> Optional[float]:
-            if is_zero_timestamp(chunk):
-                return None
-            return decode_timestamp(chunk, pivot_unix=pivot_unix)
-
+        (
+            first, stratum, poll, precision, delay, dispersion, ref_id,
+            ref_s, ref_f, org_s, org_f, rec_s, rec_f, xmt_s, xmt_f,
+        ) = _HEADER.unpack_from(data)
         return cls(
-            leap=leap,
-            version=version,
-            mode=mode,
-            stratum=stratum,
-            poll=poll,
-            precision=precision,
-            root_delay=decode_short(data[4:8]),
-            root_dispersion=decode_short(data[8:12]),
-            ref_id=bytes(data[12:16]),
-            reference_ts=ts(data[16:24]),
-            origin_ts=ts(data[24:32]),
-            receive_ts=ts(data[32:40]),
-            transmit_ts=ts(data[40:48]),
+            _LEAPS[first >> 6],
+            (first >> 3) & 0x7,
+            _MODES[first & 0x7],
+            stratum,
+            poll,
+            precision,
+            short_from_word(delay),
+            short_from_word(dispersion),
+            ref_id,
+            timestamp_from_words(ref_s, ref_f, pivot_unix) if ref_s or ref_f else None,
+            timestamp_from_words(org_s, org_f, pivot_unix) if org_s or org_f else None,
+            timestamp_from_words(rec_s, rec_f, pivot_unix) if rec_s or rec_f else None,
+            timestamp_from_words(xmt_s, xmt_f, pivot_unix) if xmt_s or xmt_f else None,
         )
 
     # -- classification helpers (used by the log study) ---------------------------

@@ -144,6 +144,7 @@ class NtpServer:
         # Trace component name, precomputed: on_datagram is a hot root
         # and an f-string per ignored packet is per-event cost.
         self._component = f"server:{config.name}"
+        self._respond_label = f"{self._component}:respond"
         #: Transient fault flags, mutated by the fault injector at
         #: episode boundaries (all-zero in benign runs).
         self.faults = ServerFaultState()
@@ -198,7 +199,7 @@ class NtpServer:
         self._sim.call_after(
             delay,
             lambda: self._send_response(request, datagram, t2, span),
-            label=f"server:{self.config.name}:respond",
+            self._respond_label,
         )
 
     def _send_response(

@@ -14,6 +14,7 @@ Time is a float of simulated seconds starting at 0.0 by default.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Generator, Optional, Union
 
 from repro.simcore.events import Event, EventQueue
@@ -54,6 +55,7 @@ class SimProcess:
         self.name = name
         self.finished = False
         self._pending: Optional[Event] = None
+        self._label = f"proc:{name}"
 
     def _advance(self) -> None:
         if self.finished:
@@ -72,18 +74,18 @@ class SimProcess:
         delay = float(yielded)
         if delay < 0:
             raise ValueError(f"process {self.name!r} yielded negative delay {delay}")
-        self._pending = self._sim.call_after(delay, self._advance, label=f"proc:{self.name}")
+        self._pending = self._sim.call_after(delay, self._advance, label=self._label)
 
     def _wait_on(self, waiter: Waiter) -> None:
+        label = f"wait:{self.name}:{waiter.label}"
+
         def poll() -> None:
             if self.finished:
                 return
             if waiter.predicate(self._sim.now):
                 self._advance()
             else:
-                self._pending = self._sim.call_after(
-                    waiter.poll_interval, poll, label=f"wait:{self.name}:{waiter.label}"
-                )
+                self._pending = self._sim.call_after(waiter.poll_interval, poll, label)
 
         poll()
 
@@ -152,13 +154,13 @@ class Simulator:
         """Schedule ``callback`` at absolute virtual ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        return self._queue.push(time, callback, label=label)
+        return self._queue.push(time, callback, label)
 
     def call_after(self, delay: float, callback: Callable[[], Any], label: str = "") -> Event:
         """Schedule ``callback`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self._queue.push(self.now + delay, callback, label=label)
+        return self._queue.push(self.now + delay, callback, label)
 
     def spawn(self, gen: ProcessGen, name: str = "process") -> SimProcess:
         """Start a generator-based process immediately."""
@@ -170,19 +172,45 @@ class Simulator:
 
     def run_until(self, end_time: float) -> None:
         """Drain events with fire time <= ``end_time``; leave now = end_time."""
+        if end_time != end_time:  # NaN guard: every comparison below is False
+            raise ValueError("end time must not be NaN")
         if end_time < self.now:
             raise ValueError(f"end time {end_time} is before now {self.now}")
+        self._drain(end_time, "run_until", advance=True)
+
+    def run_for(self, duration: float) -> None:
+        """Advance virtual time by ``duration`` seconds."""
+        self.run_until(self.now + duration)
+
+    def run_to_completion(self, max_time: float = 1e12) -> None:
+        """Run until the event queue drains (bounded by ``max_time``)."""
+        if max_time != max_time:  # NaN guard
+            raise ValueError("max time must not be NaN")
+        self._drain(max_time, "run_to_completion", advance=False)
+
+    def _drain(self, end_time: float, mode: str, advance: bool) -> None:
+        """Fire live events with time <= ``end_time`` in (time, seq) order.
+
+        The one loop behind both ``run_*`` calls.  It pops heap entries
+        directly; a cancelled entry is dropped when it reaches the top.
+        With ``advance``, ``now`` ends at ``end_time`` even when the
+        queue runs dry or :meth:`stop` cuts the run short.
+        """
+        heap = self._queue._heap
+        pop = heapq.heappop
         self._running = True
         executed = 0
-        span = self.telemetry.spans.begin("sim.run", mode="run_until")
+        span = self.telemetry.spans.begin("sim.run", mode=mode)
         try:
-            while self._running:
-                t = self._queue.peek_time()
-                if t is None or t > end_time:
+            while self._running and heap:
+                time, _, event = heap[0]
+                if time > end_time:
                     break
-                event = self._queue.pop()
-                assert event is not None
-                self.now = max(self.now, event.time)
+                pop(heap)
+                if event.cancelled:
+                    continue
+                if time > self.now:
+                    self.now = time
                 event.callback()
                 executed += 1
         except BaseException:
@@ -194,36 +222,8 @@ class Simulator:
         finally:
             self._running = False
             self._events_total.inc(executed)
-        self.now = max(self.now, end_time)
-        span.end(events=executed)
-        self.telemetry.flush()
-
-    def run_for(self, duration: float) -> None:
-        """Advance virtual time by ``duration`` seconds."""
-        self.run_until(self.now + duration)
-
-    def run_to_completion(self, max_time: float = 1e12) -> None:
-        """Run until the event queue drains (bounded by ``max_time``)."""
-        self._running = True
-        executed = 0
-        span = self.telemetry.spans.begin("sim.run", mode="run_to_completion")
-        try:
-            while self._running:
-                t = self._queue.peek_time()
-                if t is None or t > max_time:
-                    break
-                event = self._queue.pop()
-                assert event is not None
-                self.now = max(self.now, event.time)
-                event.callback()
-                executed += 1
-        except BaseException:
-            span.end(events=executed, error=True)
-            self.telemetry.flush()
-            raise
-        finally:
-            self._running = False
-            self._events_total.inc(executed)
+        if advance and end_time > self.now:
+            self.now = end_time
         span.end(events=executed)
         self.telemetry.flush()
 

@@ -1,6 +1,9 @@
 """Simulator scheduling, processes, and run control."""
 
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.simcore import Simulator
 from repro.simcore.simulator import Waiter
@@ -74,12 +77,17 @@ def test_stop_halts_run(sim):
         sim.stop()
 
     sim.call_after(1.0, first)
+    sim.call_after(1.0, lambda: fired.append("same-instant"))
+    sim.call_after(1.5, lambda: fired.append("cancelled")).cancel()
     sim.call_after(2.0, lambda: fired.append(2))
     sim.run_until(10.0)
+    # Halts right after the stopping callback; time still reaches the end.
     assert fired == [1]
-    # The second event remains queued for a future run.
+    assert sim.now == 10.0
+    assert sim.pending_events == 2  # the cancelled entry is not counted
+    # The remaining events stay queued for a future run.
     sim.run_until(10.0)
-    assert fired == [1, 2]
+    assert fired == [1, "same-instant", 2]
 
 
 def test_process_yields_delays(sim):
@@ -162,3 +170,96 @@ def test_deterministic_same_seed():
 
     assert run(7) == run(7)
     assert run(7) != run(8)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda sim: sim.run_until(math.nan),
+        lambda sim: sim.run_for(math.nan),
+        lambda sim: sim.run_to_completion(max_time=math.nan),
+    ],
+    ids=["run_until", "run_for", "run_to_completion"],
+)
+def test_nan_end_time_rejected(sim, run):
+    fired = []
+    sim.call_at(1e6, lambda: fired.append(sim.now))
+    with pytest.raises(ValueError, match="NaN"):
+        run(sim)
+    assert fired == []
+    assert sim.now == 0.0
+    assert sim.pending_events == 1
+
+
+def _schedule_run(schedule, cancels):
+    """Replay ``schedule`` on a fresh simulator; return (sim, fired log).
+
+    ``schedule[i]`` is event i's fire time; event ``i`` cancels event
+    ``cancels[i]`` when it fires (``None``: nothing), and events in
+    ``cancels["pre"]`` are cancelled before the run starts.
+    """
+    sim = Simulator(seed=0)
+    fired = []
+    events = []
+
+    def make(i):
+        def callback():
+            fired.append((sim.now, i))
+            target = cancels["fire"][i]
+            if target is not None:
+                events[target].cancel()
+
+        return callback
+
+    for i, t in enumerate(schedule):
+        events.append(sim.call_at(t, make(i), f"ev{i}"))
+    for i in cancels["pre"]:
+        events[i].cancel()
+    return sim, fired
+
+
+def _reference_order(schedule, cancels):
+    """The (time, index) firing order a correct kernel produces."""
+    cancelled = set(cancels["pre"])
+    order = []
+    for t, i in sorted((t, i) for i, t in enumerate(schedule)):
+        if i in cancelled:
+            continue
+        order.append((t, i))
+        if cancels["fire"][i] is not None:
+            cancelled.add(cancels["fire"][i])
+    return order
+
+
+@st.composite
+def _schedules(draw):
+    # Integer-valued times so that ties (same instant, FIFO by seq) are common.
+    times = draw(st.lists(st.integers(0, 12).map(float), min_size=1, max_size=40))
+    n = len(times)
+    index = st.integers(0, n - 1)
+    cancels = {
+        "pre": draw(st.sets(index, max_size=n)),
+        "fire": draw(st.lists(st.none() | index, min_size=n, max_size=n)),
+    }
+    cuts = sorted(draw(st.lists(st.integers(0, 14).map(float), max_size=5)))
+    return times, cancels, cuts
+
+
+@given(_schedules())
+def test_stepped_run_until_and_run_to_completion_fire_alike(case):
+    times, cancels, cuts = case
+    expected = _reference_order(times, cancels)
+
+    stepped, stepped_fired = _schedule_run(times, cancels)
+    for cut in cuts + [20.0]:
+        stepped.run_until(cut)
+        assert stepped.now == cut
+    assert stepped.pending_events == 0
+
+    drained, drained_fired = _schedule_run(times, cancels)
+    drained.run_to_completion()
+    assert drained.pending_events == 0
+
+    assert stepped_fired == expected
+    assert drained_fired == expected
+    assert drained.now == (expected[-1][0] if expected else 0.0)
