@@ -39,6 +39,13 @@ class OscillatorGrade:
     temp_coeff_ppm_per_k: float
     reference_temp_c: float = 25.0
 
+    def __post_init__(self) -> None:
+        # The scale of the standard-form draw in ``Oscillator.wander_step``.
+        if not self.wander_ppm_per_sqrt_s >= 0.0:
+            raise ValueError(
+                f"wander_ppm_per_sqrt_s must be non-negative, got {self.wander_ppm_per_sqrt_s!r}"
+            )
+
 
 #: Canonical grades.  Values are representative of commodity hardware:
 #: laptop/phone crystals sit in the 1-50 ppm class; OCXO/GPS-disciplined
@@ -103,4 +110,4 @@ class Oscillator:
         if dt == 0:
             return 0.0
         sigma = self.grade.wander_ppm_per_sqrt_s * (dt**0.5)
-        return float(self._rng.normal(0.0, sigma))
+        return sigma * self._rng.standard_normal()

@@ -73,23 +73,39 @@ class SimClock:
             raise ValueError(
                 f"true time moved backwards: {true_now} < {self._last_true}"
             )
-        remaining = true_now - self._last_true
         t = self._last_true
+        remaining = true_now - t
+        self._last_true = true_now
+        if not remaining > 0:
+            return
+        # Loop-local integrator: ``Oscillator.frequency_error`` is inlined
+        # with its operations in the same order, so every float is unchanged.
+        osc = self.oscillator
+        base_skew_ppm = osc.base_skew_ppm
+        temp_coeff = osc.grade.temp_coeff_ppm_per_k
+        reference_temp_c = osc.grade.reference_temp_c
+        wander_step = osc.wander_step
+        temperature_at = self.temperature.at
+        adjust = self._freq_adjust_ppm * 1e-6
+        interval = self._update_interval
+        offset = self._offset
+        wander_ppm = self._wander_ppm
         while remaining > 0:
-            dt = min(remaining, self._update_interval)
-            freq = self.oscillator.frequency_error(
-                self._wander_ppm, self.temperature.at(t)
-            ) + self._freq_adjust_ppm * 1e-6
-            self._offset += freq * dt
-            self._apply_slew(dt)
-            self._wander_ppm += self.oscillator.wander_step(dt)
+            dt = min(remaining, interval)
+            temp_term = temp_coeff * (temperature_at(t) - reference_temp_c)
+            freq = (base_skew_ppm + wander_ppm + temp_term) * 1e-6 + adjust
+            offset += freq * dt
+            if self._slew_remaining != 0.0:
+                self._offset = offset
+                self._apply_slew(dt)
+                offset = self._offset
+            wander_ppm += wander_step(dt)
             t += dt
             remaining -= dt
-        self._last_true = true_now
+        self._offset = offset
+        self._wander_ppm = wander_ppm
 
     def _apply_slew(self, dt: float) -> None:
-        if self._slew_remaining == 0.0:
-            return
         max_adjust = self._slew_rate * dt
         if abs(self._slew_remaining) <= max_adjust:
             adjust = self._slew_remaining

@@ -172,6 +172,7 @@ class Testbed:
             self.ntpd = ClockDiscipline(sim, ntpd_client, corrector, upstream)
 
         # -- monitor node -------------------------------------------------------------
+        self._ping_rng = sim.rng.stream("ping-path")
         self.ping = PingTool(sim, probe_fn=self._ping_probe)
         self.monitor: Optional[MonitorNode] = None
         if options.wireless and options.monitor_active:
@@ -290,9 +291,8 @@ class Testbed:
     def _ping_probe(self, on_result: Callable[[Optional[float]], None]) -> None:
         """One ICMP-like probe to the probe destination across the same
         wireless + wired hops as the NTP traffic."""
-        rng = self.sim.rng.stream("ping-path")
         base_rtt = 2 * self.options.wired_base_delay
-        rtt = base_rtt + float(rng.exponential(0.004))
+        rtt = base_rtt + 0.004 * self._ping_rng.standard_exponential()
         if self.effects is not None:
             out = self.effects.sample()
             back = self.effects.sample()

@@ -31,7 +31,7 @@ from repro.obs.telemetry import Telemetry
 from repro.wireless.hints import WirelessHints
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelParams:
     """Tunable parameters of the channel process.
 
@@ -68,6 +68,20 @@ class ChannelParams:
     occupancy_noise_gain_db: float = 15.0
     tick_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.tick_s) and self.tick_s > 0):
+            raise ValueError(f"tick_s must be positive and finite, got {self.tick_s!r}")
+        if not self.shadow_tau_s > 0:
+            raise ValueError(f"shadow_tau_s must be positive, got {self.shadow_tau_s!r}")
+        if not 0.0 <= self.fading_rho < 1.0:
+            raise ValueError(f"fading_rho must be in [0, 1), got {self.fading_rho!r}")
+        # Scales of the standard-form draws in ``_step_once``.
+        for name in ("shadow_sigma_db", "fading_sigma_db", "noise_jitter_db",
+                     "interference_mean_duration_s"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+
 
 class WirelessChannel:
     """Lazily-advanced wireless channel state.
@@ -91,15 +105,22 @@ class WirelessChannel:
         tx_power_dbm: float = -10.0,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if params.tick_s <= 0:
-            raise ValueError("tick must be positive")
-        if not 0.0 <= params.fading_rho < 1.0:
-            raise ValueError("fading rho must be in [0, 1)")
         self.params = params
         self._rng = rng
         self._now_fn = now_fn
         self.tx_power_dbm = float(tx_power_dbm)
-        self._last_tick = float(now_fn())
+        self._next_tick = float(now_fn()) + params.tick_s
+        # Per-tick OU/AR(1) coefficients: every step spans one tick.
+        alpha = math.exp(-params.tick_s / params.shadow_tau_s)
+        rho = params.fading_rho
+        self._shadow_alpha = alpha
+        self._shadow_shock_sigma = params.shadow_sigma_db * math.sqrt(
+            max(0.0, 1.0 - alpha * alpha)
+        )
+        self._fade_sigma = params.fading_sigma_db * math.sqrt(max(0.0, 1.0 - rho * rho))
+        self._noise_jitter_sigma = params.noise_jitter_db * math.sqrt(
+            max(0.0, 1.0 - rho * rho)
+        )
         self._shadow_db = 0.0
         self._fading_db = 0.0
         self._noise_jitter_db = 0.0
@@ -114,6 +135,11 @@ class WirelessChannel:
         #: attached by the topology so co-channel traffic lifts the
         #: measured noise floor.
         self.occupancy_fn = None
+        # The last hints read, valid until the next tick while
+        # (tx power, occupancy) is unchanged.
+        self._hints: Optional[WirelessHints] = None
+        self._hints_tx_power_dbm = 0.0
+        self._hints_occupancy: Optional[float] = None
         self._telemetry = telemetry
         self._intf_span: Optional[Span] = None
         self._episodes_total = (
@@ -129,27 +155,25 @@ class WirelessChannel:
 
     def _advance(self) -> None:
         now = float(self._now_fn())
-        p = self.params
-        while self._last_tick + p.tick_s <= now:
-            self._step_once(p.tick_s, self._last_tick + p.tick_s)
-            self._last_tick += p.tick_s
+        while self._next_tick <= now:
+            self._step_once(self.params.tick_s, self._next_tick)
+            self._next_tick += self.params.tick_s
 
     def _step_once(self, dt: float, t: float) -> None:
-        p = self.params
+        """Advance the state by one tick (``dt`` is ``params.tick_s``)."""
+        self._hints = None
+        rng = self._rng
+        normal = rng.standard_normal
         # Shadowing: exact OU discretisation.
-        alpha = math.exp(-dt / p.shadow_tau_s)
-        shock_sigma = p.shadow_sigma_db * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        self._shadow_db = alpha * self._shadow_db + float(
-            self._rng.normal(0.0, shock_sigma)
+        self._shadow_db = (
+            self._shadow_alpha * self._shadow_db + self._shadow_shock_sigma * normal()
         )
         # Fast fading AR(1).
-        rho = p.fading_rho
-        fade_sigma = p.fading_sigma_db * math.sqrt(max(0.0, 1.0 - rho * rho))
-        self._fading_db = rho * self._fading_db + float(self._rng.normal(0.0, fade_sigma))
+        rho = self.params.fading_rho
+        self._fading_db = rho * self._fading_db + self._fade_sigma * normal()
         # Noise jitter AR(1) with the same rho as fading.
-        nj_sigma = p.noise_jitter_db * math.sqrt(max(0.0, 1.0 - rho * rho))
-        self._noise_jitter_db = rho * self._noise_jitter_db + float(
-            self._rng.normal(0.0, nj_sigma)
+        self._noise_jitter_db = (
+            rho * self._noise_jitter_db + self._noise_jitter_sigma * normal()
         )
         # Interference episodes.
         if self._intf_remaining_s > 0:
@@ -161,17 +185,14 @@ class WirelessChannel:
                     self._intf_span.end(t=t)
                     self._intf_span = None
         else:
+            p = self.params
             rate = p.interference_rate_hz * max(0.0, self.interference_pressure)
-            if rate > 0 and self._rng.random() < 1.0 - math.exp(-rate * dt):
-                self._intf_remaining_s = float(
-                    self._rng.exponential(p.interference_mean_duration_s)
+            if rate > 0 and rng.random() < 1.0 - math.exp(-rate * dt):
+                self._intf_remaining_s = (
+                    p.interference_mean_duration_s * rng.standard_exponential()
                 )
-                self._intf_rssi_dip_db = float(
-                    self._rng.normal(p.interference_rssi_dip_db, 3.0)
-                )
-                self._intf_noise_lift_db = float(
-                    self._rng.normal(p.interference_noise_lift_db, 4.0)
-                )
+                self._intf_rssi_dip_db = p.interference_rssi_dip_db + 3.0 * normal()
+                self._intf_noise_lift_db = p.interference_noise_lift_db + 4.0 * normal()
                 if self._telemetry is not None:
                     self._episodes_total.inc()
                     self._intf_span = self._telemetry.spans.begin(
@@ -186,6 +207,14 @@ class WirelessChannel:
     def read_hints(self) -> WirelessHints:
         """Current (RSSI, noise) as the adaptor would report them."""
         self._advance()
+        occupancy = self.occupancy_fn() if self.occupancy_fn is not None else None
+        hints = self._hints
+        if (
+            hints is not None
+            and self._hints_tx_power_dbm == self.tx_power_dbm
+            and self._hints_occupancy == occupancy
+        ):
+            return hints
         p = self.params
         rssi = (
             self.tx_power_dbm
@@ -197,9 +226,13 @@ class WirelessChannel:
         noise = p.quiet_noise_dbm + self._noise_jitter_db + max(
             0.0, self._intf_noise_lift_db
         )
-        if self.occupancy_fn is not None:
-            noise += p.occupancy_noise_gain_db * max(0.0, min(1.0, self.occupancy_fn()))
-        return WirelessHints(rssi_dbm=rssi, noise_dbm=noise)
+        if occupancy is not None:
+            noise += p.occupancy_noise_gain_db * max(0.0, min(1.0, occupancy))
+        hints = WirelessHints(rssi_dbm=rssi, noise_dbm=noise)
+        self._hints = hints
+        self._hints_tx_power_dbm = self.tx_power_dbm
+        self._hints_occupancy = occupancy
+        return hints
 
     def interference_active(self) -> bool:
         """Whether an interference episode is in progress."""

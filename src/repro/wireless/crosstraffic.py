@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.simcore.simulator import Simulator
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossTrafficParams:
     """Download workload shape.
 

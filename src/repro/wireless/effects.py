@@ -29,7 +29,7 @@ from repro.wireless.channel import WirelessChannel
 from repro.wireless.crosstraffic import CrossTrafficGenerator
 
 
-@dataclass
+@dataclass(frozen=True)
 class EffectsParams:
     """Tunables for the channel-to-packet-fate mapping.
 
@@ -53,6 +53,13 @@ class EffectsParams:
     contention_delay_s: float = 0.080
     retry_delay_s: float = 0.018
     max_retries: int = 7
+
+    def __post_init__(self) -> None:
+        # Scales of the standard-form draws in ``ChannelEffects.sample``.
+        for name in ("base_jitter_s", "contention_delay_s"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
 class ChannelEffects:
@@ -86,8 +93,15 @@ class ChannelEffects:
         return min(0.98, max(0.0, prob))
 
     def sample(self) -> LinkEffect:
-        """Draw the fate of one packet under current channel conditions."""
+        """Draw the fate of one packet under current channel conditions.
+
+        The draws are numpy's ``exponential(s)`` and ``uniform(0.7, 1.5)``
+        in their standard forms (see DESIGN.md): the same floats from the
+        same stream, without the per-call parameter checks.
+        """
         p = self.params
+        rng = self._rng
+        random = rng.random
         hints = self.channel.read_hints()
         occupancy = self.cross_traffic.occupancy() if self.cross_traffic else 0.0
         err = self._per_attempt_error_prob(hints.snr_margin_db, occupancy)
@@ -95,18 +109,18 @@ class ChannelEffects:
         # 802.11 link-layer retransmission loop: each failed attempt adds
         # a backoff; exceeding the retry limit loses the frame.
         retries = 0
-        while retries <= p.max_retries and self._rng.random() < err:
+        while retries <= p.max_retries and random() < err:
             retries += 1
         if retries > p.max_retries:
             return LinkEffect(lost=True)
 
-        delay = float(self._rng.exponential(p.base_jitter_s))
-        retry_delay = retries * p.retry_delay_s * float(self._rng.uniform(0.7, 1.5))
+        delay = p.base_jitter_s * rng.standard_exponential()
+        retry_delay = retries * p.retry_delay_s * (0.7 + (1.5 - 0.7) * random())
         delay += retry_delay
         if occupancy > 0:
             # Queueing behind cross-traffic: heavy-tailed in occupancy.
             mean_q = p.contention_delay_s * (occupancy ** 2) / max(0.05, 1.0 - occupancy)
-            delay += float(self._rng.exponential(mean_q)) if mean_q > 0 else 0.0
+            delay += mean_q * rng.standard_exponential() if mean_q > 0 else 0.0
         return LinkEffect(extra_delay=delay, lost=False, retry_delay=retry_delay)
 
     def as_hook(self) -> Callable[[], LinkEffect]:

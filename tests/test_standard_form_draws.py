@@ -1,0 +1,278 @@
+"""The model draws numpy scalars in standard form, bit for bit.
+
+``Generator.normal(m, s)`` returns ``m + s * standard_normal()``,
+``exponential(s)`` returns ``s * standard_exponential()`` and
+``uniform(lo, hi)`` returns ``lo + (hi - lo) * random()``, each from the
+same bits of the stream.  The hot path uses the standard forms because
+they skip numpy's per-call argument handling.  Each test here runs a
+rewritten draw site next to a copy of the numpy calls it replaced and
+demands equal floats and an equal stream state afterwards.  Dropping
+numpy's calls also dropped its lazy ``scale < 0`` check, so the scale
+parameters are validated when their dataclasses are built.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.clock.oscillator import OSCILLATOR_GRADES, Oscillator, OscillatorGrade
+from repro.clock.simclock import SimClock
+from repro.clock.temperature import DiurnalTemperature
+from repro.simcore import Simulator
+from repro.simcore.random import RngRegistry
+from repro.testbed.nodes import Testbed, TestbedOptions
+from repro.wireless.channel import ChannelParams, WirelessChannel
+from repro.wireless.effects import ChannelEffects, EffectsParams
+from repro.wireless.hints import StaticHintProvider, WirelessHints
+
+seeds = st.integers(0, 2**32 - 1)
+# A zero scale is a legal, degenerate draw; include it explicitly.
+scales = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+
+
+def _same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
+    return a.bit_generator.state == b.bit_generator.state
+
+
+# -- ChannelEffects.sample -------------------------------------------------
+
+
+class _Occupancy:
+    def __init__(self, value):
+        self.value = value
+
+    def occupancy(self):
+        return self.value
+
+
+def _reference_sample(effects, rng):
+    """The numpy calls ``ChannelEffects.sample`` made before the rewrite."""
+    p = effects.params
+    hints = effects.channel.read_hints()
+    occupancy = effects.cross_traffic.occupancy() if effects.cross_traffic else 0.0
+    err = effects._per_attempt_error_prob(hints.snr_margin_db, occupancy)
+    retries = 0
+    while retries <= p.max_retries and rng.random() < err:
+        retries += 1
+    if retries > p.max_retries:
+        return True, 0.0, 0.0
+    delay = float(rng.exponential(p.base_jitter_s))
+    retry_delay = retries * p.retry_delay_s * float(rng.uniform(0.7, 1.5))
+    delay += retry_delay
+    if occupancy > 0:
+        mean_q = p.contention_delay_s * (occupancy ** 2) / max(0.05, 1.0 - occupancy)
+        delay += float(rng.exponential(mean_q)) if mean_q > 0 else 0.0
+    return False, delay, retry_delay
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    margin_db=st.floats(-10.0, 50.0),
+    occupancy=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    base_jitter_s=scales,
+    contention_delay_s=scales,
+    retry_delay_s=st.floats(0.0, 0.05),
+    max_retries=st.integers(0, 7),
+)
+def test_effects_sample_matches_numpy_calls(seed, margin_db, occupancy, base_jitter_s,
+                                            contention_delay_s, retry_delay_s,
+                                            max_retries):
+    hints = StaticHintProvider(WirelessHints(rssi_dbm=-92.0 + margin_db, noise_dbm=-92.0))
+    params = EffectsParams(base_jitter_s=base_jitter_s,
+                           contention_delay_s=contention_delay_s,
+                           retry_delay_s=retry_delay_s, max_retries=max_retries)
+    effects = ChannelEffects(hints, np.random.default_rng(seed), _Occupancy(occupancy),
+                             params)
+    reference = np.random.default_rng(seed)
+    for _ in range(40):
+        effect = effects.sample()
+        lost, delay, retry_delay = _reference_sample(effects, reference)
+        assert effect.lost == lost
+        if not lost:
+            assert effect.extra_delay == delay
+            assert effect.retry_delay == retry_delay
+    assert _same_state(effects._rng, reference)
+
+
+# -- WirelessChannel._step_once --------------------------------------------
+
+
+def _reference_step(ch, dt, t):
+    """The numpy calls ``WirelessChannel._step_once`` made before the rewrite."""
+    p = ch.params
+    rng = ch._rng
+    alpha = math.exp(-dt / p.shadow_tau_s)
+    shock_sigma = p.shadow_sigma_db * math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    ch._shadow_db = alpha * ch._shadow_db + float(rng.normal(0.0, shock_sigma))
+    rho = p.fading_rho
+    fade_sigma = p.fading_sigma_db * math.sqrt(max(0.0, 1.0 - rho * rho))
+    ch._fading_db = rho * ch._fading_db + float(rng.normal(0.0, fade_sigma))
+    nj_sigma = p.noise_jitter_db * math.sqrt(max(0.0, 1.0 - rho * rho))
+    ch._noise_jitter_db = rho * ch._noise_jitter_db + float(rng.normal(0.0, nj_sigma))
+    if ch._intf_remaining_s > 0:
+        ch._intf_remaining_s = max(0.0, ch._intf_remaining_s - dt)
+        if ch._intf_remaining_s <= 0.0:
+            ch._intf_rssi_dip_db = 0.0
+            ch._intf_noise_lift_db = 0.0
+    else:
+        rate = p.interference_rate_hz * max(0.0, ch.interference_pressure)
+        if rate > 0 and rng.random() < 1.0 - math.exp(-rate * dt):
+            ch._intf_remaining_s = float(rng.exponential(p.interference_mean_duration_s))
+            ch._intf_rssi_dip_db = float(rng.normal(p.interference_rssi_dip_db, 3.0))
+            ch._intf_noise_lift_db = float(rng.normal(p.interference_noise_lift_db, 4.0))
+
+
+def _channel_state(ch):
+    return (ch._shadow_db, ch._fading_db, ch._noise_jitter_db, ch._intf_remaining_s,
+            ch._intf_rssi_dip_db, ch._intf_noise_lift_db)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    shadow_sigma_db=scales,
+    shadow_tau_s=st.floats(0.5, 600.0),
+    fading_sigma_db=scales,
+    fading_rho=st.floats(0.0, 0.99),
+    noise_jitter_db=scales,
+    interference_rate_hz=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+    interference_mean_duration_s=scales,
+    tick_s=st.floats(0.1, 5.0),
+    pressure=st.floats(0.0, 3.0),
+)
+def test_channel_step_matches_numpy_calls(seed, shadow_sigma_db, shadow_tau_s,
+                                          fading_sigma_db, fading_rho, noise_jitter_db,
+                                          interference_rate_hz,
+                                          interference_mean_duration_s, tick_s, pressure):
+    params = ChannelParams(
+        shadow_sigma_db=shadow_sigma_db, shadow_tau_s=shadow_tau_s,
+        fading_sigma_db=fading_sigma_db, fading_rho=fading_rho,
+        noise_jitter_db=noise_jitter_db, interference_rate_hz=interference_rate_hz,
+        interference_mean_duration_s=interference_mean_duration_s, tick_s=tick_s,
+    )
+    channels = [WirelessChannel(params, np.random.default_rng(seed), now_fn=lambda: 0.0)
+                for _ in range(2)]
+    for ch in channels:
+        ch.set_interference_pressure(pressure)
+    rewritten, reference = channels
+    for i in range(60):
+        t = (i + 1) * tick_s
+        rewritten._step_once(tick_s, t)
+        _reference_step(reference, tick_s, t)
+        assert _channel_state(rewritten) == _channel_state(reference)
+    assert _same_state(rewritten._rng, reference._rng)
+
+
+# -- Oscillator.wander_step and SimClock._advance_to -----------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, wander=scales,
+       dts=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 100.0)), min_size=1,
+                    max_size=30))
+def test_wander_step_matches_numpy_calls(seed, wander, dts):
+    grade = OscillatorGrade(name="t", base_skew_ppm_sigma=1.0,
+                            wander_ppm_per_sqrt_s=wander, temp_coeff_ppm_per_k=0.1)
+    osc = Oscillator(grade, np.random.default_rng(seed))
+    reference = np.random.default_rng(seed)
+    assert osc.base_skew_ppm == float(reference.normal(0.0, 1.0))
+    for dt in dts:
+        expected = float(reference.normal(0.0, wander * (dt**0.5))) if dt else 0.0
+        assert osc.wander_step(dt) == expected
+    assert _same_state(osc._rng, reference)
+
+
+class _ReferenceClock(SimClock):
+    """``SimClock`` with the integrator it had before the loop-local rewrite."""
+
+    def _advance_to(self, true_now):
+        remaining = true_now - self._last_true
+        t = self._last_true
+        while remaining > 0:
+            dt = min(remaining, self._update_interval)
+            freq = self.oscillator.frequency_error(
+                self._wander_ppm, self.temperature.at(t)
+            ) + self._freq_adjust_ppm * 1e-6
+            self._offset += freq * dt
+            if self._slew_remaining != 0.0:
+                self._apply_slew(dt)
+            sigma = self.oscillator.grade.wander_ppm_per_sqrt_s * (dt**0.5)
+            self._wander_ppm += float(self.oscillator._rng.normal(0.0, sigma))
+            t += dt
+            remaining -= dt
+        self._last_true = true_now
+
+
+_clock_ops = st.lists(
+    st.tuples(st.floats(0.0, 40.0),
+              st.sampled_from(["read", "slew", "step", "freq"]),
+              st.floats(-0.05, 0.05)),
+    min_size=1, max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, ops=_clock_ops)
+def test_clock_integrator_matches_reference(seed, ops):
+    now = [0.0]
+    clocks = [
+        cls(Oscillator(OSCILLATOR_GRADES["phone"], np.random.default_rng(seed)),
+            now_fn=lambda: now[0], temperature=DiurnalTemperature(phase_s=2e4))
+        for cls in (SimClock, _ReferenceClock)
+    ]
+    for advance, op, value in ops:
+        now[0] += advance
+        for clock in clocks:
+            if op == "slew":
+                clock.slew(value)
+            elif op == "step":
+                clock.step(value)
+            elif op == "freq":
+                clock.nudge_frequency(value * 100.0)
+        # The offset itself: its low bits vanish in ``read()``'s sum.
+        assert clocks[0].true_offset() == clocks[1].true_offset()
+        assert clocks[0].read() == clocks[1].read()
+    assert clocks[0]._wander_ppm == clocks[1]._wander_ppm
+    assert _same_state(clocks[0].oscillator._rng, clocks[1].oscillator._rng)
+
+
+# -- Testbed._ping_probe ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_ping_rtt_matches_numpy_calls(seed):
+    sim = Simulator(seed=seed)
+    testbed = Testbed(sim, TestbedOptions(wireless=False, ntp_correction=False))
+    rtts = [None] * 5
+    for i in range(5):  # echoes arrive in rtt order, so file each by probe
+        testbed._ping_probe(lambda rtt, i=i: rtts.__setitem__(i, rtt))
+    sim.run_until(10.0)
+    reference = RngRegistry(seed).stream("ping-path")
+    base_rtt = 2 * testbed.options.wired_base_delay
+    assert rtts == [base_rtt + float(reference.exponential(0.004)) for _ in range(5)]
+    assert _same_state(sim.rng.stream("ping-path"), reference)
+
+
+# -- the scale checks numpy used to make lazily ----------------------------
+
+
+@pytest.mark.parametrize("name", ["shadow_sigma_db", "fading_sigma_db", "noise_jitter_db",
+                                  "interference_mean_duration_s"])
+def test_negative_channel_scale_rejected_at_construction(name):
+    with pytest.raises(ValueError, match=name):
+        ChannelParams(**{name: -1.0})
+
+
+@pytest.mark.parametrize("name", ["base_jitter_s", "contention_delay_s"])
+def test_negative_effects_scale_rejected_at_construction(name):
+    with pytest.raises(ValueError, match=name):
+        EffectsParams(**{name: -1e-3})
+
+
+def test_negative_wander_rejected_at_construction():
+    with pytest.raises(ValueError, match="wander_ppm_per_sqrt_s"):
+        OscillatorGrade(name="bad", base_skew_ppm_sigma=1.0, wander_ppm_per_sqrt_s=-1e-3,
+                        temp_coeff_ppm_per_k=0.0)

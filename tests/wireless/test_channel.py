@@ -1,5 +1,7 @@
 """WirelessChannel process behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,75 @@ def test_interference_episode_clears_exactly_when_time_runs_out():
     assert ch._intf_remaining_s == 0.0
     assert ch._intf_rssi_dip_db == 0.0
     assert ch._intf_noise_lift_db == 0.0
+
+
+@pytest.mark.parametrize("tick_s", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_tick_rejected(tick_s):
+    """A NaN or infinite tick would leave the channel frozen at t=0."""
+    with pytest.raises(ValueError, match="tick_s"):
+        ChannelParams(tick_s=tick_s)
+
+
+@pytest.mark.parametrize("tau", [0.0, -5.0, float("nan")])
+def test_non_positive_shadow_tau_rejected(tau):
+    """A zero tau used to raise ZeroDivisionError at the first tick."""
+    with pytest.raises(ValueError, match="shadow_tau_s"):
+        ChannelParams(shadow_tau_s=tau)
+
+
+def test_channel_params_are_frozen():
+    params = ChannelParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.tick_s = 2.0
+
+
+# -- the per-tick hint cache -------------------------------------------------
+
+
+def _rng_state(ch):
+    return ch._rng.bit_generator.state
+
+
+def test_hints_cached_within_a_tick():
+    now = [0.0]
+    ch = _channel(now, seed=3)
+    ch.occupancy_fn = lambda: 0.3
+    now[0] = 5.5
+    first = ch.read_hints()
+    state = _rng_state(ch)
+    now[0] = 5.9
+    assert ch.read_hints() == first
+    assert _rng_state(ch) == state
+
+
+def test_tx_power_change_shows_within_a_tick():
+    now = [0.0]
+    ch = _channel(now, seed=3)
+    before = ch.read_hints()
+    ch.set_tx_power(-20.0)
+    after = ch.read_hints()
+    assert after.rssi_dbm == pytest.approx(before.rssi_dbm - 10.0)
+    assert after.noise_dbm == before.noise_dbm
+
+
+def test_occupancy_change_shows_within_a_tick():
+    now = [0.0]
+    ch = _channel(now, seed=3)
+    occupancy = [0.0]
+    ch.occupancy_fn = lambda: occupancy[0]
+    quiet = ch.read_hints()
+    occupancy[0] = 0.5
+    busy = ch.read_hints()
+    lift_db = 0.5 * ch.params.occupancy_noise_gain_db
+    assert busy.noise_dbm == pytest.approx(quiet.noise_dbm + lift_db)
+    assert busy.rssi_dbm == quiet.rssi_dbm
+
+
+def test_tick_boundary_refreshes_hints():
+    now = [0.0]
+    ch = _channel(now, seed=3)
+    first = ch.read_hints()
+    state = _rng_state(ch)
+    now[0] = ch.params.tick_s
+    assert ch.read_hints() != first
+    assert _rng_state(ch) != state

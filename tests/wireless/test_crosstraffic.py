@@ -1,5 +1,9 @@
 """Cross-traffic generator alternation and control."""
 
+import dataclasses
+
+import pytest
+
 from repro.simcore import Simulator
 from repro.wireless.crosstraffic import CrossTrafficGenerator, CrossTrafficParams
 
@@ -66,3 +70,10 @@ def test_start_idempotent():
     gen.start()
     gen.start()
     sim.run_until(1.0)  # must not crash or double-schedule wildly
+
+
+def test_cross_traffic_params_are_frozen():
+    """The default ``CrossTrafficParams()`` is shared by every generator."""
+    gen = CrossTrafficGenerator(Simulator(seed=1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gen.params.mean_gap_s = 1.0

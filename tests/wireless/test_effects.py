@@ -1,5 +1,7 @@
 """Channel-effects mapping: hints drive loss and delay."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,11 @@ def test_as_hook_returns_callable():
     hook = effects.as_hook()
     result = hook()
     assert hasattr(result, "extra_delay")
+
+
+def test_effects_params_are_frozen():
+    """The default ``EffectsParams()`` is one instance shared by every
+    ``ChannelEffects``; freezing it keeps that sharing harmless."""
+    effects = ChannelEffects(_fixed_channel(), np.random.default_rng(6))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        effects.params.base_jitter_s = 1.0
