@@ -102,8 +102,10 @@ class MntpConfig:
     regular_source: str = "0.pool.ntp.org"
 
     def __post_init__(self) -> None:
+        # ``not value > 0`` also rejects NaN, which compares False to
+        # everything; inf stays allowed (``baseline_headtohead``).
         for name in ("warmup_period", "warmup_wait_time", "regular_wait_time", "reset_period"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.min_warmup_samples < 2:
             raise ValueError("need at least 2 warm-up samples to fit a line")
@@ -111,7 +113,7 @@ class MntpConfig:
             raise ValueError("warm-up needs at least one pool")
         if self.step_recovery_rejections < 2:
             raise ValueError("step detection needs at least 2 breaches")
-        if self.step_recovery_min_residual <= 0:
+        if not self.step_recovery_min_residual > 0:
             raise ValueError("step_recovery_min_residual must be positive")
 
     def with_overrides(self, **kwargs) -> "MntpConfig":

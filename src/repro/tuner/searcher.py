@@ -5,6 +5,8 @@ search component generates all possible values of the parameters and
 invokes the emulator for each generated combination", then scores each
 configuration by the RMSE of the reported offsets against a perfectly
 synchronized clock and the number of requests generated (Table 2).
+The grid is replayed in one pass (:func:`repro.tuner.emulator.replay_grid`),
+which gives every configuration the result its own emulator run would.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import MntpConfig
 from repro.obs.telemetry import Telemetry
-from repro.tuner.emulator import MntpEmulator
+from repro.tuner.emulator import EmulationResult, MntpEmulator, replay_grid
 from repro.tuner.traces import OffsetTrace
 
 
@@ -98,21 +100,37 @@ class ParameterSearcher:
     telemetry: Optional[Telemetry] = None
 
     def search(self) -> List[SearchResult]:
-        """Evaluate every combination; results sorted best-RMSE first."""
-        results: List[SearchResult] = []
-        for wp, ww, rw, rp in self.space.combinations():
-            config = self.base_config.with_overrides(
+        """Evaluate every combination; results sorted best-RMSE first.
+
+        Configurations that reported no offset have no meaningful RMSE
+        (it reads 0.0), so they sort after every one that did.
+        """
+        configs = [
+            self.base_config.with_overrides(
                 warmup_period=wp,
                 warmup_wait_time=ww,
                 regular_wait_time=rw,
                 reset_period=rp,
             )
-            results.append(self.evaluate(config))
-        results.sort(key=lambda r: r.rmse_ms)
+            for wp, ww, rw, rp in self.space.combinations()
+        ]
+        emulations = replay_grid(self.trace, configs)
+        results = [
+            self.evaluate(config, emulation)
+            for config, emulation in zip(configs, emulations)
+        ]
+        results.sort(key=lambda r: (r.reported_count == 0, r.rmse_ms))
         return results
 
-    def evaluate(self, config: MntpConfig) -> SearchResult:
-        """Score a single configuration (used for Table 2's rows)."""
+    def evaluate(
+        self, config: MntpConfig, emulation: Optional[EmulationResult] = None
+    ) -> SearchResult:
+        """Score a single configuration (used for Table 2's rows).
+
+        ``emulation`` is the configuration's replay when the caller has
+        it already (:meth:`search` replays the whole grid at once);
+        otherwise the configuration is replayed here.
+        """
         span = None
         if self.telemetry is not None:
             self.telemetry.metrics.counter(
@@ -126,7 +144,8 @@ class ParameterSearcher:
                 regular_wait_time=config.regular_wait_time,
                 reset_period=config.reset_period,
             )
-        emulation = MntpEmulator(self.trace, config).run()
+        if emulation is None:
+            emulation = MntpEmulator(self.trace, config).run()
         result = SearchResult(
             config=config,
             rmse_ms=emulation.rmse_ms(),

@@ -32,6 +32,25 @@ def test_nonpositive_durations_rejected(field):
         MntpConfig(**{field: 0.0})
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["warmup_period", "warmup_wait_time", "regular_wait_time", "reset_period",
+     "step_recovery_min_residual"],
+)
+def test_nan_durations_rejected(field):
+    # NaN compares False to everything: a ``<= 0`` check let it through,
+    # and a NaN period then never completes the warm-up.
+    with pytest.raises(ValueError, match=field):
+        MntpConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "field", ["warmup_period", "warmup_wait_time", "regular_wait_time", "reset_period"]
+)
+def test_infinite_durations_allowed(field):
+    assert getattr(MntpConfig(**{field: float("inf")}), field) == float("inf")
+
+
 def test_too_few_warmup_samples_rejected():
     with pytest.raises(ValueError):
         MntpConfig(min_warmup_samples=1)

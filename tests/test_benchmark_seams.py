@@ -5,7 +5,9 @@ scheduling methods with ``label`` as the third positional argument,
 unwraps classmethods from the class ``__dict__`` and wraps the model's
 per-packet and per-read methods as plain functions.  A change to either
 shape would otherwise pass every other tier-1 test and fail only in the
-perfbench self-tests.
+perfbench self-tests.  The tuner's replay must likewise reach the core
+functions through the module globals and class attributes the ledger
+rebinds.
 """
 
 import inspect
@@ -13,9 +15,16 @@ import inspect
 import numpy as np
 import pytest
 
+import repro.tuner.emulator as emulator
 from repro.clock.simclock import SimClock
+from repro.core.config import MntpConfig
+from repro.core.filter import OffsetFilter
 from repro.ntp.packet import NtpPacket
 from repro.simcore.simulator import Simulator
+from repro.tuner.emulator import MntpEmulator
+from repro.tuner.logger import TraceLogger
+from repro.tuner.searcher import ParameterSearcher, SearchSpace
+from repro.tuner.traces import OffsetTrace, TraceEntry
 from repro.wireless.channel import ChannelParams, WirelessChannel
 from repro.wireless.crosstraffic import CrossTrafficGenerator
 from repro.wireless.effects import ChannelEffects
@@ -47,6 +56,10 @@ def test_packet_encode_is_a_plain_method_in_dict():
     (CrossTrafficGenerator, "occupancy"),
     (SimClock, "read"),
     (SimClock, "true_offset"),
+    (ParameterSearcher, "evaluate"),
+    (MntpEmulator, "run"),
+    (TraceLogger, "run"),
+    (OffsetFilter, "offer"),
 ])
 def test_ledger_wrapped_model_methods_are_plain_functions_in_dict(cls, name):
     assert inspect.isfunction(cls.__dict__[name])
@@ -72,3 +85,51 @@ def test_effects_sample_reads_hints_once_per_packet(monkeypatch):
         now[0] = i * 0.4
         effects.sample()
     assert reads == [channel] * 50
+
+
+def _tuner_trace():
+    trace = OffsetTrace()
+    for i in range(120):
+        hints = (dict(rssi_dbm=-85.0, noise_dbm=-60.0) if i % 7 == 3
+                 else dict(rssi_dbm=-45.0, noise_dbm=-92.0))
+        trace.append(TraceEntry(
+            time=5.0 * i, offsets={"0.pool.ntp.org": 1e-4 * i,
+                                   "1.pool.ntp.org": 1e-4 * i + 0.001},
+            **hints,
+        ))
+    return trace
+
+
+@pytest.mark.parametrize("name", ["reject_false_tickers", "favorable_snr_condition"])
+def test_grid_replay_looks_core_functions_up_at_call_time(monkeypatch, name):
+    """The ledger wraps module-level functions by rebinding every module
+    global that holds them, so the replay must read that global on each
+    call rather than keep a reference it took earlier."""
+    calls = []
+    original = getattr(emulator, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(emulator, name, counted)
+    space = SearchSpace(warmup_periods=(60.0, 300.0), warmup_wait_times=(5.0, 10.0),
+                        regular_wait_times=(30.0,), reset_periods=(600.0,))
+    ParameterSearcher(_tuner_trace(), base_config=MntpConfig(), space=space).search()
+    assert calls
+
+
+def test_grid_replay_offers_through_the_class_attribute(monkeypatch):
+    """``core.filter_offers`` counts calls of the wrapped class attribute."""
+    offers = []
+    original = OffsetFilter.offer
+
+    def counted(self, time, offset):
+        offers.append(time)
+        return original(self, time, offset)
+
+    monkeypatch.setattr(OffsetFilter, "offer", counted)
+    config = MntpConfig(warmup_period=60.0, warmup_wait_time=5.0,
+                        regular_wait_time=30.0, reset_period=600.0)
+    MntpEmulator(_tuner_trace(), config).run()
+    assert offers
