@@ -111,6 +111,10 @@ class MntpConfig:
             raise ValueError("need at least 2 warm-up samples to fit a line")
         if not self.warmup_pools:
             raise ValueError("warm-up needs at least one pool")
+        if not self.filter_gate_floor >= 0:
+            raise ValueError("filter_gate_floor must be non-negative")
+        if not self.max_consecutive_rejections >= 1:
+            raise ValueError("max_consecutive_rejections must be at least 1")
         if self.step_recovery_rejections < 2:
             raise ValueError("step detection needs at least 2 breaches")
         if not self.step_recovery_min_residual > 0:

@@ -5,9 +5,10 @@ the candidate's measurement time, compute the squared error of the
 reported offset against that prediction, and reject when the squared
 error falls more than one standard deviation above the mean of the
 historical squared residuals (two-sided optionally, per the paper's
-literal wording).  Until :attr:`min_samples` offsets are recorded the
-filter is in bootstrap mode and accepts everything (the warm-up's
-"record 10 offset values ... to create a trend line").
+literal wording).  Until :attr:`min_samples` offsets are recorded, and
+the trend line through them is fit, the filter is in bootstrap mode and
+accepts everything (the warm-up's "record 10 offset values ... to
+create a trend line").
 """
 
 from __future__ import annotations
@@ -84,8 +85,12 @@ class OffsetFilter:
     ) -> None:
         if min_samples < 2:
             raise ValueError("need at least 2 bootstrap samples")
-        if gate_floor < 0:
-            raise ValueError("gate floor must be non-negative")
+        # ``not value >= bound`` also rejects NaN, which compares False
+        # to everything (a NaN floor would silently switch the floor off).
+        if not gate_floor >= 0:
+            raise ValueError("gate_floor must be non-negative")
+        if not max_consecutive_rejections >= 1:
+            raise ValueError("max_consecutive_rejections must be at least 1")
         self.min_samples = min_samples
         self.gate_floor = gate_floor
         self.max_consecutive_rejections = max_consecutive_rejections
@@ -124,7 +129,10 @@ class OffsetFilter:
             self.trend.add(time, offset)
             self.accepted_count += 1
             self._bootstrap_offers += 1
-            if self._bootstrap_offers >= self.min_samples:
+            # Bootstrap lasts until the trend is fit, not just counted:
+            # points that share one time fit no line.
+            if (self._bootstrap_offers >= self.min_samples
+                    and self.trend.slope is not None):
                 # The bootstrap set was accepted blind; before the trend
                 # starts gating, discard bootstrap points whose squared
                 # residual exceeds mean+1σ (the same philosophy as the
@@ -181,7 +189,8 @@ class OffsetFilter:
         errs = self.trend.squared_errors()
         if errs.size < 3:
             return
-        gate = errs.mean() + errs.std()
+        mean_r2, std_r2 = self.trend.residual_stats()
+        gate = mean_r2 + std_r2
         times, offsets = self.trend.points()
         kept = [
             (t, o) for (t, o, e) in zip(times, offsets, errs) if e <= gate
@@ -190,6 +199,8 @@ class OffsetFilter:
         # the refit line is meaningless.
         if len(kept) < max(2, len(times) // 2):
             return
+        if len({t for t, _ in kept}) < 2:
+            return  # the trimmed set would span no time and fit no line
         self.trend.clear()
         for t, o in kept:
             self.trend.add(t, o)

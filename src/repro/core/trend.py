@@ -5,13 +5,21 @@ first degree polynomial" over the recorded offsets — the slope is the
 drift (skew) estimate, re-estimated on every accepted sample.  The
 filter measures each candidate offset's squared error against the
 line's extrapolation.
+
+The fit performs ``np.polyfit(t - t0, offsets, 1)``'s own steps in its
+order, so every coefficient is bit-identical to it; see DESIGN.md §3
+"Core numerics in numpy's order".
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class TrendLine:
@@ -19,55 +27,92 @@ class TrendLine:
 
     Points are (time, offset) pairs.  The fit is recomputed from the
     stored points on demand; a ``max_points`` window bounds memory for
-    long runs (the regular phase adds a point every request).
+    long runs (the regular phase adds a point every request).  The line
+    is unfit (``slope``/``predict`` read None) with fewer than two
+    points, or while its points span no time.
     """
 
     def __init__(self, max_points: int = 4096) -> None:
         if max_points < 2:
             raise ValueError("window must hold at least 2 points")
-        self._times: List[float] = []
-        self._offsets: List[float] = []
+        # The points are the window ``[_start, _end)`` of two float64
+        # buffers, so a fit slices views instead of converting lists,
+        # and an eviction only moves ``_start``.
+        self._times = np.empty(16)
+        self._offsets = np.empty(16)
+        self._start = 0
+        self._end = 0
         self._max_points = max_points
         self._coeffs: Optional[Tuple[float, float]] = None  # (slope, intercept)
+        self._stats: Optional[Tuple[float, float]] = None
         self._dirty = True
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self._end - self._start
 
     def add(self, time: float, offset: float) -> None:
         """Record an accepted offset sample."""
-        self._times.append(float(time))
-        self._offsets.append(float(offset))
-        if len(self._times) > self._max_points:
-            self._times.pop(0)
-            self._offsets.pop(0)
+        if self._end == len(self._times):
+            self._compact()
+        self._times[self._end] = time
+        self._offsets[self._end] = offset
+        self._end += 1
+        if self._end - self._start > self._max_points:
+            self._start += 1
         self._dirty = True
+
+    def _compact(self) -> None:
+        """Move the window to the front of buffers twice its size."""
+        live = self._end - self._start
+        size = max(16, 2 * live)
+        for name in ("_times", "_offsets"):
+            buffer = np.empty(size)
+            buffer[:live] = getattr(self, name)[self._start:self._end]
+            setattr(self, name, buffer)
+        self._start, self._end = 0, live
 
     def clear(self) -> None:
         """Forget all samples (protocol reset)."""
-        self._times.clear()
-        self._offsets.clear()
-        self._coeffs = None
+        self._start = self._end = 0
         self._dirty = True
 
     def _fit(self) -> Optional[Tuple[float, float]]:
         if self._dirty:
-            if len(self._times) < 2:
-                self._coeffs = None
-            else:
-                t = np.asarray(self._times)
-                o = np.asarray(self._offsets)
+            self._stats = None
+            self._coeffs = None
+            n = self._end - self._start
+            t = self._times[self._start:self._end]
+            # Points that span no time fit no line: polyfit would divide
+            # 0/0 or return a rank-deficient fit.
+            if n >= 2 and np.minimum.reduce(t) < np.maximum.reduce(t):
                 # Centre time for numerical stability on large epochs.
-                t0 = t.mean()
-                slope, intercept_c = np.polyfit(t - t0, o, 1)
-                self._coeffs = (float(slope), float(intercept_c - slope * t0))
+                t0 = float(np.add.reduce(t)) / n
+                # np.polyfit(t - t0, offsets, 1), step by step: the
+                # ``+ 0.0`` copies (they turn -0.0 into 0.0), the
+                # Vandermonde columns scaled to unit norm, lstsq with
+                # rcond = n·eps, and the scale taken back out.
+                x = t - t0
+                x += 0.0
+                y = self._offsets[self._start:self._end] + 0.0
+                lhs = np.empty((n, 2))
+                lhs[:, 0] = x
+                lhs[:, 1] = 1.0
+                scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
+                lhs /= scale
+                c, _, rank, _ = np.linalg.lstsq(lhs, y, n * _EPS)
+                if rank != 2:
+                    warnings.warn("Polyfit may be poorly conditioned",
+                                  np.exceptions.RankWarning, stacklevel=2)
+                slope = float(c[0]) / float(scale[0])
+                intercept_c = float(c[1]) / float(scale[1])
+                self._coeffs = (slope, intercept_c - slope * t0)
             self._dirty = False
         return self._coeffs
 
     @property
     def slope(self) -> Optional[float]:
-        """Drift estimate in seconds of offset per second, or None if
-        fewer than two points are recorded."""
+        """Drift estimate in seconds of offset per second, or None while
+        the line is unfit."""
         coeffs = self._fit()
         return None if coeffs is None else coeffs[0]
 
@@ -80,23 +125,34 @@ class TrendLine:
         return slope * time + intercept
 
     def squared_errors(self) -> np.ndarray:
-        """Squared residuals of the recorded points against the fit."""
+        """Squared residuals of the recorded points against the fit
+        (empty while unfit)."""
         coeffs = self._fit()
-        if coeffs is None or not self._times:
+        if coeffs is None:
             return np.asarray([])
         slope, intercept = coeffs
-        t = np.asarray(self._times)
-        o = np.asarray(self._offsets)
-        resid = o - (slope * t + intercept)
+        t = self._times[self._start:self._end]
+        resid = self._offsets[self._start:self._end] - (slope * t + intercept)
         return resid**2
 
     def residual_stats(self) -> Tuple[float, float]:
-        """(mean, std) of the squared residuals; (0, 0) when unfit."""
-        errs = self.squared_errors()
-        if errs.size == 0:
-            return 0.0, 0.0
-        return float(errs.mean()), float(errs.std())
+        """(mean, std) of the squared residuals; (0, 0) when unfit.
+
+        Computed once per fit, in ``errs.mean()``/``errs.std()``'s order.
+        """
+        if self._dirty or self._stats is None:
+            errs = self.squared_errors()
+            n = errs.size
+            if n == 0:
+                self._stats = (0.0, 0.0)
+            else:
+                mean = float(np.add.reduce(errs)) / n
+                dev = errs - mean
+                dev *= dev
+                self._stats = (mean, math.sqrt(float(np.add.reduce(dev)) / n))
+        return self._stats
 
     def points(self) -> "Tuple[List[float], List[float]]":
         """Copies of the recorded (times, offsets)."""
-        return list(self._times), list(self._offsets)
+        return (self._times[self._start:self._end].tolist(),
+                self._offsets[self._start:self._end].tolist())

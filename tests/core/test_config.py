@@ -44,6 +44,18 @@ def test_nan_durations_rejected(field):
         MntpConfig(**{field: float("nan")})
 
 
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_invalid_filter_gate_floor_rejected(value):
+    with pytest.raises(ValueError, match="filter_gate_floor"):
+        MntpConfig(filter_gate_floor=value)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_nonpositive_rejection_limit_rejected(value):
+    with pytest.raises(ValueError, match="max_consecutive_rejections"):
+        MntpConfig(max_consecutive_rejections=value)
+
+
 @pytest.mark.parametrize(
     "field", ["warmup_period", "warmup_wait_time", "regular_wait_time", "reset_period"]
 )

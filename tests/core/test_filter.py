@@ -139,3 +139,44 @@ def test_invalid_params():
         OffsetFilter(min_samples=1)
     with pytest.raises(ValueError):
         OffsetFilter(gate_floor=-0.1)
+
+
+@pytest.mark.parametrize("floor", [-0.1, float("nan")])
+def test_invalid_gate_floor_rejected(floor):
+    # NaN compares False to everything: a NaN floor would drop out of
+    # ``max(mean + std, floor**2)``, silently switching the floor off.
+    with pytest.raises(ValueError, match="gate_floor"):
+        OffsetFilter(gate_floor=floor)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_nonpositive_rejection_limit_rejected(limit):
+    with pytest.raises(ValueError, match="max_consecutive_rejections"):
+        OffsetFilter(max_consecutive_rejections=limit)
+
+
+def test_same_time_offers_stay_in_bootstrap():
+    """Points that share one time fit no line (np.polyfit would divide
+    0/0), so bootstrap goes on until they span time."""
+    fil = OffsetFilter()
+    for i in range(12):
+        outcome = fil.offer(5.0, 0.001 * i)
+        assert outcome.decision is FilterDecision.ACCEPT_BOOTSTRAP
+    assert not fil.bootstrapped
+    assert fil.drift_estimate() is None
+    fil.offer(10.0, 0.0)
+    assert fil.bootstrapped
+
+
+def test_bootstrap_trim_keeps_points_that_span_time():
+    """A trim that would leave only one time's points is not applied."""
+    fil = OffsetFilter(min_samples=10)
+    for _ in range(8):
+        fil.offer(5.0, 0.0)
+    fil.offer(20.0, 1.0)  # both outliers exceed the trim gate
+    fil.offer(21.0, -1.0)
+    assert fil.bootstrapped
+    times, _ = fil.trend.points()
+    assert sorted(set(times)) == [5.0, 20.0, 21.0]
+    assert fil.drift_estimate() is not None
+    fil.offer(22.0, 0.0)

@@ -15,10 +15,13 @@ import inspect
 import numpy as np
 import pytest
 
+import repro.core.falsetickers as falsetickers
+import repro.core.protocol as protocol
 import repro.tuner.emulator as emulator
 from repro.clock.simclock import SimClock
 from repro.core.config import MntpConfig
 from repro.core.filter import OffsetFilter
+from repro.core.trend import TrendLine
 from repro.ntp.packet import NtpPacket
 from repro.simcore.simulator import Simulator
 from repro.tuner.emulator import MntpEmulator
@@ -28,6 +31,7 @@ from repro.tuner.traces import OffsetTrace, TraceEntry
 from repro.wireless.channel import ChannelParams, WirelessChannel
 from repro.wireless.crosstraffic import CrossTrafficGenerator
 from repro.wireless.effects import ChannelEffects
+from tests.core.test_protocol import _build, _config
 
 
 @pytest.mark.parametrize("name", ["call_at", "call_after"])
@@ -60,6 +64,7 @@ def test_packet_encode_is_a_plain_method_in_dict():
     (MntpEmulator, "run"),
     (TraceLogger, "run"),
     (OffsetFilter, "offer"),
+    (TrendLine, "_fit"),
 ])
 def test_ledger_wrapped_model_methods_are_plain_functions_in_dict(cls, name):
     assert inspect.isfunction(cls.__dict__[name])
@@ -133,3 +138,45 @@ def test_grid_replay_offers_through_the_class_attribute(monkeypatch):
                         regular_wait_time=30.0, reset_period=600.0)
     MntpEmulator(_tuner_trace(), config).run()
     assert offers
+
+
+def test_trend_is_dirty_from_add_to_the_next_fit():
+    """``core.trend_fits`` counts the ``_fit`` calls made while ``_dirty``
+    is set and ``len`` is at least 2: one per change of the points."""
+    line = TrendLine()
+    line.add(0.0, 0.0)
+    line.add(1.0, 1.0)
+    assert line._dirty and len(line) == 2
+    line._fit()
+    assert not line._dirty
+    line.residual_stats()
+    assert not line._dirty
+    line.add(2.0, 1.0)
+    assert line._dirty
+    line.clear()
+    assert line._dirty and len(line) == 0
+
+
+def test_reject_false_tickers_is_module_level():
+    """The ledger wraps it by rebinding every module global that holds it."""
+    fn = falsetickers.reject_false_tickers
+    assert inspect.isfunction(fn) and fn.__qualname__ == "reject_false_tickers"
+    assert protocol.reject_false_tickers is fn
+    assert emulator.reject_false_tickers is fn
+
+
+def test_mntp_warmup_looks_reject_false_tickers_up_at_call_time(monkeypatch, sim):
+    """``Mntp``'s warm-up reads the module global on each vote, like the
+    grid replay (``test_grid_replay_looks_core_functions_up_at_call_time``)."""
+    calls = []
+    original = protocol.reject_false_tickers
+
+    def counted(offsets):
+        calls.append(offsets)
+        return original(offsets)
+
+    monkeypatch.setattr(protocol, "reject_false_tickers", counted)
+    _, _, mntp = _build(sim, _config())
+    mntp.start()
+    sim.run_until(60.0)
+    assert calls
