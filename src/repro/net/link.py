@@ -49,6 +49,11 @@ class LinkEffect:
         self.duplicate_extra = duplicate_extra
 
 
+#: The effect of a link with no effect hook.  Shared by every such
+#: packet: ``Link.send`` only reads it, so no packet can change it.
+_NO_EFFECT = LinkEffect()
+
+
 class Link:
     """Unidirectional datagram pipe with stochastic delay and loss.
 
@@ -85,7 +90,7 @@ class Link:
         self.sent += 1
         datagram.sent_at = self._sim.now
         sample = self.path.sample()
-        effect = self._effect_hook() if self._effect_hook else LinkEffect()
+        effect = self._effect_hook() if self._effect_hook else _NO_EFFECT
         if sample.lost or effect.lost:
             datagram.dropped = True
             self.lost += 1

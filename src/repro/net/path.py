@@ -11,12 +11,11 @@ falls out naturally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class DelaySample:
     """Result of sampling the path for one packet.
 
@@ -31,11 +30,21 @@ class DelaySample:
     breakdown the causal tracer records (:mod:`repro.obs.causal`).
     """
 
-    delay: float
-    lost: bool
-    base: float = 0.0
-    queue: float = 0.0
-    spike: float = 0.0
+    __slots__ = ("delay", "lost", "base", "queue", "spike")
+
+    def __init__(
+        self,
+        delay: float,
+        lost: bool,
+        base: float = 0.0,
+        queue: float = 0.0,
+        spike: float = 0.0,
+    ) -> None:
+        self.delay = delay
+        self.lost = lost
+        self.base = base
+        self.queue = queue
+        self.spike = spike
 
 
 class PathModel:
@@ -61,14 +70,19 @@ class PathModel:
         spike_rate: float = 0.0,
         spike_scale: float = 0.100,
     ) -> None:
-        if base_delay < 0 or queue_mean < 0:
-            raise ValueError("delays must be non-negative")
+        # The delay terms are drawn in standard form (``scale *
+        # standard_gamma(shape)``, ``scale * standard_exponential()``),
+        # which skips numpy's parameter checks, so they are made here.
+        for name, value in (("base_delay", base_delay), ("queue_mean", queue_mean),
+                            ("spike_scale", spike_scale)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        if not (math.isfinite(queue_shape) and queue_shape > 0):
+            raise ValueError(f"queue_shape must be positive and finite, got {queue_shape!r}")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
         if not 0.0 <= spike_rate < 1.0:
             raise ValueError("spike rate must be in [0, 1)")
-        if queue_shape <= 0:
-            raise ValueError("queue shape must be positive")
         self._rng = rng
         self.base_delay = float(base_delay)
         self.queue_mean = float(queue_mean)
@@ -78,23 +92,24 @@ class PathModel:
         self.spike_scale = float(spike_scale)
 
     def sample(self) -> DelaySample:
-        """Draw the fate of one packet on this path direction."""
-        if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-            return DelaySample(delay=float("inf"), lost=True)
+        """Draw the fate of one packet on this path direction.
+
+        The draws are numpy's ``gamma(k, s)`` and ``exponential(s)`` in
+        their standard forms (see DESIGN.md): the same floats from the
+        same stream, without the per-call parameter checks.
+        """
+        rng = self._rng
+        if self.loss_rate > 0 and rng.random() < self.loss_rate:
+            return DelaySample(math.inf, True)
         queue = 0.0
         spike = 0.0
         if self.queue_mean > 0:
-            scale = self.queue_mean / self.queue_shape
-            queue = float(self._rng.gamma(self.queue_shape, scale))
-        if self.spike_rate > 0 and self._rng.random() < self.spike_rate:
-            spike = float(self._rng.exponential(self.spike_scale))
-        return DelaySample(
-            delay=self.base_delay + queue + spike,
-            lost=False,
-            base=self.base_delay,
-            queue=queue,
-            spike=spike,
-        )
+            shape = self.queue_shape
+            queue = (self.queue_mean / shape) * rng.standard_gamma(shape)
+        if self.spike_rate > 0 and rng.random() < self.spike_rate:
+            spike = self.spike_scale * rng.standard_exponential()
+        base = self.base_delay
+        return DelaySample(base + queue + spike, False, base, queue, spike)
 
     def min_delay(self) -> float:
         """The propagation floor — what min-OWD filtering converges to."""

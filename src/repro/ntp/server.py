@@ -117,6 +117,13 @@ class ServerConfig:
     rate_limit: int = 8
     ref_id: bytes = b"GPS\x00"
 
+    def __post_init__(self) -> None:
+        # The scale of the standard-form draw in ``NtpServer.on_datagram``.
+        if not self.processing_delay >= 0.0:
+            raise ValueError(
+                f"processing_delay must be non-negative, got {self.processing_delay!r}"
+            )
+
 
 class NtpServer:
     """A responding NTP/SNTP server node.
@@ -195,7 +202,7 @@ class NtpServer:
             "server.turnaround", server=self.config.name,
             ident=datagram.ident, trace_id=datagram.trace_id,
         )
-        delay = float(self._rng.exponential(self.config.processing_delay))
+        delay = self.config.processing_delay * self._rng.standard_exponential()
         self._sim.call_after(
             delay,
             lambda: self._send_response(request, datagram, t2, span),

@@ -8,8 +8,10 @@ wireless hints from the channel every time an SNTP request is emitted."
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.ntp.sntp_client import SntpResult
 from repro.simcore.simulator import Simulator
@@ -40,21 +42,47 @@ class LoggerOptions:
         default_factory=lambda: TestbedOptions(wireless=True, ntp_correction=False)
     )
 
+    def __post_init__(self) -> None:
+        for name in ("duration", "cadence"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not self.sources:
+            raise ValueError("sources must name at least one reference clock")
+
 
 class TraceLogger:
-    """Collects an :class:`OffsetTrace` from a simulated testbed run."""
+    """Collects an :class:`OffsetTrace` from a simulated testbed run.
+
+    The simulation runs uninstrumented (``instrument=False``): it is
+    local to :meth:`run`, which returns only the trace, so no caller
+    could ever read its telemetry, and telemetry never changes what a
+    simulation computes.  Recording it would only cost time and memory.
+    """
 
     def __init__(self, seed: int = 0, options: LoggerOptions = LoggerOptions()) -> None:
         self.seed = seed
         self.options = options
 
     def run(self) -> OffsetTrace:
-        """Execute the collection run and return the trace."""
+        """Execute the collection run and return the trace.
+
+        Entries are appended in sampling order.  An instant's entry is
+        complete once all its queries have answered or timed out, which
+        at a cadence below the query timeout can be after a later
+        instant's; complete entries wait in a FIFO behind older ones.
+        """
         opts = self.options
-        sim = Simulator(seed=self.seed)
+        sim = Simulator(seed=self.seed, instrument=False)
         testbed = Testbed(sim, opts.testbed)
         trace = OffsetTrace(cadence=opts.cadence)
         client = testbed.mntp_app
+        # Entries in sampling order, each with its count of open queries.
+        pending: Deque[List] = deque()
+
+        def flush() -> None:
+            while pending and pending[0][1] == 0:
+                trace.append(pending.popleft()[0])
 
         def sample() -> None:
             if sim.now >= opts.duration:
@@ -66,7 +94,8 @@ class TraceLogger:
                 noise_dbm=hints.noise_dbm,
                 true_offset=testbed.tn_clock.true_offset(),
             )
-            outstanding = {"count": len(opts.sources)}
+            slot = [entry, len(opts.sources)]
+            pending.append(slot)
             results: Dict[str, Optional[float]] = {}
 
             def make_cb(source: str):
@@ -76,10 +105,10 @@ class TraceLogger:
                         results[source] = result.sample.offset
                     else:
                         results[source] = None
-                    outstanding["count"] -= 1
-                    if outstanding["count"] == 0:
+                    slot[1] -= 1
+                    if slot[1] == 0:
                         entry.offsets = dict(results)
-                        trace.append(entry)
+                        flush()
 
                 return on_result
 

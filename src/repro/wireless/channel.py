@@ -206,7 +206,8 @@ class WirelessChannel:
 
     def read_hints(self) -> WirelessHints:
         """Current (RSSI, noise) as the adaptor would report them."""
-        self._advance()
+        if self._next_tick <= self._now_fn():
+            self._advance()
         occupancy = self.occupancy_fn() if self.occupancy_fn is not None else None
         hints = self._hints
         if (

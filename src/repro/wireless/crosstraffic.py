@@ -31,6 +31,13 @@ class CrossTrafficParams:
     occupancy_during_download: float = 0.80
     occupancy_idle: float = 0.10
 
+    def __post_init__(self) -> None:
+        # Scales of the standard-form draws in ``CrossTrafficGenerator``.
+        for name in ("mean_gap_s", "mean_duration_s"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+
 
 class CrossTrafficGenerator:
     """Alternating idle/download process with tunable frequency.
@@ -79,9 +86,8 @@ class CrossTrafficGenerator:
     def _schedule_next_download(self) -> None:
         if not self._running:
             return
-        gap = float(
-            self._rng.exponential(self.params.mean_gap_s / self.frequency_scale)
-        )
+        scale = self.params.mean_gap_s / self.frequency_scale
+        gap = scale * self._rng.standard_exponential()
         self._sim.call_after(gap, self._begin_download, label="xtraffic:begin")
 
     def _begin_download(self) -> None:
@@ -90,7 +96,7 @@ class CrossTrafficGenerator:
         self.downloading = True
         self.downloads_started += 1
         self._sim.trace.emit(self._sim.now, "crosstraffic", "download_start")
-        duration = float(self._rng.exponential(self.params.mean_duration_s))
+        duration = self.params.mean_duration_s * self._rng.standard_exponential()
         self._sim.call_after(duration, self._end_download, label="xtraffic:end")
 
     def _end_download(self) -> None:

@@ -27,6 +27,7 @@ import numpy as np
 from repro.net.link import LinkEffect
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.crosstraffic import CrossTrafficGenerator
+from repro.wireless.hints import WirelessHints
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,13 @@ class ChannelEffects:
         self._rng = rng
         self.cross_traffic = cross_traffic
         self.params = params
+        # The last per-attempt error probability, valid while the hints
+        # object it came from and the occupancy are the same.  The
+        # channel hands out one hints object per tick and (tx power,
+        # occupancy), so packets within a tick reuse it.
+        self._err_hints: Optional[WirelessHints] = None
+        self._err_occupancy = 0.0
+        self._err = 0.0
 
     def _per_attempt_error_prob(self, snr_margin_db: float, occupancy: float) -> float:
         p = self.params
@@ -97,14 +105,22 @@ class ChannelEffects:
 
         The draws are numpy's ``exponential(s)`` and ``uniform(0.7, 1.5)``
         in their standard forms (see DESIGN.md): the same floats from the
-        same stream, without the per-call parameter checks.
+        same stream, without the per-call parameter checks.  The error
+        probability is recomputed only when the hints object or the
+        occupancy changes; the same inputs give the same float.
         """
         p = self.params
         rng = self._rng
         random = rng.random
         hints = self.channel.read_hints()
         occupancy = self.cross_traffic.occupancy() if self.cross_traffic else 0.0
-        err = self._per_attempt_error_prob(hints.snr_margin_db, occupancy)
+        if hints is self._err_hints and occupancy == self._err_occupancy:
+            err = self._err
+        else:
+            err = self._per_attempt_error_prob(hints.snr_margin_db, occupancy)
+            self._err_hints = hints
+            self._err_occupancy = occupancy
+            self._err = err
 
         # 802.11 link-layer retransmission loop: each failed attempt adds
         # a backoff; exceeding the retry limit loses the frame.
@@ -112,7 +128,7 @@ class ChannelEffects:
         while retries <= p.max_retries and random() < err:
             retries += 1
         if retries > p.max_retries:
-            return LinkEffect(lost=True)
+            return LinkEffect(0.0, True)
 
         delay = p.base_jitter_s * rng.standard_exponential()
         retry_delay = retries * p.retry_delay_s * (0.7 + (1.5 - 0.7) * random())
@@ -121,7 +137,7 @@ class ChannelEffects:
             # Queueing behind cross-traffic: heavy-tailed in occupancy.
             mean_q = p.contention_delay_s * (occupancy ** 2) / max(0.05, 1.0 - occupancy)
             delay += mean_q * rng.standard_exponential() if mean_q > 0 else 0.0
-        return LinkEffect(extra_delay=delay, lost=False, retry_delay=retry_delay)
+        return LinkEffect(delay, False, retry_delay)
 
     def as_hook(self) -> Callable[[], LinkEffect]:
         """Adapter for :class:`repro.net.link.Link`'s ``effect_hook``."""

@@ -8,8 +8,9 @@ import numpy as np
 #: Appended to every parity failure: what to do when numpy changes.
 HINT = (
     f"differs from numpy {np.__version__}'s own result. If a numpy upgrade "
-    "changed its summation or fitting order, see DESIGN.md §3 'Core numerics "
-    "in numpy's order': fall back to the numpy calls, or regolden the pinned "
+    "changed its summation or fitting order or a draw's arithmetic, see "
+    "DESIGN.md §3 'Core numerics in numpy's order' and 'Model draws in "
+    "standard form': fall back to the numpy calls, or regolden the pinned "
     "results (ROADMAP #1)."
 )
 

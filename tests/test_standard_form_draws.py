@@ -1,9 +1,10 @@
 """The model draws numpy scalars in standard form, bit for bit.
 
 ``Generator.normal(m, s)`` returns ``m + s * standard_normal()``,
-``exponential(s)`` returns ``s * standard_exponential()`` and
-``uniform(lo, hi)`` returns ``lo + (hi - lo) * random()``, each from the
-same bits of the stream.  The hot path uses the standard forms because
+``exponential(s)`` returns ``s * standard_exponential()``,
+``gamma(k, s)`` returns ``s * standard_gamma(k)`` and ``uniform(lo, hi)``
+returns ``lo + (hi - lo) * random()``, each from the same bits of the
+stream.  The hot path uses the standard forms because
 they skip numpy's per-call argument handling.  Each test here runs a
 rewritten draw site next to a copy of the numpy calls it replaced and
 demands equal floats and an equal stream state afterwards.  Dropping
@@ -20,12 +21,17 @@ from hypothesis import given, settings, strategies as st
 from repro.clock.oscillator import OSCILLATOR_GRADES, Oscillator, OscillatorGrade
 from repro.clock.simclock import SimClock
 from repro.clock.temperature import DiurnalTemperature
+from repro.net.path import PathModel
+from repro.ntp.server import ServerConfig
 from repro.simcore import Simulator
 from repro.simcore.random import RngRegistry
 from repro.testbed.nodes import Testbed, TestbedOptions
 from repro.wireless.channel import ChannelParams, WirelessChannel
+from repro.wireless.crosstraffic import CrossTrafficGenerator, CrossTrafficParams
 from repro.wireless.effects import ChannelEffects, EffectsParams
 from repro.wireless.hints import StaticHintProvider, WirelessHints
+from tests.core.parity import HINT
+from tests.ntp.helpers import MiniNet
 
 seeds = st.integers(0, 2**32 - 1)
 # A zero scale is a legal, degenerate draw; include it explicitly.
@@ -256,6 +262,109 @@ def test_ping_rtt_matches_numpy_calls(seed):
     assert _same_state(sim.rng.stream("ping-path"), reference)
 
 
+# -- PathModel.sample ------------------------------------------------------
+
+
+def _reference_path_sample(path, rng):
+    """The numpy calls ``PathModel.sample`` made before the rewrite."""
+    if path.loss_rate > 0 and rng.random() < path.loss_rate:
+        return True, float("inf"), 0.0, 0.0, 0.0
+    queue = 0.0
+    spike = 0.0
+    if path.queue_mean > 0:
+        scale = path.queue_mean / path.queue_shape
+        queue = float(rng.gamma(path.queue_shape, scale))
+    if path.spike_rate > 0 and rng.random() < path.spike_rate:
+        spike = float(rng.exponential(path.spike_scale))
+    return False, path.base_delay + queue + spike, path.base_delay, queue, spike
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    base_delay=st.floats(0.0, 0.2),
+    queue_mean=scales,
+    # Below 1 numpy's gamma takes its other branch; cover both.
+    queue_shape=st.floats(0.05, 8.0),
+    loss_rate=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    spike_rate=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    spike_scale=scales,
+)
+def test_path_sample_matches_numpy_calls(seed, base_delay, queue_mean, queue_shape,
+                                         loss_rate, spike_rate, spike_scale):
+    path = PathModel(np.random.default_rng(seed), base_delay=base_delay,
+                     queue_mean=queue_mean, queue_shape=queue_shape, loss_rate=loss_rate,
+                     spike_rate=spike_rate, spike_scale=spike_scale)
+    reference = np.random.default_rng(seed)
+    for _ in range(40):
+        got = path.sample()
+        want = _reference_path_sample(path, reference)
+        assert (got.lost, got.delay, got.base, got.queue, got.spike) == want, HINT
+    assert _same_state(path._rng, reference), HINT
+
+
+# -- NtpServer processing delay --------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, processing_delay=scales)
+def test_server_processing_delay_matches_numpy_calls(seed, processing_delay):
+    sim = Simulator(seed=seed)
+    net = MiniNet(sim, [ServerConfig(name="s1", processing_delay=processing_delay)])
+    server = net.servers["s1"]
+    delays = []
+    call_after = sim.call_after
+
+    def recording(delay, callback, label=""):
+        if label == server._respond_label:
+            delays.append(delay)
+        return call_after(delay, callback, label)
+
+    sim.call_after = recording
+    for i in range(10):
+        sim.call_at(float(i), lambda: net.client.query("s1", lambda result: None))
+    sim.run_until(20.0)
+    reference = RngRegistry(seed).stream("server:s1")
+    assert delays == [float(reference.exponential(processing_delay))
+                      for _ in range(10)], HINT
+    assert _same_state(server._rng, reference), HINT
+
+
+# -- CrossTrafficGenerator gaps and durations ------------------------------
+
+
+# Zero gaps and zero durations together would alternate forever at one
+# instant, so the scales here are positive.
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, mean_gap_s=st.floats(1e-6, 100.0), mean_duration_s=st.floats(1e-6, 100.0),
+       frequency_scale=st.floats(0.05, 20.0))
+def test_cross_traffic_draws_match_numpy_calls(seed, mean_gap_s, mean_duration_s,
+                                               frequency_scale):
+    sim = Simulator(seed=seed)
+    gen = CrossTrafficGenerator(sim, CrossTrafficParams(mean_gap_s=mean_gap_s,
+                                                        mean_duration_s=mean_duration_s))
+    gen.set_frequency_scale(frequency_scale)
+    delays = []
+    call_after = sim.call_after
+
+    def recording(delay, callback, label=""):
+        delays.append((label, delay))
+        return call_after(delay, callback, label)
+
+    sim.call_after = recording
+    gen.start()
+    while len(delays) < 20:
+        sim.run_until(sim._queue.peek_time())
+    reference = RngRegistry(seed).stream("crosstraffic")
+    want = []
+    for _ in range(10):
+        want.append(("xtraffic:begin",
+                     float(reference.exponential(mean_gap_s / gen.frequency_scale))))
+        want.append(("xtraffic:end", float(reference.exponential(mean_duration_s))))
+    assert delays[:20] == want, HINT
+    assert _same_state(gen._rng, reference), HINT
+
+
 # -- the scale checks numpy used to make lazily ----------------------------
 
 
@@ -276,3 +385,37 @@ def test_negative_wander_rejected_at_construction():
     with pytest.raises(ValueError, match="wander_ppm_per_sqrt_s"):
         OscillatorGrade(name="bad", base_skew_ppm_sigma=1.0, wander_ppm_per_sqrt_s=-1e-3,
                         temp_coeff_ppm_per_k=0.0)
+
+
+# Draw scales and delays that numpy would have rejected lazily, or that
+# would have yielded NaN or never-arriving packets.
+_BAD_PATH_ARGS = [
+    ("base_delay", float("nan")),
+    ("base_delay", float("inf")),
+    ("base_delay", -1e-3),
+    ("queue_mean", float("nan")),
+    ("queue_mean", -1e-3),
+    ("queue_shape", float("nan")),
+    ("queue_shape", 0.0),
+    ("spike_scale", float("nan")),
+    ("spike_scale", -0.1),
+]
+
+
+@pytest.mark.parametrize("name, value", _BAD_PATH_ARGS)
+def test_bad_path_parameter_rejected_at_construction(name, value):
+    with pytest.raises(ValueError, match=name):
+        PathModel(np.random.default_rng(0), **{name: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_bad_processing_delay_rejected_at_construction(value):
+    with pytest.raises(ValueError, match="processing_delay"):
+        ServerConfig(name="s1", processing_delay=value)
+
+
+@pytest.mark.parametrize("name", ["mean_gap_s", "mean_duration_s"])
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_bad_cross_traffic_scale_rejected_at_construction(name, value):
+    with pytest.raises(ValueError, match=name):
+        CrossTrafficParams(**{name: value})

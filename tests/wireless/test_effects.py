@@ -104,3 +104,48 @@ def test_effects_params_are_frozen():
     effects = ChannelEffects(_fixed_channel(), np.random.default_rng(6))
     with pytest.raises(dataclasses.FrozenInstanceError):
         effects.params.base_jitter_s = 1.0
+
+
+@pytest.mark.parametrize("occupancy_lifts_noise", [True, False])
+def test_error_probability_cache_tracks_ticks_downloads_and_tx_power(occupancy_lifts_noise):
+    """The cached per-attempt error probability always equals the value
+    computed afresh from the current hints and occupancy: across channel
+    ticks, download starts and ends, and tx power changes.  Without an
+    occupancy source on the channel a download leaves the hints as they
+    are, so the occupancy must key the cache too."""
+    sim = Simulator(seed=7)
+    ch = WirelessChannel(ChannelParams(), np.random.default_rng(8), now_fn=lambda: sim.now)
+    xt = CrossTrafficGenerator(sim, CrossTrafficParams(mean_gap_s=20.0, mean_duration_s=10.0))
+    if occupancy_lifts_noise:
+        ch.occupancy_fn = xt.occupancy
+    effects = ChannelEffects(ch, np.random.default_rng(9), cross_traffic=xt)
+    uncached = effects._per_attempt_error_prob
+    computed = []
+
+    def counted(margin_db, occupancy):
+        computed.append(margin_db)
+        return uncached(margin_db, occupancy)
+
+    effects._per_attempt_error_prob = counted
+    # Per packet: (hints object, occupancy, tx power) after sampling.
+    states = []
+
+    def packet():
+        if len(states) % 37 == 36:
+            ch.set_tx_power(-10.0 - (len(states) // 37) % 5)
+        effects.sample()
+        hints = ch.read_hints()
+        assert effects._err == uncached(hints.snr_margin_db, xt.occupancy())
+        states.append((hints, xt.occupancy(), ch.tx_power_dbm))
+        sim.call_after(0.25, packet)
+
+    xt.start()
+    sim.call_after(0.0, packet)
+    sim.run_until(300.0)
+    steps = list(zip(states, states[1:]))
+    assert any(a[1] < b[1] for a, b in steps)  # a download started
+    assert any(a[1] > b[1] for a, b in steps)  # a download ended
+    assert any(a[2] != b[2] for a, b in steps)  # the tx power changed
+    assert any(a[0] is not b[0] and a[1:] == b[1:] for a, b in steps)  # a tick
+    # Packets within one tick reuse the value.
+    assert len(computed) < len(states) / 2
