@@ -55,13 +55,22 @@ if [[ "${1:-}" != "--fast" ]]; then
     python -m pytest perfbench -q
 
     echo "== scenario matrix gate (smoke tier)"
-    # Runs the smoke-tagged specs under scenarios/ through the
-    # fault-tolerant matrix runner (chaos smoke matrix + wired
-    # baseline) and judges each against its embedded SloSpec
-    # guarantees (chaos_smoke: smoke_spec() with no Minimal tier, so
-    # any out-of-fault violation fails the gate).  Exit 1 on any
-    # hard-failed spec; see docs/SCENARIO_SPECS.md.
-    python -m repro.cli matrix scenarios --smoke
+    # Runs the smoke-tagged specs under scenarios/ through the matrix
+    # runner, one worker process per spec with a per-spec deadline
+    # (chaos smoke matrix + wired baseline), and judges each finished
+    # run against its embedded SloSpec guarantees (chaos_smoke:
+    # smoke_spec() with no Minimal tier, so any out-of-fault violation
+    # fails the gate).  Exit 1 on any hard-failed spec; see
+    # docs/SCENARIO_SPECS.md.  The report must not depend on the
+    # worker count, so it runs at --jobs 1 and --jobs 2 and the two
+    # reports must be byte-identical.
+    matrix_dir="$(mktemp -d)"
+    trap 'rm -rf "$matrix_dir"' EXIT
+    python -m repro.cli matrix scenarios --smoke --json --jobs 1 \
+        > "$matrix_dir/jobs1.json"
+    python -m repro.cli matrix scenarios --smoke --json --jobs 2 \
+        > "$matrix_dir/jobs2.json"
+    cmp "$matrix_dir/jobs1.json" "$matrix_dir/jobs2.json"
 fi
 
 echo "== all checks passed"

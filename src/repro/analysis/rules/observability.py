@@ -220,7 +220,7 @@ _HEALTH_MODULE = "repro.obs.health"
 #: Health names whose import (e.g. via the ``repro.obs`` facade) also
 #: marks the importer as health-checking code.
 _HEALTH_IMPORT_NAMES = frozenset({
-    "SloSpec", "HealthMonitor", "smoke_spec", "replay_health",
+    "SloSpec", "HealthMonitor", "smoke_spec", "judge_health",
     "recovered_transitions", "render_health_text",
 })
 

@@ -92,11 +92,6 @@ class FaultInjector:
 
         def begin() -> None:
             self._episodes_started.inc()
-            health = getattr(self._sim, "health", None)
-            if health is not None:
-                # The run-health monitor annotates SLO transitions that
-                # happen inside a fault window (or its grace period).
-                health.fault_begin(self._sim.now)
             state["span"] = self._sim.telemetry.spans.begin(
                 "fault.episode",
                 fault=episode.kind.value,
@@ -111,9 +106,6 @@ class FaultInjector:
             span = state["span"]
             if span is not None:
                 span.end()
-            health = getattr(self._sim, "health", None)
-            if health is not None:
-                health.fault_end(self._sim.now)
 
         self._sim.call_at(episode.start, begin, label="fault:begin")
         self._sim.call_at(episode.end, end, label="fault:end")

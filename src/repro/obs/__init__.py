@@ -64,9 +64,9 @@ from repro.obs.health import (
     HEALTH_STATES,
     HealthMonitor,
     SloSpec,
+    judge_health,
     recovered_transitions,
     render_health_text,
-    replay_health,
     smoke_spec,
 )
 from repro.obs.diff import (
@@ -124,9 +124,9 @@ __all__ = [
     "HEALTH_STATES",
     "HealthMonitor",
     "SloSpec",
+    "judge_health",
     "recovered_transitions",
     "render_health_text",
-    "replay_health",
     "smoke_spec",
     "DIFF_FORMAT",
     "coerce_snapshot",

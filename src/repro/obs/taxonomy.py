@@ -13,8 +13,7 @@ from __future__ import annotations
 
 #: Subsystems allowed to own span kinds (the prefix before the dot).
 SPAN_SUBSYSTEMS = frozenset(
-    {"sim", "mntp", "sntp", "link", "server", "channel", "tuner", "fault",
-     "health"}
+    {"sim", "mntp", "sntp", "link", "server", "channel", "tuner", "fault"}
 )
 
 #: Every registered span kind.  Emitting an unregistered kind from a
@@ -33,7 +32,6 @@ SPAN_KINDS = frozenset(
         "tuner.tune",
         "tuner.eval",
         "fault.episode",
-        "health.transition",
     }
 )
 

@@ -106,9 +106,6 @@ class Simulator:
         trace: Structured log of component events (optional use).
         telemetry: Metrics/span bundle on this simulator's virtual
             clock, sharing :attr:`trace` (see :mod:`repro.obs`).
-        health: Optional :class:`repro.obs.health.HealthMonitor`
-            attached by the run loop; fault injectors notify it of
-            episode windows when present.
         datagram_ids: Per-run datagram ident sequence; network senders
             allocate from here so trace records carry run-local idents
             and same-seed runs stay byte-identical within one process.
@@ -145,7 +142,6 @@ class Simulator:
         self._events_total = self.telemetry.metrics.counter(
             "sim_events_total", "events executed by the simulator loop"
         )
-        self.health: Optional[Any] = None
         self._running = False
 
     # -- scheduling ------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,9 +99,15 @@ class ExperimentResult:
     Attributes:
         sntp: Offsets reported by the unmodified SNTP client.
         sntp_failures: Count of SNTP queries with no usable response.
+        sntp_failure_times: Virtual time of each such failure; None on
+            archives written before failure times were recorded.
         mntp_reports: Every MNTP report (accepted and rejected).
         true_offsets: Ground-truth TN clock offsets on the cadence.
         duration: Virtual seconds simulated.
+        fault_windows: ``(start, end)`` of every episode of the run's
+            fault schedule, in schedule order (an episode may end after
+            ``duration``); None on archives written before they were
+            recorded.
         telemetry: Frozen :meth:`repro.obs.Telemetry.snapshot` of the
             run (metrics + trace/span records); None for results built
             outside :class:`ExperimentRunner`.
@@ -109,19 +115,22 @@ class ExperimentResult:
             archived runs (see :mod:`repro.obs.explain`); None on live
             results — call :func:`repro.obs.explain_run` on
             ``telemetry`` instead.
-        health: The ``mntp-health-report-v1`` verdict of the run's
-            :class:`repro.obs.health.HealthMonitor`; None when the run
-            was not health-monitored.
+
+    :func:`repro.obs.health.judge_health` judges a run's health from
+    these fields after the run.
     """
 
     sntp: List[OffsetPoint] = field(default_factory=list)
     sntp_failures: int = 0
+    sntp_failure_times: Optional[List[float]] = field(default_factory=list)
     mntp_reports: List[MntpReport] = field(default_factory=list)
     true_offsets: List[OffsetPoint] = field(default_factory=list)
     duration: float = 0.0
+    fault_windows: Optional[List[Tuple[float, float]]] = field(
+        default_factory=list
+    )
     telemetry: Optional[Dict[str, Any]] = None
     explain: Optional[Dict[str, Any]] = None
-    health: Optional[Dict[str, Any]] = None
 
     # -- derived series --------------------------------------------------
 
@@ -212,14 +221,6 @@ class ExperimentRunner:
         sample_truth: Whether to sample ground-truth clock offsets.
         instrument: ``False`` runs with no-op telemetry (the ``bare``
             leg of ``perfbench/``).
-        health_spec: When given, a streaming
-            :class:`repro.obs.health.HealthMonitor` with these SLO
-            thresholds watches the run and its ``mntp-health-report-v1``
-            verdict lands on :attr:`ExperimentResult.health`.
-        on_health: Optional callback invoked with every periodic health
-            evaluation row (``run --watch`` prints these); implies
-            monitoring with the default spec when ``health_spec`` is
-            omitted.
     """
 
     def __init__(
@@ -232,8 +233,6 @@ class ExperimentRunner:
         mntp_config: Optional[MntpConfig] = None,
         sample_truth: bool = True,
         instrument: bool = True,
-        health_spec: Optional[Any] = None,
-        on_health: Optional[Any] = None,
     ) -> None:
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -247,21 +246,21 @@ class ExperimentRunner:
         self.mntp_config = mntp_config
         self.sample_truth = sample_truth
         self.instrument = instrument
-        self.health_spec = health_spec
-        self.on_health = on_health
         self.sim: Optional[Simulator] = None
         self.testbed: Optional[Testbed] = None
         self.mntp: Optional[Mntp] = None
-        self.health_monitor: Optional[Any] = None
 
     def run(self) -> ExperimentResult:
         """Build the testbed, run the protocols, return the series."""
         sim = Simulator(seed=self.seed, instrument=self.instrument)
         testbed = Testbed(sim, self.options)
         self.sim, self.testbed = sim, testbed
-        result = ExperimentResult(duration=self.duration)
+        schedule = self.options.fault_schedule or ()
+        result = ExperimentResult(
+            duration=self.duration,
+            fault_windows=[(e.start, e.end) for e in schedule],
+        )
 
-        monitor = self._start_health_monitor(sim)
         if self.run_sntp:
             self._start_sntp_loop(sim, testbed, result)
         if self.mntp_config is not None:
@@ -272,12 +271,6 @@ class ExperimentRunner:
                 # exact rather than interpolated.
                 report.truth = testbed.tn_clock.true_offset()
                 result.mntp_reports.append(report)
-                if monitor is not None and report.accepted:
-                    monitor.observe_exchange(
-                        sim.now, "tn-mntp", True,
-                        offset_s=report.offset,
-                        error_s=report.offset + report.truth,
-                    )
 
             self.mntp = Mntp(
                 sim=sim,
@@ -296,11 +289,6 @@ class ExperimentRunner:
         testbed.stop_background()
         if self.mntp is not None:
             self.mntp.stop()
-        if monitor is not None:
-            # Final evaluation at the horizon (the recurring tick only
-            # fires strictly inside the run), then freeze the verdict.
-            monitor.evaluate(self.duration)
-            result.health = monitor.report()
         # Close spans of work still in flight at the horizon (open
         # exchanges, link transits, interference episodes) so the causal
         # assembler sees every tree the run started.
@@ -309,31 +297,6 @@ class ExperimentRunner:
         return result
 
     # -- loops -----------------------------------------------------------------
-
-    def _start_health_monitor(self, sim: Simulator):
-        """Attach a streaming health monitor when the run asked for one."""
-        if self.health_spec is None and self.on_health is None:
-            return None
-        from repro.obs.health import HealthMonitor
-
-        monitor = HealthMonitor(
-            spec=self.health_spec, telemetry=sim.telemetry
-        )
-        self.health_monitor = monitor
-        sim.health = monitor  # fault injectors notify episode windows
-        interval = monitor.spec.eval_interval_s
-        on_health = self.on_health
-
-        def tick() -> None:
-            if sim.now >= self.duration:
-                return
-            row = monitor.evaluate(sim.now)
-            if on_health is not None:
-                on_health(row)
-            sim.call_after(interval, tick, label="health:tick")
-
-        sim.call_after(interval, tick, label="health:tick")
-        return monitor
 
     def _start_sntp_loop(
         self, sim: Simulator, testbed: Testbed, result: ExperimentResult
@@ -346,7 +309,8 @@ class ExperimentRunner:
             "SNTP queries with no usable response (timeout or KoD)",
         )
 
-        monitor = self.health_monitor
+        failure_times: List[float] = []
+        result.sntp_failure_times = failure_times
 
         def poll() -> None:
             if sim.now >= self.duration:
@@ -359,17 +323,10 @@ class ExperimentRunner:
                     result.sntp.append(
                         OffsetPoint(sim.now, res.sample.offset, truth)
                     )
-                    if monitor is not None:
-                        monitor.observe_exchange(
-                            sim.now, "tn-sntp", True,
-                            offset_s=res.sample.offset,
-                            error_s=res.sample.offset + truth,
-                        )
                 else:
                     result.sntp_failures += 1
+                    failure_times.append(sim.now)
                     failures.inc()
-                    if monitor is not None:
-                        monitor.observe_exchange(sim.now, "tn-sntp", False)
 
             queries.inc()
             testbed.sntp_app.query("0.pool.ntp.org", on_result)

@@ -1,27 +1,19 @@
-"""Fault-tolerant matrix runner over a directory of scenario specs.
+"""Matrix runner over a directory of scenario specs.
 
 Executes every :class:`~repro.testbed.specs.ScenarioSpec` JSON file in
 a directory, each in its own worker process, and aggregates the
 per-spec Success/Minimal-tier judgements into one deterministic
-``mntp-matrix-report-v1`` document.
+``mntp-matrix-report-v1`` document.  A worker that dies or hangs costs
+exactly its own spec, never the matrix:
 
-The runner is built to survive hostile specs — attack-style scenarios
-deliberately starve clients, and a worker that dies or hangs must cost
-exactly one spec, never the matrix:
-
-* **Isolation** — one ``multiprocessing.Process`` per spec attempt
-  with a one-way pipe back; a worker that exits without reporting
-  marks its spec ``crashed`` and the matrix continues.
+* **Isolation** — one ``multiprocessing.Process`` per spec with a
+  one-way pipe back; a worker that exits without reporting marks its
+  spec ``crashed``, and one that raises marks it ``error``.
 * **Timeouts** — a worker that stays silent past the per-spec deadline
   is terminated and its spec marked ``timeout``.
-* **Bounded retry** — ``crashed``/``timeout``/``error`` outcomes are
-  retried up to ``retries`` times with deterministic exponential
-  backoff; guarantee failures (``failed``) are final, since the
-  simulation is deterministic per seed.
-* **Graceful degradation** — when worker processes cannot be spawned
-  at all (sandboxes, restricted environments), the affected spec runs
-  serially in-process; ``MatrixOptions(serial=True)`` forces that mode
-  (timeouts and crash isolation are then unenforceable).
+
+Nothing is retried: every spec is a deterministic simulation for its
+seed, so a second attempt would replay the same outcome.
 
 Determinism: the report never mentions worker counts, wall-clock
 times, or completion order — per-spec entries are sorted by name,
@@ -46,17 +38,13 @@ from repro.testbed.specs import ScenarioSpec, load_spec, run_spec
 #: Format tag of the aggregated report document.
 MATRIX_FORMAT = "mntp-matrix-report-v1"
 
-#: Statuses that are retried (transient/runner-side); guarantee
-#: failures are deterministic and final.
-RETRYABLE_STATUSES = frozenset({"crashed", "timeout", "error"})
-
 #: Statuses that hard-fail the matrix (rc 1 in the CLI/CI gate).
 HARD_FAIL_STATUSES = frozenset(
     {"failed", "crashed", "timeout", "error", "invalid"}
 )
 
-#: A worker callable: (spec JSON, seed, attempt) -> outcome payload.
-Worker = Callable[[str, int, int], Dict[str, Any]]
+#: A worker callable: (spec JSON, seed) -> outcome payload.
+Worker = Callable[[str, int], Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -68,22 +56,14 @@ class MatrixOptions:
         jobs: Worker processes running concurrently.
         timeout_s: Per-spec deadline; a silent worker past it is
             terminated and the spec marked ``timeout``.
-        retries: Extra attempts after a retryable outcome.
-        backoff_s: Base of the deterministic exponential backoff
-            between attempts (``backoff_s * 2**attempt``).
         tags: When non-empty, only specs carrying every listed tag run
             (the CLI's ``--smoke`` is ``tags=("smoke",)``).
-        serial: Run specs in-process instead of worker processes
-            (degraded mode: timeouts and crash isolation unenforced).
     """
 
     seed: int = 0
     jobs: int = 2
     timeout_s: float = 600.0
-    retries: int = 1
-    backoff_s: float = 0.05
     tags: Tuple[str, ...] = ()
-    serial: bool = False
 
     def __post_init__(self) -> None:
         """Validate the knob ranges."""
@@ -93,13 +73,9 @@ class MatrixOptions:
         # would never kill a hung worker.
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ValueError("timeout_s must be a positive finite number")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
-            raise ValueError("backoff_s must be a finite number >= 0")
 
 
-def _execute_spec(spec_json: str, seed: int, attempt: int) -> Dict[str, Any]:
+def _execute_spec(spec_json: str, seed: int) -> Dict[str, Any]:
     """Default worker: run one spec and return its judged outcome.
 
     Module-level so it pickles under any multiprocessing start method;
@@ -127,16 +103,14 @@ def _execute_spec(spec_json: str, seed: int, attempt: int) -> Dict[str, Any]:
     }
 
 
-def _worker_main(
-    conn: Any, worker: Worker, spec_json: str, seed: int, attempt: int
-) -> None:
+def _worker_main(conn: Any, worker: Worker, spec_json: str, seed: int) -> None:
     """Child-process entry: run the worker, ship the outcome, exit.
 
     Any exception is reported as an ``error`` message rather than a
-    traceback on stderr, so the parent owns the retry decision.
+    traceback on stderr, so the parent records it against the spec.
     """
     try:
-        outcome = worker(spec_json, seed, attempt)
+        outcome = worker(spec_json, seed)
         conn.send(("ok", outcome))
     except Exception as exc:  # any spec failure must reach the parent
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -147,7 +121,6 @@ def _worker_main(
 def _entry(
     name: str,
     status: str,
-    attempts: int,
     error: Optional[str] = None,
     outcome: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
@@ -156,7 +129,6 @@ def _entry(
     return {
         "name": name,
         "status": status,
-        "attempts": attempts,
         "error": error,
         "guarantees": outcome.get("guarantees"),
         "minimal_guarantees": outcome.get("minimal_guarantees"),
@@ -184,11 +156,11 @@ def discover_specs(
         try:
             spec = load_spec(path)
         except ValueError as exc:
-            invalid.append(_entry(stem, "invalid", 0, error=str(exc)))
+            invalid.append(_entry(stem, "invalid", error=str(exc)))
             continue
         if spec.name in specs:
             invalid.append(_entry(
-                stem, "invalid", 0,
+                stem, "invalid",
                 error=f"{path}: duplicate spec name {spec.name!r} "
                 f"(also defined by {first_file[spec.name]})",
             ))
@@ -202,107 +174,52 @@ def discover_specs(
     return selected, invalid
 
 
-def _run_attempt_serial(
-    spec: ScenarioSpec, options: MatrixOptions, worker: Worker, attempt: int
-) -> Tuple[str, Any]:
-    """One in-process attempt (degraded mode / spawn-failure fallback)."""
-    try:
-        return "ok", worker(spec.to_json(), options.seed, attempt)
-    except Exception as exc:  # parity with _worker_main's contract
-        return "error", f"{type(exc).__name__}: {exc}"
-
-
-def _finalize(
-    kind: str, payload: Any, name: str, attempts: int
-) -> Dict[str, Any]:
-    """Fold a worker message into a final report entry."""
-    if kind == "ok":
-        return _entry(name, payload["status"], attempts, outcome=payload)
-    return _entry(name, kind, attempts, error=str(payload))
-
-
-def _run_serial(
-    specs: List[ScenarioSpec], options: MatrixOptions, worker: Worker
-) -> Dict[str, Dict[str, Any]]:
-    """Serial execution with the same retry policy as the pool."""
-    entries: Dict[str, Dict[str, Any]] = {}
-    for spec in specs:
-        for attempt in range(options.retries + 1):
-            kind, payload = _run_attempt_serial(spec, options, worker,
-                                                attempt)
-            if kind == "ok" or attempt == options.retries:
-                entries[spec.name] = _finalize(kind, payload, spec.name,
-                                               attempt + 1)
-                break
-    return entries
+def _reap(proc: Any) -> None:
+    """Join a finished or terminated worker, killing it if it lingers."""
+    proc.join(10.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(10.0)
 
 
 def _run_pool(
     specs: List[ScenarioSpec], options: MatrixOptions, worker: Worker
 ) -> Dict[str, Dict[str, Any]]:
-    """Process-pool execution with crash isolation and deadlines."""
+    """Run each spec in its own worker process, ``jobs`` at a time."""
     ctx = multiprocessing.get_context()
     entries: Dict[str, Dict[str, Any]] = {}
-    # (spec, attempt, not-before wall time); ready_at implements the
-    # deterministic inter-attempt backoff.
-    queue: deque = deque((spec, 0, 0.0) for spec in specs)
+    queue = deque(specs)
     active: Dict[str, Dict[str, Any]] = {}
 
-    def resolve(name: str, kind: str, payload: Any, attempt: int) -> None:
-        """Finalize or requeue one finished attempt."""
-        spec = active.pop(name)["spec"]
-        if kind != "ok" and attempt < options.retries:
-            ready_at = time.monotonic() + options.backoff_s * (2 ** attempt)
-            queue.append((spec, attempt + 1, ready_at))
-            return
-        entries[name] = _finalize(kind, payload, name, attempt + 1)
+    def finish(name: str, status: str, payload: Any) -> None:
+        """Record one spec's final report entry."""
+        active.pop(name)["conn"].close()
+        if status == "ok":
+            entries[name] = _entry(name, payload["status"], outcome=payload)
+        else:
+            entries[name] = _entry(name, status, error=str(payload))
 
     while queue or active:
-        now = time.monotonic()
-        # Launch as many ready specs as the job cap allows.
-        for _ in range(len(queue)):
-            if len(active) >= options.jobs:
-                break
-            spec, attempt, ready_at = queue.popleft()
-            if ready_at > now and queue:
-                queue.append((spec, attempt, ready_at))
-                continue
-            if ready_at > now:
-                time.sleep(ready_at - now)
-            try:
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn, worker, spec.to_json(), options.seed,
-                          attempt),
-                )
-                proc.start()
-            except (OSError, PermissionError, NotImplementedError):
-                # Cannot spawn workers here: degrade this spec to a
-                # serial in-process attempt and keep going.
-                kind, payload = _run_attempt_serial(spec, options, worker,
-                                                    attempt)
-                active[spec.name] = {"spec": spec}
-                resolve(spec.name, kind, payload, attempt)
-                continue
+        while queue and len(active) < options.jobs:
+            spec = queue.popleft()
+            parent_conn, child_conn = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(child_conn, worker, spec.to_json(), options.seed),
+            )
+            proc.start()
             child_conn.close()
             active[spec.name] = {
-                "spec": spec,
                 "proc": proc,
                 "conn": parent_conn,
-                "attempt": attempt,
                 "deadline": time.monotonic() + options.timeout_s,
             }
-        if not active:
-            # Everything queued is holding its backoff; wait it out
-            # instead of spinning.
-            time.sleep(0.01)
-            continue
         multiprocessing.connection.wait(
             [state["conn"] for state in active.values()], 0.05
         )
         for name in list(active):
             state = active[name]
+            proc = state["proc"]
             message = None
             if state["conn"].poll():
                 try:
@@ -310,30 +227,20 @@ def _run_pool(
                 except (EOFError, OSError):
                     message = None
             if message is not None:
-                state["proc"].join(10.0)
-                if state["proc"].is_alive():
-                    state["proc"].kill()
-                    state["proc"].join(10.0)
-                resolve(name, message[0], message[1], state["attempt"])
-            elif not state["proc"].is_alive():
-                state["proc"].join(10.0)
-                resolve(
+                _reap(proc)
+                finish(name, message[0], message[1])
+            elif not proc.is_alive():
+                _reap(proc)
+                finish(
                     name, "crashed",
                     "worker exited without reporting "
-                    f"(exit code {state['proc'].exitcode})",
-                    state["attempt"],
+                    f"(exit code {proc.exitcode})",
                 )
             elif time.monotonic() >= state["deadline"]:
-                state["proc"].terminate()
-                state["proc"].join(10.0)
-                if state["proc"].is_alive():
-                    state["proc"].kill()
-                    state["proc"].join(10.0)
-                resolve(
-                    name, "timeout",
-                    f"no result within {options.timeout_s:g}s",
-                    state["attempt"],
-                )
+                proc.terminate()
+                _reap(proc)
+                finish(name, "timeout",
+                       f"no result within {options.timeout_s:g}s")
     return entries
 
 
@@ -372,14 +279,11 @@ def run_matrix(
         directory: Directory of ``.json`` spec files.
         options: Execution knobs (see :class:`MatrixOptions`).
         worker: Override of the per-spec worker callable — the test
-            hook for injecting crashing/hanging/flaky workers.
+            hook for injecting crashing/hanging/raising workers.
     """
     worker = worker if worker is not None else _execute_spec
     specs, invalid = discover_specs(directory, tags=options.tags)
-    if options.serial:
-        entries = _run_serial(specs, options, worker)
-    else:
-        entries = _run_pool(specs, options, worker)
+    entries = _run_pool(specs, options, worker)
     for entry in invalid:
         entries[entry["name"]] = entry
     ordered = [entries[name] for name in sorted(entries)]
@@ -401,7 +305,6 @@ def _aggregate(
         "format": MATRIX_FORMAT,
         "seed": options.seed,
         "timeout_s": options.timeout_s,
-        "retries": options.retries,
         "tags": list(options.tags),
         "specs": ordered,
         "counts": {status: counts[status] for status in sorted(counts)},
@@ -431,7 +334,6 @@ def render_matrix_text(report: Dict[str, Any]) -> str:
         rows.append([
             entry["name"],
             entry["status"],
-            entry["attempts"],
             guarantees.get("verdict", "n/a"),
             cell("p99_abs_error_ms", ".1f"),
             cell("drop_rate_ratio", ".2f"),
@@ -439,7 +341,7 @@ def render_matrix_text(report: Dict[str, Any]) -> str:
             entry.get("error") or "",
         ])
     lines = [render_table(
-        ["spec", "status", "attempts", "verdict", "worst p99 (ms)",
+        ["spec", "status", "verdict", "worst p99 (ms)",
          "worst drop", "worst starv (s)", "error"],
         rows,
     )]

@@ -29,12 +29,15 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
     ``repro-mntp trace`` / ``repro-mntp metrics``; a compact
     root-cause report (``repro.obs.explain``) is embedded under
     ``"explain"`` so archives answer "why was this run noisy?"
-    without re-assembly.
+    without re-assembly.  SNTP failure times and fault windows ride
+    along so ``repro-mntp health`` can judge the archive.
     """
     out = {
         "format": FORMAT,
         "duration": result.duration,
         "sntp_failures": result.sntp_failures,
+        "sntp_failure_times": result.sntp_failure_times,
+        "fault_windows": result.fault_windows,
         "sntp": [_point(p) for p in result.sntp],
         "true_offsets": [_point(p) for p in result.true_offsets],
         "mntp_reports": [_report(r) for r in result.mntp_reports],
@@ -44,25 +47,36 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
         out["explain"] = explain_run(
             result.telemetry, samples=result.offset_samples()
         ).to_dict(worst_n=_EXPLAIN_WORST_N)
-    if result.health is not None:
-        out["health"] = result.health
     return out
 
 
 def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
-    """Rebuild a result from :func:`result_to_dict` output."""
+    """Rebuild a result from :func:`result_to_dict` output.
+
+    An archive written before failure times and fault windows were
+    recorded loads with those fields None.
+    """
     if data.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
+    failure_times = data.get("sntp_failure_times")
+    windows = data.get("fault_windows")
     result = ExperimentResult(
         duration=float(data["duration"]),
         sntp_failures=int(data.get("sntp_failures", 0)),
+        sntp_failure_times=(
+            None if failure_times is None
+            else [float(t) for t in failure_times]
+        ),
+        fault_windows=(
+            None if windows is None
+            else [(float(start), float(end)) for start, end in windows]
+        ),
     )
     result.sntp = [_point_from(d) for d in data.get("sntp", [])]
     result.true_offsets = [_point_from(d) for d in data.get("true_offsets", [])]
     result.mntp_reports = [_report_from(d) for d in data.get("mntp_reports", [])]
     result.telemetry = data.get("telemetry")
     result.explain = data.get("explain")
-    result.health = data.get("health")
     return result
 
 

@@ -12,11 +12,11 @@ Guarantees come in two tiers, after boardfarm-bdd's Success/Minimal
 Guarantee rule:
 
 * ``guarantees`` — the Success tier.  The run is judged healthy only
-  when its :class:`~repro.obs.health.HealthMonitor` verdict against
-  this spec is not ``violated``.
+  when its :func:`~repro.obs.health.judge_health` verdict against this
+  spec is not ``violated``.
 * ``minimal_guarantees`` — the optional Minimal tier.  When the
-  Success tier is violated, the archived telemetry is replayed against
-  this (laxer) spec; holding it downgrades the outcome to ``minimal``
+  Success tier is violated, the same result is judged against this
+  (laxer) spec; holding it downgrades the outcome to ``minimal``
   instead of a hard ``failed``.
 
 Validation mirrors ``SloSpec``: unknown keys are rejected at every
@@ -38,7 +38,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clock.temperature import (
     ConstantTemperature,
@@ -49,16 +49,12 @@ from repro.clock.temperature import (
 from repro.core.config import HintThresholds, MntpConfig
 from repro.faults.schedule import FaultEpisode, FaultSchedule
 from repro.ntp.sntp_client import HardeningPolicy
-from repro.obs.health import HealthMonitor, SloSpec, replay_health
+from repro.obs.health import SloSpec, judge_health
 from repro.testbed.experiment import ExperimentResult, ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 
 #: Format tag carried by every spec document.
 SPEC_FORMAT = "mntp-scenario-spec-v1"
-
-#: Default of :meth:`ScenarioSpec.build_runner`'s ``health_spec``:
-#: monitor against the spec's own Success-tier guarantees.
-_GUARANTEES: Any = object()
 
 #: Judgement statuses in tier order; ``success`` and ``minimal`` keep
 #: the matrix green, everything else is a hard failure.
@@ -365,11 +361,11 @@ class ScenarioSpec:
         hardening: Optional robustness policy for the MNTP app's SNTP
             client.
         faults: Optional fault episodes to inject; None runs benign.
-        guarantees: Success-tier :class:`SloSpec`; the run's streaming
-            health verdict against it decides ``success``.
+        guarantees: Success-tier :class:`SloSpec`; the run's health
+            verdict against it decides ``success``.
         minimal_guarantees: Optional Minimal-tier :class:`SloSpec`;
-            judged by replay when the Success tier is violated, and
-            deciding ``minimal`` vs the hard-fail ``failed``.
+            judged when the Success tier is violated, and deciding
+            ``minimal`` vs the hard-fail ``failed``.
         tags: Free-form labels; the matrix CLI's ``--smoke`` selects
             specs tagged ``"smoke"``.
     """
@@ -512,20 +508,20 @@ class ScenarioSpec:
         )
 
     def build_runner(
-        self,
-        seed: int = 0,
-        on_health: Optional[Callable[[Dict[str, Any]], None]] = None,
-        health_spec: Any = _GUARANTEES,
+        self, seed: int = 0, health_spec: None = None
     ) -> ExperimentRunner:
         """An :class:`ExperimentRunner` for this spec.
 
-        ``health_spec`` is the :class:`SloSpec` the run is monitored
-        against; by default the Success-tier guarantees, and None runs
-        unmonitored (unless ``on_health`` is given, which implies the
-        default spec).
+        The runner never judges the run: :func:`judge_result` (or
+        :func:`~repro.obs.health.judge_health`) judges its result
+        afterwards.  ``health_spec`` is accepted only as None, the value
+        that asked for an unjudged run.
         """
-        if health_spec is _GUARANTEES:
-            health_spec = self.guarantees
+        if health_spec is not None:
+            raise TypeError(
+                "runs are judged after they finish: pass the result to "
+                "repro.obs.judge_health"
+            )
         return ExperimentRunner(
             seed=seed,
             options=self.build_options(),
@@ -533,8 +529,6 @@ class ScenarioSpec:
             sntp_cadence=self.cadence_s,
             run_sntp=self.run_sntp,
             mntp_config=self.mntp,
-            health_spec=health_spec,
-            on_health=on_health,
         )
 
 
@@ -620,30 +614,15 @@ def load_scenario(name: str) -> ScenarioSpec:
     return load_spec(os.path.join(SCENARIO_DIR, f"{name}.json"))
 
 
-def run_scenario(
-    name: str,
-    seed: int = 0,
-    health_spec: Optional[SloSpec] = None,
-    on_health: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> ExperimentResult:
+def run_scenario(name: str, seed: int = 0) -> ExperimentResult:
     """Run the named scenario ``scenarios/<name>.json``.
 
     Args:
         name: One of :func:`scenario_names`; anything else raises
             :class:`KeyError` (see :func:`load_scenario`).
         seed: Root seed for the run.
-        health_spec: Optional :class:`~repro.obs.health.SloSpec`;
-            attaches a streaming health monitor whose verdict lands on
-            the result's ``health`` field.  The spec's own guarantees
-            are not applied here (``run_spec`` judges those).
-        on_health: Optional per-evaluation callback (``run --watch``);
-            implies monitoring with the default spec.
     """
-    return load_scenario(name).build_runner(
-        seed=seed,
-        on_health=on_health,
-        health_spec=health_spec,
-    ).run()
+    return load_scenario(name).build_runner(seed=seed).run()
 
 
 # -- execution + judging ---------------------------------------------------
@@ -657,24 +636,16 @@ def judge_result(
     Returns a dict with ``status`` (one of
     :data:`JUDGEMENT_STATUSES`), the Success-tier ``guarantees`` health
     report, and — when the Minimal tier was consulted — its
-    ``minimal_guarantees`` report (None otherwise).
+    ``minimal_guarantees`` report (None otherwise).  Both tiers are
+    judged by :func:`~repro.obs.health.judge_health`, which raises
+    ``ValueError`` for a result that lacks what it reads.
     """
-    guarantees = result.health
-    if guarantees is None:
-        raise ValueError(
-            "result carries no health verdict; run it through "
-            "ScenarioSpec.build_runner so the monitor is attached"
-        )
+    guarantees, _rows = judge_health(result, spec.guarantees)
     minimal: Optional[Dict[str, Any]] = None
     if guarantees["verdict"] != "violated":
         status = "success"
-    elif spec.minimal_guarantees is not None and result.telemetry is not None:
-        monitor: HealthMonitor = replay_health(
-            result.telemetry,
-            samples=result.offset_samples(),
-            spec=spec.minimal_guarantees,
-        )
-        minimal = monitor.report()
+    elif spec.minimal_guarantees is not None:
+        minimal, _rows = judge_health(result, spec.minimal_guarantees)
         status = "minimal" if minimal["verdict"] != "violated" else "failed"
     else:
         status = "failed"

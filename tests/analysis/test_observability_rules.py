@@ -171,6 +171,14 @@ def test_slo_literal_flagged_via_obs_facade_import():
     assert [f.rule for f in obs004_for(src, "repro.cli")] == ["OBS004"]
 
 
+def test_slo_literal_flagged_in_judge_importer():
+    src = (
+        "from repro.obs import judge_health\n"
+        "def f(p99_abs_error_ms):\n    return p99_abs_error_ms > 25.0\n"
+    )
+    assert [f.rule for f in obs004_for(src, "repro.testbed.specs")] == ["OBS004"]
+
+
 def test_obs004_out_of_scope_without_health_import():
     src = "def f(timeout_s):\n    return timeout_s > 30.0\n"
     assert obs004_for(src, "repro.net.link") == []

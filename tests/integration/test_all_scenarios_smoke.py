@@ -19,7 +19,7 @@ def test_scenario_smoke(name):
         spec,
         duration_s=min(spec.duration_s, 180.0),
         cadence_s=min(spec.cadence_s, 5.0),
-    ).build_runner(seed=7, health_spec=None)
+    ).build_runner(seed=7)
     result = runner.run()
     if spec.run_sntp:
         assert result.sntp or result.sntp_failures  # traffic flowed

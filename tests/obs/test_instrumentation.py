@@ -115,13 +115,11 @@ def test_tuner_search_spans_and_counter():
 
 
 def test_telemetry_never_changes_the_simulation():
-    """A bare run and a fully instrumented, monitored run agree exactly.
+    """A bare run and a fully instrumented run agree exactly.
 
     Runners are built from the spec's fields (as ``perfbench`` does) so
-    the bare leg can switch telemetry off; the instrumented leg also
-    attaches the streaming health monitor with the default SLO spec.
+    the bare leg can switch telemetry off.
     """
-    from repro.obs.health import SloSpec
     from repro.testbed.specs import load_scenario
 
     spec = load_scenario("mntp_wireless_corrected")
@@ -135,11 +133,11 @@ def test_telemetry_never_changes_the_simulation():
             run_sntp=spec.run_sntp,
             mntp_config=spec.mntp,
             instrument=instrument,
-            health_spec=SloSpec() if instrument else None,
         ).run()
 
     bare, instrumented = run(False), run(True)
     assert bare.sntp and bare.mntp_reports
     assert instrumented.sntp == bare.sntp
     assert instrumented.sntp_failures == bare.sntp_failures
+    assert instrumented.sntp_failure_times == bare.sntp_failure_times
     assert instrumented.mntp_reports == bare.mntp_reports

@@ -1,6 +1,7 @@
 """CLI subcommands."""
 
 import json
+import math
 
 import pytest
 
@@ -363,6 +364,53 @@ def test_health_archived_run_and_slo_spec(tmp_path, capsys):
     assert report["verdict"] == "violated"
 
 
+def test_health_archive_without_failure_times_exits_2(tmp_path, capsys):
+    # An archive written before SNTP failure times and fault windows
+    # were recorded cannot be judged: its drop rate would read 0.
+    path = tmp_path / "old.json"
+    assert main(["--seed", "4", "run", "wired_corrected",
+                 "--save", str(path)]) == 0
+    archive = json.loads(path.read_text())
+    del archive["sntp_failure_times"], archive["fault_windows"]
+    path.write_text(json.dumps(archive))
+    capsys.readouterr()
+    assert main(["health", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot judge" in err
+    assert "no SNTP failure times" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p99_abs_error_violate_ms", math.nan),
+    ("window_s", math.inf),
+    ("min_samples", 2.5),
+])
+def test_run_and_health_reject_slo_files_that_gate_nothing(
+    tmp_path, capsys, field, value
+):
+    slo = _slo_file(tmp_path, "typo.json", **{field: value})
+    assert main(["run", "wired_corrected", "--slo", slo]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["health", str(tmp_path / "run.json"), "--slo", slo]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_run_judged_telemetry_equals_unjudged(tmp_path, capsys):
+    # Judging happens after the run, so it leaves the telemetry alone.
+    from repro.obs import smoke_spec
+
+    slo = tmp_path / "smoke.json"
+    slo.write_text(smoke_spec().to_json())
+    judged = tmp_path / "judged.jsonl"
+    plain = tmp_path / "plain.jsonl"
+    assert main(["--seed", "3", "run", "chaos_smoke", "--slo", str(slo),
+                 "--telemetry", str(judged)]) == 0
+    assert main(["--seed", "3", "run", "chaos_smoke",
+                 "--telemetry", str(plain)]) == 0
+    assert "health verdict: pass" in capsys.readouterr().out
+    assert judged.read_bytes() == plain.read_bytes()
+
+
 def test_health_argument_validation(tmp_path, capsys):
     assert main(["health"]) == 2
     assert "archived run path" in capsys.readouterr().err
@@ -529,8 +577,18 @@ def test_matrix_cli_argument_validation(tmp_path, capsys):
 
 
 def test_matrix_cli_serial_mode(tmp_path, capsys):
+    # There is no in-process mode: every spec runs in a worker process.
     _matrix_spec_file(tmp_path, "tiny")
-    assert main(["--seed", "3", "matrix", str(tmp_path), "--serial",
-                 "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["specs"][0]["status"] == "success"
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "3", "matrix", str(tmp_path), "--serial"])
+    assert exc.value.code == 2
+    assert "--serial" in capsys.readouterr().err
+
+
+def test_matrix_cli_retries_is_a_usage_error(tmp_path, capsys):
+    # A spec is deterministic for its seed, so nothing is retried.
+    _matrix_spec_file(tmp_path, "tiny")
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "3", "matrix", str(tmp_path), "--retries", "1"])
+    assert exc.value.code == 2
+    assert "--retries" in capsys.readouterr().err

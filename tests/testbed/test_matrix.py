@@ -1,4 +1,4 @@
-"""Matrix runner: fault tolerance, retry policy, deterministic reports."""
+"""Matrix runner: crash and hang isolation, deterministic reports."""
 
 import json
 import math
@@ -51,15 +51,13 @@ def _fake_outcome(spec):
     }
 
 
-def scripted_worker(spec_json, seed, attempt):
+def scripted_worker(spec_json, seed):
     spec = ScenarioSpec.from_json(spec_json)
     behaviour = spec.description
     if behaviour == "crash":
         os._exit(3)
     if behaviour == "hang":
         threading.Event().wait(60.0)
-    if behaviour == "flaky" and attempt == 0:
-        os._exit(4)
     if behaviour == "raise":
         raise RuntimeError("boom")
     return _fake_outcome(spec)
@@ -68,7 +66,6 @@ def scripted_worker(spec_json, seed, attempt):
 def write_failure_dir(tmp_path):
     for spec in (
         _spec("crashy", "crash"),
-        _spec("flaky", "flaky"),
         _spec("good_a", "ok", duration_s=400.0),
         _spec("good_b", "ok", duration_s=400.0),
         _spec("slow", "hang"),
@@ -78,15 +75,14 @@ def write_failure_dir(tmp_path):
 
 
 def failure_options(jobs):
-    return MatrixOptions(seed=7, jobs=jobs, timeout_s=1.0, retries=1,
-                         backoff_s=0.01)
+    return MatrixOptions(seed=7, jobs=jobs, timeout_s=1.0)
 
 
 def entry_by_name(report):
     return {entry["name"]: entry for entry in report["specs"]}
 
 
-def test_crash_hang_retry_paths_and_byte_identical_reports(tmp_path):
+def test_crash_and_hang_paths_and_byte_identical_reports(tmp_path):
     directory = write_failure_dir(tmp_path)
     serial_report = run_matrix(directory, failure_options(jobs=1),
                                worker=scripted_worker)
@@ -97,25 +93,19 @@ def test_crash_hang_retry_paths_and_byte_identical_reports(tmp_path):
     assert report_to_json(serial_report) == report_to_json(pooled_report)
 
     entries = entry_by_name(serial_report)
-    # Worker crash: isolated, retried, exhausted.
+    # Worker crash: isolated, recorded once.
     assert entries["crashy"]["status"] == "crashed"
-    assert entries["crashy"]["attempts"] == 2
     assert "exit code 3" in entries["crashy"]["error"]
-    # Hung worker: terminated at the deadline, retried, exhausted.
+    # Hung worker: terminated at the deadline.
     assert entries["slow"]["status"] == "timeout"
-    assert entries["slow"]["attempts"] == 2
     assert "within 1s" in entries["slow"]["error"]
-    # Retry-then-succeed: first attempt crashes, second lands.
-    assert entries["flaky"]["status"] == "success"
-    assert entries["flaky"]["attempts"] == 2
     # The healthy specs never pay for their neighbours.
     assert entries["good_a"]["status"] == "success"
-    assert entries["good_a"]["attempts"] == 1
     assert entries["good_b"]["status"] == "success"
 
     assert serial_report["format"] == MATRIX_FORMAT
     assert serial_report["counts"] == {
-        "crashed": 1, "success": 3, "timeout": 1,
+        "crashed": 1, "success": 2, "timeout": 1,
     }
     assert serial_report["verdict"] == {
         "ok": False, "hard_failed": ["crashy", "slow"],
@@ -138,26 +128,12 @@ def test_raising_worker_is_an_error_not_a_crash(tmp_path):
     save_spec(_spec("raiser", "raise"), str(tmp_path / "raiser.json"))
     report = run_matrix(
         str(tmp_path),
-        MatrixOptions(seed=1, jobs=2, timeout_s=5.0, retries=0),
+        MatrixOptions(seed=1, jobs=2, timeout_s=5.0),
         worker=scripted_worker,
     )
     entry = report["specs"][0]
     assert entry["status"] == "error"
     assert "RuntimeError: boom" in entry["error"]
-    assert entry["attempts"] == 1
-
-
-def test_serial_mode_matches_the_pool_for_deterministic_outcomes(tmp_path):
-    for spec in (_spec("good_a", "ok"), _spec("raiser", "raise")):
-        save_spec(spec, str(tmp_path / f"{spec.name}.json"))
-    options = MatrixOptions(seed=1, jobs=2, timeout_s=5.0, retries=1,
-                            backoff_s=0.0)
-    serial = run_matrix(str(tmp_path),
-                        MatrixOptions(seed=1, timeout_s=5.0, retries=1,
-                                      backoff_s=0.0, serial=True),
-                        worker=scripted_worker)
-    pooled = run_matrix(str(tmp_path), options, worker=scripted_worker)
-    assert report_to_json(serial) == report_to_json(pooled)
 
 
 def test_invalid_spec_file_costs_itself_not_the_matrix(tmp_path):
@@ -214,8 +190,10 @@ def test_real_worker_end_to_end(tmp_path):
     # Per-spec numbers live in each entry's summary; the worker ships
     # no telemetry back to the parent.
     assert "telemetry" not in report
-    assert set(entry) == {"name", "status", "attempts", "error", "guarantees",
+    assert set(entry) == {"name", "status", "error", "guarantees",
                           "minimal_guarantees", "summary"}
+    assert set(report) == {"format", "seed", "timeout_s", "tags", "specs",
+                           "counts", "worst", "verdict"}
     assert report["verdict"]["ok"] is True
     # The document is valid JSON and renders without a crash.
     assert json.loads(report_to_json(report))["format"] == MATRIX_FORMAT
@@ -231,7 +209,7 @@ def test_matrix_options_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="timeout_s"):
             MatrixOptions(timeout_s=bad)
-        with pytest.raises(ValueError, match="backoff_s"):
-            MatrixOptions(backoff_s=bad)
-    with pytest.raises(ValueError, match="retries"):
-        MatrixOptions(retries=-1)
+    # Nothing is retried: a deterministic spec would replay its outcome.
+    for removed in ("retries", "backoff_s", "serial"):
+        with pytest.raises(TypeError):
+            MatrixOptions(**{removed: 1})

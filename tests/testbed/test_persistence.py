@@ -120,29 +120,24 @@ def test_save_embeds_explain_report(result):
 
 
 def test_roundtrip_preserves_health_report():
-    from repro.obs import SloSpec
+    import json
 
-    monitored = ExperimentRunner(
-        seed=1,
-        options=TestbedOptions(wireless=True, ntp_correction=False),
-        duration=300.0,
-        mntp_config=MntpConfig.baseline_headtohead(),
-        health_spec=SloSpec(),
-    ).run()
-    assert monitored.health is not None
-    buf = io.StringIO()
-    save_result(monitored, buf)
-    buf.seek(0)
-    loaded = load_result(buf)
-    assert loaded.health == monitored.health
-    # An unmonitored result round-trips health as None.
-    assert result_from_dict(
-        result_to_dict(
-            ExperimentRunner(
-                seed=1,
-                options=TestbedOptions(wireless=True, ntp_correction=False),
-                duration=300.0,
-                mntp_config=MntpConfig.baseline_headtohead(),
-            ).run()
-        )
-    ).health is None
+    from repro.obs import judge_health, smoke_spec
+    from repro.testbed.specs import run_scenario
+
+    run = run_scenario("chaos_smoke", seed=2)
+    assert run.sntp_failure_times and run.fault_windows
+    archived = result_to_dict(run)
+    loaded = result_from_dict(json.loads(json.dumps(archived)))
+    assert loaded.sntp_failure_times == run.sntp_failure_times
+    assert loaded.fault_windows == run.fault_windows
+    assert judge_health(loaded, smoke_spec()) == judge_health(
+        run, smoke_spec()
+    )
+    # An archive written before failure times and fault windows were
+    # recorded loads them as None (and keeps its failure count).
+    del archived["sntp_failure_times"], archived["fault_windows"]
+    legacy = result_from_dict(archived)
+    assert legacy.sntp_failure_times is None
+    assert legacy.fault_windows is None
+    assert legacy.sntp_failures == run.sntp_failures

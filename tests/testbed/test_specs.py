@@ -7,7 +7,7 @@ import pytest
 
 from repro.clock.temperature import DiurnalTemperature
 from repro.faults.schedule import FaultKind
-from repro.obs.health import SloSpec, smoke_spec
+from repro.obs.health import SloSpec, judge_health, smoke_spec
 from repro.testbed.specs import (
     SCENARIO_DIR,
     SPEC_FORMAT,
@@ -255,7 +255,7 @@ def test_success_tier():
     assert judgement["status"] == "success"
     assert judgement["guarantees"]["verdict"] != "violated"
     assert judgement["minimal_guarantees"] is None
-    assert result.health == judgement["guarantees"]
+    assert judgement["guarantees"] == judge_health(result, lax_slo())[0]
 
 
 def test_minimal_tier_downgrades_a_violated_success_tier():
@@ -280,8 +280,11 @@ def test_violated_without_minimal_tier_is_a_hard_failure():
     assert judgement["minimal_guarantees"] is None
 
 
-def test_judge_requires_a_monitored_result():
+def test_judge_requires_recorded_failure_times():
     from repro.testbed.experiment import ExperimentResult
 
-    with pytest.raises(ValueError, match="no health verdict"):
-        judge_result(quick_spec(), ExperimentResult())
+    # An archive written before failure times were recorded loads them
+    # as None; judging it must fail loudly, not pass on missing data.
+    for missing in ({"sntp_failure_times": None}, {"fault_windows": None}):
+        with pytest.raises(ValueError, match="no SNTP failure times"):
+            judge_result(quick_spec(), ExperimentResult(**missing))
