@@ -273,6 +273,10 @@ def _burst(seed, count, epoch, step):
 # times are equal and nonzero and it fits a rank-deficient, huge slope.
 @example(max_points=4, epoch=0.0, step=0.1, ops=[("add", 1, 0.0, 0.5)] * 3,
          orders=[_QUERIES])
+# A copy of a reference that already fitted points spanning no time.
+@example(max_points=3, epoch=1.46e9, step=1e-7,
+         ops=[("add", 0, 0.0, 0.0), ("burst", 0, 52), ("copy",)],
+         orders=[_QUERIES])
 def test_bit_equal_to_list_polyfit_reference(max_points, epoch, step, ops, orders):
     """Every accessor returns the reference's exact floats after every
     change.  Points spanning no time (integer steps collide, or vanish
@@ -306,10 +310,15 @@ def test_bit_equal_to_list_polyfit_reference(max_points, epoch, step, ops, order
                 assert got_warnings == []
             assert _same_value(name, got, want), f"{name}: {got!r} vs {want!r} {HINT}"
         if len(ref._times) >= 2 and not spans_time:
+            # A fresh reference fits anew: ``ref`` may hold a cached fit
+            # (after a copy), which raises and warns nothing again.
+            fresh = _ReferenceTrendLine(max_points)
+            for time, offset in zip(ref._times, ref._offsets):
+                fresh.add(time, offset)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    ref.slope
+                    fresh.slope
                 except np.linalg.LinAlgError:
                     continue
             assert np.exceptions.RankWarning in [w.category for w in caught]
