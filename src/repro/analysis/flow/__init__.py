@@ -12,7 +12,7 @@ OBS003.
 Phase 1.5 (:mod:`~repro.analysis.flow.cfg` +
 :mod:`~repro.analysis.flow.dataflow`) sits between them: per-function
 control-flow graphs and a generic fixpoint solver, consumed by the
-path-sensitive RES/PREC rule families.
+path-sensitive RES rule family.
 """
 
 from repro.analysis.flow.cfg import (
@@ -28,7 +28,6 @@ from repro.analysis.flow.dataflow import (
     Analysis,
     each_item_state,
     exit_edge_states,
-    solve_backward,
     solve_forward,
 )
 from repro.analysis.flow.hot import HOT_ROOTS, hot_closure
@@ -63,7 +62,6 @@ __all__ = [
     "each_item_state",
     "exit_edge_states",
     "function_cfgs",
-    "solve_backward",
     "solve_forward",
     "AssignFromCall",
     "CallSite",

@@ -1,17 +1,15 @@
 """Generic fixpoint dataflow over :mod:`repro.analysis.flow.cfg` graphs.
 
 An analysis is a plain object implementing the :class:`Analysis`
-protocol — a lattice (``initial``/``join``/``equals``), an item
-transfer function, and optionally an edge transfer (where the CFG's
-branch :class:`~repro.analysis.flow.cfg.Guard` facts are applied —
-this is the path-sensitive half) and a ``widen`` operator for lattices
-of unbounded height (interval analysis).
+protocol — a finite-height lattice (``initial``/``join``/``equals``),
+an item transfer function, and optionally an edge transfer (where the
+CFG's branch :class:`~repro.analysis.flow.cfg.Guard` facts are applied
+— this is the path-sensitive half).
 
 :func:`solve_forward` runs the classic worklist algorithm to a
-fixpoint and returns the state at entry of every reachable block;
-:func:`solve_backward` is its mirror over reversed edges.  Blocks the
-fixpoint never reaches are absent from the result — rules should treat
-absence as "unreachable" and stay silent there.
+fixpoint and returns the state at entry of every reachable block.
+Blocks the fixpoint never reaches are absent from the result — rules
+should treat absence as "unreachable" and stay silent there.
 
 After solving, :func:`each_item_state` replays the transfer function
 through every reachable block and yields ``(block, item,
@@ -30,17 +28,11 @@ __all__ = [
     "Analysis",
     "each_item_state",
     "exit_edge_states",
-    "solve_backward",
     "solve_forward",
 ]
 
-#: Per-block visit budget before ``widen`` replaces ``join`` (keeps
-#: infinite-height lattices, e.g. intervals under a loop counter,
-#: terminating).
-_WIDEN_AFTER = 8
-
 #: Hard iteration ceiling per solve — a defensive backstop only; any
-#: monotone analysis with working widening converges far earlier.
+#: monotone analysis over a finite lattice converges far earlier.
 _MAX_STEPS_PER_BLOCK = 64
 
 
@@ -63,10 +55,6 @@ class Analysis:
         """Whether two states are the same lattice point."""
         return bool(a == b)
 
-    def widen(self, old: Any, new: Any) -> Any:
-        """Accelerated join applied after repeated visits (default: join)."""
-        return self.join(old, new)
-
     def transfer(self, item: Any, state: Any) -> Any:
         """State after executing one block item."""
         raise NotImplementedError
@@ -84,77 +72,30 @@ def _block_out(analysis: Analysis, block: Block, state: Any) -> Any:
 
 def solve_forward(cfg: CFG, analysis: Analysis) -> Dict[int, Any]:
     """Entry states of every reachable block, at the least fixpoint."""
-    return _solve(cfg, analysis, cfg.entry, _forward_edges(cfg))
-
-
-def solve_backward(cfg: CFG, analysis: Analysis) -> Dict[int, Any]:
-    """Exit-facing states per block, solving over reversed edges.
-
-    Block items are fed to ``transfer`` in reverse order, so the
-    returned mapping holds the state *after* each block for a
-    liveness-style analysis.
-    """
-    reversed_edges: Dict[int, List[Edge]] = {}
-    for edge in cfg.edges:
-        reversed_edges.setdefault(edge.dst, []).append(edge)
-    reversed_cfg_blocks = {b.id: Block(b.id, list(reversed(b.items)))
-                           for b in cfg.blocks}
-
-    def out_edges(block_id: int) -> List[Tuple[Edge, int]]:
-        return [(e, e.src) for e in reversed_edges.get(block_id, [])]
-
-    return _solve_generic(
-        blocks=reversed_cfg_blocks, analysis=analysis,
-        start=cfg.exit_id, out_edges=out_edges,
-    )
-
-
-def _forward_edges(cfg: CFG):
-    by_src: Dict[int, List[Edge]] = {}
-    for edge in cfg.edges:
-        by_src.setdefault(edge.src, []).append(edge)
-
-    def out_edges(block_id: int) -> List[Tuple[Edge, int]]:
-        return [(e, e.dst) for e in by_src.get(block_id, [])]
-
-    return out_edges
-
-
-def _solve(cfg: CFG, analysis: Analysis, start: int, out_edges) -> Dict[int, Any]:
     blocks = {b.id: b for b in cfg.blocks}
-    return _solve_generic(
-        blocks=blocks, analysis=analysis, start=start, out_edges=out_edges,
-    )
-
-
-def _solve_generic(
-    *, blocks: Dict[int, Block], analysis: Analysis, start: int, out_edges
-) -> Dict[int, Any]:
-    state_in: Dict[int, Any] = {start: analysis.initial()}
-    visits: Dict[int, int] = {}
-    worklist: List[int] = [start]
+    out_edges: Dict[int, List[Edge]] = {}
+    for edge in cfg.edges:
+        out_edges.setdefault(edge.src, []).append(edge)
+    state_in: Dict[int, Any] = {cfg.entry: analysis.initial()}
+    worklist: List[int] = [cfg.entry]
     budget = _MAX_STEPS_PER_BLOCK * max(len(blocks), 1)
     steps = 0
     while worklist and steps < budget:
         steps += 1
         block_id = worklist.pop(0)
         out = _block_out(analysis, blocks[block_id], state_in[block_id])
-        for edge, target in out_edges(block_id):
+        for edge in out_edges.get(block_id, []):
             incoming = analysis.transfer_edge(edge, out)
-            if target not in state_in:
-                state_in[target] = incoming
-                worklist.append(target)
+            if edge.dst not in state_in:
+                state_in[edge.dst] = incoming
+                worklist.append(edge.dst)
                 continue
-            old = state_in[target]
-            visits[target] = visits.get(target, 0) + 1
-            if visits[target] > _WIDEN_AFTER:
-                merged = analysis.widen(old, incoming)
-            else:
-                merged = analysis.join(old, incoming)
+            old = state_in[edge.dst]
+            merged = analysis.join(old, incoming)
             if not analysis.equals(merged, old):
-                state_in[target] = merged
-                if target not in worklist:
-                    worklist.append(target)
+                state_in[edge.dst] = merged
+                if edge.dst not in worklist:
+                    worklist.append(edge.dst)
     return state_in
 
 

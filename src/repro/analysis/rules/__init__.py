@@ -53,7 +53,6 @@ def _load() -> None:
         from repro.analysis.rules import robustness  # noqa: F401  # repro: noqa[COR004]
         from repro.analysis.rules import units  # noqa: F401  # repro: noqa[COR004]
         from repro.analysis.rules import resources  # noqa: F401  # repro: noqa[COR004]
-        from repro.analysis.rules import precision  # noqa: F401  # repro: noqa[COR004]
         from repro.analysis.flow import rules as flow_rules  # noqa: F401  # repro: noqa[COR004]
 
         _LOADED = True

@@ -1,4 +1,4 @@
-"""``lint --explain`` and the RES/PREC rules through the CLI, end to end."""
+"""``lint --explain`` and the RES rules through the CLI, end to end."""
 
 from repro.analysis import all_project_rules, all_rules
 from repro.cli import main
@@ -14,8 +14,8 @@ def test_explain_prints_every_section(capsys):
 
 
 def test_explain_is_case_insensitive(capsys):
-    assert main(["lint", "--explain", "prec003"]) == 0
-    assert "2036" in capsys.readouterr().out
+    assert main(["lint", "--explain", "res001"]) == 0
+    assert "path-sensitive" in capsys.readouterr().out
 
 
 def test_explain_unknown_rule_suggests_close_match(capsys):
@@ -42,10 +42,10 @@ def test_every_registered_rule_has_a_complete_entry(capsys):
 
 
 # ---------------------------------------------------------------------------
-# RES/PREC through the full pipeline: --jobs
+# RES through the full pipeline: --jobs
 
 
-def _seed_res_prec_tree(tmp_path):
+def _seed_res_tree(tmp_path):
     pkg = tmp_path / "repro" / "core"
     pkg.mkdir(parents=True)
     (pkg / "leaky.py").write_text(
@@ -56,20 +56,23 @@ def _seed_res_prec_tree(tmp_path):
         "    span.end()\n"
         "    return 0\n"
     )
-    (pkg / "lossy.py").write_text(
-        '"""Fixture."""\n\n\ndef scale(offset_ns):\n'
-        "    return offset_ns * 0.5\n"
+    (pkg / "raising.py").write_text(
+        '"""Fixture."""\n\n\ndef work(tracer, cond):\n'
+        '    span = tracer.begin("work")\n'
+        "    if cond:\n"
+        '        raise ValueError("cond")\n'
+        "    span.end()\n"
     )
     return tmp_path
 
 
 def test_new_rules_are_jobs_deterministic(tmp_path, capsys):
-    tree = _seed_res_prec_tree(tmp_path)
+    tree = _seed_res_tree(tmp_path)
     base = ["lint", str(tree), "--no-cache",
-            "--select", "RES001,PREC001"]
+            "--select", "RES001"]
     assert main(base + ["--jobs", "1"]) == 1
     serial = capsys.readouterr().out
     assert main(base + ["--jobs", "2"]) == 1
     parallel = capsys.readouterr().out
     assert serial == parallel
-    assert "RES001" in serial and "PREC001" in serial
+    assert "leaky.py" in serial and "raising.py" in serial
