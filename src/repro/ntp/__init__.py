@@ -26,7 +26,6 @@ from repro.ntp.cluster import cluster_survivors
 from repro.ntp.combine import combine_offsets
 from repro.ntp.discipline import ClockDiscipline, DisciplineParams
 from repro.ntp.pool import PoolDns
-from repro.ntp.broadcast import BroadcastServer, BroadcastClient, BroadcastSample
 
 __all__ = [
     "LeapIndicator",
@@ -56,7 +55,4 @@ __all__ = [
     "ClockDiscipline",
     "DisciplineParams",
     "PoolDns",
-    "BroadcastServer",
-    "BroadcastClient",
-    "BroadcastSample",
 ]
