@@ -69,13 +69,6 @@ from repro.obs.health import (
     render_health_text,
     smoke_spec,
 )
-from repro.obs.diff import (
-    DIFF_FORMAT,
-    coerce_snapshot,
-    diff_snapshots,
-    rank_suspects,
-    render_diff_text,
-)
 
 __all__ = [
     "Counter",
@@ -128,9 +121,4 @@ __all__ = [
     "recovered_transitions",
     "render_health_text",
     "smoke_spec",
-    "DIFF_FORMAT",
-    "coerce_snapshot",
-    "diff_snapshots",
-    "rank_suspects",
-    "render_diff_text",
 ]

@@ -190,7 +190,7 @@ def test_obs004_exempts_structural_constants():
         "def f(window_s, rate_per_s):\n"
         "    return window_s > 0 and rate_per_s >= 1 and window_s != -1\n"
     )
-    assert obs004_for(src, "repro.obs.diff") == []
+    assert obs004_for(src, "repro.obs.explain") == []
 
 
 def test_obs004_spec_field_comparison_passes():
