@@ -322,18 +322,12 @@ class Mntp:
         outstanding = {"count": len(pools)}
         epoch = self._phase_epoch
         self._emit(MntpEventKind.QUERY_SENT, phase="warmup", sources=pools)
-        query_span = self._sim.telemetry.spans.begin(
-            "mntp.query", phase="warmup", sources=len(pools)
-        )
 
         def make_cb(pool: str):
             def on_result(result: SntpResult) -> None:
                 results[pool] = result
                 outstanding["count"] -= 1
                 if outstanding["count"] == 0:
-                    query_span.end(
-                        ok=sum(1 for r in results.values() if r is not None and r.ok)
-                    )
                     # Results landing after a phase transition belong
                     # to an abandoned round; don't feed the new filter.
                     if epoch == self._phase_epoch:
@@ -390,12 +384,8 @@ class Mntp:
         source = self.config.regular_source
         epoch = self._phase_epoch
         self._emit(MntpEventKind.QUERY_SENT, phase="regular", sources=[source])
-        query_span = self._sim.telemetry.spans.begin(
-            "mntp.query", phase="regular", sources=1
-        )
 
         def on_result(result: SntpResult) -> None:
-            query_span.end(ok=1 if result.ok else 0)
             if not self._running or epoch != self._phase_epoch:
                 return
             if result.ok:

@@ -24,7 +24,6 @@ SPAN_KINDS = frozenset(
         "mntp.warmup",
         "mntp.regular",
         "mntp.gate_wait",
-        "mntp.query",
         "sntp.exchange",
         "link.transit",
         "server.turnaround",

@@ -25,7 +25,7 @@ def sample_snapshot():
     hist.observe(5.0)
     hist.observe(50.0)
     telemetry.trace.emit(0.0, "mntp", "offset_accepted", offset=0.002)
-    span = telemetry.spans.begin("mntp.query", phase="warmup")
+    span = telemetry.spans.begin("mntp.warmup", phase="warmup")
     telemetry.advance()
     span.end(ok=1)
     return telemetry.snapshot()
@@ -65,7 +65,7 @@ def test_chrome_trace_is_valid_json_with_span_events():
     assert isinstance(document["traceEvents"], list)
     assert len(document["traceEvents"]) == count
     complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
-    assert complete and complete[0]["name"] == "mntp.query"
+    assert complete and complete[0]["name"] == "mntp.warmup"
     assert complete[0]["dur"] == pytest.approx(1e6)  # 1 manual tick in us
     instants = [e for e in document["traceEvents"] if e["ph"] == "i"]
     assert instants and instants[0]["name"] == "mntp.offset_accepted"
@@ -148,7 +148,7 @@ def test_prometheus_label_value_escaping():
 
 def test_chrome_trace_zero_duration_span():
     telemetry = Telemetry.standalone()
-    span = telemetry.spans.begin("mntp.query")
+    span = telemetry.spans.begin("mntp.warmup")
     span.end()  # same manual tick: zero duration
     events = chrome_trace_events(telemetry.snapshot())
     complete = [e for e in events if e["ph"] == "X"]
@@ -162,7 +162,7 @@ def test_chrome_trace_clamps_negative_duration():
     snapshot = {
         "metrics": [],
         "records": [{
-            "t": 1.0, "component": "span", "kind": "mntp.query",
+            "t": 1.0, "component": "span", "kind": "mntp.warmup",
             "data": {"t0": 1.0, "t1": 1.0, "dur": -1e-9},
         }],
     }

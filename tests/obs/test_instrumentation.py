@@ -44,7 +44,9 @@ def test_expected_metrics_present(wireless_result):
 
 def test_expected_span_kinds_present(wireless_result):
     kinds = set(snapshot_span_kinds(wireless_result.telemetry))
-    assert {"sim.run", "mntp.warmup", "mntp.query"} <= kinds
+    assert {"sim.run", "mntp.warmup", "sntp.exchange"} <= kinds
+    # One signal per MNTP query: the mntp/query_sent record, no span.
+    assert "mntp.query" not in kinds
 
 
 def test_sim_events_counter_matches_span(wireless_result):
