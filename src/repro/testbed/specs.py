@@ -507,21 +507,13 @@ class ScenarioSpec:
             mntp_hardening=self.hardening,
         )
 
-    def build_runner(
-        self, seed: int = 0, health_spec: None = None
-    ) -> ExperimentRunner:
+    def build_runner(self, seed: int = 0) -> ExperimentRunner:
         """An :class:`ExperimentRunner` for this spec.
 
         The runner never judges the run: :func:`judge_result` (or
         :func:`~repro.obs.health.judge_health`) judges its result
-        afterwards.  ``health_spec`` is accepted only as None, the value
-        that asked for an unjudged run.
+        afterwards.
         """
-        if health_spec is not None:
-            raise TypeError(
-                "runs are judged after they finish: pass the result to "
-                "repro.obs.judge_health"
-            )
         return ExperimentRunner(
             seed=seed,
             options=self.build_options(),
