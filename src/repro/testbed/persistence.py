@@ -9,10 +9,11 @@ forward-checked on load.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict
+from typing import IO, Any, Dict, Optional, Tuple
 
 from repro.core.protocol import MntpPhase, MntpReport
 from repro.obs.explain import explain_run
+from repro.obs.health import SloSpec
 from repro.testbed.experiment import ExperimentResult, OffsetPoint
 
 FORMAT = "mntp-experiment-v1"
@@ -80,14 +81,42 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     return result
 
 
-def save_result(result: ExperimentResult, fileobj: IO[str]) -> None:
-    """Write a result as JSON."""
-    json.dump(result_to_dict(result), fileobj)
+def save_result(
+    result: ExperimentResult,
+    fileobj: IO[str],
+    guarantees: Optional[SloSpec] = None,
+) -> None:
+    """Write a result as JSON.
+
+    ``guarantees``, the scenario's Success-tier spec, is archived under
+    ``"guarantees"`` so ``repro-mntp health`` judges the archive as the
+    matrix judges the run.
+    """
+    data = result_to_dict(result)
+    if guarantees is not None:
+        data["guarantees"] = guarantees.to_dict()
+    json.dump(data, fileobj)
 
 
 def load_result(fileobj: IO[str]) -> ExperimentResult:
     """Read a result written by :func:`save_result`."""
     return result_from_dict(json.load(fileobj))
+
+
+def load_archive(
+    fileobj: IO[str],
+) -> Tuple[ExperimentResult, Optional[SloSpec]]:
+    """Read a result and its archived guarantees (None if it has none).
+
+    Malformed guarantees raise ``ValueError`` or ``TypeError``.
+    """
+    data = json.load(fileobj)
+    guarantees = data.get("guarantees")
+    if guarantees is not None:
+        if not isinstance(guarantees, dict):
+            raise ValueError("guarantees must be an object")
+        guarantees = SloSpec.from_dict(guarantees)
+    return result_from_dict(data), guarantees
 
 
 def _point(p: OffsetPoint) -> Dict[str, Any]:
