@@ -25,22 +25,31 @@ def _seed_violation(tmp_path):
     return target
 
 
-def test_lint_src_is_clean_end_to_end(monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def gate_cache(tmp_path_factory):
+    """A lint cache the two whole-tree runs share, outside the tree."""
+    return str(tmp_path_factory.mktemp("lint") / "cache.json")
+
+
+def test_lint_src_is_clean_end_to_end(monkeypatch, capsys, gate_cache):
     """The tier-1 smoke test: the shipped tree lints clean."""
     monkeypatch.chdir(REPO_ROOT)
-    assert main(["lint", "src"]) == 0
+    assert main(["lint", "src", "--cache-path", gate_cache]) == 0
     out = capsys.readouterr().out
     assert "0 findings" in out
 
 
-def test_one_gate_run_over_src_and_tests_is_clean(monkeypatch, capsys):
+def test_one_gate_run_over_src_and_tests_is_clean(
+    monkeypatch, capsys, gate_cache
+):
     """The scripts/check.sh gate: one run over ``src tests``, no findings.
 
     Inline noqa is the only suppression, so every finding that survives
     it fails CI; this keeps the tier-1 suite in step with the gate.
     """
     monkeypatch.chdir(REPO_ROOT)
-    assert main(["lint", "src", "tests", "--format", "json"]) == 0
+    assert main(["lint", "src", "tests", "--cache-path", gate_cache,
+                 "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == []
     assert payload["errors"] == []
@@ -48,7 +57,7 @@ def test_one_gate_run_over_src_and_tests_is_clean(monkeypatch, capsys):
 
 def test_seeded_violation_fails_the_run(tmp_path, capsys):
     _seed_violation(tmp_path)
-    assert main(["lint", str(tmp_path)]) == 1
+    assert main(["lint", str(tmp_path), "--no-cache"]) == 1
     out = capsys.readouterr().out
     assert "DET001" in out
     assert "bad.py" in out
@@ -56,7 +65,7 @@ def test_seeded_violation_fails_the_run(tmp_path, capsys):
 
 def test_json_format_is_machine_readable(tmp_path, capsys):
     _seed_violation(tmp_path)
-    assert main(["lint", str(tmp_path),
+    assert main(["lint", str(tmp_path), "--no-cache",
                  "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 1
@@ -69,7 +78,7 @@ def test_json_format_is_machine_readable(tmp_path, capsys):
 def test_select_restricts_rules(tmp_path, capsys):
     target = _seed_violation(tmp_path)
     target.write_text(target.read_text() + "\n\nimport os\n")
-    assert main(["lint", str(tmp_path),
+    assert main(["lint", str(tmp_path), "--no-cache",
                  "--select", "COR004"]) == 1
     out = capsys.readouterr().out
     assert "COR004" in out
