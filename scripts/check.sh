@@ -17,7 +17,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== repro-mntp lint (domain static analysis, src + tests)"
 # One run over both trees.  Each rule states its own scope: under
-# tests/ only the determinism, resource and precision rules apply.
+# tests/ only the determinism and resource rules apply.
 # Any finding left after inline '# repro: noqa[RULE] reason' fails the
 # gate.  Warm runs hit the content-hash cache (.repro-lint-cache.json);
 # --stats puts per-phase timing in the CI log.

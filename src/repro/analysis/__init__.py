@@ -10,8 +10,8 @@ neither is checked by the interpreter:
   ``_ms``, ``_us``, ``_ns`` suffixes, NTP wire fixed-point) must never
   silently meet a quantity in another.
 
-This package enforces both, plus the µs precision tier, leaked spans
-and handles, robustness and telemetry routing, as an AST-based lint
+This package enforces both, plus leaked spans and handles, robustness
+and telemetry routing, as an AST-based lint
 runnable as ``repro-mntp lint`` or ``python -m repro.analysis``.  The
 one suppression mechanism is an inline ``# repro: noqa[RULE] reason``
 comment.  See ``docs/STATIC_ANALYSIS.md`` for the rules.

@@ -11,7 +11,7 @@ name their far *endpoint* (``path::qualname``) so the reader sees both
 ends of the edge.
 
 Modules under ``tests/`` are policed only by rules that set
-:attr:`Rule.covers_tests` (determinism, resource typestate, precision);
+:attr:`Rule.covers_tests` (determinism, resource typestate);
 every other rule guards library code alone.
 
 Inline suppression follows the codebase convention::
