@@ -5,9 +5,7 @@ module to a JSON-serializable :class:`ModuleSummary`; phase two
 (:mod:`~repro.analysis.flow.project`) stitches summaries into a
 :class:`Project` — the call graph plus derived return units and
 transitive effect sets — that the interprocedural rules in
-:mod:`~repro.analysis.flow.rules` consume.  :mod:`~repro.analysis.flow.hot`
-derives the simulator's hot closure from the same call graph for
-OBS003.
+:mod:`~repro.analysis.flow.rules` consume.
 
 Phase 1.5 (:mod:`~repro.analysis.flow.cfg` +
 :mod:`~repro.analysis.flow.dataflow`) sits between them: per-function
@@ -30,7 +28,6 @@ from repro.analysis.flow.dataflow import (
     exit_edge_states,
     solve_forward,
 )
-from repro.analysis.flow.hot import HOT_ROOTS, hot_closure
 from repro.analysis.flow.project import (
     ClassEntry,
     EffectPath,
@@ -46,7 +43,6 @@ from repro.analysis.flow.summary import (
     EffectSite,
     FunctionInfo,
     ModuleSummary,
-    ObsSite,
     summarize,
 )
 
@@ -71,11 +67,8 @@ __all__ = [
     "EffectSite",
     "FunctionEntry",
     "FunctionInfo",
-    "HOT_ROOTS",
     "MODULE_BODY",
     "ModuleSummary",
-    "ObsSite",
     "Project",
-    "hot_closure",
     "summarize",
 ]

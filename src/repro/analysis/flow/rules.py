@@ -1,11 +1,10 @@
-"""Interprocedural rules: UNIT004, UNIT005, DET004, OBS003, COR005.
+"""Interprocedural rules: UNIT004, UNIT005, DET004, COR005.
 
 These run in the engine's second phase over a :class:`Project` built
 from every analysed module, so they see across function and module
 boundaries: a ``_ms`` value flowing into a ``_s`` parameter two modules
 away, a wall-clock call hidden behind a helper outside the simulation
-packages, a direct TraceLog write reachable from the simulator's inner
-loop, a public function nothing calls.
+packages, a public function nothing calls.
 
 Cross-file findings carry an *endpoint* (``path::qualname`` of the
 other end), rendered after the message so the reader sees both ends of
@@ -17,7 +16,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.engine import Finding, ProjectRule, in_tests
-from repro.analysis.flow.hot import chain_label, hot_closure
 from repro.analysis.flow.project import FunctionEntry
 from repro.analysis.flow.summary import MODULE_BODY
 from repro.analysis.rules import register_project
@@ -238,66 +236,6 @@ class TransitiveEffectRule(ProjectRule):
         if _in_det_scope(callee):
             return False
         return bool(self.project.effects.get(callee.full))
-
-
-@register_project
-class DirectEmissionRule(ProjectRule):
-    """Flag telemetry emission bypassing the ring sink in hot code."""
-
-    rule_id = "OBS003"
-    summary = (
-        "no direct TraceLog append (trace.emit/trace.append) or "
-        "per-event registry resolution (metrics.counter/gauge/"
-        "histogram) in a hot-closure function; route emission through "
-        "the ring-buffer sink via telemetry.emit / telemetry.count"
-    )
-    rationale = (
-        "Direct TraceLog appends and per-event registry lookups in "
-        "the hot closure cost a dict resolve per event — the "
-        "ring-buffer sink batches them."
-    )
-    example = "trace.emit(t, 'mntp', 'tick')  # in the hot loop"
-    fix_hint = "Route through telemetry.emit / telemetry.count."
-
-    #: Human label per obs-site kind recorded by the summarizer.
-    _LABELS = {
-        "emit": "direct TraceLog write {detail}",
-        "registry": "per-event metric registry resolution {detail}",
-    }
-
-    _ADVICE = {
-        "emit": (
-            "batch it through the ring sink: telemetry.emit(...) "
-            "stages the record and flushes in bulk"
-        ),
-        "registry": (
-            "hoist the instrument to __init__ or use "
-            "telemetry.count(name), which accumulates deltas in the "
-            "ring and applies them at flush"
-        ),
-    }
-
-    def run(self) -> List[Finding]:
-        """Every obs site inside every hot function, with witness chain."""
-        project = self.project
-        closure = hot_closure(project)
-        for full in sorted(closure):
-            entry = project.functions[full]
-            chain = closure[full]
-            root = project.functions[chain[0]]
-            for site in entry.info.obs_sites:
-                self.report(
-                    path=entry.module.path,
-                    lineno=site.lineno,
-                    col=site.col,
-                    message=(
-                        f"{self._LABELS[site.kind].format(detail=site.detail)}"
-                        f" in hot function '{entry.display}' "
-                        f"({chain_label(chain)}); {self._ADVICE[site.kind]}"
-                    ),
-                    endpoint=root.endpoint() if len(chain) > 1 else "",
-                )
-        return self.findings
 
 
 @register_project

@@ -150,36 +150,6 @@ class AssignFromCall:
 
 
 @dataclass
-class ObsSite:
-    """A direct telemetry write that bypasses the ring-buffer sink.
-
-    ``kind`` is ``emit`` (a ``trace.emit``/``trace.append`` straight
-    into the TraceLog) or ``registry`` (a per-call
-    ``metrics.counter``/``gauge``/``histogram`` lookup); OBS003 reports
-    the sites of hot-closure functions.
-    """
-
-    kind: str
-    lineno: int
-    col: int
-    detail: str                    # short human text for the message
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "kind": self.kind, "lineno": self.lineno, "col": self.col,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ObsSite":
-        return cls(
-            kind=data["kind"], lineno=data["lineno"], col=data["col"],
-            detail=data["detail"],
-        )
-
-
-@dataclass
 class FunctionInfo:
     """Everything the project pass needs to know about one function."""
 
@@ -198,8 +168,6 @@ class FunctionInfo:
     is_public: bool = True
     is_method: bool = False
     decorated: bool = False
-    hot_annotated: bool = False    # "# repro: hot" on the def line
-    obs_sites: List[ObsSite] = field(default_factory=list)  # OBS003
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (cache record)."""
@@ -215,8 +183,6 @@ class FunctionInfo:
             "effects": [e.to_dict() for e in self.effects],
             "is_public": self.is_public, "is_method": self.is_method,
             "decorated": self.decorated,
-            "hot_annotated": self.hot_annotated,
-            "obs_sites": [p.to_dict() for p in self.obs_sites],
         }
 
     @classmethod
@@ -233,8 +199,6 @@ class FunctionInfo:
             effects=[EffectSite.from_dict(e) for e in data["effects"]],
             is_public=data["is_public"], is_method=data["is_method"],
             decorated=data["decorated"],
-            hot_annotated=data["hot_annotated"],
-            obs_sites=[ObsSite.from_dict(p) for p in data["obs_sites"]],
         )
 
 
@@ -396,7 +360,6 @@ class _Summarizer:
     ) -> None:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         qualname = f"{class_name}.{node.name}" if class_name else node.name
-        hot_lines = self.module.hot_lines
         info = FunctionInfo(
             qualname=qualname, name=node.name,
             lineno=node.lineno, col=node.col_offset + 1,
@@ -404,10 +367,6 @@ class _Summarizer:
             is_public=not node.name.startswith("_"),
             is_method=class_name is not None,
             decorated=bool(node.decorator_list),
-            hot_annotated=(
-                node.lineno in hot_lines
-                or any(d.lineno in hot_lines for d in node.decorator_list)
-            ),
         )
         _signature_units(node.args, info, skip_first=class_name is not None)
         for decorator in node.decorator_list:
@@ -417,7 +376,6 @@ class _Summarizer:
         for stmt in node.body:
             self._collect(stmt, info, function=qualname,
                           collect_returns=True, class_name=class_name)
-        info.obs_sites = _obs_sites(node)
         self.summary.functions.append(info)
 
     def _class(self, node: ast.ClassDef, module_fn: FunctionInfo) -> None:
@@ -651,61 +609,6 @@ def _signature_units(
     )
     info.has_vararg = args.vararg is not None
     info.has_kwarg = args.kwarg is not None
-
-
-def _attr_chain(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a pure Name-rooted attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _obs_sites(node: ast.AST) -> List[ObsSite]:
-    """Direct telemetry writes in a function body (OBS003 raw material).
-
-    A call whose attribute chain ends ``<trace|_trace>.<emit|append>``
-    writes straight into the TraceLog; one ending
-    ``<metrics|_metrics>.<counter|gauge|histogram>`` does a per-call
-    registry lookup.  Both bypass the ring-buffer sink, which the
-    sanctioned ``telemetry.emit`` / ``telemetry.count`` facade routes
-    through.  Nested ``def``/``lambda`` bodies are skipped: they are not
-    executed by this function.
-    """
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    sites: List[ObsSite] = []
-    stack: List[ast.AST] = list(node.body)
-    while stack:
-        child = stack.pop()
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(child))
-        if not isinstance(child, ast.Call):
-            continue
-        chain = _attr_chain(child.func)
-        parts = chain.split(".") if chain is not None else []
-        if len(parts) < 2:
-            continue
-        recv, meth = parts[-2], parts[-1]
-        if recv in ("trace", "_trace") and meth in ("emit", "append"):
-            kind = "emit"
-        elif recv in ("metrics", "_metrics") and meth in (
-            "counter", "gauge", "histogram"
-        ):
-            kind = "registry"
-        else:
-            continue
-        sites.append(ObsSite(
-            kind=kind, lineno=child.lineno, col=child.col_offset + 1,
-            detail=f"'{chain}'",
-        ))
-    sites.sort(key=lambda s: (s.lineno, s.col, s.kind))
-    return sites
 
 
 def _all_exports(tree: ast.Module) -> List[str]:

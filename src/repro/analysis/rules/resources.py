@@ -1,6 +1,6 @@
-"""RES001-003: resource typestate over the per-function CFG.
+"""RES001 and RES003: resource typestate over the per-function CFG.
 
-The codebase has three resource-shaped protocols whose "release" half
+The codebase has two resource-shaped protocols whose "release" half
 is easy to drop on one branch and impossible for a per-statement rule
 to check:
 
@@ -8,14 +8,10 @@ to check:
   ``<x>.spans.begin(...)`` returns a handle that must be ``.end()``-ed;
   a span left open produces *no* trace record, so the leak silently
   erases telemetry for exactly the path that went wrong.
-* **Ring-buffered telemetry** (RES002) — a locally constructed
-  ``Telemetry``/``RingBufferSink`` stages records in memory; a path
-  that leaves the function without ``.flush()`` (or ``.close()``)
-  drops the staged tail of the run.
 * **File handles** (RES003, library code only) — ``open()`` outside a
   ``with`` leaks the descriptor on any early return or error branch.
 
-All three share one forward may-analysis: an *acquisition* assigned to
+Both share one forward may-analysis: an *acquisition* assigned to
 a local enters the ``open`` state; a release-method call, an ownership
 transfer (the handle is passed to a call, returned, aliased, stored
 into an attribute/container, or captured by a nested function), or a
@@ -55,25 +51,12 @@ from repro.analysis.flow.dataflow import (
 from repro.analysis.rules import register
 from repro.analysis.rules.base import ImportMap
 
-#: Attribute chains (resolved via ImportMap) that construct a staged
-#: telemetry sink (RES002).
-_RING_CONSTRUCTORS = frozenset({
-    "repro.obs.ringbuf.RingBufferSink",
-    "repro.obs.telemetry.Telemetry",
-})
-_RING_NAMES = frozenset({"RingBufferSink", "Telemetry"})
-
 #: kind -> (release method names, human noun, fix advice)
 _KINDS = {
     "span": (
         frozenset({"end"}),
         "span handle",
         "call .end() on every path or use 'with'",
-    ),
-    "ring": (
-        frozenset({"flush", "close"}),
-        "ring-buffered telemetry",
-        "flush() it on every exit path or hand it off",
     ),
     "file": (
         frozenset({"close"}),
@@ -82,7 +65,7 @@ _KINDS = {
     ),
 }
 
-_RULE_FOR_KIND = {"span": "RES001", "ring": "RES002", "file": "RES003"}
+_RULE_FOR_KIND = {"span": "RES001", "file": "RES003"}
 
 #: Receivers whose ``.begin``/``.span`` call yields a span handle.
 _SPAN_RECEIVERS = frozenset({"spans", "tracer", "_tracer"})
@@ -147,15 +130,8 @@ class _ResourceAnalysis(Analysis):
                 # builtin; ImportMap resolves those, builtins it won't.
                 if self.imports.resolve(func) in (None, "open"):
                     return "file"
-            if func.id in _RING_NAMES:
-                return "ring"
             return None
         if isinstance(func, ast.Attribute):
-            dotted = self.imports.resolve(func)
-            if dotted in _RING_CONSTRUCTORS:
-                return "ring"
-            if dotted is not None and dotted.split(".")[-1] in _RING_NAMES:
-                return "ring"
             if func.attr in ("begin", "span"):
                 parts = _attr_parts(func)
                 if parts is not None and len(parts) >= 2 and (
@@ -480,33 +456,6 @@ class SpanLeakRule(_ResourceRule):
     fix_hint = (
         "Use 'with tracer.span(...):', or end the span in a finally/"
         "catch-all handler so every exit path closes it."
-    )
-
-
-@register
-class RingFlushRule(_ResourceRule):
-    rule_id = "RES002"
-    summary = (
-        "a locally constructed Telemetry/RingBufferSink must be "
-        "flush()-ed (or handed off) on every exit path; staged records "
-        "are lost otherwise"
-    )
-    rationale = (
-        "Ring-buffered telemetry stages records in memory and only "
-        "writes them out on flush(); a function that constructs a "
-        "local sink and leaves without flushing drops the staged tail "
-        "of the run — usually the most interesting part."
-    )
-    example = (
-        "tel = Telemetry()\n"
-        "tel.emit('tick', {})\n"
-        "if cond:\n"
-        "    return        # staged records dropped\n"
-        "tel.flush()"
-    )
-    fix_hint = (
-        "flush() (or close()) in a finally, or hand the sink to an "
-        "owner that manages its lifecycle."
     )
 
 

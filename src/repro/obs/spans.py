@@ -85,7 +85,7 @@ class Span:
                 data.update(span_attrs)
             sink.emit(t0, SPAN_COMPONENT, self.name, data)
             return None
-        return tracer.trace.emit(  # repro: noqa[OBS003]
+        return tracer.trace.emit(
             t0,
             SPAN_COMPONENT,
             self.name,

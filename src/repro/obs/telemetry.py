@@ -275,7 +275,7 @@ class Telemetry:
         if ring is not None:
             ring.emit(t, component, kind, data)
         else:
-            self.trace.emit(t, component, kind, **data)  # repro: noqa[OBS003]
+            self.trace.emit(t, component, kind, **data)
 
     def count(self, name: str, amount: float = 1.0) -> None:
         """Batch a counter delta through the ring when one is attached."""
@@ -283,7 +283,7 @@ class Telemetry:
         if ring is not None:
             ring.count(name, amount)
         else:
-            self.metrics.counter(name).inc(amount)  # repro: noqa[OBS003]
+            self.metrics.counter(name).inc(amount)
 
     def flush(self) -> None:
         """Drain any staged records/deltas into the log and registry."""

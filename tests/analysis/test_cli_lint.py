@@ -137,11 +137,12 @@ def _seed_tree(tmp_path):
     pkg.mkdir(parents=True)
     (pkg / "one.py").write_text(
         '"""Fixture."""\n\nimport time\n\n\ndef f():\n'
-        "    return time.time()\n"
+        "    return time.time()\n\n\n"
+        "def wait(timeout_s):\n    return timeout_s\n"
     )
     (pkg / "two.py").write_text(
-        '"""Fixture."""\n\n\ndef g(node, t):  # repro: hot\n'
-        '    node.trace.emit(t, "node", "tick")\n'
+        '"""Fixture."""\n\nfrom repro.simcore.one import wait\n\n\n'
+        "def g(delay_ms):\n    return wait(delay_ms)\n"
     )
 
 
@@ -154,7 +155,7 @@ def test_jobs_output_matches_serial(tmp_path, capsys):
     parallel = capsys.readouterr().out
     assert serial == parallel
     assert "DET001" in serial
-    assert "OBS003" in serial
+    assert "UNIT004" in serial
 
 
 def test_jobs_must_be_positive(tmp_path, capsys):

@@ -156,59 +156,6 @@ def test_noqa_suppresses_resource_finding():
     assert _rules(src) == []
 
 
-# -- RES002: ring-buffered telemetry ---------------------------------------
-
-def test_local_telemetry_without_flush_leaks():
-    src = """
-        from repro.obs.telemetry import Telemetry
-
-        def run(cond):
-            tel = Telemetry()
-            tel.emit("tick", {})
-            if cond:
-                return
-            tel.flush()
-    """
-    assert _rules(src) == ["RES002"]
-
-
-def test_flushed_telemetry_is_clean():
-    src = """
-        from repro.obs.telemetry import Telemetry
-
-        def run(cond):
-            tel = Telemetry()
-            try:
-                tel.emit("tick", {})
-            finally:
-                tel.flush()
-    """
-    assert _rules(src) == []
-
-
-def test_ring_sink_close_counts_as_release():
-    src = """
-        from repro.obs.ringbuf import RingBufferSink
-
-        def run(trace):
-            sink = RingBufferSink(trace)
-            use(sink)
-            sink.close()
-    """
-    assert _rules(src) == []
-
-
-def test_telemetry_handed_off_is_clean():
-    src = """
-        from repro.obs.telemetry import Telemetry
-
-        def build(owner):
-            tel = Telemetry()
-            owner.attach(tel)
-    """
-    assert _rules(src) == []
-
-
 # -- RES003: file handles ---------------------------------------------------
 
 def test_bare_open_with_early_return_leaks_in_library_code():
