@@ -177,8 +177,8 @@ class Mntp:
             "absolute filter residual of each offered offset",
             buckets=_RESIDUAL_MS_BUCKETS,
         )
-        # Precomputed per-event counter names: _emit runs inside the
-        # hot closure, where an f-string per event is real cost.
+        # Precomputed per-event counter names: _emit runs once per
+        # protocol event, where an f-string per event is real cost.
         self._counter_names = {
             kind: f"mntp_{kind.value}_total" for kind in MntpEventKind
         }

@@ -23,10 +23,9 @@ from repro.obs.spans import Span
 from repro.simcore.events import Event
 from repro.simcore.simulator import Simulator
 
-# Hardening counter names, hoisted: the call sites run per query inside
-# the hot closure and batch their increments through the telemetry ring
-# (the counters are still created lazily, so a plain client's snapshot
-# keeps the exact baseline metric-name set).
+# Hardening counter names, hoisted: the call sites run per query (the
+# counters are still created lazily, so a plain client's snapshot keeps
+# the exact baseline metric-name set).
 _BACKED_OFF_TOTAL = "sntp_backed_off_queries_total"
 _FAILOVERS_TOTAL = "sntp_failovers_total"
 _INVALID_TOTAL = "sntp_invalid_responses_total"

@@ -14,14 +14,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.ringbuf import DEFAULT_RING_CAPACITY, RingBufferSink
 from repro.obs.spans import SPAN_COMPONENT, Span, SpanTracer
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     ManualClock,
     Telemetry,
-    record_from_dict,
-    record_to_dict,
     snapshot_metric_names,
     snapshot_span_kinds,
 )
@@ -72,19 +69,15 @@ from repro.obs.health import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_RING_CAPACITY",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RingBufferSink",
     "SPAN_COMPONENT",
     "Span",
     "SpanTracer",
     "TELEMETRY_FORMAT",
     "ManualClock",
     "Telemetry",
-    "record_from_dict",
-    "record_to_dict",
     "snapshot_metric_names",
     "snapshot_span_kinds",
     "chrome_trace_events",

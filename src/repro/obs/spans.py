@@ -56,11 +56,13 @@ class Span:
         return self.t1 is None
 
     def end(self, t: Optional[float] = None, **attrs: Any) -> Optional[TraceRecord]:
-        """Close the span and emit its record; idempotent.
+        """Close the span and append its record; idempotent.
 
         The close path is inlined here (rather than delegating to the
         tracer) because every span in the run pays it — one less call
-        frame on a path ``perfbench/``'s ``obs`` layer meters.
+        frame on a path ``perfbench/``'s ``obs`` layer meters.  The
+        record's payload is built once, not copied again by
+        :meth:`TraceLog.emit`.
 
         Args:
             t: Explicit end time (defaults to the tracer's clock).
@@ -78,22 +80,12 @@ class Span:
         if attrs:
             span_attrs.update(attrs)
         tracer._open.pop(id(self), None)
-        sink = tracer._sink
-        if sink is not None:
-            data = {"t0": t0, "t1": t1, "dur": t1 - t0}
-            if span_attrs:
-                data.update(span_attrs)
-            sink.emit(t0, SPAN_COMPONENT, self.name, data)
-            return None
-        return tracer.trace.emit(
-            t0,
-            SPAN_COMPONENT,
-            self.name,
-            t0=t0,
-            t1=t1,
-            dur=t1 - t0,
-            **span_attrs,
-        )
+        data = {"t0": t0, "t1": t1, "dur": t1 - t0}
+        if span_attrs:
+            data.update(span_attrs)
+        record = TraceRecord(t0, SPAN_COMPONENT, self.name, data)
+        tracer.trace.append(record)
+        return record
 
     def __enter__(self) -> "Span":
         return self
@@ -109,20 +101,11 @@ class SpanTracer:
         trace: Destination log (shared with the simulation components).
         now_fn: Callable returning the current time on the span axis —
             virtual seconds inside a simulator, a manual tick outside.
-        sink: Optional ring-buffer sink; when set, finished spans are
-            staged there (batched, sampled) instead of appended to the
-            log one by one, and :meth:`Span.end` returns ``None``.
     """
 
-    def __init__(
-        self,
-        trace: TraceLog,
-        now_fn: Callable[[], float],
-        sink: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, trace: TraceLog, now_fn: Callable[[], float]) -> None:
         self.trace = trace
         self._now_fn = now_fn
-        self._sink = sink
         # Keyed by id() for O(1) removal on finish; insertion-ordered,
         # so end_all still closes stragglers oldest-first.
         self._open: Dict[int, Span] = {}

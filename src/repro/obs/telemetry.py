@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.ringbuf import RingBufferSink
 from repro.obs.spans import SpanTracer
 from repro.simcore.trace import TraceLog, TraceRecord
 
@@ -47,26 +46,6 @@ class ManualClock:
         """Advance by one step and return the new position."""
         self._now += self._step
         return self._now
-
-
-def record_to_dict(record: TraceRecord) -> Dict[str, Any]:
-    """JSON-serialisable form of one :class:`TraceRecord`."""
-    return {
-        "t": record.time,
-        "component": record.component,
-        "kind": record.kind,
-        "data": dict(record.data),
-    }
-
-
-def record_from_dict(data: Dict[str, Any]) -> TraceRecord:
-    """Rebuild a :class:`TraceRecord` from :func:`record_to_dict` output."""
-    return TraceRecord(
-        time=float(data["t"]),
-        component=str(data["component"]),
-        kind=str(data["kind"]),
-        data=dict(data.get("data", {})),
-    )
 
 
 class _NullInstrument:
@@ -173,23 +152,6 @@ class _NullSpanTracer:
         return 0
 
 
-class _NullRing:
-    """Sink facade staging nothing (``instrument=False`` runs)."""
-
-    __slots__ = ()
-    pending = False
-
-    def emit(self, t: float, component: str, kind: str, data: Dict[str, Any]) -> None:
-        """Discard a record."""
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Discard a delta."""
-
-    def flush(self) -> int:
-        """Nothing staged."""
-        return 0
-
-
 class Telemetry:
     """Metrics registry + span tracer + trace log for one run.
 
@@ -198,20 +160,15 @@ class Telemetry:
         trace: Existing log to share (the simulator passes its own so
             span records land next to component events); a fresh log is
             created when omitted.
-        ring: When true, a :class:`RingBufferSink` of
-            :data:`~repro.obs.ringbuf.DEFAULT_RING_CAPACITY` slots
-            becomes the bundle's emission path (the simulator always
-            uses one; standalone bundles stay direct so their snapshots
-            carry no self-metering counters).
-        enabled: ``False`` swaps in no-op metrics/spans/ring so an
-            uninstrumented run measures the bare simulator cost.
+        enabled: ``False`` swaps in no-op metrics and spans and drops
+            every :meth:`emit`, so an uninstrumented run records
+            nothing and measures the bare simulator cost.
     """
 
     def __init__(
         self,
         now_fn: Callable[[], float],
         trace: Optional[TraceLog] = None,
-        ring: bool = False,
         enabled: bool = True,
     ) -> None:
         self.trace = trace if trace is not None else TraceLog()
@@ -221,11 +178,9 @@ class Telemetry:
         if not self.enabled:
             self.metrics: Any = _NullMetricsRegistry()
             self.spans: Any = _NullSpanTracer()
-            self.ring: Any = _NullRing()
             return
         self.metrics = MetricsRegistry()
-        self.ring = RingBufferSink(self.trace, self.metrics) if ring else None
-        self.spans = SpanTracer(self.trace, now_fn, sink=self.ring)
+        self.spans = SpanTracer(self.trace, now_fn)
 
     @classmethod
     def standalone(cls, start: float = 0.0, step: float = 1.0) -> "Telemetry":
@@ -261,46 +216,31 @@ class Telemetry:
             now = self._clock.tick()
         return now
 
-    # -- hot-path emission --------------------------------------------------
+    # -- emission -----------------------------------------------------------
 
     def emit(self, t: float, component: str, kind: str, **data: Any) -> None:
-        """Record one trace event through the ring when one is attached.
-
-        This is the sanctioned emission path for hot-closure call
-        sites (OBS003): a sink-backed bundle stages the record (one
-        tuple store); a direct bundle falls through
-        to the log.
-        """
-        ring = self.ring
-        if ring is not None:
-            ring.emit(t, component, kind, data)
-        else:
-            self.trace.emit(t, component, kind, **data)
+        """Append one trace record (nothing when the bundle is disabled)."""
+        if self.enabled:
+            self.trace.append(TraceRecord(t, component, kind, data))
 
     def count(self, name: str, amount: float = 1.0) -> None:
-        """Batch a counter delta through the ring when one is attached."""
-        ring = self.ring
-        if ring is not None:
-            ring.count(name, amount)
-        else:
-            self.metrics.counter(name).inc(amount)
+        """Add ``amount`` to the counter ``name``."""
+        self.metrics.counter(name).inc(amount)
 
     def flush(self) -> None:
-        """Drain any staged records/deltas into the log and registry."""
-        ring = self.ring
-        if ring is not None and ring.pending:
-            ring.flush()
+        """Do nothing: every record and count is applied when made.
+
+        Kept because the ``perfbench/`` layer ledger wraps it by name.
+        """
 
     def snapshot(self) -> Dict[str, Any]:
         """Freeze metrics and trace records into a plain dict."""
-        self.flush()
         return {
             "format": TELEMETRY_FORMAT,
             "metrics": self.metrics.snapshot(),
-            # record_to_dict inlined and the payload dict aliased, not
-            # copied: thousands of records materialise here per run,
-            # and snapshot consumers (exporters, diff) treat record
-            # payloads as read-only.
+            # The payload dict is aliased, not copied: thousands of
+            # records materialise here per run, and snapshot consumers
+            # (exporters, diff) treat record payloads as read-only.
             "records": [
                 {
                     "t": r.time,

@@ -136,7 +136,6 @@ class Simulator:
         self.telemetry = Telemetry(
             now_fn=lambda: self.now,
             trace=self.trace,
-            ring=True,
             enabled=instrument,
         )
         self._events_total = self.telemetry.metrics.counter(
@@ -213,7 +212,6 @@ class Simulator:
             # Close the run span on the crash path too, or the trace
             # loses exactly the run that went wrong.
             span.end(events=executed, error=True)
-            self.telemetry.flush()
             raise
         finally:
             self._running = False
@@ -221,7 +219,6 @@ class Simulator:
         if advance and end_time > self.now:
             self.now = end_time
         span.end(events=executed)
-        self.telemetry.flush()
 
     def stop(self) -> None:
         """Stop the current run_* call after the in-flight event returns."""

@@ -188,6 +188,8 @@ def test_calibrate(capsys):
 
 def test_run_telemetry_export_meets_acceptance(tmp_path, capsys):
     """The ISSUE acceptance bar: >=5 metric names, >=4 span kinds."""
+    import json
+
     from repro.obs import load_jsonl, snapshot_metric_names, snapshot_span_kinds
 
     path = tmp_path / "out.jsonl"
@@ -198,8 +200,10 @@ def test_run_telemetry_export_meets_acceptance(tmp_path, capsys):
         snap = load_jsonl(f)
     assert len(snapshot_metric_names(snap)) >= 5
     assert len(snapshot_span_kinds(snap)) >= 4
-    # The run meters its own telemetry volume.
-    assert "obs_overhead_records_total" in snapshot_metric_names(snap)
+    # The meta line counts exactly the records the export carries.
+    with open(path) as f:
+        meta = json.loads(f.readline())
+    assert meta["record_count"] == len(snap["records"])
     # Byte-identical on re-run with the same seed.
     first = path.read_bytes()
     assert main(["--seed", "1", "run", "mntp_wireless_corrected",
