@@ -74,16 +74,16 @@ def _telemetry_jsonl(name):
 #: such a change must update them and say why.
 _TELEMETRY_PINS = {
     "wired_corrected": (
-        "389d2e751ca08517c2c5c0e11ec94918fbf1f38b0b1142fc1912f737ba16471a",
-        590,
+        "e862a98c09a759255a4f4f8a0ec461c1d9b178f06dacfcda1c0618eae1379381",
+        587,
     ),
     "mntp_wireless_corrected": (
-        "ccc1c34607c0862b60b58475549570b0f7ac2709411684ab766d1019ca3796bd",
-        2213,
+        "cbb10d332b4cd0b9fd734694ac463e3cd4df7f8ba557a01d1a0568f236ad2ecd",
+        2210,
     ),
     "chaos_smoke": (
-        "bdf57364a309328db01d63c107cad5538d930b97483da182cce78abd6752f8a4",
-        1790,
+        "5e41d38ed44aabc38481defd3be8fb74f1685b2633400085b2b3eb9fb3512b55",
+        1787,
     ),
 }
 
