@@ -240,7 +240,7 @@ class Telemetry:
             "metrics": self.metrics.snapshot(),
             # The payload dict is aliased, not copied: thousands of
             # records materialise here per run, and snapshot consumers
-            # (exporters, diff) treat record payloads as read-only.
+            # treat record payloads as read-only.
             "records": [
                 {
                     "t": r.time,
