@@ -20,11 +20,7 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.core import Mntp, MntpConfig, HintThresholds
-from repro.testbed import ExperimentRunner, TestbedOptions, run_scenario, scenario_names
-from repro.tuner import TraceLogger, MntpEmulator, ParameterSearcher
-from repro.logs import LogStudy
-from repro.cellular import CellularExperiment
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -43,3 +39,20 @@ __all__ = [
     "CellularExperiment",
     "__version__",
 ]
+
+# Re-exports resolve on first use, so ``import repro`` (and every import
+# of a submodule, which imports this package first) stays cheap.
+_HOMES = {
+    "repro.core.protocol": ("Mntp",),
+    "repro.core.config": ("MntpConfig", "HintThresholds"),
+    "repro.testbed.experiment": ("ExperimentRunner",),
+    "repro.testbed.nodes": ("TestbedOptions",),
+    "repro.testbed.specs": ("run_scenario", "scenario_names"),
+    "repro.tuner.logger": ("TraceLogger",),
+    "repro.tuner.emulator": ("MntpEmulator",),
+    "repro.tuner.searcher": ("ParameterSearcher",),
+    "repro.logs.analysis": ("LogStudy",),
+    "repro.cellular.phone": ("CellularExperiment",),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _HOMES)

@@ -6,23 +6,7 @@ node (MN) that degrades the channel via cross-traffic and tx-power
 commands, closing the loop on ping statistics reported by the TN.
 """
 
-from repro.testbed.nodes import Testbed, TestbedOptions
-from repro.testbed.monitor import MonitorNode, MonitorParams
-from repro.testbed.pingtool import PingTool, PingStats
-from repro.testbed.experiment import ExperimentRunner, ExperimentResult, OffsetPoint
-from repro.testbed.specs import (
-    ScenarioSpec,
-    TopologySpec,
-    load_spec,
-    load_spec_dir,
-    run_scenario,
-    run_spec,
-    save_spec,
-    scenario_names,
-)
-from repro.testbed.matrix import MatrixOptions, run_matrix
-from repro.testbed.calibration import CalibrationReport, run_calibration
-from repro.testbed.persistence import load_result, save_result
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Testbed",
@@ -49,3 +33,29 @@ __all__ = [
     "load_result",
     "save_result",
 ]
+
+# Re-exports resolve on first use: a scenario run never imports the
+# matrix runner, the calibration check or the archive format.
+_HOMES = {
+    "repro.testbed.nodes": ("Testbed", "TestbedOptions"),
+    "repro.testbed.monitor": ("MonitorNode", "MonitorParams"),
+    "repro.testbed.pingtool": ("PingTool", "PingStats"),
+    "repro.testbed.experiment": (
+        "ExperimentRunner", "ExperimentResult", "OffsetPoint",
+    ),
+    "repro.testbed.specs": (
+        "ScenarioSpec",
+        "TopologySpec",
+        "load_spec",
+        "load_spec_dir",
+        "run_scenario",
+        "run_spec",
+        "save_spec",
+        "scenario_names",
+    ),
+    "repro.testbed.matrix": ("MatrixOptions", "run_matrix"),
+    "repro.testbed.calibration": ("CalibrationReport", "run_calibration"),
+    "repro.testbed.persistence": ("load_result", "save_result"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _HOMES)
