@@ -28,24 +28,12 @@ import json
 import math
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.cli import add_lint_arguments, run_lint
-from repro.cellular import CellularExperiment, CellularOptions
-from repro.core.config import TABLE2_CONFIGS
-from repro.logs import LogStudy
-from repro.logs.generator import GeneratorOptions
-from repro.logs.servers import TABLE1_SERVERS, server_by_id
-from repro.reporting import render_cdf, render_series, render_table
-from repro.testbed import run_scenario, scenario_names
-from repro.testbed.specs import load_scenario
-from repro.tuner import (
-    AutoTuneOptions,
-    AutoTuner,
-    LoggerOptions,
-    ParameterSearcher,
-    TraceLogger,
-)
+# The parser needs the scenario list, so the spec module is the one
+# import at module level.  Each subcommand imports the rest from its home
+# module, so a process loads only the code its subcommand runs.
+from repro.testbed.specs import load_scenario, run_scenario, scenario_names
 
 
 def _positive_float(text: str) -> float:
@@ -74,7 +62,8 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``repro-mntp`` parser and its ``lint`` subparser (no options yet)."""
     parser = argparse.ArgumentParser(
         prog="repro-mntp",
         description="Reproduction of 'MNTP: Enhancing Time Synchronization "
@@ -234,13 +223,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the repro static-analysis rules (determinism, time-unit "
         "safety); see docs/STATIC_ANALYSIS.md",
     )
-    add_lint_arguments(lint)
-    return parser
+    return parser, lint
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, lint = _build_parser()
+    if "lint" in argv:
+        # Only a command line that can be a lint run imports the linter
+        # for its options; every other subcommand starts without it.
+        from repro.analysis.cli import add_lint_arguments
+
+        add_lint_arguments(lint)
+    args = parser.parse_args(argv)
     command = args.command
     if command == "scenarios":
         return _cmd_scenarios()
@@ -269,11 +266,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if command == "matrix":
         return _cmd_matrix(args)
     if command == "lint":
+        from repro.analysis.cli import run_lint
+
         return run_lint(args)
     return 2  # pragma: no cover - argparse enforces choices
 
 
 def _cmd_scenarios() -> int:
+    from repro.reporting import render_table
     from repro.testbed.specs import SCENARIO_DIR, load_spec_dir
 
     rows = [
@@ -285,7 +285,7 @@ def _cmd_scenarios() -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.obs import judge_health
+    from repro.obs.health import judge_health
 
     watch = getattr(args, "watch", False)
     slo = None
@@ -335,7 +335,7 @@ def _cmd_run(args) -> int:
 
 def _load_slo_spec(path: str):
     """Parse a SloSpec JSON file (None + stderr message on error)."""
-    from repro.obs import SloSpec
+    from repro.obs.health import SloSpec
 
     try:
         with open(path) as f:
@@ -377,7 +377,7 @@ def _cmd_replay(args) -> int:
 
 
 def _write_telemetry(snapshot, path: str) -> None:
-    from repro.obs import write_jsonl
+    from repro.obs.exporters import write_jsonl
 
     if snapshot is None:
         print("no telemetry captured for this run", file=sys.stderr)
@@ -398,7 +398,7 @@ def _stats_dict(stats) -> Dict[str, Any]:
 
 
 def _summary_dict(result) -> Dict[str, Any]:
-    from repro.obs import snapshot_metric_names, snapshot_span_kinds
+    from repro.obs.telemetry import snapshot_metric_names, snapshot_span_kinds
 
     out: Dict[str, Any] = {
         "duration": result.duration,
@@ -419,6 +419,8 @@ def _summary_dict(result) -> Dict[str, Any]:
 
 
 def _summarise(result) -> int:
+    from repro.reporting import render_series, render_table
+
     sntp = result.sntp_error_stats()
     rows = [["SNTP", sntp.count, f"{sntp.mean_abs * 1000:.1f}",
              f"{sntp.max_abs * 1000:.1f}"]]
@@ -455,7 +457,9 @@ def _load_archived_telemetry(path: str):
 
 
 def _cmd_trace(args) -> int:
-    from repro.obs import SPAN_COMPONENT, write_chrome_trace, write_jsonl
+    from repro.obs.exporters import write_chrome_trace, write_jsonl
+    from repro.obs.spans import SPAN_COMPONENT
+    from repro.reporting import render_table
 
     snapshot = _load_archived_telemetry(args.path)
     if snapshot is None:
@@ -502,7 +506,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    from repro.obs import assemble_exchanges, decompose, explain_run, render_tree
+    from repro.obs.causal import assemble_exchanges
+    from repro.obs.explain import decompose, explain_run, render_tree
     from repro.testbed.persistence import load_result
 
     try:
@@ -552,7 +557,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_health(args) -> int:
-    from repro.obs import judge_health, render_health_text
+    from repro.obs.health import judge_health, render_health_text
 
     spec = None
     if getattr(args, "slo", None):
@@ -586,7 +591,7 @@ def _cmd_health(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from repro.obs import render_prometheus
+    from repro.obs.exporters import render_prometheus
 
     if args.path is not None:
         snapshot = _load_archived_telemetry(args.path)
@@ -600,6 +605,11 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_logstudy(args) -> int:
+    from repro.logs.analysis import LogStudy
+    from repro.logs.generator import GeneratorOptions
+    from repro.logs.servers import TABLE1_SERVERS, server_by_id
+    from repro.reporting import render_table
+
     try:
         servers = [server_by_id(s) for s in args.servers]
     except KeyError as exc:
@@ -648,6 +658,9 @@ def _cmd_logstudy(args) -> int:
 
 
 def _cmd_cellular(args) -> int:
+    from repro.cellular.phone import CellularExperiment, CellularOptions
+    from repro.reporting import render_cdf
+
     result = CellularExperiment(seed=args.seed, options=CellularOptions()).run()
     if getattr(args, "telemetry", None):
         _write_telemetry(result.telemetry, args.telemetry)
@@ -672,14 +685,18 @@ def _cmd_cellular(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from repro.core.config import TABLE2_CONFIGS
+    from repro.obs.telemetry import Telemetry
+    from repro.reporting import render_table
+    from repro.tuner.logger import LoggerOptions, TraceLogger
+    from repro.tuner.searcher import ParameterSearcher
+
     options = LoggerOptions(duration=args.hours * 3600.0)
     trace = TraceLogger(seed=args.seed, options=options).run()
     if args.save:
         with open(args.save, "w") as f:
             trace.save(f)
         print(f"trace saved to {args.save}")
-    from repro.obs import Telemetry
-
     telemetry = (
         Telemetry.standalone() if getattr(args, "telemetry", None) else None
     )
@@ -700,6 +717,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from repro.reporting import render_table
     from repro.testbed.calibration import run_calibration
 
     report = run_calibration(seed=args.seed)
@@ -754,10 +772,13 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_autotune(args) -> int:
+    from repro.obs.telemetry import Telemetry
+    from repro.reporting import render_table
+    from repro.tuner.autotune import AutoTuneOptions, AutoTuner
+    from repro.tuner.logger import LoggerOptions, TraceLogger
+
     options = LoggerOptions(duration=args.hours * 3600.0)
     trace = TraceLogger(seed=args.seed, options=options).run()
-    from repro.obs import Telemetry
-
     telemetry = (
         Telemetry.standalone() if getattr(args, "telemetry", None) else None
     )

@@ -60,9 +60,6 @@ class EventQueue:
     def __len__(self) -> int:
         return sum(1 for entry in self._heap if not entry[2].cancelled)
 
-    def __bool__(self) -> bool:
-        return any(not entry[2].cancelled for entry in self._heap)
-
     def push(self, time: float, callback: Callable[[], Any], label: str = "") -> Event:
         """Schedule ``callback`` at virtual ``time`` and return the event."""
         if time != time:  # NaN guard

@@ -1,0 +1,74 @@
+"""Import footprint: a process imports only the code its job runs.
+
+Every scenario run, bench session and CLI call is a fresh interpreter,
+so each module a package ``__init__`` drags in is paid in set-up time.
+These checks run the imports in a clean subprocess and assert that the
+heavy subsystems a job does not use stay out of ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Subsystems a simulated scenario run never executes.
+NOT_IN_A_SCENARIO_RUN = (
+    "repro.logs",
+    "repro.pcaplib",
+    "repro.cellular",
+    "repro.tuner",
+    "repro.testbed.matrix",
+    "repro.obs.explain",
+    "repro.obs.causal",
+)
+
+CASES = {
+    "scenario": (
+        ("repro.testbed.specs", "repro.testbed.experiment"),
+        NOT_IN_A_SCENARIO_RUN,
+    ),
+    "tuner_logger": (
+        ("repro.tuner.logger",),
+        ("repro.logs", "repro.pcaplib", "repro.cellular"),
+    ),
+    "cli": (
+        ("repro.cli",),
+        NOT_IN_A_SCENARIO_RUN + ("repro.analysis", "repro.testbed.persistence"),
+    ),
+}
+
+
+def _modules_after_import(modules):
+    """``sys.modules`` keys of a fresh interpreter after importing ``modules``."""
+    code = (
+        "import importlib, json, sys\n"
+        f"for name in {list(modules)!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_import_loads_no_unused_subsystem(case):
+    imports, forbidden = CASES[case]
+    loaded = _modules_after_import(imports)
+    assert set(imports) <= set(loaded)
+    leaked = [
+        name for name in loaded
+        if any(name == f or name.startswith(f + ".") for f in forbidden)
+    ]
+    assert not leaked, f"importing {imports} also loaded {leaked}"
