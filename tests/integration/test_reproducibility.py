@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 
 import pytest
 
@@ -11,8 +12,10 @@ from repro.logs.analysis import LogStudy
 from repro.logs.generator import GeneratorOptions
 from repro.logs.servers import server_by_id
 from repro.obs import jsonl_lines
+from repro.obs.exporters import write_chrome_trace
 from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
+from repro.testbed.persistence import save_result
 from repro.testbed.specs import load_scenario
 
 
@@ -61,11 +64,15 @@ def test_cellular_reproducible():
     assert [p.offset for p in a.offsets] == [p.offset for p in b.offsets]
 
 
-def _telemetry_jsonl(name):
+def _pinned_run(name):
+    """The scenario's spec and its seed-3 result, capped at 600 s."""
     spec = load_scenario(name)
     spec = dataclasses.replace(spec, duration_s=min(spec.duration_s, 600.0))
-    result = spec.build_runner(seed=3).run()
-    return list(jsonl_lines(result.telemetry))
+    return spec, spec.build_runner(seed=3).run()
+
+
+def _telemetry_jsonl(name):
+    return list(jsonl_lines(_pinned_run(name)[1].telemetry))
 
 
 #: sha256 and line count of the canonical telemetry JSONL of each
@@ -93,3 +100,30 @@ def test_telemetry_bytes_pinned_per_seed(name):
     lines = _telemetry_jsonl(name)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (digest, len(lines)) == _TELEMETRY_PINS[name]
+
+
+#: sha256 and length of ``wired_corrected``'s other two serialised
+#: forms at seed 3, capped at 600 s: the ``run --save`` archive (with
+#: the scenario's guarantees) and the Chrome trace-event export
+#: (length = event count).  The in-memory record form may change;
+#: these bytes may not.
+_ARCHIVE_PIN = (
+    "0f2885aafe726da9a248f2a2671037ea886bf88c0839c89fbf3b8d83a2e847c0",
+    186278,
+)
+_CHROME_TRACE_PIN = (
+    "aed48d4ea3a7087de545a6130f177f41f96c46eb68f52a9e4b65ebc2bf4e0308",
+    588,
+)
+
+
+def test_saved_archive_and_chrome_trace_bytes_pinned():
+    spec, result = _pinned_run("wired_corrected")
+    archive = io.StringIO()
+    save_result(result, archive, guarantees=spec.guarantees)
+    text = archive.getvalue()
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == _ARCHIVE_PIN
+    chrome = io.StringIO()
+    events = write_chrome_trace(result.telemetry, chrome)
+    digest = hashlib.sha256(chrome.getvalue().encode()).hexdigest()
+    assert (digest, events) == _CHROME_TRACE_PIN
