@@ -11,8 +11,10 @@ records back into :class:`Exchange` objects and attaches the
 time, so a single offset sample can be traced to the physical events
 that shaped it (see :mod:`repro.obs.explain` for the attribution step).
 
-Everything operates on the plain-dict telemetry snapshot, so archived
-runs are as inspectable as live ones.
+Everything operates on a telemetry snapshot's
+:class:`~repro.simcore.trace.TraceRecord` list, which a live run and a
+loaded archive hand over alike, so archived runs are as inspectable as
+live ones.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.spans import SPAN_COMPONENT
+from repro.simcore.trace import TraceRecord
 
 #: Exchange outcomes where the server answered (a turnaround or a
 #: response hop proves the tree is whole even though no sample came out).
@@ -210,7 +213,7 @@ def assemble_exchanges(snapshot: Dict[str, Any]) -> List[Exchange]:
     given snapshot).  Exchanges the run cut off mid-flight come back
     with ``outcome="unresolved"``.
     """
-    roots: List[Dict[str, Any]] = []
+    roots: List[TraceRecord] = []
     hops: Dict[str, List[Hop]] = {}
     turnarounds: Dict[str, Turnaround] = {}
     drops: Dict[str, List[Dict[str, Any]]] = {}
@@ -218,9 +221,9 @@ def assemble_exchanges(snapshot: Dict[str, Any]) -> List[Exchange]:
     faults: List[InjectedFault] = []
 
     for record in snapshot.get("records", []):
-        data = record.get("data", {})
-        kind = record.get("kind")
-        if record.get("component") == SPAN_COMPONENT:
+        data = record.data
+        kind = record.kind
+        if record.component == SPAN_COMPONENT:
             if kind == "sntp.exchange":
                 roots.append(record)
             elif kind == "link.transit" and data.get("trace_id") is not None:
@@ -255,8 +258,8 @@ def assemble_exchanges(snapshot: Dict[str, Any]) -> List[Exchange]:
         elif kind in ("drop", "ignored") and data.get("trace_id") is not None:
             drops.setdefault(str(data["trace_id"]), []).append(
                 {
-                    "t": record.get("t"),
-                    "component": record.get("component"),
+                    "t": record.time,
+                    "component": record.component,
                     "kind": kind,
                     "ident": data.get("ident"),
                 }
@@ -264,7 +267,7 @@ def assemble_exchanges(snapshot: Dict[str, Any]) -> List[Exchange]:
 
     exchanges: List[Exchange] = []
     for record in roots:
-        data = record["data"]
+        data = record.data
         trace_id = str(data.get("trace_id"))
         exchange = Exchange(
             trace_id=trace_id,

@@ -1,7 +1,9 @@
 """Telemetry snapshot exporters: JSONL, Chrome trace-event, Prometheus.
 
-All three render the plain-dict snapshot produced by
-:meth:`repro.obs.telemetry.Telemetry.snapshot`:
+All three render the snapshot produced by
+:meth:`repro.obs.telemetry.Telemetry.snapshot`, whose records are
+:class:`~repro.simcore.trace.TraceRecord` objects; the JSONL writer
+and :func:`load_jsonl` are where a record becomes a dict and back:
 
 * **JSONL** — one self-describing JSON object per line (``meta``,
   ``metric``, ``record``); the archival format ``--telemetry`` writes.
@@ -22,6 +24,7 @@ from typing import IO, Any, Dict, Iterator, List
 
 from repro.obs.spans import SPAN_COMPONENT
 from repro.obs.telemetry import TELEMETRY_FORMAT
+from repro.simcore.trace import TraceRecord
 
 
 def _dumps(obj: Any) -> str:
@@ -49,7 +52,7 @@ def jsonl_lines(snapshot: Dict[str, Any]) -> Iterator[str]:
         # collide with the line discriminator.
         yield _dumps({"type": "metric", "metric": metric})
     for record in records:
-        yield _dumps({"type": "record", **record})
+        yield _dumps({"type": "record", **record.to_dict()})
 
 
 def write_jsonl(snapshot: Dict[str, Any], fileobj: IO[str]) -> int:
@@ -64,12 +67,15 @@ def write_jsonl(snapshot: Dict[str, Any], fileobj: IO[str]) -> int:
 def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
     """Rebuild a snapshot dict from a JSONL export.
 
+    Records come back as :class:`TraceRecord` objects, as in a live
+    snapshot.
+
     Raises:
         ValueError: If the stream is not a telemetry JSONL document.
     """
     meta: Dict[str, Any] = {}
     metrics: List[Dict[str, Any]] = []
-    records: List[Dict[str, Any]] = []
+    records: List[TraceRecord] = []
     for lineno, line in enumerate(fileobj, start=1):
         line = line.strip()
         if not line:
@@ -84,7 +90,10 @@ def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
         elif kind == "metric":
             metrics.append(dict(obj.get("metric", {})))
         elif kind == "record":
-            records.append({k: v for k, v in obj.items() if k != "type"})
+            try:
+                records.append(TraceRecord.from_dict(obj))
+            except KeyError as exc:
+                raise ValueError(f"line {lineno}: record lacks {exc}") from exc
         else:
             raise ValueError(f"line {lineno}: unknown entry type {kind!r}")
     if meta.get("format") != TELEMETRY_FORMAT:
@@ -125,18 +134,18 @@ def chrome_trace_events(snapshot: Dict[str, Any]) -> List[Dict[str, Any]]:
         return tids[component]
 
     for record in snapshot.get("records", []):
-        component = record.get("component", "?")
-        data = record.get("data", {})
+        component = record.component
+        data = record.data
         if component == SPAN_COMPONENT:
-            track = record["kind"].split(".", 1)[0]
+            track = record.kind.split(".", 1)[0]
             events.append(
                 {
-                    "name": record["kind"],
+                    "name": record.kind,
                     "cat": SPAN_COMPONENT,
                     "ph": "X",
                     "pid": 1,
                     "tid": tid_of(track),
-                    "ts": round(float(data.get("t0", record["t"])) * 1e6, 3),
+                    "ts": round(float(data.get("t0", record.time)) * 1e6, 3),
                     # Zero-duration spans (begin+end in one event) are
                     # legal; clamp so float noise can't go negative,
                     # which the trace viewer rejects.
@@ -149,13 +158,13 @@ def chrome_trace_events(snapshot: Dict[str, Any]) -> List[Dict[str, Any]]:
         else:
             events.append(
                 {
-                    "name": f"{component}.{record['kind']}",
+                    "name": f"{component}.{record.kind}",
                     "cat": component,
                     "ph": "i",
                     "s": "t",
                     "pid": 1,
                     "tid": tid_of(component),
-                    "ts": round(float(record["t"]) * 1e6, 3),
+                    "ts": round(float(record.time) * 1e6, 3),
                     "args": data,
                 }
             )

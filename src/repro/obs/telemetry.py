@@ -8,8 +8,11 @@ grid search, which replays a recorded trace with no virtual clock) use
 :meth:`Telemetry.standalone`, which runs on a :class:`ManualClock` —
 a deterministic step counter standing in for a time axis.
 
-:meth:`Telemetry.snapshot` freezes everything into plain dicts/lists
-for persistence and the exporters (:mod:`repro.obs.exporters`).
+:meth:`Telemetry.snapshot` freezes the metrics into plain dicts and
+the record membership into a new list of the log's own
+:class:`~repro.simcore.trace.TraceRecord` objects, for persistence and
+the exporters (:mod:`repro.obs.exporters`), which alone build the dict
+form of a record.
 """
 
 from __future__ import annotations
@@ -234,22 +237,16 @@ class Telemetry:
         """
 
     def snapshot(self) -> Dict[str, Any]:
-        """Freeze metrics and trace records into a plain dict."""
+        """Freeze metrics into plain dicts and the record list as it stands.
+
+        ``"records"`` is a new list holding the log's own
+        :class:`TraceRecord` objects, not copies: records are immutable
+        by convention, and a record appended later stays out of it.
+        """
         return {
             "format": TELEMETRY_FORMAT,
             "metrics": self.metrics.snapshot(),
-            # The payload dict is aliased, not copied: thousands of
-            # records materialise here per run, and snapshot consumers
-            # treat record payloads as read-only.
-            "records": [
-                {
-                    "t": r.time,
-                    "component": r.component,
-                    "kind": r.kind,
-                    "data": r.data,
-                }
-                for r in self.trace
-            ],
+            "records": list(self.trace),
         }
 
 
@@ -259,9 +256,9 @@ def snapshot_span_kinds(snapshot: Dict[str, Any]) -> List[str]:
 
     return sorted(
         {
-            r["kind"]
+            r.kind
             for r in snapshot.get("records", [])
-            if r.get("component") == SPAN_COMPONENT
+            if r.component == SPAN_COMPONENT
         }
     )
 

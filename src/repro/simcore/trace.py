@@ -4,6 +4,12 @@ Components append :class:`TraceRecord` entries to a shared
 :class:`TraceLog`.  The experiment harness and the Figure-7 "signals and
 selection" reproduction read decisions back out of this log rather than
 scraping printed output.
+
+A :class:`TraceRecord` is the only in-memory form of a record: live
+logs, telemetry snapshots and loaded archives all hold them.  The dict
+form ``{"t", "component", "kind", "data"}`` exists only at the JSON
+boundary, through :meth:`TraceRecord.to_dict` and
+:meth:`TraceRecord.from_dict`.
 """
 
 from __future__ import annotations
@@ -39,6 +45,27 @@ class TraceRecord:
         self.component = component
         self.kind = kind
         self.data = {} if data is None else data
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON form, keys in the fixed order ``t, component, kind, data``.
+
+        The payload dict is shared, not copied.
+        """
+        return {
+            "t": self.time,
+            "component": self.component,
+            "kind": self.kind,
+            "data": self.data,
+        }
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any]) -> "TraceRecord":
+        """Rebuild a record from its :meth:`to_dict` form.
+
+        Values are kept as stored, so a loaded record re-serialises to
+        the same bytes.
+        """
+        return cls(d["t"], d["component"], d["kind"], d.get("data"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceRecord):

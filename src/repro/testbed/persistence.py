@@ -14,6 +14,7 @@ from typing import IO, Any, Dict, Optional, Tuple
 from repro.core.protocol import MntpPhase, MntpReport
 from repro.obs.explain import explain_run
 from repro.obs.health import SloSpec
+from repro.simcore.trace import TraceRecord
 from repro.testbed.experiment import ExperimentResult, OffsetPoint
 
 FORMAT = "mntp-experiment-v1"
@@ -26,7 +27,8 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
     """Convert a result to a JSON-serialisable dict.
 
     The run's telemetry snapshot rides along under ``"telemetry"``
-    when present, so archived runs stay inspectable with
+    when present, its records in their dict form, so archived runs
+    stay inspectable with
     ``repro-mntp trace`` / ``repro-mntp metrics``; a compact
     root-cause report (``repro.obs.explain``) is embedded under
     ``"explain"`` so archives answer "why was this run noisy?"
@@ -44,7 +46,10 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
         "mntp_reports": [_report(r) for r in result.mntp_reports],
     }
     if result.telemetry is not None:
-        out["telemetry"] = result.telemetry
+        out["telemetry"] = {
+            **result.telemetry,
+            "records": [r.to_dict() for r in result.telemetry["records"]],
+        }
         out["explain"] = explain_run(
             result.telemetry, samples=result.offset_samples()
         ).to_dict(worst_n=_EXPLAIN_WORST_N)
@@ -54,8 +59,9 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
 def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     """Rebuild a result from :func:`result_to_dict` output.
 
-    An archive written before failure times and fault windows were
-    recorded loads with those fields None.
+    Telemetry records come back as :class:`TraceRecord` objects, as
+    in a fresh run.  An archive written before failure times and fault
+    windows were recorded loads with those fields None.
     """
     if data.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
@@ -76,7 +82,15 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     result.sntp = [_point_from(d) for d in data.get("sntp", [])]
     result.true_offsets = [_point_from(d) for d in data.get("true_offsets", [])]
     result.mntp_reports = [_report_from(d) for d in data.get("mntp_reports", [])]
-    result.telemetry = data.get("telemetry")
+    telemetry = data.get("telemetry")
+    if telemetry is not None:
+        telemetry = {
+            **telemetry,
+            "records": [
+                TraceRecord.from_dict(r) for r in telemetry.get("records", [])
+            ],
+        }
+    result.telemetry = telemetry
     result.explain = data.get("explain")
     return result
 

@@ -167,11 +167,11 @@ def test_episode_spans_are_emitted():
     snapshot = sim.telemetry.snapshot()
     spans = [
         r for r in snapshot["records"]
-        if r["component"] == "span" and r["kind"] == "fault.episode"
+        if r.component == "span" and r.kind == "fault.episode"
     ]
     assert len(spans) == 1
-    assert spans[0]["data"]["fault"] == "blackout"
-    assert spans[0]["data"]["t1"] == pytest.approx(3.0)
+    assert spans[0].data["fault"] == "blackout"
+    assert spans[0].data["t1"] == pytest.approx(3.0)
 
 
 def test_fault_episodes_visible_in_causal_exchanges():

@@ -10,7 +10,7 @@ def _exchange_spans(sim):
     sim.telemetry.spans.end_all()
     return [
         r for r in sim.telemetry.snapshot()["records"]
-        if r["component"] == "span" and r["kind"] == "sntp.exchange"
+        if r.component == "span" and r.kind == "sntp.exchange"
     ]
 
 
@@ -26,8 +26,8 @@ def test_timeout_fires_and_is_counted():
     assert not net.client._pending  # table drained
     spans = _exchange_spans(sim)
     assert len(spans) == 1
-    assert spans[0]["data"]["outcome"] == "timeout"
-    assert spans[0]["data"]["t1"] - spans[0]["data"]["t0"] == 1.5
+    assert spans[0].data["outcome"] == "timeout"
+    assert spans[0].data["t1"] - spans[0].data["t0"] == 1.5
 
 
 def test_response_cancels_timeout_no_double_callback():
@@ -38,7 +38,7 @@ def test_response_cancels_timeout_no_double_callback():
     sim.run_until(30.0)  # far past the timeout deadline
     assert len(results) == 1 and results[0].ok
     assert net.client.timeouts == 0
-    assert _exchange_spans(sim)[0]["data"]["outcome"] == "ok"
+    assert _exchange_spans(sim)[0].data["outcome"] == "ok"
 
 
 def test_late_response_after_timeout_is_ignored():

@@ -6,15 +6,13 @@ from repro.obs import (
     assemble_exchanges,
     completeness,
 )
+from repro.simcore.trace import TraceRecord
 
 
 def span_record(kind, t0, t1, **attrs):
-    return {
-        "t": t0,
-        "component": "span",
-        "kind": kind,
-        "data": {"t0": t0, "t1": t1, "dur": t1 - t0, **attrs},
-    }
+    return TraceRecord(
+        t0, "span", kind, {"t0": t0, "t1": t1, "dur": t1 - t0, **attrs}
+    )
 
 
 def exchange_records(
@@ -83,8 +81,8 @@ def test_hop_classification_by_direction_prefix():
 def test_hop_classification_positional_fallback():
     records = exchange_records()
     for r in records:
-        if r["kind"] == "link.transit":
-            r["data"]["link"] = "wire"
+        if r.kind == "link.transit":
+            r.data["link"] = "wire"
     ex = assemble_exchanges(snapshot_of(records))[0]
     # Earlier span becomes the request hop.
     assert ex.request_hop.t0 == 10.0
@@ -112,10 +110,9 @@ def test_timeout_complete_via_drop_record():
             "sntp.exchange", 5.0, 8.0,
             trace_id="c/2", client="c", server=None, outcome="timeout",
         ),
-        {
-            "t": 5.1, "component": "link:up:srv", "kind": "drop",
-            "data": {"trace_id": "c/2", "ident": 7},
-        },
+        TraceRecord(
+            5.1, "link:up:srv", "drop", {"trace_id": "c/2", "ident": 7}
+        ),
     ]
     ex = assemble_exchanges(snapshot_of(records))[0]
     assert ex.outcome == "timeout"

@@ -86,7 +86,7 @@ def test_worst_ranks_by_magnitude():
     records = []
     for i, offset in enumerate((0.001, 0.05, 0.01)):
         base = exchange_records(trace_id=f"c/{i}")
-        base[0]["data"]["offset"] = offset
+        base[0].data["offset"] = offset
         records.extend(base)
     report = explain_run(snapshot_of(records))
     assert [d.offset for d in report.worst(2)] == [0.05, 0.01]
@@ -99,12 +99,12 @@ def test_above_p90_all_attributed():
         base = exchange_records(trace_id=f"c/{i}")
         for r in base:
             for key in ("t0", "t1"):
-                r["data"][key] += i * 100.0
-            r["t"] += i * 100.0
+                r.data[key] += i * 100.0
+            r.time += i * 100.0
         offset = 0.001 * (i + 1)
-        base[0]["data"]["offset"] = offset
+        base[0].data["offset"] = offset
         records.extend(base)
-        samples.append((base[0]["data"]["t1"], offset, 0.002))
+        samples.append((base[0].data["t1"], offset, 0.002))
     report = explain_run(snapshot_of(records), samples=samples)
     above = report.above_p90()
     assert above  # spread of errors -> someone exceeds p90
@@ -117,8 +117,8 @@ def test_windowed_aggregation_buckets_by_time():
         base = exchange_records(trace_id=f"c/{i}")
         for r in base:
             for key in ("t0", "t1"):
-                r["data"][key] += t_shift
-            r["t"] += t_shift
+                r.data[key] += t_shift
+            r.time += t_shift
         records.extend(base)
     report = explain_run(snapshot_of(records), window_s=300.0)
     assert [w.count for w in report.windows] == [2, 1]

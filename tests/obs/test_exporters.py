@@ -14,6 +14,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.simcore.trace import TraceRecord
 
 
 def sample_snapshot():
@@ -40,6 +41,16 @@ def test_jsonl_roundtrip():
     again = load_jsonl(buf)
     assert again["metrics"] == snap["metrics"]
     assert again["records"] == snap["records"]
+    assert all(isinstance(r, TraceRecord) for r in again["records"])
+
+
+def test_load_jsonl_rejects_a_record_without_its_fields():
+    buf = io.StringIO(
+        '{"format":"mntp-telemetry-v1","type":"meta"}\n'
+        '{"component":"mntp","t":1.0,"type":"record"}\n'
+    )
+    with pytest.raises(ValueError, match="line 2"):
+        load_jsonl(buf)
 
 
 def test_jsonl_is_byte_deterministic():
@@ -161,10 +172,9 @@ def test_chrome_trace_clamps_negative_duration():
     # the exporter guards hand-built snapshots too.
     snapshot = {
         "metrics": [],
-        "records": [{
-            "t": 1.0, "component": "span", "kind": "mntp.warmup",
-            "data": {"t0": 1.0, "t1": 1.0, "dur": -1e-9},
-        }],
+        "records": [TraceRecord(
+            1.0, "span", "mntp.warmup", {"t0": 1.0, "t1": 1.0, "dur": -1e-9}
+        )],
     }
     events = chrome_trace_events(snapshot)
     complete = [e for e in events if e["ph"] == "X"]

@@ -52,26 +52,26 @@ def test_expected_span_kinds_present(wireless_result):
 def test_sim_events_counter_matches_span(wireless_result):
     snap = wireless_result.telemetry
     runs = [r for r in snap["records"]
-            if r["component"] == SPAN_COMPONENT and r["kind"] == "sim.run"]
+            if r.component == SPAN_COMPONENT and r.kind == "sim.run"]
     assert len(runs) == 1
     events = next(m for m in snap["metrics"] if m["name"] == "sim_events_total")
-    assert runs[0]["data"]["events"] == events["value"] > 0
+    assert runs[0].data["events"] == events["value"] > 0
 
 
 def test_interference_counter_covers_spans(wireless_result):
     """Every closed episode span has a counted start (open ones too)."""
     snap = wireless_result.telemetry
     spans = [r for r in snap["records"]
-             if r["component"] == SPAN_COMPONENT
-             and r["kind"] == "channel.interference"]
+             if r.component == SPAN_COMPONENT
+             and r.kind == "channel.interference"]
     episodes = next(
         m for m in snap["metrics"]
         if m["name"] == "channel_interference_episodes_total"
     )
     assert episodes["value"] >= len(spans)
     for record in spans:
-        assert record["data"]["dur"] > 0.0
-        assert record["data"]["rssi_dip_db"] != 0.0
+        assert record.data["dur"] > 0.0
+        assert record.data["rssi_dip_db"] != 0.0
 
 
 def test_telemetry_is_seed_deterministic():
@@ -105,15 +105,15 @@ def test_tuner_search_spans_and_counter():
     )
     results = searcher.search()
     snap = telemetry.snapshot()
-    evals = [r for r in snap["records"] if r["kind"] == "tuner.eval"]
+    evals = [r for r in snap["records"] if r.kind == "tuner.eval"]
     assert len(evals) == len(results) == 2
     counter = next(
         m for m in snap["metrics"] if m["name"] == "tuner_evaluations_total"
     )
     assert counter["value"] == 2.0
     for record in evals:
-        assert "rmse_ms" in record["data"]
-        assert "requests" in record["data"]
+        assert "rmse_ms" in record.data
+        assert "requests" in record.data
 
 
 def test_telemetry_never_changes_the_simulation():

@@ -1,5 +1,7 @@
 """Telemetry bundle: clocks, emission, snapshots, simulator integration."""
 
+import tracemalloc
+
 import pytest
 
 from repro.obs import (
@@ -10,6 +12,7 @@ from repro.obs import (
     snapshot_span_kinds,
 )
 from repro.simcore.simulator import Simulator
+from repro.simcore.trace import TraceRecord
 
 
 def test_manual_clock_ticks():
@@ -113,3 +116,37 @@ def test_snapshot_shape_and_helpers():
     assert snapshot_metric_names(snap) == ["a_total", "b_gauge"]
     assert snapshot_span_kinds(snap) == ["phase.one"]
     assert len(snap["records"]) == 1
+
+
+def test_snapshot_shares_the_logs_records_and_freezes_membership():
+    telemetry = Telemetry.standalone()
+    for i in range(5):
+        telemetry.emit(float(i), "mntp", "query_sent", n=i)
+    with telemetry.spans.span("phase.one"):
+        telemetry.advance()
+    records = telemetry.snapshot()["records"]
+    logged = list(telemetry.trace)
+    assert len(records) == len(logged) == 6
+    for i, record in enumerate(records):
+        assert isinstance(record, TraceRecord)
+        assert record is logged[i]
+    telemetry.emit(9.0, "mntp", "offset_accepted")
+    assert len(telemetry.trace) == 7
+    assert len(records) == 6
+    assert all(r.kind != "offset_accepted" for r in records)
+
+
+def test_snapshot_does_not_copy_records():
+    telemetry = Telemetry.standalone()
+    for i in range(10_000):
+        telemetry.emit(float(i), "mntp", "query_sent", server="a")
+    tracemalloc.start()
+    try:
+        snap = telemetry.snapshot()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(snap["records"]) == 10_000
+    # One list of 10,000 references is ~80 KiB; a dict per record
+    # would be ~2 MiB.
+    assert peak < 200 * 1024

@@ -1,6 +1,7 @@
 """Experiment result JSON persistence."""
 
 import io
+import json
 import math
 
 import pytest
@@ -86,6 +87,24 @@ def test_roundtrip_preserves_telemetry_payload(result):
     )
     # Stats survive alongside the payload.
     assert loaded.sntp_stats().rmse == result.sntp_stats().rmse
+
+
+def test_loaded_telemetry_records_are_trace_records(result):
+    from repro.simcore.trace import TraceRecord
+
+    loaded = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
+    records = loaded.telemetry["records"]
+    assert records
+    assert all(isinstance(r, TraceRecord) for r in records)
+    assert records == result.telemetry["records"]
+
+
+def test_loaded_archive_saves_to_the_same_bytes(result):
+    first = io.StringIO()
+    save_result(result, first)
+    second = io.StringIO()
+    save_result(load_result(io.StringIO(first.getvalue())), second)
+    assert second.getvalue() == first.getvalue()
 
 
 def test_result_without_telemetry_loads_as_none():

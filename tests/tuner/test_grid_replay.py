@@ -8,8 +8,6 @@ grid search must produce the same rows and the same telemetry as the
 per-configuration loop it replaces.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +16,7 @@ from repro.core.config import HintThresholds, MntpConfig
 from repro.core.falsetickers import reject_false_tickers
 from repro.core.filter import OffsetFilter
 from repro.core.thresholds import favorable_snr_condition
+from repro.obs.exporters import jsonl_lines
 from repro.obs.telemetry import Telemetry
 from repro.tuner.emulator import EmulationResult, MntpEmulator, replay_grid
 from repro.tuner.searcher import ParameterSearcher, SearchSpace
@@ -289,9 +288,9 @@ def test_search_telemetry_and_rows_match_per_config_loop():
     assert [r.row() + (r.reported_count,) for r in grid] == \
         [r.row() + (r.reported_count,) for r in loop]
     assert [r.config for r in grid] == [r.config for r in loop]
-    assert json.dumps(grid_telemetry.snapshot(), sort_keys=True) == \
-        json.dumps(loop_telemetry.snapshot(), sort_keys=True)
-    evals = [r for r in grid_telemetry.snapshot()["records"] if r["kind"] == "tuner.eval"]
+    assert list(jsonl_lines(grid_telemetry.snapshot())) == \
+        list(jsonl_lines(loop_telemetry.snapshot()))
+    evals = [r for r in grid_telemetry.snapshot()["records"] if r.kind == "tuner.eval"]
     assert len(evals) == len(_SPACE.combinations())
 
 

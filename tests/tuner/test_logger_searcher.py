@@ -178,7 +178,7 @@ def test_logger_simulation_runs_without_telemetry(monkeypatch):
     snapshot = built[0].telemetry.snapshot()
     assert not built[0].telemetry.enabled
     assert snapshot["metrics"] == []
-    assert not [r for r in snapshot["records"] if r["component"] == "span"]
+    assert not [r for r in snapshot["records"] if r.component == "span"]
 
 
 @pytest.mark.parametrize("name", ["duration", "cadence"])
