@@ -47,7 +47,8 @@ _HOMES = {
     "repro.core.config": ("MntpConfig", "HintThresholds"),
     "repro.testbed.experiment": ("ExperimentRunner",),
     "repro.testbed.nodes": ("TestbedOptions",),
-    "repro.testbed.specs": ("run_scenario", "scenario_names"),
+    "repro.testbed.specs": ("run_scenario",),
+    "repro.testbed.catalog": ("scenario_names",),
     "repro.tuner.logger": ("TraceLogger",),
     "repro.tuner.emulator": ("MntpEmulator",),
     "repro.tuner.searcher": ("ParameterSearcher",),

@@ -15,13 +15,7 @@ The drift estimate (trend-line slope) is re-estimated on every accepted
 sample — the fix the authors report discovering via the MNTP tuner.
 """
 
-from repro.core.config import MntpConfig, HintThresholds
-from repro.core.thresholds import favorable_snr_condition
-from repro.core.trend import TrendLine
-from repro.core.falsetickers import reject_false_tickers, FalseTickerVerdict
-from repro.core.filter import OffsetFilter, FilterDecision
-from repro.core.protocol import Mntp, MntpPhase
-from repro.core.events import MntpEventKind
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MntpConfig",
@@ -36,3 +30,17 @@ __all__ = [
     "MntpPhase",
     "MntpEventKind",
 ]
+
+# Re-exports resolve on first use: the configuration dataclasses and the
+# filter maths must not pull in the protocol, and with it the simulator.
+_HOMES = {
+    "repro.core.config": ("MntpConfig", "HintThresholds"),
+    "repro.core.thresholds": ("favorable_snr_condition",),
+    "repro.core.trend": ("TrendLine",),
+    "repro.core.falsetickers": ("reject_false_tickers", "FalseTickerVerdict"),
+    "repro.core.filter": ("OffsetFilter", "FilterDecision"),
+    "repro.core.protocol": ("Mntp", "MntpPhase"),
+    "repro.core.events": ("MntpEventKind",),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _HOMES)

@@ -51,8 +51,8 @@ _HOMES = {
         "run_scenario",
         "run_spec",
         "save_spec",
-        "scenario_names",
     ),
+    "repro.testbed.catalog": ("scenario_names",),
     "repro.testbed.matrix": ("MatrixOptions", "run_matrix"),
     "repro.testbed.calibration": ("CalibrationReport", "run_calibration"),
     "repro.testbed.persistence": ("load_result", "save_result"),

@@ -33,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.testbed.catalog import iter_spec_files
 from repro.testbed.specs import ScenarioSpec, load_spec, run_spec
 
 #: Format tag of the aggregated report document.
@@ -146,8 +147,6 @@ def discover_specs(
     file costs itself, never the directory — and it still hard-fails
     the matrix verdict, so CI catches it.
     """
-    from repro.testbed.specs import iter_spec_files
-
     specs: Dict[str, ScenarioSpec] = {}
     first_file: Dict[str, str] = {}
     invalid: List[Dict[str, Any]] = []

@@ -50,6 +50,7 @@ from repro.core.config import HintThresholds, MntpConfig
 from repro.faults.schedule import FaultEpisode, FaultSchedule
 from repro.ntp.sntp_client import HardeningPolicy
 from repro.obs.health import SloSpec, judge_health
+from repro.testbed.catalog import SCENARIO_DIR, iter_spec_files, scenario_names
 from repro.testbed.experiment import ExperimentResult, ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 
@@ -546,19 +547,6 @@ def load_spec(path: str) -> ScenarioSpec:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def iter_spec_files(directory: str) -> List[str]:
-    """The ``.json`` files of a spec directory, sorted by filename."""
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError as exc:
-        raise ValueError(f"{directory}: {exc}") from exc
-    return [
-        os.path.join(directory, name)
-        for name in names
-        if name.endswith(".json")
-    ]
-
-
 def load_spec_dir(directory: str) -> List[ScenarioSpec]:
     """Load every spec in a directory (strict: first bad file raises).
 
@@ -578,20 +566,6 @@ def load_spec_dir(directory: str) -> List[ScenarioSpec]:
 
 
 # -- the checked-in scenarios ---------------------------------------------
-
-#: The repo's ``scenarios/`` directory: one spec file per named scenario.
-SCENARIO_DIR = os.path.normpath(os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "..", "..",
-    "scenarios",
-))
-
-
-def scenario_names() -> List[str]:
-    """Sorted names of the checked-in scenarios (spec filename stems)."""
-    return [
-        os.path.basename(path)[: -len(".json")]
-        for path in iter_spec_files(SCENARIO_DIR)
-    ]
 
 
 def load_scenario(name: str) -> ScenarioSpec:

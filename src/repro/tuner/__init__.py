@@ -12,11 +12,7 @@
   requests it generates (Table 2's two metrics).
 """
 
-from repro.tuner.traces import OffsetTrace, TraceEntry
-from repro.tuner.logger import TraceLogger, LoggerOptions
-from repro.tuner.emulator import MntpEmulator, EmulationResult
-from repro.tuner.searcher import ParameterSearcher, SearchSpace, SearchResult
-from repro.tuner.autotune import AutoTuner, AutoTuneOptions, TuneOutcome
+from repro._lazy import lazy_exports
 
 __all__ = [
     "OffsetTrace",
@@ -32,3 +28,15 @@ __all__ = [
     "AutoTuneOptions",
     "TuneOutcome",
 ]
+
+# Re-exports resolve on first use: logging a trace needs neither the
+# emulator nor the searches, and replaying one needs no logger.
+_HOMES = {
+    "repro.tuner.traces": ("OffsetTrace", "TraceEntry"),
+    "repro.tuner.logger": ("TraceLogger", "LoggerOptions"),
+    "repro.tuner.emulator": ("MntpEmulator", "EmulationResult"),
+    "repro.tuner.searcher": ("ParameterSearcher", "SearchSpace", "SearchResult"),
+    "repro.tuner.autotune": ("AutoTuner", "AutoTuneOptions", "TuneOutcome"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _HOMES)

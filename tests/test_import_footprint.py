@@ -27,18 +27,40 @@ NOT_IN_A_SCENARIO_RUN = (
     "repro.obs.causal",
 )
 
+#: Model code: the simulator and everything a protocol run drives.
+MODEL_CODE = (
+    "repro.simcore",
+    "repro.core.protocol",
+    "repro.wireless",
+    "repro.net",
+    "repro.ntp",
+)
+
 CASES = {
     "scenario": (
         ("repro.testbed.specs", "repro.testbed.experiment"),
         NOT_IN_A_SCENARIO_RUN,
     ),
+    "core_config": (
+        ("repro.core.config",),
+        MODEL_CODE + NOT_IN_A_SCENARIO_RUN,
+    ),
     "tuner_logger": (
         ("repro.tuner.logger",),
-        ("repro.logs", "repro.pcaplib", "repro.cellular"),
+        (
+            "repro.logs",
+            "repro.pcaplib",
+            "repro.cellular",
+            "repro.tuner.emulator",
+            "repro.tuner.searcher",
+            "repro.tuner.autotune",
+        ),
     ),
     "cli": (
         ("repro.cli",),
-        NOT_IN_A_SCENARIO_RUN + ("repro.analysis", "repro.testbed.persistence"),
+        NOT_IN_A_SCENARIO_RUN
+        + MODEL_CODE
+        + ("repro.analysis", "repro.testbed.persistence", "repro.testbed.specs"),
     ),
 }
 

@@ -1,7 +1,7 @@
 """Lazy package re-exports keep the public surface whole.
 
-``repro``, ``repro.testbed`` and ``repro.obs`` resolve their re-exports
-on first use (PEP 562).  Every name in ``__all__`` must still be the
+``repro``, ``repro.core``, ``repro.obs``, ``repro.testbed`` and
+``repro.tuner`` resolve their re-exports on first use (PEP 562).  Every name in ``__all__`` must still be the
 object its home module defines, be listed by ``dir()``, survive a star
 import, and an unknown name must still raise ``AttributeError``.
 """
@@ -10,7 +10,9 @@ import importlib
 
 import pytest
 
-LAZY_PACKAGES = ("repro", "repro.testbed", "repro.obs")
+LAZY_PACKAGES = (
+    "repro", "repro.core", "repro.obs", "repro.testbed", "repro.tuner",
+)
 
 
 def _package(name):
@@ -73,3 +75,11 @@ def test_submodule_import_through_the_package_still_works():
     from repro.testbed.matrix import run_matrix
 
     assert matrix.run_matrix is run_matrix
+
+
+def test_scenario_listing_keeps_its_spec_module_names():
+    from repro.testbed import catalog, specs
+
+    assert specs.scenario_names is catalog.scenario_names
+    assert specs.iter_spec_files is catalog.iter_spec_files
+    assert specs.SCENARIO_DIR == catalog.SCENARIO_DIR
