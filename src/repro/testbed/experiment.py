@@ -109,8 +109,11 @@ class ExperimentResult:
             ``duration``); None on archives written before they were
             recorded.
         telemetry: Frozen :meth:`repro.obs.Telemetry.snapshot` of the
-            run (metrics + trace/span records); None for results built
-            outside :class:`ExperimentRunner`.
+            run: metric dicts plus the run's own
+            :class:`~repro.simcore.trace.TraceRecord` objects, which a
+            loaded archive rebuilds (the dict form of a record exists
+            only in JSON); None for results built outside
+            :class:`ExperimentRunner`.
         explain: Compact root-cause report embedded by persistence in
             archived runs (see :mod:`repro.obs.explain`); None on live
             results — call :func:`repro.obs.explain_run` on
