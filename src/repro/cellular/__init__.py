@@ -9,7 +9,6 @@ behind Figure 5's 192 ms mean offset.
 
 from repro.cellular.ran import RadioAccessNetwork, RanParams, RrcState
 from repro.cellular.phone import CellularExperiment, CellularOptions, GpsTimeSync
-from repro.cellular.nitz import NitzService, NitzParams
 
 __all__ = [
     "RadioAccessNetwork",
@@ -18,6 +17,4 @@ __all__ = [
     "CellularExperiment",
     "CellularOptions",
     "GpsTimeSync",
-    "NitzService",
-    "NitzParams",
 ]

@@ -363,15 +363,27 @@ def _print_health_line(row: Dict[str, Any]) -> None:
           f"rate={fmt('exchange_rate_per_s', '/s')}{fault}")
 
 
-def _cmd_replay(args) -> int:
-    from repro.testbed.persistence import load_result
+def _load_archive(path: str):
+    """``(result, archived guarantees)`` of a saved run.
+
+    None, with a ``cannot load`` message on stderr, when the file is
+    unreadable or malformed.
+    """
+    from repro.testbed.persistence import load_archive
 
     try:
-        with open(args.path) as f:
-            result = load_result(f)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load {args.path}: {exc}", file=sys.stderr)
+        with open(path) as f:
+            return load_archive(f)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"cannot load {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_replay(args) -> int:
+    loaded = _load_archive(args.path)
+    if loaded is None:
         return 2
+    result = loaded[0]
     if getattr(args, "json", False):
         print(json.dumps(_summary_dict(result), sort_keys=True, indent=2))
         return 0
@@ -443,14 +455,10 @@ def _summarise(result) -> int:
 
 def _load_archived_telemetry(path: str):
     """Telemetry snapshot out of an archived run (None + message if absent)."""
-    from repro.testbed.persistence import load_result
-
-    try:
-        with open(path) as f:
-            result = load_result(f)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load {path}: {exc}", file=sys.stderr)
+    loaded = _load_archive(path)
+    if loaded is None:
         return None
+    result = loaded[0]
     if result.telemetry is None:
         print(f"{path} has no telemetry payload (saved by an older "
               "version?)", file=sys.stderr)
@@ -510,14 +518,11 @@ def _cmd_trace(args) -> int:
 def _cmd_explain(args) -> int:
     from repro.obs.causal import assemble_exchanges
     from repro.obs.explain import decompose, explain_run, render_tree
-    from repro.testbed.persistence import load_result
 
-    try:
-        with open(args.path) as f:
-            result = load_result(f)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load {args.path}: {exc}", file=sys.stderr)
+    loaded = _load_archive(args.path)
+    if loaded is None:
         return 2
+    result = loaded[0]
     if result.telemetry is None:
         print(f"{args.path} has no telemetry payload (saved by an older "
               "version?)", file=sys.stderr)
@@ -570,14 +575,10 @@ def _cmd_health(args) -> int:
         print("give an archived run path (JSON written by 'run --save')",
               file=sys.stderr)
         return 2
-    from repro.testbed.persistence import load_archive
-
-    try:
-        with open(args.path) as f:
-            result, archived = load_archive(f)
-    except (OSError, TypeError, ValueError) as exc:
-        print(f"cannot load {args.path}: {exc}", file=sys.stderr)
+    loaded = _load_archive(args.path)
+    if loaded is None:
         return 2
+    result, archived = loaded
     try:
         report, _rows = judge_health(
             result, archived if spec is None else spec

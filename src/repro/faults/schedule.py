@@ -10,14 +10,13 @@ and draw from a dedicated, seeded simulator stream at injection time,
 so the same root seed and schedule always produce the same run, byte
 for byte.
 
-Schedules serialize to a stable JSON document (sorted keys) and load
-back losslessly, which is what lets a scenario spec embed the exact
-hostile conditions it runs under.
+Schedules serialize to a plain dict and load back losslessly through
+one strict parser (unknown keys raise), which is what lets a scenario
+spec embed the exact hostile conditions it runs under.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional, Sequence
@@ -86,6 +85,21 @@ SERVER_KINDS = frozenset(
 
 #: Valid ``direction`` values for network episodes.
 DIRECTIONS = ("up", "down", "both")
+
+#: Keys :meth:`FaultEpisode.to_dict` emits.
+_EPISODE_KEYS = ("kind", "start", "duration", "target", "direction", "params")
+
+#: Keys :meth:`FaultSchedule.to_dict` emits.
+_SCHEDULE_KEYS = ("name", "episodes")
+
+
+def _check_keys(data: Any, known: Sequence[str]) -> None:
+    """Raise unless ``data`` is a JSON object whose keys are all ``known``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; known keys are {sorted(known)}")
 
 
 @dataclass(frozen=True)
@@ -167,15 +181,30 @@ class FaultEpisode:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultEpisode":
-        """Rebuild an episode from :meth:`to_dict` output."""
-        return cls(
-            kind=FaultKind(data["kind"]),
-            start=float(data["start"]),
-            duration=float(data["duration"]),
-            target=str(data.get("target", "*")),
-            direction=str(data.get("direction", "both")),
-            params={str(k): float(v) for k, v in data.get("params", {}).items()},
-        )
+        """Rebuild an episode from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: On a non-object, an unknown or missing key, or
+                an invalid field value.
+        """
+        _check_keys(data, _EPISODE_KEYS)
+        missing = [key for key in ("kind", "start", "duration") if key not in data]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("params must be a JSON object")
+        try:
+            return cls(
+                kind=FaultKind(data["kind"]),
+                start=float(data["start"]),
+                duration=float(data["duration"]),
+                target=str(data.get("target", "*")),
+                direction=str(data.get("direction", "both")),
+                params={str(k): float(v) for k, v in params.items()},
+            )
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
 
 
 class FaultSchedule:
@@ -224,10 +253,6 @@ class FaultSchedule:
             if e.active(t) and (kinds is None or e.kind in kinds)
         ]
 
-    def of_kinds(self, kinds: frozenset) -> List[FaultEpisode]:
-        """Episodes whose kind is in ``kinds``."""
-        return [e for e in self.episodes if e.kind in kinds]
-
     def horizon(self) -> float:
         """Latest episode end time (0.0 for an empty schedule)."""
         return max((e.end for e in self.episodes), default=0.0)
@@ -239,29 +264,30 @@ class FaultSchedule:
             "episodes": [e.to_dict() for e in self.episodes],
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Stable JSON text (sorted keys; byte-identical per schedule)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
-        """Rebuild a schedule from :meth:`to_dict` output."""
-        return cls(
-            episodes=[FaultEpisode.from_dict(e) for e in data.get("episodes", [])],
-            name=str(data.get("name", "schedule")),
-        )
+        """Rebuild a schedule from :meth:`to_dict` output.
 
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
-        """Parse :meth:`to_json` output back into a schedule.
+        Errors name the path of the bad value from the ``faults`` block
+        a scenario spec embeds, e.g. ``faults.episodes[1]: unknown keys``.
 
         Raises:
-            ValueError: On malformed JSON or invalid episode fields.
+            ValueError: On a non-object schedule or episode, a non-list
+                ``episodes``, an unknown key, or an invalid episode.
         """
+        where = "faults"
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid fault schedule JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError("fault schedule JSON must be an object")
-        return cls.from_dict(data)
+            _check_keys(data, _SCHEDULE_KEYS)
+            where = "faults.episodes"
+            episodes_data = data.get("episodes", [])
+            if not isinstance(episodes_data, list):
+                raise ValueError(
+                    f"must be a list, got {type(episodes_data).__name__}"
+                )
+            episodes = []
+            for index, episode in enumerate(episodes_data):
+                where = f"faults.episodes[{index}]"
+                episodes.append(FaultEpisode.from_dict(episode))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        return cls(episodes=episodes, name=str(data.get("name", "schedule")))

@@ -21,15 +21,6 @@ from repro.logs.parser import parse_trace, ClientObservation
 from repro.logs.heuristic import filter_synchronized_clients
 from repro.logs.classify import classify_provider_kind, classify_protocol_share
 from repro.logs.analysis import LogStudy, ServerSummary, ProviderLatency
-from repro.logs.figures import (
-    BoxplotStats,
-    CdfSeries,
-    ShareBar,
-    figure1_boxplots,
-    figure1_cdfs,
-    figure2_provider_bars,
-    figure2_server_bars,
-)
 
 __all__ = [
     "Provider",
@@ -49,11 +40,4 @@ __all__ = [
     "LogStudy",
     "ServerSummary",
     "ProviderLatency",
-    "BoxplotStats",
-    "CdfSeries",
-    "ShareBar",
-    "figure1_boxplots",
-    "figure1_cdfs",
-    "figure2_provider_bars",
-    "figure2_server_bars",
 ]

@@ -1,19 +1,13 @@
 """Statistics helpers shared by the analysis pipeline and benches."""
 
-from repro.metrics.stats import rmse, summary, robust_mean_std, Summary
-from repro.metrics.distributions import empirical_cdf, quantile, iqr
-from repro.metrics.timeseries import OffsetSeries
+from repro.metrics.stats import rmse
+from repro.metrics.distributions import quantile, iqr
 from repro.metrics.allan import allan_deviation, allan_deviation_curve
 
 __all__ = [
     "rmse",
-    "summary",
-    "robust_mean_std",
-    "Summary",
-    "empirical_cdf",
     "quantile",
     "iqr",
-    "OffsetSeries",
     "allan_deviation",
     "allan_deviation_curve",
 ]

@@ -1,22 +1,10 @@
-"""Distribution helpers for the figure reproductions (CDFs, quantiles)."""
+"""Quantile helpers for the figure reproductions."""
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-
-
-def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (sorted values, cumulative probabilities) for a CDF plot.
-
-    Probabilities use the ``i/n`` convention so the last point is 1.0.
-    """
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        return arr, arr
-    probs = np.arange(1, arr.size + 1) / arr.size
-    return arr, probs
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -33,10 +21,3 @@ def iqr(values: Sequence[float]) -> float:
     """Interquartile range — the paper's spread measure in Figure 1."""
     return quantile(values, 0.75) - quantile(values, 0.25)
 
-
-def cdf_at(values: Sequence[float], thresholds: Sequence[float]) -> List[float]:
-    """Fraction of ``values`` at or below each threshold."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return [0.0 for _ in thresholds]
-    return [float((arr <= t).mean()) for t in thresholds]

@@ -8,41 +8,9 @@ heuristics do this explicitly, mirroring the paper's filtering step).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-plus summary of a sample.
-
-    Attributes:
-        count / mean / std / minimum / median / maximum: as named.
-    """
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-
-def summary(values: Sequence[float]) -> Summary:
-    """Summarise ``values`` (all-zeros summary for an empty input)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return Summary(count=0, mean=0.0, std=0.0, minimum=0.0, median=0.0, maximum=0.0)
-    return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        minimum=float(arr.min()),
-        median=float(np.median(arr)),
-        maximum=float(arr.max()),
-    )
 
 
 def rmse(values: Sequence[float], target: float = 0.0) -> float:
@@ -57,16 +25,3 @@ def rmse(values: Sequence[float], target: float = 0.0) -> float:
         return 0.0
     return float(math.sqrt(((arr - target) ** 2).mean()))
 
-
-def robust_mean_std(values: Sequence[float]) -> Tuple[float, float]:
-    """Median and scaled MAD — outlier-resistant location/scale.
-
-    The 1.4826 factor makes the MAD a consistent estimator of the
-    standard deviation under normality.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return 0.0, 0.0
-    med = float(np.median(arr))
-    mad = float(np.median(np.abs(arr - med)))
-    return med, 1.4826 * mad

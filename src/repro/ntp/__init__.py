@@ -1,10 +1,9 @@
 """NTP / SNTP protocol implementation.
 
-Implements the RFC 5905 wire format and the full reference processing
-pipeline (clock filter, intersection/select, cluster, combine,
-PLL/FLL discipline), plus the RFC 4330 SNTP client behaviour that
-mobile devices actually ship (including Android's retry/threshold
-quirks documented in the paper's §2).
+Implements the RFC 5905 wire format and the reference processing
+pipeline (clock filter, intersection/select, cluster, PLL/FLL
+discipline), plus the RFC 4330 SNTP client behaviour that mobile
+devices actually ship.
 """
 
 from repro.ntp.constants import LeapIndicator, Mode, NTP_PORT, NTP_UNIX_EPOCH_DELTA
@@ -19,11 +18,10 @@ from repro.ntp.timestamps import (
 from repro.ntp.packet import NtpPacket
 from repro.ntp.wire import compute_offset_delay, OffsetSample
 from repro.ntp.server import NtpServer, ServerPersona
-from repro.ntp.sntp_client import SntpClient, SntpResult, AndroidSntpPolicy
+from repro.ntp.sntp_client import SntpClient, SntpResult
 from repro.ntp.clock_filter import ClockFilter, FilterSample
 from repro.ntp.select import intersection, SelectInterval
 from repro.ntp.cluster import cluster_survivors
-from repro.ntp.combine import combine_offsets
 from repro.ntp.discipline import ClockDiscipline, DisciplineParams
 from repro.ntp.pool import PoolDns
 
@@ -45,13 +43,11 @@ __all__ = [
     "ServerPersona",
     "SntpClient",
     "SntpResult",
-    "AndroidSntpPolicy",
     "ClockFilter",
     "FilterSample",
     "intersection",
     "SelectInterval",
     "cluster_survivors",
-    "combine_offsets",
     "ClockDiscipline",
     "DisciplineParams",
     "PoolDns",

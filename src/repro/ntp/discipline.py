@@ -231,7 +231,7 @@ class ClockDiscipline:
         if survivor_names is not None and not survivor_names:
             # Selection ran and found no majority agreement: every
             # candidate may be a falseticker; refuse to touch the clock.
-            self._sim.trace.emit(now, "ntpd", "no_majority")
+            self._sim.telemetry.emit(now, "ntpd", "no_majority")
             return
         if survivor_names is None:
             selected = [s for _, s in fresh]
@@ -260,7 +260,7 @@ class ClockDiscipline:
             self._min_delay = min(self._min_delay * 1.002, best.delay)
         if best.delay > max(0.010, 2.5 * self._min_delay):
             self.delay_gate_skips += 1
-            self._sim.trace.emit(
+            self._sim.telemetry.emit(
                 now, "ntpd", "delay_gate_skip", offset=offset, delay=best.delay,
                 floor=self._min_delay,
             )
@@ -282,7 +282,7 @@ class ClockDiscipline:
                     self._first_skip_time = now
                 if now - self._first_skip_time < self.params.stepout:
                     self.popcorn_skips += 1
-                    self._sim.trace.emit(
+                    self._sim.telemetry.emit(
                         now, "ntpd", "popcorn_skip", offset=offset, gate=gate
                     )
                     return
@@ -304,7 +304,7 @@ class ClockDiscipline:
             self._applied_phase_sum += offset
         self._maybe_trim_frequency()
         self._adapt_poll(offset, jitter)
-        self._sim.trace.emit(
+        self._sim.telemetry.emit(
             now, "ntpd", "update", offset=offset, jitter=jitter, action=action
         )
 

@@ -1,4 +1,4 @@
-"""SNTP client (RFC 4330), including the Android policy quirks.
+"""SNTP client (RFC 4330).
 
 The client is transport-agnostic: the topology supplies a ``send``
 callable and routes response datagrams back into :meth:`on_datagram`.
@@ -512,89 +512,3 @@ class _PendingQuery:
         self.trace_id = trace_id
         self.span = span
 
-
-@dataclass
-class AndroidSntpPolicy:
-    """Android's stock SNTP behaviour as documented in the paper's §2.
-
-    Attributes:
-        poll_interval: Once a day when NITZ data is unavailable.
-        max_retries: "only three retries upon error".
-        update_threshold: System time updated *only* if the estimate
-            differs by more than 5000 ms.
-        retry_backoff: Gap between retries.
-    """
-
-    poll_interval: float = 86_400.0
-    max_retries: int = 3
-    update_threshold: float = 5.0
-    retry_backoff: float = 5.0
-
-
-class AndroidSntpDaemon:
-    """Background process reproducing the Android update policy.
-
-    Polls once per ``policy.poll_interval``; on failure retries up to
-    ``policy.max_retries`` times; applies a step correction only when
-    |offset| exceeds ``policy.update_threshold``.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        client: SntpClient,
-        server_name: str,
-        policy: AndroidSntpPolicy = AndroidSntpPolicy(),
-    ) -> None:
-        self._sim = sim
-        self.client = client
-        self.server_name = server_name
-        self.policy = policy
-        self.updates_applied = 0
-        self.polls = 0
-        self._running = False
-
-    def start(self, initial_delay: float = 0.0) -> None:
-        """Begin the daily polling loop."""
-        self._running = True
-        self._sim.call_after(initial_delay, self._poll, label="android:poll")
-
-    def stop(self) -> None:
-        """Halt polling after any in-flight attempt resolves."""
-        self._running = False
-
-    def _poll(self, attempt: int = 0) -> None:
-        if not self._running:
-            return
-        self.polls += 1
-
-        def on_result(result: SntpResult) -> None:
-            if not self._running:
-                return
-            if result.ok:
-                assert result.sample is not None
-                offset = result.sample.offset
-                if abs(offset) > self.policy.update_threshold:
-                    self.client.clock.step(offset)
-                    self.updates_applied += 1
-                    self._sim.telemetry.emit(
-                        self._sim.now, "android", "step", offset=offset
-                    )
-                self._schedule_next()
-            elif attempt + 1 < self.policy.max_retries:
-                self._sim.call_after(
-                    self.policy.retry_backoff,
-                    lambda: self._poll(attempt + 1),
-                    label="android:retry",
-                )
-            else:
-                # Out of retries: give up until the next daily poll.
-                self._schedule_next()
-
-        self.client.query(self.server_name, on_result)
-
-    def _schedule_next(self) -> None:
-        if self._running:
-            self._sim.call_after(
-                self.policy.poll_interval, self._poll, label="android:poll"
-            )

@@ -60,9 +60,7 @@ class Span:
 
         The close path is inlined here (rather than delegating to the
         tracer) because every span in the run pays it — one less call
-        frame on a path ``perfbench/``'s ``obs`` layer meters.  The
-        record's payload is built once, not copied again by
-        :meth:`TraceLog.emit`.
+        frame on a path ``perfbench/``'s ``obs`` layer meters.
 
         Args:
             t: Explicit end time (defaults to the tracer's clock).

@@ -216,7 +216,7 @@ class PtpSlave:
             t1=t1, t2=t2, t3=t3, t4=t4, sequence_id=seq,
         )
         self.samples.append(sample)
-        self._sim.trace.emit(
+        self._sim.telemetry.emit(
             self._sim.now, "ptp", "sample",
             offset=offset, mean_delay=mean_delay, seq=seq,
         )

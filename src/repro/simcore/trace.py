@@ -101,12 +101,6 @@ class TraceLog:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
-    def emit(self, time: float, component: str, kind: str, **data: Any) -> TraceRecord:
-        """Append and return a new record."""
-        record = TraceRecord(time=time, component=component, kind=kind, data=dict(data))
-        self._records.append(record)
-        return record
-
     def append(self, record: TraceRecord) -> None:
         """Append a built record as is (no copy of its payload)."""
         self._records.append(record)
@@ -143,10 +137,6 @@ class TraceLog:
                 continue
             yield rec
 
-    def by_component(self, component: str) -> Iterator[TraceRecord]:
-        """Lazily yield records emitted by ``component``."""
-        return self.iter_filtered(component=component)
-
     def by_kind(self, kind: str, component: Optional[str] = None) -> Iterator[TraceRecord]:
         """Lazily yield records of ``kind`` (optionally one component's)."""
         return self.iter_filtered(component=component, kind=kind)
@@ -156,16 +146,6 @@ class TraceLog:
         if t1 < t0:
             raise ValueError(f"window end {t1} before start {t0}")
         return self.iter_filtered(t0=t0, t1=t1)
-
-    def components(self) -> List[str]:
-        """Distinct emitting components, sorted."""
-        return sorted({rec.component for rec in self._records})
-
-    def kinds(self, component: Optional[str] = None) -> List[str]:
-        """Distinct kinds (optionally for one component), sorted."""
-        return sorted(
-            {rec.kind for rec in self.iter_filtered(component=component)}
-        )
 
     def clear(self) -> None:
         """Drop all records."""

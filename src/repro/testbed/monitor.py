@@ -116,7 +116,7 @@ class MonitorNode:
             )
             self.wap.decrease_tx_power()
             self.wap.channel.set_interference_pressure(p.pressure_hostile)
-        self._sim.trace.emit(
+        self._sim.telemetry.emit(
             self._sim.now,
             "monitor",
             "control",

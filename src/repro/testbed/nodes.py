@@ -16,8 +16,8 @@ Builds the full §3.2 environment in one object:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from repro.clock.discipline_api import ClockCorrector, SlewLimits
 from repro.clock.oscillator import OSCILLATOR_GRADES, Oscillator
@@ -33,11 +33,11 @@ from repro.ntp.pool import PoolDns
 from repro.ntp.server import NtpServer, ServerConfig, ServerPersona
 from repro.ntp.sntp_client import HardeningPolicy, SntpClient
 from repro.simcore.simulator import Simulator
-from repro.testbed.monitor import MonitorNode, MonitorParams
+from repro.testbed.monitor import MonitorNode
 from repro.testbed.pingtool import PingTool
 from repro.wireless.channel import ChannelParams, WirelessChannel
-from repro.wireless.crosstraffic import CrossTrafficGenerator, CrossTrafficParams
-from repro.wireless.effects import ChannelEffects, EffectsParams
+from repro.wireless.crosstraffic import CrossTrafficGenerator
+from repro.wireless.effects import ChannelEffects
 from repro.wireless.hints import ALWAYS_FAVORABLE, StaticHintProvider
 from repro.wireless.wap import AccessPoint
 
@@ -59,17 +59,11 @@ class TestbedOptions:
         initial_clock_offset: TN clock offset at boot (seconds).
         temperature: Ambient profile for the TN oscillator.
         wired_base_delay: Mean one-way propagation to pool servers.
-        channel_params: Wireless channel process parameters.
-        effects_params: Channel-to-packet mapping parameters.
-        cross_traffic_params: MN download workload shape.
-        monitor_params: MN control-loop tunables.
         fault_schedule: Optional fault episodes to inject (see
             :mod:`repro.faults`); None runs benign.
         mntp_hardening: Optional robustness policy for the MNTP app's
             SNTP client (backoff/failover/health); the baseline SNTP
             app always stays plain so chaos runs compare the two.
-        suspend_node: Node label matched against SUSPEND episodes; the
-            TN is the only suspendable node in this topology.
     """
 
     __test__ = False
@@ -82,17 +76,15 @@ class TestbedOptions:
     initial_clock_offset: float = 0.0
     temperature: Optional[TemperatureProfile] = None
     wired_base_delay: float = 0.025
-    channel_params: ChannelParams = field(default_factory=ChannelParams)
-    effects_params: EffectsParams = field(default_factory=EffectsParams)
-    cross_traffic_params: CrossTrafficParams = field(default_factory=CrossTrafficParams)
-    monitor_params: MonitorParams = field(default_factory=MonitorParams)
     fault_schedule: Optional[FaultSchedule] = None
     mntp_hardening: Optional[HardeningPolicy] = None
-    suspend_node: str = "tn"
 
 
 POOL_NAMES = ("0.pool.ntp.org", "1.pool.ntp.org", "2.pool.ntp.org", "3.pool.ntp.org")
 OS_REFERENCE = "time.apple.com"
+#: Node label SUSPEND episodes target; the TN is the only suspendable
+#: node in this topology.
+TN_NODE = "tn"
 
 
 class Testbed:
@@ -114,19 +106,16 @@ class Testbed:
         # -- wireless hop ----------------------------------------------------
         if options.wireless:
             self.channel: Optional[WirelessChannel] = WirelessChannel(
-                params=options.channel_params,
+                params=ChannelParams(),
                 rng=sim.rng.stream("channel"),
                 now_fn=lambda: sim.now,
                 telemetry=sim.telemetry,
             )
-            self.cross_traffic: Optional[CrossTrafficGenerator] = CrossTrafficGenerator(
-                sim, params=options.cross_traffic_params
-            )
+            self.cross_traffic: Optional[CrossTrafficGenerator] = CrossTrafficGenerator(sim)
             self.effects: Optional[ChannelEffects] = ChannelEffects(
                 channel=self.channel,
                 rng=sim.rng.stream("effects"),
                 cross_traffic=self.cross_traffic,
-                params=options.effects_params,
             )
             self.wap: Optional[AccessPoint] = AccessPoint(self.channel)
             # Co-channel cross-traffic lifts the measured noise floor,
@@ -177,9 +166,7 @@ class Testbed:
         self.monitor: Optional[MonitorNode] = None
         if options.wireless and options.monitor_active:
             assert self.wap is not None and self.cross_traffic is not None
-            self.monitor = MonitorNode(
-                sim, self.wap, self.cross_traffic, self.ping, options.monitor_params
-            )
+            self.monitor = MonitorNode(sim, self.wap, self.cross_traffic, self.ping)
 
     # -- construction helpers ---------------------------------------------------
 
@@ -258,16 +245,14 @@ class Testbed:
         the node boundary (approximating the frozen event sources of a
         truly suspended device).
         """
-        return self.injector is not None and self.injector.node_suspended(
-            self.options.suspend_node
-        )
+        return self.injector is not None and self.injector.node_suspended(TN_NODE)
 
     def _send_from_tn(self, datagram: Datagram) -> None:
         if self._tn_suspended():
             datagram.dropped = True
             assert self.injector is not None
             self.injector.record_suspend_drop(
-                self.options.suspend_node, datagram.trace_id, datagram.ident
+                TN_NODE, datagram.trace_id, datagram.ident
             )
             return
         server = self.dns.resolve(datagram.dst)
@@ -279,7 +264,7 @@ class Testbed:
             datagram.dropped = True
             assert self.injector is not None
             self.injector.record_suspend_drop(
-                self.options.suspend_node, datagram.trace_id, datagram.ident
+                TN_NODE, datagram.trace_id, datagram.ident
             )
             return
         receiver = self._client_receivers.get(datagram.dst)
@@ -325,7 +310,3 @@ class Testbed:
         elif self.cross_traffic is not None:
             self.cross_traffic.stop()
             self.ping.stop()
-
-    def all_pool_members(self) -> List[NtpServer]:
-        """Every constructed server."""
-        return list(self.servers.values())

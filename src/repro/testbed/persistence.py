@@ -62,9 +62,20 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     Telemetry records come back as :class:`TraceRecord` objects, as
     in a fresh run.  An archive written before failure times and fault
     windows were recorded loads with those fields None.
+
+    Raises:
+        ValueError: On a document of another format, or one missing a
+            required key (the message names the key).
     """
-    if data.get("format") != FORMAT:
+    if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
+    try:
+        return _result_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"archive is missing key {exc.args[0]!r}") from exc
+
+
+def _result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     failure_times = data.get("sntp_failure_times")
     windows = data.get("fault_windows")
     result = ExperimentResult(
@@ -125,12 +136,13 @@ def load_archive(
     Malformed guarantees raise ``ValueError`` or ``TypeError``.
     """
     data = json.load(fileobj)
+    result = result_from_dict(data)
     guarantees = data.get("guarantees")
     if guarantees is not None:
         if not isinstance(guarantees, dict):
             raise ValueError("guarantees must be an object")
         guarantees = SloSpec.from_dict(guarantees)
-    return result_from_dict(data), guarantees
+    return result, guarantees
 
 
 def _point(p: OffsetPoint) -> Dict[str, Any]:

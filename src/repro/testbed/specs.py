@@ -47,7 +47,7 @@ from repro.clock.temperature import (
     TemperatureProfile,
 )
 from repro.core.config import HintThresholds, MntpConfig
-from repro.faults.schedule import FaultEpisode, FaultSchedule
+from repro.faults.schedule import FaultSchedule
 from repro.ntp.sntp_client import HardeningPolicy
 from repro.obs.health import SloSpec, judge_health
 from repro.testbed.catalog import SCENARIO_DIR, iter_spec_files, scenario_names
@@ -208,38 +208,6 @@ def _hardening_from_dict(data: Dict[str, Any], where: str) -> HardeningPolicy:
         return HardeningPolicy(**data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
-
-
-#: Keys :meth:`FaultEpisode.to_dict` emits — enforced strictly here so
-#: a typo'd episode key fails at load instead of silently defaulting.
-_EPISODE_KEYS = frozenset(
-    {"kind", "start", "duration", "target", "direction", "params"}
-)
-
-
-def _faults_from_dict(data: Dict[str, Any], where: str) -> FaultSchedule:
-    """Rebuild a :class:`FaultSchedule` with strict key checking.
-
-    ``FaultSchedule.from_dict`` tolerates missing keys for backward
-    compatibility; spec files are new, so they get the strict treatment
-    the rest of the schema has.
-    """
-    data = _require_mapping(data, where)
-    _reject_unknown_keys(data, {"name", "episodes"}, where)
-    episodes_data = data.get("episodes", [])
-    if not isinstance(episodes_data, list):
-        raise ValueError(f"{where}.episodes must be a list")
-    episodes = []
-    for index, episode in enumerate(episodes_data):
-        episode_where = f"{where}.episodes[{index}]"
-        episode = _require_mapping(episode, episode_where)
-        _reject_unknown_keys(episode, _EPISODE_KEYS, episode_where)
-        try:
-            episodes.append(FaultEpisode.from_dict(episode))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{episode_where}: {exc}") from exc
-    return FaultSchedule(episodes=episodes, name=str(data.get("name",
-                                                              "schedule")))
 
 
 def _slo_from_dict(data: Dict[str, Any], where: str) -> SloSpec:
@@ -459,8 +427,10 @@ class ScenarioSpec:
                 data["hardening"], "spec.hardening"
             )
         if data.get("faults") is not None:
-            kwargs["faults"] = _faults_from_dict(data["faults"],
-                                                 "spec.faults")
+            try:
+                kwargs["faults"] = FaultSchedule.from_dict(data["faults"])
+            except ValueError as exc:
+                raise ValueError(f"spec.{exc}") from exc
         if "guarantees" in data:
             kwargs["guarantees"] = _slo_from_dict(
                 data["guarantees"], "spec.guarantees"

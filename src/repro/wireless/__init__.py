@@ -10,11 +10,7 @@ resulting packet timings, so reproducing the joint statistics of
 (hints, loss, delay) reproduces the paper's operating conditions.
 """
 
-from repro.wireless.hints import WirelessHints, HintProvider
-from repro.wireless.channel import WirelessChannel, ChannelParams
-from repro.wireless.crosstraffic import CrossTrafficGenerator, CrossTrafficParams
-from repro.wireless.wap import AccessPoint
-from repro.wireless.effects import ChannelEffects, EffectsParams
+from repro._lazy import lazy_exports
 
 __all__ = [
     "WirelessHints",
@@ -27,3 +23,15 @@ __all__ = [
     "ChannelEffects",
     "EffectsParams",
 ]
+
+# Re-exports resolve on first use: the hint types that MNTP's gate and
+# the tuner read must not pull in the channel, and with it the simulator.
+_HOMES = {
+    "repro.wireless.hints": ("WirelessHints", "HintProvider"),
+    "repro.wireless.channel": ("WirelessChannel", "ChannelParams"),
+    "repro.wireless.crosstraffic": ("CrossTrafficGenerator", "CrossTrafficParams"),
+    "repro.wireless.wap": ("AccessPoint",),
+    "repro.wireless.effects": ("ChannelEffects", "EffectsParams"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _HOMES)

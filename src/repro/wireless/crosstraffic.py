@@ -95,11 +95,11 @@ class CrossTrafficGenerator:
             return
         self.downloading = True
         self.downloads_started += 1
-        self._sim.trace.emit(self._sim.now, "crosstraffic", "download_start")
+        self._sim.telemetry.emit(self._sim.now, "crosstraffic", "download_start")
         duration = self.params.mean_duration_s * self._rng.standard_exponential()
         self._sim.call_after(duration, self._end_download, label="xtraffic:end")
 
     def _end_download(self) -> None:
         self.downloading = False
-        self._sim.trace.emit(self._sim.now, "crosstraffic", "download_end")
+        self._sim.telemetry.emit(self._sim.now, "crosstraffic", "download_end")
         self._schedule_next_download()

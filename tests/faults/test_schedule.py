@@ -1,5 +1,7 @@
 """FaultSchedule / FaultEpisode semantics and JSON round-tripping."""
 
+import json
+
 import pytest
 
 from repro.faults.schedule import (
@@ -82,11 +84,28 @@ def test_json_round_trip_is_lossless_and_stable():
                          target="tn"),
         ],
     )
-    text = schedule.to_json()
-    again = FaultSchedule.from_json(text)
+    text = json.dumps(schedule.to_dict(), sort_keys=True)
+    again = FaultSchedule.from_dict(json.loads(text))
     assert again == schedule
-    assert again.to_json() == text  # byte-stable
+    assert json.dumps(again.to_dict(), sort_keys=True) == text  # byte-stable
     with pytest.raises(ValueError):
-        FaultSchedule.from_json("{not json")
-    with pytest.raises(ValueError):
-        FaultSchedule.from_json('{"episodes": [{"kind": "nope", "start": 0, "duration": 1}]}')
+        FaultSchedule.from_dict({"episodes": [{"kind": "nope", "start": 0, "duration": 1}]})
+
+
+@pytest.mark.parametrize("data,message", [
+    ([], r"^faults: must be a JSON object, got list"),
+    ({"name": "x", "epsiodes": []}, r"^faults: unknown keys \['epsiodes'\]"),
+    ({"episodes": {}}, r"^faults.episodes: must be a list, got dict"),
+    ({"episodes": [5]}, r"^faults.episodes\[0\]: must be a JSON object, got int"),
+    ({"episodes": [{"kind": "blackout", "start": 0, "duration": 1, "strt": 1}]},
+     r"^faults.episodes\[0\]: unknown keys \['strt'\]"),
+    ({"episodes": [{"kind": "blackout", "duration": 1}]},
+     r"^faults.episodes\[0\]: missing keys \['start'\]"),
+    ({"episodes": [{"kind": "blackout", "start": None, "duration": 1}]},
+     r"^faults.episodes\[0\]: "),
+    ({"episodes": [{"kind": "blackout", "start": 0, "duration": 1, "params": [1]}]},
+     r"^faults.episodes\[0\]: params must be a JSON object"),
+])
+def test_from_dict_is_strict_and_names_the_path(data, message):
+    with pytest.raises(ValueError, match=message):
+        FaultSchedule.from_dict(data)

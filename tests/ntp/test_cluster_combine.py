@@ -1,9 +1,6 @@
-"""Cluster and combine algorithms."""
-
-import pytest
+"""Cluster algorithm."""
 
 from repro.ntp.cluster import ClusterCandidate, cluster_survivors
-from repro.ntp.combine import combine_offsets
 
 
 def _c(name, offset, jitter=0.001, rootdist=0.01):
@@ -51,31 +48,3 @@ def test_cluster_stops_when_tight():
     survivors = cluster_survivors(candidates, min_survivors=3)
     assert len(survivors) == 6
 
-
-def test_combine_weighted_toward_low_rootdist():
-    survivors = [
-        _c("good", 0.000, rootdist=0.001),
-        _c("bad", 0.100, rootdist=1.0),
-    ]
-    offset, jitter = combine_offsets(survivors)
-    assert offset < 0.01  # dominated by the low-root-distance source
-
-
-def test_combine_single():
-    offset, jitter = combine_offsets([_c("a", 0.042, jitter=0.003)])
-    assert offset == pytest.approx(0.042)
-    assert jitter >= 0.0
-
-
-def test_combine_empty_rejected():
-    with pytest.raises(ValueError):
-        combine_offsets([])
-
-
-def test_combine_jitter_floor_is_best_own_jitter():
-    survivors = [
-        _c("a", 0.005, jitter=0.002, rootdist=0.01),
-        _c("b", 0.005, jitter=0.004, rootdist=0.01),
-    ]
-    _, jitter = combine_offsets(survivors)
-    assert jitter >= 0.002

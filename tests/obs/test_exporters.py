@@ -25,7 +25,7 @@ def sample_snapshot():
     hist.observe(0.5)
     hist.observe(5.0)
     hist.observe(50.0)
-    telemetry.trace.emit(0.0, "mntp", "offset_accepted", offset=0.002)
+    telemetry.emit(0.0, "mntp", "offset_accepted", offset=0.002)
     span = telemetry.spans.begin("mntp.warmup", phase="warmup")
     telemetry.advance()
     span.end(ok=1)

@@ -143,3 +143,22 @@ def test_telemetry_never_changes_the_simulation():
     assert instrumented.sntp_failures == bare.sntp_failures
     assert instrumented.sntp_failure_times == bare.sntp_failure_times
     assert instrumented.mntp_reports == bare.mntp_reports
+
+
+def test_uninstrumented_simulation_records_nothing():
+    """ntpd, the MN control loop and cross-traffic record through
+    telemetry too, so a bare testbed run leaves its trace log empty."""
+    from repro.testbed.specs import load_scenario
+
+    spec = load_scenario("mntp_wireless_corrected")
+    runner = ExperimentRunner(
+        seed=1,
+        options=spec.build_options(),
+        duration=900.0,
+        mntp_config=spec.mntp,
+        instrument=False,
+    )
+    result = runner.run()
+    assert runner.testbed.ntpd.updates and runner.testbed.monitor is not None
+    assert len(runner.sim.trace) == 0
+    assert result.telemetry["records"] == []

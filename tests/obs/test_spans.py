@@ -1,7 +1,7 @@
 """Span tracing over the shared TraceLog."""
 
 from repro.obs import SPAN_COMPONENT, SpanTracer
-from repro.simcore.trace import TraceLog
+from repro.simcore.trace import TraceLog, TraceRecord
 
 
 class FakeClock:
@@ -80,7 +80,7 @@ def test_end_all_closes_stragglers():
 
 def test_span_records_invisible_to_component_queries():
     clock, trace, tracer = make_tracer()
-    trace.emit(0.0, "mntp", "offset_accepted", offset=0.001)
+    trace.append(TraceRecord(0.0, "mntp", "offset_accepted", {"offset": 0.001}))
     tracer.begin("sim.run").end()
     assert len(trace.select(component="mntp")) == 1
     assert len(trace.select(component=SPAN_COMPONENT)) == 1

@@ -58,7 +58,7 @@ def test_spans_emits_and_direct_appends_interleave_in_emission_order():
     def step():
         span = telemetry.spans.begin("mntp.warmup")
         telemetry.emit(sim.now, "mntp", "query_sent", server="a")
-        sim.trace.emit(sim.now, "channel", "busy")
+        sim.trace.append(TraceRecord(sim.now, "channel", "busy"))
         span.end(samples=1)
         telemetry.emit(sim.now, "mntp", "offset_accepted")
 

@@ -1,34 +1,34 @@
 """TraceLog structured logging."""
 
-from repro.simcore.trace import TraceLog
+from repro.simcore.trace import TraceLog, TraceRecord
 
 
-def test_emit_and_len():
+def test_append_and_len():
     log = TraceLog()
-    log.emit(1.0, "mntp", "deferred", rssi=-80.0)
-    log.emit(2.0, "mntp", "offset_accepted", offset=0.005)
+    log.append(TraceRecord(1.0, "mntp", "deferred", {"rssi": -80.0}))
+    log.append(TraceRecord(2.0, "mntp", "offset_accepted", {"offset": 0.005}))
     assert len(log) == 2
 
 
 def test_select_by_component():
     log = TraceLog()
-    log.emit(1.0, "a", "x")
-    log.emit(2.0, "b", "x")
+    log.append(TraceRecord(1.0, "a", "x"))
+    log.append(TraceRecord(2.0, "b", "x"))
     assert [r.component for r in log.select(component="a")] == ["a"]
 
 
 def test_select_by_kind():
     log = TraceLog()
-    log.emit(1.0, "a", "x")
-    log.emit(2.0, "a", "y")
+    log.append(TraceRecord(1.0, "a", "x"))
+    log.append(TraceRecord(2.0, "a", "y"))
     assert [r.kind for r in log.select(kind="y")] == ["y"]
 
 
 def test_select_both_filters():
     log = TraceLog()
-    log.emit(1.0, "a", "x")
-    log.emit(2.0, "a", "y")
-    log.emit(3.0, "b", "y")
+    log.append(TraceRecord(1.0, "a", "x"))
+    log.append(TraceRecord(2.0, "a", "y"))
+    log.append(TraceRecord(3.0, "b", "y"))
     records = log.select(component="a", kind="y")
     assert len(records) == 1
     assert records[0].time == 2.0
@@ -36,39 +36,33 @@ def test_select_both_filters():
 
 def test_data_payload_preserved():
     log = TraceLog()
-    rec = log.emit(1.0, "c", "k", value=42, name="test")
+    log.append(TraceRecord(1.0, "c", "k", {"value": 42, "name": "test"}))
+    (rec,) = log
     assert rec.data == {"value": 42, "name": "test"}
 
 
 def test_iteration_order():
     log = TraceLog()
     for i in range(5):
-        log.emit(float(i), "c", "k")
+        log.append(TraceRecord(float(i), "c", "k"))
     assert [r.time for r in log] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_clear():
     log = TraceLog()
-    log.emit(1.0, "c", "k")
+    log.append(TraceRecord(1.0, "c", "k"))
     log.clear()
     assert len(log) == 0
 
 
 def make_log():
     log = TraceLog()
-    log.emit(0.0, "mntp", "query_sent")
-    log.emit(1.0, "channel", "hints")
-    log.emit(2.0, "mntp", "deferred")
-    log.emit(3.0, "mntp", "query_sent")
-    log.emit(4.0, "span", "sim.run")
+    log.append(TraceRecord(0.0, "mntp", "query_sent"))
+    log.append(TraceRecord(1.0, "channel", "hints"))
+    log.append(TraceRecord(2.0, "mntp", "deferred"))
+    log.append(TraceRecord(3.0, "mntp", "query_sent"))
+    log.append(TraceRecord(4.0, "span", "sim.run"))
     return log
-
-
-def test_by_component_is_lazy_and_filtered():
-    log = make_log()
-    it = log.by_component("mntp")
-    assert iter(it) is it  # a generator, not a list
-    assert [r.time for r in it] == [0.0, 2.0, 3.0]
 
 
 def test_by_kind_with_optional_component():
@@ -95,10 +89,3 @@ def test_iter_filtered_combines_all_filters():
     log = make_log()
     records = list(log.iter_filtered(component="mntp", kind="query_sent", t0=1.0, t1=4.0))
     assert [r.time for r in records] == [3.0]
-
-
-def test_components_and_kinds_sorted():
-    log = make_log()
-    assert log.components() == ["channel", "mntp", "span"]
-    assert log.kinds() == ["deferred", "hints", "query_sent", "sim.run"]
-    assert log.kinds(component="mntp") == ["deferred", "query_sent"]

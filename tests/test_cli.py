@@ -251,6 +251,29 @@ def test_trace_and_metrics_subcommands(tmp_path, capsys):
     assert "mntp_abs_residual_ms_bucket" in out
 
 
+_ARCHIVE = {
+    "format": "mntp-experiment-v1", "duration": 1.0,
+    "sntp": [], "true_offsets": [], "mntp_reports": [],
+}
+
+
+@pytest.mark.parametrize("command", ["trace", "explain", "replay", "health"])
+@pytest.mark.parametrize("archive,key", [
+    ({k: v for k, v in _ARCHIVE.items() if k != "duration"}, "duration"),
+    ({**_ARCHIVE, "telemetry": {"records": [
+        {"t": 0.0, "component": "mntp", "data": {}},
+    ]}}, "kind"),
+])
+def test_malformed_archive_is_a_load_error(tmp_path, capsys, command,
+                                           archive, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(archive))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load" in err
+    assert repr(key) in err
+
+
 def test_trace_without_telemetry_payload(tmp_path, capsys):
     import json
 

@@ -56,6 +56,17 @@ CASES = {
             "repro.tuner.autotune",
         ),
     ),
+    "wireless_hints": (
+        ("repro.wireless.hints",),
+        ("repro.simcore", "repro.net", "repro.obs", "repro.wireless.channel",
+         "repro.wireless.crosstraffic", "repro.wireless.effects",
+         "repro.wireless.wap"),
+    ),
+    "tuner_emulator": (
+        ("repro.tuner.emulator",),
+        ("repro.simcore", "repro.core.protocol", "repro.wireless.channel",
+         "repro.net", "repro.testbed", "repro.logs", "repro.cellular"),
+    ),
     "cli": (
         ("repro.cli",),
         NOT_IN_A_SCENARIO_RUN

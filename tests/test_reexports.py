@@ -1,9 +1,12 @@
 """Lazy package re-exports keep the public surface whole.
 
-``repro``, ``repro.core``, ``repro.obs``, ``repro.testbed`` and
-``repro.tuner`` resolve their re-exports on first use (PEP 562).  Every name in ``__all__`` must still be the
+``repro``, ``repro.core``, ``repro.obs``, ``repro.testbed``,
+``repro.tuner`` and ``repro.wireless`` resolve their re-exports on
+first use (PEP 562).  Every name in ``__all__`` must still be the
 object its home module defines, be listed by ``dir()``, survive a star
-import, and an unknown name must still raise ``AttributeError``.
+import, and an unknown name must still raise ``AttributeError``.  The
+eagerly re-exporting packages export exactly the names that have
+callers.
 """
 
 import importlib
@@ -12,7 +15,37 @@ import pytest
 
 LAZY_PACKAGES = (
     "repro", "repro.core", "repro.obs", "repro.testbed", "repro.tuner",
+    "repro.wireless",
 )
+
+#: ``__all__`` of the eagerly re-exporting packages: only names that a
+#: figure, bench, example, CLI command or other module uses.
+EAGER_EXPORTS = {
+    "repro.ntp": [
+        "LeapIndicator", "Mode", "NTP_PORT", "NTP_UNIX_EPOCH_DELTA",
+        "ntp_to_unix", "unix_to_ntp", "encode_timestamp", "decode_timestamp",
+        "encode_short", "decode_short", "NtpPacket", "compute_offset_delay",
+        "OffsetSample", "NtpServer", "ServerPersona", "SntpClient",
+        "SntpResult", "ClockFilter", "FilterSample", "intersection",
+        "SelectInterval", "cluster_survivors", "ClockDiscipline",
+        "DisciplineParams", "PoolDns",
+    ],
+    "repro.metrics": [
+        "rmse", "quantile", "iqr", "allan_deviation", "allan_deviation_curve",
+    ],
+    "repro.cellular": [
+        "RadioAccessNetwork", "RanParams", "RrcState", "CellularExperiment",
+        "CellularOptions", "GpsTimeSync",
+    ],
+    "repro.logs": [
+        "Provider", "PROVIDERS", "top_providers", "AsnDatabase", "AsnRecord",
+        "ServerDescriptor", "TABLE1_SERVERS", "TraceGenerator",
+        "GeneratorOptions", "parse_trace", "ClientObservation",
+        "filter_synchronized_clients", "classify_provider_kind",
+        "classify_protocol_share", "LogStudy", "ServerSummary",
+        "ProviderLatency",
+    ],
+}
 
 
 def _package(name):
@@ -83,3 +116,11 @@ def test_scenario_listing_keeps_its_spec_module_names():
     assert specs.scenario_names is catalog.scenario_names
     assert specs.iter_spec_files is catalog.iter_spec_files
     assert specs.SCENARIO_DIR == catalog.SCENARIO_DIR
+
+
+@pytest.mark.parametrize("name", sorted(EAGER_EXPORTS))
+def test_eager_package_exports_exactly_the_live_names(name):
+    pkg = _package(name)
+    assert pkg.__all__ == EAGER_EXPORTS[name]
+    for export in pkg.__all__:
+        assert hasattr(pkg, export), f"{name}.{export}"
