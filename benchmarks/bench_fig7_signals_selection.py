@@ -29,10 +29,10 @@ def bench_fig7_signals_selection(once, report):
     runner = once(run)
     trace = runner.sim.trace
 
-    # Filtered iteration over the shared log (one pass per kind, lazy).
-    deferred = list(trace.by_kind("deferred", component="mntp"))
-    accepted = list(trace.by_kind("offset_accepted", component="mntp"))
-    rejected = list(trace.by_kind("offset_rejected", component="mntp"))
+    # Filtered queries over the shared log (one pass per kind).
+    deferred = trace.select(component="mntp", kind="deferred")
+    accepted = trace.select(component="mntp", kind="offset_accepted")
+    rejected = trace.select(component="mntp", kind="offset_rejected")
     failing = Counter()
     for record in deferred:
         for reason in record.data["failing"]:
@@ -65,11 +65,10 @@ def bench_fig7_signals_selection(once, report):
 
     assert deferred, "the gate must fire under the degraded channel"
     assert accepted and rejected
-    # Window slicing partitions the run without re-scanning everything.
-    first_half = sum(1 for r in trace.window(0.0, 1800.0)
-                     if r.component == "mntp" and r.kind == "deferred")
-    second_half = sum(1 for r in trace.window(1800.0, 3600.0 + 1.0)
-                      if r.component == "mntp" and r.kind == "deferred")
+    # Two half-open windows partition the run's deferrals.
+    first_half = len(trace.select(component="mntp", kind="deferred", t0=0.0, t1=1800.0))
+    second_half = len(trace.select(component="mntp", kind="deferred",
+                                   t0=1800.0, t1=3600.0 + 1.0))
     assert first_half + second_half == len(deferred)
     # Every deferral names at least one violated threshold.
     assert all(r.data["failing"] for r in deferred)

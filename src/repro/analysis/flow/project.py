@@ -9,8 +9,8 @@ the three derived facts the interprocedural rules consume:
   paths, re-exports through package ``__init__`` import bindings,
   ``self.`` method dispatch through recorded base classes, and a
   unique-name fallback for attribute calls on objects of unknown type).
-  Names that ``repro``, ``repro.core``, ``repro.obs``, ``repro.testbed``
-  and ``repro.tuner`` bind only in their lazy ``_HOMES`` tables (PEP 562
+  Names that ``repro``, ``repro.core``, ``repro.metrics``, ``repro.obs``,
+  ``repro.testbed``, ``repro.tuner`` and ``repro.wireless`` bind only in their lazy ``_HOMES`` tables (PEP 562
   ``__getattr__``) are not followed, which is why library code imports
   from home modules;
 * **return units** — every function's time unit, from its name suffix

@@ -485,12 +485,12 @@ def _cmd_trace(args) -> int:
         print(f"telemetry ({n} lines) written to {args.jsonl}")
 
     spans = [r for r in records if r.component == SPAN_COMPONENT]
-    by_kind: Dict[str, List[float]] = {}
+    durations: Dict[str, List[float]] = {}
     for s in spans:
-        by_kind.setdefault(s.kind, []).append(float(s.data.get("dur", 0.0)))
+        durations.setdefault(s.kind, []).append(float(s.data.get("dur", 0.0)))
     rows = [
         [kind, len(durs), f"{sum(durs):.1f}", f"{max(durs):.1f}"]
-        for kind, durs in sorted(by_kind.items())
+        for kind, durs in sorted(durations.items())
     ]
     print(render_table(["span", "n", "total (s, sim)", "max (s, sim)"], rows))
 

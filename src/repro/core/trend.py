@@ -29,7 +29,8 @@ class TrendLine:
     stored points on demand; a ``max_points`` window bounds memory for
     long runs (the regular phase adds a point every request).  The line
     is unfit (``slope``/``predict`` read None) with fewer than two
-    points, or while its points span no time.
+    points, while its points span no time, or when the least-squares
+    solve fails to converge.
     """
 
     def __init__(self, max_points: int = 4096) -> None:
@@ -99,13 +100,19 @@ class TrendLine:
                 lhs[:, 1] = 1.0
                 scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
                 lhs /= scale
-                c, _, rank, _ = np.linalg.lstsq(lhs, y, n * _EPS)
-                if rank != 2:
-                    warnings.warn("Polyfit may be poorly conditioned",
-                                  np.exceptions.RankWarning, stacklevel=2)
-                slope = float(c[0]) / float(scale[0])
-                intercept_c = float(c[1]) / float(scale[1])
-                self._coeffs = (slope, intercept_c - slope * t0)
+                try:
+                    c, _, rank, _ = np.linalg.lstsq(lhs, y, n * _EPS)
+                except np.linalg.LinAlgError:
+                    # LAPACK's SVD can fail to converge (offsets at
+                    # subnormal scale): the line stays unfit.
+                    pass
+                else:
+                    if rank != 2:
+                        warnings.warn("Polyfit may be poorly conditioned",
+                                      np.exceptions.RankWarning, stacklevel=2)
+                    slope = float(c[0]) / float(scale[0])
+                    intercept_c = float(c[1]) / float(scale[1])
+                    self._coeffs = (slope, intercept_c - slope * t0)
             self._dirty = False
         return self._coeffs
 

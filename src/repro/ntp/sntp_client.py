@@ -20,8 +20,7 @@ from repro.ntp.constants import LeapIndicator, Mode
 from repro.ntp.packet import NtpPacket
 from repro.ntp.wire import OffsetSample, sample_from_exchange
 from repro.obs.spans import Span
-from repro.simcore.events import Event
-from repro.simcore.simulator import Simulator
+from repro.simcore.simulator import Event, Simulator
 
 # Hardening counter names, hoisted: the call sites run per query (the
 # counters are still created lazily, so a plain client's snapshot keeps

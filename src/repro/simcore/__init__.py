@@ -1,22 +1,19 @@
 """Discrete-event simulation kernel.
 
 All experiments in this reproduction run on *virtual time*: a float number
-of simulated seconds advanced by an event queue.  Nothing in the library
-ever sleeps on the wall clock, which makes hour-long protocol experiments
-run in seconds and keeps millisecond-level timing exact regardless of
-interpreter jitter.
+of simulated seconds advanced by one heap of scheduled callbacks.  Nothing
+in the library ever sleeps on the wall clock, which makes hour-long
+protocol experiments run in seconds and keeps millisecond-level timing
+exact regardless of interpreter jitter.
 """
 
-from repro.simcore.events import Event, EventQueue
-from repro.simcore.simulator import Simulator, SimProcess
+from repro.simcore.simulator import Event, Simulator
 from repro.simcore.random import RngRegistry
 from repro.simcore.trace import TraceRecord, TraceLog
 
 __all__ = [
     "Event",
-    "EventQueue",
     "Simulator",
-    "SimProcess",
     "RngRegistry",
     "TraceRecord",
     "TraceLog",

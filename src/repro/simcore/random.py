@@ -22,16 +22,11 @@ import numpy as np
 class RngRegistry:
     """Factory of named, independent :class:`numpy.random.Generator` streams."""
 
-    def __init__(self, root_seed: int = 0) -> None:
-        if root_seed < 0:
+    def __init__(self, seed: int = 0) -> None:
+        if seed < 0:
             raise ValueError("root seed must be non-negative")
-        self._root_seed = int(root_seed)
+        self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
-
-    @property
-    def root_seed(self) -> int:
-        """The root seed this registry was created with."""
-        return self._root_seed
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
@@ -43,14 +38,6 @@ class RngRegistry:
         if name not in self._streams:
             # Hash the name into a stable integer entropy contribution.
             name_entropy = [ord(c) for c in name]
-            seq = np.random.SeedSequence(entropy=self._root_seed, spawn_key=tuple(name_entropy))
+            seq = np.random.SeedSequence(entropy=self._seed, spawn_key=tuple(name_entropy))
             self._streams[name] = np.random.Generator(np.random.PCG64(seq))
         return self._streams[name]
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """Return a new registry whose root seed mixes in ``salt``.
-
-        Used to run replicated experiments (same structure, different
-        randomness) without coordinating seed arithmetic at call sites.
-        """
-        return RngRegistry(root_seed=(self._root_seed * 1_000_003 + salt) % (2**63))

@@ -106,46 +106,30 @@ class TraceLog:
         self._records.append(record)
 
     def select(
-        self, component: Optional[str] = None, kind: Optional[str] = None
-    ) -> List[TraceRecord]:
-        """Return records filtered by component and/or kind."""
-        return list(self.iter_filtered(component=component, kind=kind))
-
-    def iter_filtered(
         self,
         component: Optional[str] = None,
         kind: Optional[str] = None,
         t0: Optional[float] = None,
         t1: Optional[float] = None,
-    ) -> Iterator[TraceRecord]:
-        """Lazily yield records matching every given filter.
+    ) -> List[TraceRecord]:
+        """Return the records matching every given filter, in log order.
 
         Args:
             component: Keep only this emitting component.
             kind: Keep only this event kind.
             t0: Keep records with ``time >= t0``.
-            t1: Keep records with ``time < t1``.
+            t1: Keep records with ``time < t1``; with ``t0``, the
+                window ``[t0, t1)`` must not end before it starts.
         """
-        for rec in self._records:
-            if component is not None and rec.component != component:
-                continue
-            if kind is not None and rec.kind != kind:
-                continue
-            if t0 is not None and rec.time < t0:
-                continue
-            if t1 is not None and rec.time >= t1:
-                continue
-            yield rec
-
-    def by_kind(self, kind: str, component: Optional[str] = None) -> Iterator[TraceRecord]:
-        """Lazily yield records of ``kind`` (optionally one component's)."""
-        return self.iter_filtered(component=component, kind=kind)
-
-    def window(self, t0: float, t1: float) -> Iterator[TraceRecord]:
-        """Lazily yield records with time in the half-open ``[t0, t1)``."""
-        if t1 < t0:
+        if t0 is not None and t1 is not None and t1 < t0:
             raise ValueError(f"window end {t1} before start {t0}")
-        return self.iter_filtered(t0=t0, t1=t1)
+        return [
+            rec for rec in self._records
+            if (component is None or rec.component == component)
+            and (kind is None or rec.kind == kind)
+            and (t0 is None or not rec.time < t0)
+            and (t1 is None or not rec.time >= t1)
+        ]
 
     def clear(self) -> None:
         """Drop all records."""

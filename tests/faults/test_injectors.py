@@ -133,7 +133,7 @@ def test_suspend_tracks_node_and_emits_drop_record():
     assert inj.node_suspended("tn")
     assert not inj.node_suspended("mn")
     inj.record_suspend_drop("tn", "client/7", ident=42)
-    records = list(sim.trace.by_kind("drop"))
+    records = sim.trace.select(kind="drop")
     assert records and records[-1].data["cause"] == "suspend"
     assert records[-1].data["trace_id"] == "client/7"
     _run_to(sim, 16.0)

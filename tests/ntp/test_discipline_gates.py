@@ -91,7 +91,7 @@ def test_popcorn_stepout_eventually_accepts_real_step():
     # The reference stepped by 2 s; normal delays, persistent offset
     # (measured relative to the client clock, as on the real wire).
     for i in range(12):
-        sim.run_for(16.0)
+        sim.run_until(sim.now + 16.0)
         d._update_clock([("s", sample(2.0 - clock.true_offset()))])
         if d.steps >= 1:
             break

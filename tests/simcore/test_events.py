@@ -1,100 +1,65 @@
-"""EventQueue ordering, cancellation, and edge cases."""
+"""Event ordering, cancellation, and edge cases on the simulator's heap."""
+
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simcore.events import EventQueue
+from repro.simcore import Simulator
 
 
-def test_empty_queue_pops_none():
-    q = EventQueue()
-    assert q.pop() is None
-    assert q.peek_time() is None
-    assert len(q) == 0
-    assert not q
+def test_empty_queue_pops_none(sim):
+    sim.run_until(5.0)
+    assert sim.now == 5.0
+    (run,) = sim.trace.select(kind="sim.run")
+    assert run.data["events"] == 0
 
 
-def test_fifo_within_same_time():
-    q = EventQueue()
+def test_fifo_within_same_time(sim):
     order = []
-    q.push(1.0, lambda: order.append("a"))
-    q.push(1.0, lambda: order.append("b"))
-    q.push(1.0, lambda: order.append("c"))
-    while (ev := q.pop()) is not None:
-        ev.callback()
+    sim.call_at(1.0, lambda: order.append("a"))
+    sim.call_after(1.0, lambda: order.append("b"))
+    sim.call_at(1.0, lambda: order.append("c"))
+    sim.run_until(1.0)
     assert order == ["a", "b", "c"]
 
 
-def test_time_ordering():
-    q = EventQueue()
-    q.push(3.0, lambda: None, label="late")
-    q.push(1.0, lambda: None, label="early")
-    q.push(2.0, lambda: None, label="mid")
+def test_time_ordering(sim):
     labels = []
-    while (ev := q.pop()) is not None:
-        labels.append(ev.label)
-    assert labels == ["early", "mid", "late"]
+    for t, label in ((3.0, "late"), (1.0, "early"), (2.0, "mid")):
+        sim.call_at(t, lambda label=label: labels.append((sim.now, label)), label)
+    sim.run_until(5.0)
+    assert labels == [(1.0, "early"), (2.0, "mid"), (3.0, "late")]
 
 
-def test_cancelled_event_skipped():
-    q = EventQueue()
-    ev1 = q.push(1.0, lambda: None, label="first")
-    q.push(2.0, lambda: None, label="second")
-    ev1.cancel()
-    popped = q.pop()
-    assert popped is not None and popped.label == "second"
-    assert q.pop() is None
+def test_cancelled_event_skipped(sim):
+    fired = []
+    first = sim.call_at(1.0, lambda: fired.append(("first", sim.now)), "first")
+    sim.call_at(2.0, lambda: fired.append(("second", sim.now)), "second")
+    first.cancel()
+    sim.run_until(1.5)
+    assert fired == []
+    assert sim.now == 1.5
+    sim.run_until(3.0)
+    assert fired == [("second", 2.0)]
 
 
-def test_len_excludes_cancelled():
-    q = EventQueue()
-    ev = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    assert len(q) == 2
-    ev.cancel()
-    assert len(q) == 1
-
-
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    ev = q.push(1.0, lambda: None)
-    q.push(5.0, lambda: None)
-    ev.cancel()
-    assert q.peek_time() == 5.0
-
-
-def test_nan_time_rejected():
-    q = EventQueue()
-    with pytest.raises(ValueError):
-        q.push(float("nan"), lambda: None)
-
-
-def test_clear_empties_queue():
-    q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.clear()
-    assert q.pop() is None
-
-
-def test_bool_reflects_live_events():
-    q = EventQueue()
-    ev = q.push(1.0, lambda: None)
-    assert q
-    ev.cancel()
-    assert not q
+def test_nan_time_rejected(sim):
+    with pytest.raises(ValueError, match="NaN"):
+        sim.call_at(math.nan, lambda: None)
+    with pytest.raises(ValueError, match="NaN"):
+        sim.call_after(math.nan, lambda: None)
+    assert sim._heap == []
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
 def test_pop_order_is_sorted(times):
-    q = EventQueue()
+    sim = Simulator(seed=0)
+    fired = []
     for t in times:
-        q.push(t, lambda: None)
-    popped = []
-    while (ev := q.pop()) is not None:
-        popped.append(ev.time)
-    assert popped == sorted(popped)
-    assert len(popped) == len(times)
+        sim.call_at(t, lambda: fired.append(sim.now))
+    sim.run_until(1e6)
+    assert fired == sorted(times)
 
 
 @given(
@@ -102,14 +67,13 @@ def test_pop_order_is_sorted(times):
     st.data(),
 )
 def test_cancellation_never_loses_other_events(times, data):
-    q = EventQueue()
-    events = [q.push(t, lambda: None) for t in times]
+    sim = Simulator(seed=0)
+    fired = []
+    events = [sim.call_at(t, lambda i=i: fired.append(i)) for i, t in enumerate(times)]
     cancel_idx = data.draw(
         st.sets(st.integers(0, len(events) - 1), max_size=len(events))
     )
     for i in cancel_idx:
         events[i].cancel()
-    survivors = 0
-    while q.pop() is not None:
-        survivors += 1
-    assert survivors == len(times) - len(cancel_idx)
+    sim.run_until(1e6)
+    assert sorted(fired) == [i for i in range(len(times)) if i not in cancel_idx]

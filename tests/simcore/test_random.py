@@ -44,17 +44,3 @@ def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RngRegistry(-1)
 
-
-def test_fork_changes_streams():
-    base = RngRegistry(3)
-    forked = base.fork(1)
-    assert forked.root_seed != base.root_seed
-    a = base.stream("x").normal(size=5)
-    b = forked.stream("x").normal(size=5)
-    assert not (a == b).all()
-
-
-def test_fork_deterministic():
-    a = RngRegistry(3).fork(7).stream("x").normal(size=5)
-    b = RngRegistry(3).fork(7).stream("x").normal(size=5)
-    assert (a == b).all()

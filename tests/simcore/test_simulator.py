@@ -1,4 +1,4 @@
-"""Simulator scheduling, processes, and run control."""
+"""Simulator scheduling, callback loops, and run control."""
 
 import math
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.simcore import Simulator
-from repro.simcore.simulator import Waiter
 
 
 def test_call_after_fires_at_right_time(sim):
@@ -46,7 +45,6 @@ def test_events_beyond_horizon_stay_queued(sim):
     sim.call_after(100.0, lambda: fired.append(1))
     sim.run_until(50.0)
     assert fired == []
-    assert sim.pending_events == 1
     sim.run_until(150.0)
     assert fired == [1]
 
@@ -63,95 +61,61 @@ def test_nested_scheduling(sim):
     assert fired == [("outer", 1.0), ("inner", 3.0)]
 
 
-def test_run_for_advances_relative(sim):
-    sim.run_for(5.0)
-    sim.run_for(5.0)
-    assert sim.now == 10.0
-
-
-def test_stop_halts_run(sim):
-    fired = []
-
-    def first():
-        fired.append(1)
-        sim.stop()
-
-    sim.call_after(1.0, first)
-    sim.call_after(1.0, lambda: fired.append("same-instant"))
-    sim.call_after(1.5, lambda: fired.append("cancelled")).cancel()
-    sim.call_after(2.0, lambda: fired.append(2))
-    sim.run_until(10.0)
-    # Halts right after the stopping callback; time still reaches the end.
-    assert fired == [1]
-    assert sim.now == 10.0
-    assert sim.pending_events == 2  # the cancelled entry is not counted
-    # The remaining events stay queued for a future run.
-    sim.run_until(10.0)
-    assert fired == [1, "same-instant", 2]
-
-
 def test_process_yields_delays(sim):
+    """A protocol loop is a callback that schedules its own next step."""
     ticks = []
 
-    def proc():
-        for _ in range(3):
-            ticks.append(sim.now)
-            yield 2.0
+    def step(remaining):
+        ticks.append(sim.now)
+        if remaining > 1:
+            sim.call_after(2.0, lambda: step(remaining - 1))
 
-    sim.spawn(proc(), name="ticker")
+    sim.call_after(0.0, lambda: step(3))
     sim.run_until(10.0)
     assert ticks == [0.0, 2.0, 4.0]
 
 
 def test_process_negative_delay_raises(sim):
-    def proc():
-        yield -1.0
-
-    sim.spawn(proc(), name="bad")
-    with pytest.raises(ValueError):
-        sim.run_until(1.0)
+    """A step that schedules into the past raises out of the run, and the
+    run's span is still closed, marked as an error."""
+    sim.call_after(1.0, lambda: sim.call_after(-1.0, lambda: None))
+    with pytest.raises(ValueError, match="non-negative"):
+        sim.run_until(5.0)
+    (run,) = sim.trace.select(kind="sim.run")
+    assert run.data["error"] is True
+    assert run.data["events"] == 0
 
 
 def test_process_stop(sim):
+    """Cancelling a loop's pending step stops it."""
     ticks = []
+    pending = []
 
-    def proc():
-        while True:
-            ticks.append(sim.now)
-            yield 1.0
+    def step():
+        ticks.append(sim.now)
+        pending.append(sim.call_after(1.0, step))
 
-    p = sim.spawn(proc(), name="stoppable")
+    sim.call_after(0.0, step)
     sim.run_until(2.5)
-    p.stop()
+    pending[-1].cancel()
     sim.run_until(10.0)
     assert ticks == [0.0, 1.0, 2.0]
 
 
 def test_process_waiter_resumes_on_condition(sim):
+    """A loop waiting on a condition polls it from a callback."""
     state = {"ready": False, "resumed_at": None}
 
-    def proc():
-        yield Waiter(lambda now: state["ready"], poll_interval=0.5)
-        state["resumed_at"] = sim.now
+    def poll():
+        if state["ready"]:
+            state["resumed_at"] = sim.now
+        else:
+            sim.call_after(0.5, poll)
 
-    sim.spawn(proc(), name="waiter")
+    sim.call_after(0.0, poll)
     sim.call_after(3.2, lambda: state.update(ready=True))
     sim.run_until(10.0)
-    assert state["resumed_at"] is not None
-    assert 3.2 <= state["resumed_at"] <= 4.0
-
-
-def test_waiter_bad_interval():
-    with pytest.raises(ValueError):
-        Waiter(lambda now: True, poll_interval=0.0)
-
-
-def test_run_to_completion_drains(sim):
-    fired = []
-    sim.call_after(1.0, lambda: fired.append(1))
-    sim.call_after(2.0, lambda: fired.append(2))
-    sim.run_to_completion()
-    assert fired == [1, 2]
+    assert state["resumed_at"] == 3.5
 
 
 def test_deterministic_same_seed():
@@ -159,12 +123,12 @@ def test_deterministic_same_seed():
         sim = Simulator(seed=seed)
         values = []
 
-        def proc():
-            for _ in range(5):
-                values.append(float(sim.rng.stream("x").normal()))
-                yield 1.0
+        def step():
+            values.append(float(sim.rng.stream("x").normal()))
+            if len(values) < 5:
+                sim.call_after(1.0, step)
 
-        sim.spawn(proc(), name="p")
+        sim.call_after(0.0, step)
         sim.run_until(10.0)
         return values
 
@@ -174,12 +138,8 @@ def test_deterministic_same_seed():
 
 @pytest.mark.parametrize(
     "run",
-    [
-        lambda sim: sim.run_until(math.nan),
-        lambda sim: sim.run_for(math.nan),
-        lambda sim: sim.run_to_completion(max_time=math.nan),
-    ],
-    ids=["run_until", "run_for", "run_to_completion"],
+    [lambda sim: sim.run_until(math.nan)],
+    ids=["run_until"],
 )
 def test_nan_end_time_rejected(sim, run):
     fired = []
@@ -188,7 +148,8 @@ def test_nan_end_time_rejected(sim, run):
         run(sim)
     assert fired == []
     assert sim.now == 0.0
-    assert sim.pending_events == 1
+    sim.run_until(2e6)
+    assert fired == [1e6]
 
 
 def _schedule_run(schedule, cancels):
@@ -246,7 +207,7 @@ def _schedules(draw):
 
 
 @given(_schedules())
-def test_stepped_run_until_and_run_to_completion_fire_alike(case):
+def test_stepped_and_single_run_until_fire_alike(case):
     times, cancels, cuts = case
     expected = _reference_order(times, cancels)
 
@@ -254,12 +215,10 @@ def test_stepped_run_until_and_run_to_completion_fire_alike(case):
     for cut in cuts + [20.0]:
         stepped.run_until(cut)
         assert stepped.now == cut
-    assert stepped.pending_events == 0
 
-    drained, drained_fired = _schedule_run(times, cancels)
-    drained.run_to_completion()
-    assert drained.pending_events == 0
+    single, single_fired = _schedule_run(times, cancels)
+    single.run_until(20.0)
 
     assert stepped_fired == expected
-    assert drained_fired == expected
-    assert drained.now == (expected[-1][0] if expected else 0.0)
+    assert single_fired == expected
+    assert stepped._heap == single._heap == []

@@ -1,5 +1,7 @@
 """TraceLog structured logging."""
 
+import pytest
+
 from repro.simcore.trace import TraceLog, TraceRecord
 
 
@@ -65,27 +67,27 @@ def make_log():
     return log
 
 
-def test_by_kind_with_optional_component():
+def test_select_kind_with_optional_component():
     log = make_log()
-    assert [r.time for r in log.by_kind("query_sent")] == [0.0, 3.0]
-    assert [r.time for r in log.by_kind("sim.run", component="span")] == [4.0]
-    assert list(log.by_kind("sim.run", component="mntp")) == []
+    assert [r.time for r in log.select(kind="query_sent")] == [0.0, 3.0]
+    assert [r.time for r in log.select(component="span", kind="sim.run")] == [4.0]
+    assert log.select(component="mntp", kind="sim.run") == []
 
 
 def test_window_is_half_open():
     log = make_log()
-    assert [r.time for r in log.window(1.0, 3.0)] == [1.0, 2.0]
-    assert list(log.window(5.0, 9.0)) == []
+    assert [r.time for r in log.select(t0=1.0, t1=3.0)] == [1.0, 2.0]
+    assert [r.time for r in log.select(t0=3.0)] == [3.0, 4.0]
+    assert [r.time for r in log.select(t1=1.0)] == [0.0]
+    assert log.select(t0=5.0, t1=9.0) == []
 
 
 def test_window_rejects_inverted_bounds():
-    import pytest
-
-    with pytest.raises(ValueError):
-        list(make_log().window(3.0, 1.0))
+    with pytest.raises(ValueError, match="before start"):
+        make_log().select(t0=3.0, t1=1.0)
 
 
-def test_iter_filtered_combines_all_filters():
+def test_select_combines_all_filters():
     log = make_log()
-    records = list(log.iter_filtered(component="mntp", kind="query_sent", t0=1.0, t1=4.0))
+    records = log.select(component="mntp", kind="query_sent", t0=1.0, t1=4.0)
     assert [r.time for r in records] == [3.0]

@@ -1,7 +1,8 @@
 """The public seams ``perfbench/ledger.py`` wraps by name.
 
 The layer ledger replaces these attributes in place: it re-calls the
-scheduling methods with ``label`` as the third positional argument,
+scheduling methods with ``label`` as the third positional argument
+(and counts each call as one heap entry),
 unwraps classmethods from the class ``__dict__`` and wraps the model's
 per-packet and per-read methods as plain functions.  A change to either
 shape would otherwise pass every other tier-1 test and fail only in the
@@ -43,6 +44,36 @@ def test_scheduling_takes_label_as_third_positional(name, sim):
     assert label.default == ""
     event = getattr(sim, name)(1.0, lambda: None, "seam")
     assert event.label == "seam"
+
+
+@pytest.mark.parametrize("name", ["call_at", "call_after"])
+def test_each_scheduling_call_adds_one_heap_entry(name, sim):
+    """``simcore.events_scheduled`` counts wrapped scheduling calls as
+    heap entries, so a call must push exactly one."""
+    schedule = getattr(sim, name)
+    for count in range(1, 4):
+        schedule(1.0, lambda: None, "seam")
+        assert len(sim._heap) == count
+
+
+@pytest.mark.parametrize("wrapped, other", [("call_at", "call_after"),
+                                            ("call_after", "call_at")])
+def test_scheduling_methods_do_not_call_each_other(monkeypatch, sim, wrapped, other):
+    """The ledger wraps both methods; if one called the other, a single
+    scheduled event would be counted twice."""
+    calls = []
+    original = Simulator.__dict__[wrapped]
+
+    def counted(self, when, callback, label=""):
+        calls.append(label)
+        return original(self, when, callback, label)
+
+    monkeypatch.setattr(Simulator, wrapped, counted)
+    getattr(sim, other)(1.0, lambda: None, "other")
+    assert calls == []
+    getattr(sim, wrapped)(1.0, lambda: None, "wrapped")
+    assert calls == ["wrapped"]
+    assert len(sim._heap) == 2
 
 
 @pytest.mark.parametrize("name", ["decode", "sntp_request"])

@@ -65,7 +65,8 @@ CASES = {
     "tuner_emulator": (
         ("repro.tuner.emulator",),
         ("repro.simcore", "repro.core.protocol", "repro.wireless.channel",
-         "repro.net", "repro.testbed", "repro.logs", "repro.cellular"),
+         "repro.net", "repro.testbed", "repro.logs", "repro.cellular",
+         "repro.metrics.allan", "repro.metrics.distributions"),
     ),
     "cli": (
         ("repro.cli",),

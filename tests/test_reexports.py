@@ -1,7 +1,7 @@
 """Lazy package re-exports keep the public surface whole.
 
-``repro``, ``repro.core``, ``repro.obs``, ``repro.testbed``,
-``repro.tuner`` and ``repro.wireless`` resolve their re-exports on
+``repro``, ``repro.core``, ``repro.metrics``, ``repro.obs``,
+``repro.testbed``, ``repro.tuner`` and ``repro.wireless`` resolve their re-exports on
 first use (PEP 562).  Every name in ``__all__`` must still be the
 object its home module defines, be listed by ``dir()``, survive a star
 import, and an unknown name must still raise ``AttributeError``.  The
@@ -14,8 +14,8 @@ import importlib
 import pytest
 
 LAZY_PACKAGES = (
-    "repro", "repro.core", "repro.obs", "repro.testbed", "repro.tuner",
-    "repro.wireless",
+    "repro", "repro.core", "repro.metrics", "repro.obs", "repro.testbed",
+    "repro.tuner", "repro.wireless",
 )
 
 #: ``__all__`` of the eagerly re-exporting packages: only names that a
@@ -30,8 +30,8 @@ EAGER_EXPORTS = {
         "SelectInterval", "cluster_survivors", "ClockDiscipline",
         "DisciplineParams", "PoolDns",
     ],
-    "repro.metrics": [
-        "rmse", "quantile", "iqr", "allan_deviation", "allan_deviation_curve",
+    "repro.simcore": [
+        "Event", "Simulator", "RngRegistry", "TraceRecord", "TraceLog",
     ],
     "repro.cellular": [
         "RadioAccessNetwork", "RanParams", "RrcState", "CellularExperiment",

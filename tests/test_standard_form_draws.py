@@ -354,7 +354,7 @@ def test_cross_traffic_draws_match_numpy_calls(seed, mean_gap_s, mean_duration_s
     sim.call_after = recording
     gen.start()
     while len(delays) < 20:
-        sim.run_until(sim._queue.peek_time())
+        sim.run_until(sim._heap[0][0])
     reference = RngRegistry(seed).stream("crosstraffic")
     want = []
     for _ in range(10):

@@ -150,8 +150,8 @@ def test_logger_below_query_timeout_keeps_sampling_order():
 class _Instrumented(Simulator):
     """A simulator with telemetry on whatever its caller asks for."""
 
-    def __init__(self, seed=0, start_time=0.0, instrument=True):
-        super().__init__(seed=seed, start_time=start_time, instrument=True)
+    def __init__(self, seed=0, instrument=True):
+        super().__init__(seed=seed, instrument=True)
 
 
 @pytest.mark.parametrize("seed", [1000, 1001])
