@@ -2,7 +2,10 @@
 
 A :class:`Rule` is an :class:`ast.NodeVisitor` subclass instantiated
 fresh for every analysed module; the :class:`Engine` parses each file
-once and hands the tree to every enabled per-file rule.  A
+once and hands the :class:`SourceModule` to every enabled per-file
+rule.  What several rules need of one module (its import map, its
+``__all__``, its flow summary, its resource analysis) is a lazy
+attribute of the :class:`SourceModule`, built once and shared.  A
 :class:`ProjectRule` runs in a second, whole-program phase over the
 :class:`repro.analysis.flow.project.Project` built from every analysed
 module's flow summary, so it can see across call and module boundaries.
@@ -35,6 +38,7 @@ import re
 import time
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import (
     Any,
@@ -46,9 +50,11 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.rules.base import ImportMap
+
 #: Bumped whenever findings, summaries, or rule semantics change shape;
 #: part of the incremental cache key so stale caches self-invalidate.
-TOOL_VERSION = "6.0"
+TOOL_VERSION = "7.0"
 
 #: Matches ``# repro: noqa`` with an optional ``[RULE1,RULE2]`` list.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?P<rest>\[[^\]]*\])?")
@@ -113,7 +119,10 @@ class Finding:
 
 @dataclass
 class SourceModule:
-    """A parsed source file plus the metadata rules need."""
+    """A parsed source file plus the facts rules share about it.
+
+    Each fact property is built on first use, once per module per run.
+    """
 
     path: str                    # display path (as reported in findings)
     text: str
@@ -121,6 +130,30 @@ class SourceModule:
     module: Tuple[str, ...]      # dotted-module parts, e.g. ("repro", "ntp", "wire")
     noqa: Dict[int, Set[str]] = field(default_factory=dict)
     noqa_problems: List[Tuple[int, str]] = field(default_factory=list)
+
+    @cached_property
+    def imports(self) -> ImportMap:
+        """The module's imports, resolving call targets to dotted paths."""
+        return ImportMap(self.tree)
+
+    @cached_property
+    def exports(self) -> Optional[List[str]]:
+        """The literal names ``__all__`` lists; None when it is unassigned."""
+        return _dunder_all(self.tree)
+
+    @cached_property
+    def summary(self) -> Any:
+        """The :class:`~repro.analysis.flow.summary.ModuleSummary`."""
+        from repro.analysis.flow import summary
+
+        return summary.summarize(self)
+
+    @cached_property
+    def resource_findings(self) -> List[Finding]:
+        """Every RES finding, from one solved analysis per function."""
+        from repro.analysis.rules import resources
+
+        return resources.resource_findings(self)
 
     @property
     def is_init(self) -> bool:
@@ -137,6 +170,29 @@ class SourceModule:
     def dotted(self) -> str:
         """The dotted module name (``repro.ntp.wire``)."""
         return ".".join(self.module)
+
+
+def _dunder_all(tree: ast.Module) -> Optional[List[str]]:
+    """Literal string names of the module-level ``__all__`` assignments."""
+    names: Optional[List[str]] = None
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            continue
+        if names is None:
+            names = []
+        if isinstance(stmt.value, (ast.List, ast.Tuple)):
+            names.extend(
+                element.value for element in stmt.value.elts
+                if isinstance(element, ast.Constant)
+                and isinstance(element.value, str)
+            )
+    return names
 
 
 def in_tests(module: Sequence[str]) -> bool:
@@ -445,10 +501,10 @@ class Engine:
         sm = source_from_text(text, path=path, module=tuple(module.split(".")))
         findings = self.check_module(sm)
         if project and self._project_rules:
-            from repro.analysis.flow import Project, summarize
+            from repro.analysis.flow import Project
 
             findings.extend(self._check_project(
-                Project([summarize(sm)]), {sm.path: sm.noqa}
+                Project([sm.summary]), {sm.path: sm.noqa}
             ))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
@@ -463,13 +519,11 @@ class Engine:
         unparsable input.  Pure with respect to engine state, so it is
         safe to run in a ``--jobs`` worker process.
         """
-        from repro.analysis.flow import summarize
-
         text = raw.decode("utf-8")
         module = source_from_text(text, path=display, module=module_parts)
         return {
             "findings": [f.to_dict() for f in self.check_module(module)],
-            "summary": summarize(module).to_dict(),
+            "summary": module.summary.to_dict(),
             "noqa": {
                 str(line): sorted(rules)
                 for line, rules in module.noqa.items()

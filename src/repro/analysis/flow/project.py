@@ -328,6 +328,8 @@ class Project:
         for full, entry in self.functions.items():
             table: Dict[str, EffectPath] = {}
             for effect in entry.info.effects:
+                if effect.suppressed:
+                    continue
                 table[effect.dotted] = EffectPath(
                     kind=effect.kind, dotted=effect.dotted,
                     via=None, direct_in=full,

@@ -231,7 +231,7 @@ class TransitiveEffectRule(ProjectRule):
         reported — the callee's own call sites are, so each chain
         yields exactly one finding at the crossing.
         """
-        if callee.info.effects:
+        if any(not e.suppressed for e in callee.info.effects):
             return True
         if _in_det_scope(callee):
             return False

@@ -8,6 +8,15 @@ directly, the names the module references, and its exports.  Phase two
 (:mod:`repro.analysis.flow.project`) stitches the summaries into a call
 graph and propagates units and effects across it.
 
+The summary is built once per module (``SourceModule.summary``) and is
+the one place that classifies a call as a wall-clock or global-RNG
+effect: DET001-DET003 report its effect sites and DET004 follows them
+across calls.  Each call belongs to the function that evaluates it: a
+def's defaults, decorators and annotations to the scope the def runs
+in, a nested def or lambda to its enclosing function.  An effect site
+under a matching noqa is kept but marked ``suppressed``, which stops
+DET004 chains through it and nothing else.
+
 Summaries are plain-data and round-trip through JSON (``to_dict`` /
 ``from_dict``), which is what makes the incremental lint cache work: a
 warm run re-reads bytes to hash them but re-parses nothing.
@@ -16,8 +25,7 @@ Call targets are recorded as *resolution keys*, resolved lazily by the
 project pass:
 
 * ``d:pkg.mod.name`` — import-resolved dotted path (alias-aware, via
-  the same :class:`~repro.analysis.rules.base.ImportMap` machinery the
-  per-file rules use),
+  the module's :class:`~repro.analysis.rules.base.ImportMap`),
 * ``l:name`` — a bare name in the defining module,
 * ``s:Class.name`` — a ``self.``/``cls.`` method call,
 * ``a:name`` — an attribute call on an object of unknown type (the
@@ -28,11 +36,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.analysis.engine import SourceModule
-from repro.analysis.rules.base import ImportMap, suffix_unit
+from repro.analysis.rules.base import suffix_unit
 from repro.analysis.rules.determinism import (
+    EFFECT_RULES,
     NUMPY_GLOBAL_RNG_CALLS,
     RNG_HOME,
     WALL_CLOCK_CALLS,
@@ -40,14 +49,6 @@ from repro.analysis.rules.determinism import (
 
 #: Pseudo-function holding module-level (import-time) calls and effects.
 MODULE_BODY = "<module>"
-
-#: Effect kind -> the per-file rule that polices the direct call, so a
-#: targeted noqa on the direct line also silences transitive reports.
-EFFECT_RULES = {
-    "wall-clock": "DET001",
-    "stdlib-random": "DET002",
-    "numpy-global-rng": "DET003",
-}
 
 @dataclass
 class ArgUnit:
@@ -108,12 +109,14 @@ class EffectSite:
     dotted: str                    # canonical dotted call, e.g. "time.sleep"
     lineno: int
     col: int
+    suppressed: bool               # a noqa on the line stops DET004 chains
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (cache record)."""
         return {
             "kind": self.kind, "dotted": self.dotted,
             "lineno": self.lineno, "col": self.col,
+            "suppressed": self.suppressed,
         }
 
     @classmethod
@@ -121,6 +124,7 @@ class EffectSite:
         return cls(
             kind=data["kind"], dotted=data["dotted"],
             lineno=data["lineno"], col=data["col"],
+            suppressed=data["suppressed"],
         )
 
 
@@ -283,7 +287,7 @@ class ModuleSummary:
 
 
 def summarize(module: SourceModule) -> ModuleSummary:
-    """Reduce a parsed module to its flow summary."""
+    """Reduce a parsed module to its flow summary (``SourceModule.summary``)."""
     return _Summarizer(module).run()
 
 
@@ -319,10 +323,21 @@ def _unit_of(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _header(
+    node: Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef],
+) -> List[ast.AST]:
+    """The parts of a def or class evaluated where the statement runs:
+    decorators, defaults, annotations, bases and keywords."""
+    body = {id(stmt) for stmt in node.body}
+    return [
+        child for child in ast.iter_child_nodes(node) if id(child) not in body
+    ]
+
+
 class _Summarizer:
     def __init__(self, module: SourceModule) -> None:
         self.module = module
-        self.imports = ImportMap(module.tree)
+        self.imports = module.imports
         self.summary = ModuleSummary(path=module.path, module=module.module)
         self._exempt_rng = module.module == RNG_HOME
 
@@ -342,7 +357,7 @@ class _Summarizer:
                               collect_returns=False, class_name=None)
         self.summary.functions.append(module_fn)
         self._references(tree)
-        self.summary.exports = _all_exports(tree)
+        self.summary.exports = list(self.module.exports or ())
         self.summary.import_bindings = {
             local: dotted
             for local, dotted in self.imports.aliases.items()
@@ -369,9 +384,9 @@ class _Summarizer:
             decorated=bool(node.decorator_list),
         )
         _signature_units(node.args, info, skip_first=class_name is not None)
-        for decorator in node.decorator_list:
-            # Decorator application runs at import time.
-            self._collect(decorator, module_fn, function=MODULE_BODY,
+        for part in _header(node):
+            # Decorators, defaults and annotations run at import time.
+            self._collect(part, module_fn, function=MODULE_BODY,
                           collect_returns=False, class_name=class_name)
         for stmt in node.body:
             self._collect(stmt, info, function=qualname,
@@ -380,6 +395,9 @@ class _Summarizer:
 
     def _class(self, node: ast.ClassDef, module_fn: FunctionInfo) -> None:
         cls_info = ClassInfo(name=node.name, lineno=node.lineno)
+        for part in _header(node):
+            self._collect(part, module_fn, function=MODULE_BODY,
+                          collect_returns=False, class_name=None)
         for base in node.bases:
             ref = self._ref(base, class_name=None)
             if ref is not None:
@@ -404,6 +422,8 @@ class _Summarizer:
                     fields.append(
                         (stmt.target.id, suffix_unit(stmt.target.id))
                     )
+                self._collect(stmt.annotation, module_fn, function=MODULE_BODY,
+                              collect_returns=False, class_name=node.name)
                 if stmt.value is not None:
                     self._collect(stmt.value, module_fn, function=MODULE_BODY,
                                   collect_returns=False, class_name=node.name)
@@ -433,17 +453,13 @@ class _Summarizer:
     ) -> None:
         """Walk a statement/expression, recording calls, effects, returns.
 
-        Nested function bodies are folded into the enclosing function's
-        call and effect sets (their execution is attributed to it), but
-        their ``return`` statements are not the enclosing function's.
+        A nested def or lambda, header and body alike, is folded into
+        the enclosing function's call and effect sets (its execution is
+        attributed to it), but its ``return`` statements are not the
+        enclosing function's.
         """
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for child in node.body:
-                self._collect(child, info, function, False, class_name)
-            return
-        if isinstance(node, ast.Lambda):
-            self._collect(node.body, info, function, False, class_name)
-            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            collect_returns = False
         if isinstance(node, ast.Return) and collect_returns:
             if node.value is not None:
                 self.summary_return(info, node.value, class_name)
@@ -552,21 +568,15 @@ class _Summarizer:
                 kind = "numpy-global-rng"
         if kind is None:
             return
-        if self._effect_suppressed(kind, node.lineno):
-            return
+        # A noqa of the direct rule (or DET004) silences propagation too.
+        rules = self.module.noqa.get(node.lineno, set())
         info.effects.append(
             EffectSite(
                 kind=kind, dotted=dotted,
                 lineno=node.lineno, col=node.col_offset + 1,
+                suppressed=bool(rules & {"*", "DET004", EFFECT_RULES[kind]}),
             )
         )
-
-    def _effect_suppressed(self, kind: str, lineno: int) -> bool:
-        """A noqa of the direct rule (or DET004) silences propagation too."""
-        rules = self.module.noqa.get(lineno)
-        if not rules:
-            return False
-        return bool(rules & {"*", "DET004", EFFECT_RULES[kind]})
 
     # -- references and resolution keys ------------------------------------
 
@@ -609,26 +619,3 @@ def _signature_units(
     )
     info.has_vararg = args.vararg is not None
     info.has_kwarg = args.kwarg is not None
-
-
-def _all_exports(tree: ast.Module) -> List[str]:
-    names: List[str] = []
-    for stmt in tree.body:
-        value = None
-        if isinstance(stmt, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-        ):
-            value = stmt.value
-        elif (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and stmt.target.id == "__all__"
-        ):
-            value = stmt.value
-        if isinstance(value, (ast.List, ast.Tuple)):
-            for element in value.elts:
-                if isinstance(element, ast.Constant) and isinstance(
-                    element.value, str
-                ):
-                    names.append(element.value)
-    return names

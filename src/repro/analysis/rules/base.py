@@ -5,6 +5,8 @@ Two pieces of shared machinery live here:
 * :class:`ImportMap` — resolves a ``Name``/``Attribute`` call target to
   its canonical dotted path (``np.random.default_rng`` becomes
   ``numpy.random.default_rng``) by tracking the module's imports.
+  Rules never build one: each module's single map is
+  ``SourceModule.imports``, shared with the flow summary.
 * unit inference — the codebase names every quantity of time with an
   explicit unit suffix (``period_s``, ``rmse_ms``, ``correction_ns``);
   :func:`suffix_unit` and :func:`expr_unit` recover the unit from a
@@ -14,7 +16,7 @@ Two pieces of shared machinery live here:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Optional
+from typing import AbstractSet, Dict, Optional, Set
 
 #: Recognised time-unit suffixes (``skew_s_per_s`` ends in ``_s`` and is
 #: therefore read as seconds, which matches the convention: the trailing
@@ -36,9 +38,11 @@ class ImportMap:
 
     def __init__(self, tree: ast.AST) -> None:
         self.aliases: Dict[str, str] = {}
+        self.modules: Set[str] = set()   # every module imported or imported from
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
+                    self.modules.add(alias.name)
                     if alias.asname:
                         self.aliases[alias.asname] = alias.name
                     else:
@@ -47,6 +51,7 @@ class ImportMap:
             elif isinstance(node, ast.ImportFrom):
                 if node.module is None or node.level:
                     continue  # relative imports never hit stdlib/numpy
+                self.modules.add(node.module)
                 for alias in node.names:
                     if alias.name == "*":
                         continue
@@ -66,6 +71,16 @@ class ImportMap:
             return None
         parts.append(canonical)
         return ".".join(reversed(parts))
+
+    def imports_any(
+        self, modules: AbstractSet[str], facade: str, names: AbstractSet[str]
+    ) -> bool:
+        """Whether the module imports one of ``modules``, or one of
+        ``names`` from the ``facade`` package that re-exports them."""
+        via_facade = {f"{facade}.{name}" for name in names}
+        return bool(self.modules & modules) or not via_facade.isdisjoint(
+            self.aliases.values()
+        )
 
 
 def suffix_unit(name: str) -> Optional[str]:

@@ -148,22 +148,12 @@ class MissingAllRule(Rule):
         module = self.module
         if not module.is_init or not module.module or module.module[0] != "repro":
             return []
-        has_all = False
-        binds_names = False
-        for stmt in module.tree.body:
-            if isinstance(stmt, ast.Assign):
-                if any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in stmt.targets
-                ):
-                    has_all = True
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name) and stmt.target.id == "__all__":
-                    has_all = True
-            elif isinstance(stmt, (ast.Import, ast.ImportFrom,
-                                   ast.FunctionDef, ast.ClassDef)):
-                binds_names = True
-        if binds_names and not has_all:
+        binds_names = any(
+            isinstance(stmt, (ast.Import, ast.ImportFrom,
+                              ast.FunctionDef, ast.ClassDef))
+            for stmt in module.tree.body
+        )
+        if binds_names and module.exports is None:
             self.report(
                 module.tree.body[0] if module.tree.body else module.tree,
                 f"package '{module.dotted()}' binds public names but "
@@ -215,35 +205,12 @@ class UnusedImportRule(Rule):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-        used.update(_dunder_all_names(tree))
+        used.update(self.module.exports or ())
         used.update(_string_annotation_names(tree))
         for local, node in imported.items():
             if local not in used:
                 self.report(node, f"import '{local}' is never used")
         return self.findings
-
-
-def _dunder_all_names(tree: ast.Module) -> Set[str]:
-    names: Set[str] = set()
-    for stmt in tree.body:
-        value = None
-        if isinstance(stmt, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-        ):
-            value = stmt.value
-        elif (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and stmt.target.id == "__all__"
-        ):
-            value = stmt.value
-        if isinstance(value, (ast.List, ast.Tuple)):
-            for element in value.elts:
-                if isinstance(element, ast.Constant) and isinstance(
-                    element.value, str
-                ):
-                    names.add(element.value)
-    return names
 
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -5,16 +5,20 @@ That breaks the moment simulation code reads the wall clock or draws
 from a globally-seeded RNG, so these rules forbid both at the source
 level — all randomness is required to flow through
 :class:`repro.simcore.random.RngRegistry` named streams.
+
+This module names the calls that count as effects and the scope of each
+rule.  The module's flow summary (``SourceModule.summary``) classifies
+every call against these tables once; DET001-DET003 report its effect
+sites and DET004 (:mod:`repro.analysis.flow.rules`) follows them
+across calls.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import List
 
-from repro.analysis.engine import Finding, Rule
+from repro.analysis.engine import Finding, Rule, in_tests
 from repro.analysis.rules import register
-from repro.analysis.rules.base import ImportMap
 
 #: Sub-packages of ``repro`` that execute inside the simulator and must
 #: never observe host time.
@@ -65,26 +69,46 @@ NUMPY_GLOBAL_RNG_CALLS = frozenset(
     }
 )
 
-#: The one module allowed to construct RNG machinery directly.
+#: The one module allowed to construct RNG machinery directly; its
+#: summary records no RNG effects, so DET002 and DET003 skip it.
 RNG_HOME = ("repro", "simcore", "random")
 
+#: Effect kind -> the per-file rule that polices the direct call, so a
+#: targeted noqa on the direct line also silences transitive reports.
+EFFECT_RULES = {
+    "wall-clock": "DET001",
+    "stdlib-random": "DET002",
+    "numpy-global-rng": "DET003",
+}
 
-class _ImportAwareRule(Rule):
-    """A rule that resolves call targets through the module's imports."""
+
+class _EffectRule(Rule):
+    """Report the summary's effect sites of this rule's kind."""
 
     #: The determinism rules police the tests tree too: a test reading
     #: host time or the global RNG flakes like a simulator bug would.
     covers_tests = True
 
     def run(self) -> List[Finding]:
-        """Collect the module's imports, then visit the tree."""
-        self._imports = ImportMap(self.module.tree)
-        self.visit(self.module.tree)
+        """One finding per effect site the summary recorded."""
+        for function in self.module.summary.functions:
+            for site in function.effects:
+                if EFFECT_RULES[site.kind] != self.rule_id:
+                    continue
+                self.findings.append(Finding(
+                    rule=self.rule_id, path=self.module.path,
+                    line=site.lineno, col=site.col,
+                    message=self.message(site.dotted),
+                ))
         return self.findings
+
+    def message(self, dotted: str) -> str:
+        """The finding text for a call resolving to ``dotted``."""
+        raise NotImplementedError
 
 
 @register
-class WallClockRule(_ImportAwareRule):
+class WallClockRule(_EffectRule):
     """Forbid host-clock reads inside simulation packages."""
 
     rule_id = "DET001"
@@ -108,30 +132,26 @@ class WallClockRule(_ImportAwareRule):
         """Simulation packages and the tests tree are in scope."""
         if (
             self.module.package not in SIMULATION_PACKAGES
-            and self.module.module[:1] != ("tests",)
+            and not in_tests(self.module.module)
         ):
             return []
         return super().run()
 
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag calls that resolve to a host-clock function."""
-        dotted = self._imports.resolve(node.func)
-        if dotted in WALL_CLOCK_CALLS:
-            where = (
-                f"simulation package '{self.module.package}'"
-                if self.module.package in SIMULATION_PACKAGES
-                else "the tests tree"
-            )
-            self.report(
-                node,
-                f"wall-clock call {dotted}() inside {where}; "
-                "use the simulator's virtual time",
-            )
-        self.generic_visit(node)
+    def message(self, dotted: str) -> str:
+        """Name the host-clock call and the scope it sits in."""
+        where = (
+            f"simulation package '{self.module.package}'"
+            if self.module.package in SIMULATION_PACKAGES
+            else "the tests tree"
+        )
+        return (
+            f"wall-clock call {dotted}() inside {where}; "
+            "use the simulator's virtual time"
+        )
 
 
 @register
-class StdlibRandomRule(_ImportAwareRule):
+class StdlibRandomRule(_EffectRule):
     """Forbid the globally-seeded stdlib ``random`` module everywhere."""
 
     rule_id = "DET002"
@@ -150,28 +170,16 @@ class StdlibRandomRule(_ImportAwareRule):
         "registry.stream('wireless'); rng.gauss(0, 1)."
     )
 
-    def run(self) -> List[Finding]:
-        """Everywhere is in scope except RngRegistry's own module."""
-        if self.module.module == RNG_HOME:
-            return []
-        return super().run()
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag any call that resolves into the stdlib random module."""
-        dotted = self._imports.resolve(node.func)
-        if dotted is not None and (
-            dotted == "random" or dotted.startswith("random.")
-        ):
-            self.report(
-                node,
-                f"stdlib random call {dotted}() uses hidden global state; "
-                "use RngRegistry.stream(name) instead",
-            )
-        self.generic_visit(node)
+    def message(self, dotted: str) -> str:
+        """Name the stdlib random call."""
+        return (
+            f"stdlib random call {dotted}() uses hidden global state; "
+            "use RngRegistry.stream(name) instead"
+        )
 
 
 @register
-class NumpyGlobalRngRule(_ImportAwareRule):
+class NumpyGlobalRngRule(_EffectRule):
     """Forbid numpy global-state RNG and unseeded ``default_rng()``."""
 
     rule_id = "DET003"
@@ -186,26 +194,14 @@ class NumpyGlobalRngRule(_ImportAwareRule):
     example = "noise = numpy.random.normal(size=n)"
     fix_hint = "Take a Generator from RngRegistry and call its methods."
 
-    def run(self) -> List[Finding]:
-        """Everywhere is in scope except RngRegistry's own module."""
-        if self.module.module == RNG_HOME:
-            return []
-        return super().run()
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag numpy global-state RNG and unseeded default_rng()."""
-        dotted = self._imports.resolve(node.func)
+    def message(self, dotted: str) -> str:
+        """Unseeded default_rng() or a global-state call."""
         if dotted == "numpy.random.default_rng":
-            if not node.args and not node.keywords:
-                self.report(
-                    node,
-                    "unseeded numpy.random.default_rng() draws OS entropy; "
-                    "seed it from an RngRegistry stream",
-                )
-        elif dotted in NUMPY_GLOBAL_RNG_CALLS:
-            self.report(
-                node,
-                f"numpy global-state RNG call {dotted}(); "
-                "use a Generator from RngRegistry.stream(name)",
+            return (
+                "unseeded numpy.random.default_rng() draws OS entropy; "
+                "seed it from an RngRegistry stream"
             )
-        self.generic_visit(node)
+        return (
+            f"numpy global-state RNG call {dotted}(); "
+            "use a Generator from RngRegistry.stream(name)"
+        )

@@ -291,24 +291,10 @@ class SloLiteralRule(Rule):
         if len(self.module.module) < 2 or self.module.module[0] != "repro":
             return []
         if self.module.dotted() != _HEALTH_MODULE \
-                and not self._imports_health():
+                and not self.module.imports.imports_any(
+                    {_HEALTH_MODULE}, "repro.obs", _HEALTH_IMPORT_NAMES):
             return []
         return super().run()
-
-    def _imports_health(self) -> bool:
-        for node in ast.walk(self.module.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module == _HEALTH_MODULE:
-                    return True
-                if node.module in ("repro.obs", "repro.obs.health") and any(
-                    alias.name in _HEALTH_IMPORT_NAMES
-                    for alias in node.names
-                ):
-                    return True
-            elif isinstance(node, ast.Import):
-                if any(alias.name == _HEALTH_MODULE for alias in node.names):
-                    return True
-        return False
 
     def visit_Compare(self, node: ast.Compare) -> None:
         """Flag literal-vs-unit-suffixed-name comparison operands."""

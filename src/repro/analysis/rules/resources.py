@@ -49,7 +49,6 @@ from repro.analysis.flow.dataflow import (
     solve_forward,
 )
 from repro.analysis.rules import register
-from repro.analysis.rules.base import ImportMap
 
 #: kind -> (release method names, human noun, fix advice)
 _KINDS = {
@@ -69,8 +68,6 @@ _RULE_FOR_KIND = {"span": "RES001", "file": "RES003"}
 
 #: Receivers whose ``.begin``/``.span`` call yields a span handle.
 _SPAN_RECEIVERS = frozenset({"spans", "tracer", "_tracer"})
-
-_CACHE_ATTR = "_resource_findings_cache"
 
 
 def _attr_parts(node: ast.AST) -> Optional[List[str]]:
@@ -98,9 +95,9 @@ def _acq(kind: str, node: ast.AST, display: str) -> _Acq:
 class _ResourceAnalysis(Analysis):
     """Forward may-open analysis; state: var name -> acquisition."""
 
-    def __init__(self, module: SourceModule, imports: ImportMap) -> None:
+    def __init__(self, module: SourceModule) -> None:
         self.module = module
-        self.imports = imports
+        self.imports = module.imports
         self.in_library = module.module[:1] == ("repro",)
 
     # -- lattice ------------------------------------------------------------
@@ -403,19 +400,14 @@ def _edge_line(cfg: CFG, edge: Edge) -> int:
 
 
 def resource_findings(module: SourceModule) -> List[Finding]:
-    """All RES findings for one module (computed once, shared by rules)."""
-    cached = getattr(module, _CACHE_ATTR, None)
-    if cached is not None:
-        return cached
-    imports = ImportMap(module.tree)
-    analysis = _ResourceAnalysis(module, imports)
+    """All RES findings for one module (``SourceModule.resource_findings``)."""
+    analysis = _ResourceAnalysis(module)
     findings: List[Finding] = []
     for node, qualname, cfg in function_cfgs(module.tree):
         if cfg is None:
             continue  # generator/async: skipped gracefully
         findings.extend(_function_findings(module, analysis, qualname, cfg))
     findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))
-    setattr(module, _CACHE_ATTR, findings)
     return findings
 
 
@@ -426,7 +418,7 @@ class _ResourceRule(Rule):
 
     def run(self) -> List[Finding]:
         return [
-            f for f in resource_findings(self.module)
+            f for f in self.module.resource_findings
             if f.rule == self.rule_id
         ]
 

@@ -173,25 +173,10 @@ class ScenarioThresholdRule(Rule):
         if len(self.module.module) < 2 or self.module.module[0] != "repro":
             return []
         if self.module.dotted() not in _SCENARIO_MODULES \
-                and not self._imports_scenarios():
+                and not self.module.imports.imports_any(
+                    _SCENARIO_MODULES, "repro.testbed", _SCENARIO_IMPORT_NAMES):
             return []
         return super().run()
-
-    def _imports_scenarios(self) -> bool:
-        for node in ast.walk(self.module.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module in _SCENARIO_MODULES:
-                    return True
-                if node.module == "repro.testbed" and any(
-                    alias.name in _SCENARIO_IMPORT_NAMES
-                    for alias in node.names
-                ):
-                    return True
-            elif isinstance(node, ast.Import):
-                if any(alias.name in _SCENARIO_MODULES
-                       for alias in node.names):
-                    return True
-        return False
 
     def visit_Compare(self, node: ast.Compare) -> None:
         """Flag literal-vs-unit-suffixed-name comparison operands."""

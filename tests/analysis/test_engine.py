@@ -202,3 +202,42 @@ def test_cor001_is_skipped_under_tests_but_fires_under_src(tmp_path):
     assert [(f.rule, Path(f.path).parts[-2]) for f in result.findings] == [
         ("COR001", "core"),
     ]
+
+
+def test_each_module_fact_is_built_once_per_run(tmp_path, monkeypatch):
+    """Import map, ``__all__`` and flow summary: one build per module."""
+    from repro.analysis import engine
+    from repro.analysis.flow import summary
+    from repro.analysis.rules.base import ImportMap
+
+    pkg = tmp_path / "repro" / "simcore"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "from repro.simcore.clock import now\n\n__all__ = ['now']\n"
+    )
+    (pkg / "clock.py").write_text(WALL_CLOCK_SRC)
+    (pkg / "node.py").write_text(
+        "from repro.simcore.clock import now\n\n\n"
+        "def later_s():\n    return now() + 1.0\n"
+    )
+    counts = {"imports": 0, "exports": 0, "summary": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        ImportMap, "__init__", counting("imports", ImportMap.__init__)
+    )
+    monkeypatch.setattr(
+        engine, "_dunder_all", counting("exports", engine._dunder_all)
+    )
+    monkeypatch.setattr(
+        summary, "summarize", counting("summary", summary.summarize)
+    )
+    result = Engine().check_paths([tmp_path], reference_roots=[])
+    assert result.errors == []
+    assert result.files_checked == 3
+    assert counts == {"imports": 3, "exports": 3, "summary": 3}

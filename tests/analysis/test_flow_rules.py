@@ -92,6 +92,24 @@ def test_unit004_cross_module(tmp_path):
     assert result.findings[0].endpoint.endswith("timing.py::sleep_for")
 
 
+def test_unit004_mismatch_in_a_default():
+    src = """\
+DELAY_MS = 5.0
+
+
+def wait(timeout_s):
+    return timeout_s
+
+
+def poll(deadline=wait(DELAY_MS)):
+    return deadline
+"""
+    findings = _project_findings(src)
+    assert _rules_of(findings) == ["UNIT004"]
+    assert (findings[0].line, findings[0].col) == (8, 19)
+    assert "'DELAY_MS'" in findings[0].message
+
+
 # ---------------------------------------------------------------------------
 # UNIT005 — return-unit mismatch on assignment
 
@@ -294,6 +312,43 @@ def test_det004_simulation_chain_still_flagged_with_tests_in_run(tmp_path):
     assert _rules_of(result.findings) == ["DET004"]
     assert result.findings[0].path.endswith("node.py")
     assert result.findings[0].endpoint.endswith("stamp.py::stamp")
+
+
+def test_det004_sees_calls_in_defaults(tmp_path):
+    # A call in a def's defaults runs where the def statement runs: a
+    # nested def's in the enclosing function, a top-level def's in the
+    # module body.
+    _write_tree(tmp_path, {
+        "repro/testbed/clockish.py": (
+            "import time\n\n\n"
+            "def now():\n    return time.time()\n"
+        ),
+        "repro/core/x.py": (
+            "from repro.testbed.clockish import now\n\n\n"
+            "def step():\n"
+            "    def cb(t=now()):\n"
+            "        return t\n"
+            "    return cb\n\n\n"
+            "def step2():\n    return now()\n\n\n"
+            "def step3(t=now()):\n    return t\n\n\n"
+            "VAL = now()\n"
+        ),
+    })
+    result = Engine(select=["DET004"]).check_paths(
+        [tmp_path], reference_roots=[]
+    )
+    assert [
+        (f.line, f.col, f.message.split(" transitively")[0])
+        for f in result.findings
+    ] == [
+        (5, 14, "'repro.core.x.step'"),
+        (11, 12, "'repro.core.x.step2'"),
+        (14, 13, "'repro.core.x (module body)'"),
+        (18, 7, "'repro.core.x (module body)'"),
+    ]
+    assert all(
+        f.endpoint.endswith("clockish.py::now") for f in result.findings
+    )
 
 
 # ---------------------------------------------------------------------------
