@@ -7,7 +7,7 @@ separate their contributions.
 """
 
 from repro.core.config import MntpConfig
-from repro.reporting import render_table
+from repro.reporting.tables import render_table
 from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 

@@ -11,7 +11,7 @@ warm-up through both filter variants.
 import numpy as np
 
 from repro.core.config import MntpConfig
-from repro.reporting import render_table
+from repro.reporting.tables import render_table
 from repro.tuner.emulator import MntpEmulator
 from repro.tuner.traces import OffsetTrace, TraceEntry
 

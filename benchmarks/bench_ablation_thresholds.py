@@ -7,7 +7,7 @@ trade-off (stricter gate -> fewer but cleaner samples).
 """
 
 from repro.core.config import HintThresholds, MntpConfig
-from repro.reporting import render_table
+from repro.reporting.tables import render_table
 from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.config import MntpConfig
 from repro.metrics.allan import allan_deviation_curve
-from repro.reporting import render_table
+from repro.reporting.tables import render_table
 from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 

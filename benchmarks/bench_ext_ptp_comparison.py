@@ -15,9 +15,9 @@ from repro.net.message import Datagram
 from repro.net.path import PathModel
 from repro.ntp.server import NtpServer, ServerConfig
 from repro.ntp.sntp_client import SntpClient
-from repro.ptp import PtpMaster, PtpSlave
-from repro.reporting import render_table
-from repro.simcore import Simulator
+from repro.ptp.protocol import PtpMaster, PtpSlave
+from repro.reporting.tables import render_table
+from repro.simcore.simulator import Simulator
 from repro.wireless.channel import ChannelParams, WirelessChannel
 from repro.wireless.crosstraffic import CrossTrafficGenerator
 from repro.wireless.effects import ChannelEffects

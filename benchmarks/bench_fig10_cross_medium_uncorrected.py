@@ -6,8 +6,9 @@ hour), MNTP on wireless tracks its own drift trend with small
 residuals.
 """
 
-from repro.reporting import render_series, render_table
-from repro.testbed import run_scenario
+from repro.reporting.series import render_series
+from repro.reporting.tables import render_table
+from repro.testbed.specs import run_scenario
 
 SEED = 1
 

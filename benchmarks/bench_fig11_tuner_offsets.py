@@ -6,8 +6,9 @@ trace window).
 """
 
 from repro.core.config import TABLE2_CONFIGS
-from repro.reporting import render_cdf, render_series
-from repro.tuner import LoggerOptions, MntpEmulator, TraceLogger
+from repro.reporting.series import render_cdf, render_series
+from repro.tuner.emulator import MntpEmulator
+from repro.tuner.logger import LoggerOptions, TraceLogger
 
 SEED = 5
 

@@ -5,8 +5,9 @@ allowed to drift and MNTP's drift estimation active.  Paper: SNTP as
 high as 392 ms; MNTP's clock-corrected drift values always < 20 ms.
 """
 
-from repro.reporting import render_series, render_table
-from repro.testbed import run_scenario
+from repro.reporting.series import render_series
+from repro.reporting.tables import render_table
+from repro.testbed.specs import run_scenario
 
 SEED = 1
 

@@ -5,10 +5,11 @@ servers the paper plots (AG1, JW2, SU1): medians and IQRs per SP rank
 (left panels) and CDF quantiles per category (right panels).
 """
 
-from repro.logs import LogStudy
+from repro.logs.analysis import LogStudy
 from repro.logs.generator import GeneratorOptions
 from repro.logs.servers import server_by_id
-from repro.reporting import render_cdf, render_table
+from repro.reporting.series import render_cdf
+from repro.reporting.tables import render_table
 
 SEED = 11
 OPTIONS = GeneratorOptions(scale=4e-4, min_clients=250, max_clients=600,

@@ -6,9 +6,9 @@ of mobile-provider clients use SNTP; the ISP-internal servers (CI1-4,
 EN1-2) are the NTP-dominated exceptions.
 """
 
-from repro.logs import LogStudy
+from repro.logs.analysis import LogStudy
 from repro.logs.generator import GeneratorOptions
-from repro.reporting import render_table
+from repro.reporting.tables import render_table
 
 SEED = 13
 OPTIONS = GeneratorOptions(scale=2.5e-4, min_clients=120, max_clients=500,

@@ -7,8 +7,9 @@ magnitudes depend on that laptop's drift rate; the shape targets are
 the orderings and the spike scale).
 """
 
-from repro.reporting import render_series, render_table
-from repro.testbed import run_scenario
+from repro.reporting.series import render_series
+from repro.reporting.tables import render_table
+from repro.testbed.specs import run_scenario
 
 SEED = 1
 CONDITIONS = (

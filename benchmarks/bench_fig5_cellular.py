@@ -5,8 +5,8 @@ the reported offsets are pure cellular-path measurement error.  Paper:
 mean 192 ms, standard deviation 55 ms, max 840 ms.
 """
 
-from repro.cellular import CellularExperiment, CellularOptions
-from repro.reporting import render_cdf, render_series
+from repro.cellular.phone import CellularExperiment, CellularOptions
+from repro.reporting.series import render_cdf, render_series
 
 SEED = 1
 

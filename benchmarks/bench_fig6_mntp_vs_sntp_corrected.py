@@ -7,8 +7,9 @@ up to 292 ms; MNTP max 23 ms — a 12-fold improvement; all outliers are
 rejected by the filter.
 """
 
-from repro.reporting import render_series, render_table
-from repro.testbed import run_scenario
+from repro.reporting.series import render_series
+from repro.reporting.tables import render_table
+from repro.testbed.specs import run_scenario
 
 SEED = 1
 

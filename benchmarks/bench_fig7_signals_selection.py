@@ -8,7 +8,8 @@ rejections, with the failing threshold attributed to each deferral.
 from collections import Counter
 
 from repro.core.config import MntpConfig
-from repro.reporting import render_series, render_table
+from repro.reporting.series import render_series
+from repro.reporting.tables import render_table
 from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 

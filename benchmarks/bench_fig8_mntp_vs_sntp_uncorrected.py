@@ -6,8 +6,9 @@ paper reports SNTP up to 450 ms while MNTP stays "on average within
 4.5 ms of the reference clock" (17x more accurate).
 """
 
-from repro.reporting import render_series, render_table
-from repro.testbed import run_scenario
+from repro.reporting.series import render_series
+from repro.reporting.tables import render_table
+from repro.testbed.specs import run_scenario
 
 SEED = 2
 

@@ -5,8 +5,9 @@ path, MNTP on the hostile wireless hop remains competitive.  Paper:
 wired SNTP excursions up to ~50 ms; wireless MNTP offsets ~20 ms.
 """
 
-from repro.reporting import render_series, render_table
-from repro.testbed import run_scenario
+from repro.reporting.series import render_series
+from repro.reporting.tables import render_table
+from repro.testbed.specs import run_scenario
 
 SEED = 1
 

@@ -4,9 +4,9 @@ Regenerates the per-server client statistics from synthetic pcap traces
 (subsampled populations; published counts shown beside generated).
 """
 
-from repro.logs import LogStudy
+from repro.logs.analysis import LogStudy
 from repro.logs.generator import GeneratorOptions
-from repro.reporting import render_table
+from repro.reporting.tables import render_table
 
 SEED = 11
 #: Subsampling keeps the full 19-server study to a few seconds.

@@ -7,8 +7,9 @@ requests) and "MNTP performs well with only modest tuning".
 """
 
 from repro.core.config import TABLE2_CONFIGS
-from repro.reporting import render_table
-from repro.tuner import LoggerOptions, ParameterSearcher, TraceLogger
+from repro.reporting.tables import render_table
+from repro.tuner.logger import LoggerOptions, TraceLogger
+from repro.tuner.searcher import ParameterSearcher
 
 SEED = 5
 

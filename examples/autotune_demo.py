@@ -13,13 +13,9 @@ Usage::
 
 import sys
 
-from repro.reporting import render_table
-from repro.tuner import (
-    AutoTuneOptions,
-    AutoTuner,
-    LoggerOptions,
-    TraceLogger,
-)
+from repro.reporting.tables import render_table
+from repro.tuner.autotune import AutoTuneOptions, AutoTuner
+from repro.tuner.logger import LoggerOptions, TraceLogger
 
 
 def main() -> None:

@@ -15,8 +15,8 @@ Usage::
 
 import sys
 
-from repro.cellular import CellularExperiment, CellularOptions
-from repro.reporting import render_cdf, render_series
+from repro.cellular.phone import CellularExperiment, CellularOptions
+from repro.reporting.series import render_cdf, render_series
 
 
 def main() -> None:

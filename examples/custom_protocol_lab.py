@@ -16,9 +16,10 @@ Usage::
 import sys
 
 from repro.clock.discipline_api import ClockCorrector
-from repro.core import HintThresholds, Mntp, MntpConfig
+from repro.core.config import HintThresholds, MntpConfig
+from repro.core.protocol import Mntp
 from repro.core.events import MntpEventKind
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from repro.testbed.nodes import Testbed, TestbedOptions
 
 

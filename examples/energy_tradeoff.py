@@ -15,8 +15,8 @@ Usage::
 import sys
 
 from repro.core.config import MntpConfig
-from repro.energy import EnergyAccountant
-from repro.reporting import render_table
+from repro.energy.accounting import EnergyAccountant
+from repro.reporting.tables import render_table
 from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 

@@ -15,8 +15,9 @@ import sys
 
 import numpy as np
 
-from repro.reporting import render_series, render_table
-from repro.testbed import run_scenario
+from repro.reporting.series import render_series
+from repro.reporting.tables import render_table
+from repro.testbed.specs import run_scenario
 
 
 def main() -> None:

@@ -16,10 +16,10 @@ Usage::
 
 import sys
 
-from repro.logs import LogStudy
+from repro.logs.analysis import LogStudy
 from repro.logs.generator import GeneratorOptions
 from repro.logs.servers import server_by_id
-from repro.reporting import render_table
+from repro.reporting.tables import render_table
 
 
 def main() -> None:

@@ -18,9 +18,9 @@ import numpy as np
 
 from repro.net.link import Link
 from repro.net.path import PathModel
-from repro.ptp import PtpMaster, PtpSlave
-from repro.reporting import render_series
-from repro.simcore import Simulator
+from repro.ptp.protocol import PtpMaster, PtpSlave
+from repro.reporting.series import render_series
+from repro.simcore.simulator import Simulator
 from repro.wireless.channel import ChannelParams, WirelessChannel
 from repro.wireless.crosstraffic import CrossTrafficGenerator
 from repro.clock.oscillator import Oscillator, OscillatorGrade

@@ -13,8 +13,8 @@ Usage::
 
 import sys
 
-from repro.reporting import render_series
-from repro.testbed import run_scenario
+from repro.reporting.series import render_series
+from repro.testbed.specs import run_scenario
 
 
 def main() -> None:

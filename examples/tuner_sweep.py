@@ -13,9 +13,9 @@ Usage::
 import sys
 
 from repro.core.config import TABLE2_CONFIGS
-from repro.reporting import render_table
-from repro.tuner import LoggerOptions, ParameterSearcher, TraceLogger
-from repro.tuner.searcher import SearchSpace
+from repro.reporting.tables import render_table
+from repro.tuner.logger import LoggerOptions, TraceLogger
+from repro.tuner.searcher import ParameterSearcher, SearchSpace
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ substrate, a pcap-based NTP server log study, and the MNTP tuner.
 
 Quickstart::
 
-    from repro.testbed import run_scenario
+    from repro.testbed.specs import run_scenario
 
     result = run_scenario("mntp_wireless_corrected", seed=1)
     print(result.sntp_error_stats())   # unmodified SNTP
@@ -20,40 +20,4 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro._lazy import lazy_exports
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Mntp",
-    "MntpConfig",
-    "HintThresholds",
-    "ExperimentRunner",
-    "TestbedOptions",
-    "run_scenario",
-    "scenario_names",
-    "TraceLogger",
-    "MntpEmulator",
-    "ParameterSearcher",
-    "LogStudy",
-    "CellularExperiment",
-    "__version__",
-]
-
-# Re-exports resolve on first use, so ``import repro`` (and every import
-# of a submodule, which imports this package first) stays cheap.
-_HOMES = {
-    "repro.core.protocol": ("Mntp",),
-    "repro.core.config": ("MntpConfig", "HintThresholds"),
-    "repro.testbed.experiment": ("ExperimentRunner",),
-    "repro.testbed.nodes": ("TestbedOptions",),
-    "repro.testbed.specs": ("run_scenario",),
-    "repro.testbed.catalog": ("scenario_names",),
-    "repro.tuner.logger": ("TraceLogger",),
-    "repro.tuner.emulator": ("MntpEmulator",),
-    "repro.tuner.searcher": ("ParameterSearcher",),
-    "repro.logs.analysis": ("LogStudy",),
-    "repro.cellular.phone": ("CellularExperiment",),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _HOMES)

@@ -16,43 +16,3 @@ runnable as ``repro-mntp lint`` or ``python -m repro.analysis``.  The
 one suppression mechanism is an inline ``# repro: noqa[RULE] reason``
 comment.  See ``docs/STATIC_ANALYSIS.md`` for the rules.
 """
-
-from repro.analysis.engine import (
-    AnalysisResult,
-    Engine,
-    Finding,
-    ProjectRule,
-    Rule,
-    SourceModule,
-    load_source,
-)
-from repro.analysis.reporting import render_human, render_json
-from repro.analysis.rules import all_project_rules, all_rules
-
-
-def check_source(text, *, module="sample", path="<memory>", select=None,
-                 ignore=None, project=False):
-    """Analyse a source string with a fresh engine (test convenience).
-
-    ``project=True`` additionally runs the interprocedural rules over
-    the single module (intra-module call resolution only).
-    """
-    return Engine(select=select, ignore=ignore).check_source(
-        text, path=path, module=module, project=project
-    )
-
-
-__all__ = [
-    "AnalysisResult",
-    "Engine",
-    "Finding",
-    "ProjectRule",
-    "Rule",
-    "SourceModule",
-    "all_project_rules",
-    "all_rules",
-    "check_source",
-    "load_source",
-    "render_human",
-    "render_json",
-]

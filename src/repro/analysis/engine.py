@@ -54,7 +54,7 @@ from repro.analysis.rules.base import ImportMap
 
 #: Bumped whenever findings, summaries, or rule semantics change shape;
 #: part of the incremental cache key so stale caches self-invalidate.
-TOOL_VERSION = "7.0"
+TOOL_VERSION = "7.1"
 
 #: Matches ``# repro: noqa`` with an optional ``[RULE1,RULE2]`` list.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?P<rest>\[[^\]]*\])?")
@@ -485,30 +485,6 @@ class Engine:
                     findings.append(f)
         return findings
 
-    def check_source(
-        self,
-        text: str,
-        *,
-        path: str = "<memory>",
-        module: str = "sample",
-        project: bool = False,
-    ) -> List[Finding]:
-        """Analyse a source string (test/fixture convenience).
-
-        ``project=True`` additionally runs the interprocedural rules
-        over the single module, which resolves intra-module calls.
-        """
-        sm = source_from_text(text, path=path, module=tuple(module.split(".")))
-        findings = self.check_module(sm)
-        if project and self._project_rules:
-            from repro.analysis.flow import Project
-
-            findings.extend(self._check_project(
-                Project([sm.summary]), {sm.path: sm.noqa}
-            ))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return findings
-
     def phase_one_record(
         self, raw: bytes, display: str, module_parts: Tuple[str, ...]
     ) -> Dict[str, Any]:
@@ -553,7 +529,8 @@ class Engine:
         file order, so output and cache contents are identical to a
         serial run.
         """
-        from repro.analysis.flow import ModuleSummary, Project
+        from repro.analysis.flow.project import Project
+        from repro.analysis.flow.summary import ModuleSummary
 
         phase1_start = time.perf_counter()
         result = AnalysisResult()
@@ -663,6 +640,33 @@ class Engine:
                 except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
                     outputs.append(f"{display}: {exc}")
         return dict(zip(pending, outputs))
+
+
+def check_source(
+    text: str,
+    *,
+    module: str = "sample",
+    path: str = "<memory>",
+    select: Optional[Sequence[str]] = None,
+    ignore: Optional[Sequence[str]] = None,
+    project: bool = False,
+) -> List[Finding]:
+    """Analyse a source string with a fresh engine (test convenience).
+
+    ``project=True`` additionally runs the interprocedural rules over
+    the single module, which resolves intra-module calls.
+    """
+    engine = Engine(select=select, ignore=ignore)
+    sm = source_from_text(text, path=path, module=tuple(module.split(".")))
+    findings = engine.check_module(sm)
+    if project and engine._project_rules:
+        from repro.analysis.flow.project import Project
+
+        findings.extend(engine._check_project(
+            Project([sm.summary]), {sm.path: sm.noqa}
+        ))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings
 
 
 #: Per-process engine for the --jobs pool, built once by the initializer

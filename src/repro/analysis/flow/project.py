@@ -6,13 +6,9 @@ the three derived facts the interprocedural rules consume:
 
 * **call resolution** — a summary-level resolution key plus the calling
   module resolves to a concrete project function (alias-aware dotted
-  paths, re-exports through package ``__init__`` import bindings,
+  paths, names bound by another module's imports,
   ``self.`` method dispatch through recorded base classes, and a
-  unique-name fallback for attribute calls on objects of unknown type).
-  Names that ``repro``, ``repro.core``, ``repro.metrics``, ``repro.obs``,
-  ``repro.testbed``, ``repro.tuner`` and ``repro.wireless`` bind only in their lazy ``_HOMES`` tables (PEP 562
-  ``__getattr__``) are not followed, which is why library code imports
-  from home modules;
+  unique-name fallback for attribute calls on objects of unknown type);
 * **return units** — every function's time unit, from its name suffix
   or propagated from what it returns (a fixpoint over the call graph,
   so a chain of ``return helper()`` hops converges);
@@ -152,7 +148,7 @@ class Project:
         if cls is not None:
             return self._ctor_entry(cls)
         # Longest module prefix, then resolve the remainder inside it
-        # (covers re-exports through package __init__ bindings).
+        # (covers names bound by that module's imports).
         parts = dotted.split(".")
         for cut in range(len(parts) - 1, 0, -1):
             module = ".".join(parts[:cut])
@@ -192,7 +188,7 @@ class Project:
             return None
         cls = self.classes.get(f"{module}.{class_name}")
         if cls is None:
-            # The class may itself be a re-exported name.
+            # The class may itself be a name the module imports.
             binding = self.modules.get(module)
             target = binding.import_bindings.get(class_name) if binding else None
             if target is not None:

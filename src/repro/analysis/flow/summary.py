@@ -427,6 +427,7 @@ class _Summarizer:
                 if stmt.value is not None:
                     self._collect(stmt.value, module_fn, function=MODULE_BODY,
                                   collect_returns=False, class_name=node.name)
+                    self._assign(stmt, node.name)
             else:
                 # Class-body statements execute at import time.
                 self._collect(stmt, module_fn, function=MODULE_BODY,

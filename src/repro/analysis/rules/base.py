@@ -16,7 +16,7 @@ Two pieces of shared machinery live here:
 from __future__ import annotations
 
 import ast
-from typing import AbstractSet, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 #: Recognised time-unit suffixes (``skew_s_per_s`` ends in ``_s`` and is
 #: therefore read as seconds, which matches the convention: the trailing
@@ -71,16 +71,6 @@ class ImportMap:
             return None
         parts.append(canonical)
         return ".".join(reversed(parts))
-
-    def imports_any(
-        self, modules: AbstractSet[str], facade: str, names: AbstractSet[str]
-    ) -> bool:
-        """Whether the module imports one of ``modules``, or one of
-        ``names`` from the ``facade`` package that re-exports them."""
-        via_facade = {f"{facade}.{name}" for name in names}
-        return bool(self.modules & modules) or not via_facade.isdisjoint(
-            self.aliases.values()
-        )
 
 
 def suffix_unit(name: str) -> Optional[str]:

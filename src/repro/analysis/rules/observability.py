@@ -217,13 +217,6 @@ class TaxonomyRule(Rule):
 #: health-checking code and puts it in OBS004 scope.
 _HEALTH_MODULE = "repro.obs.health"
 
-#: Health names whose import (e.g. via the ``repro.obs`` facade) also
-#: marks the importer as health-checking code.
-_HEALTH_IMPORT_NAMES = frozenset({
-    "SloSpec", "HealthMonitor", "smoke_spec", "judge_health",
-    "recovered_transitions", "render_health_text",
-})
-
 #: Suffixes marking a name as carrying its unit — the SloSpec field
 #: naming convention thresholds must be declared under.
 SLO_UNIT_SUFFIXES = (
@@ -291,8 +284,7 @@ class SloLiteralRule(Rule):
         if len(self.module.module) < 2 or self.module.module[0] != "repro":
             return []
         if self.module.dotted() != _HEALTH_MODULE \
-                and not self.module.imports.imports_any(
-                    {_HEALTH_MODULE}, "repro.obs", _HEALTH_IMPORT_NAMES):
+                and _HEALTH_MODULE not in self.module.imports.modules:
             return []
         return super().run()
 

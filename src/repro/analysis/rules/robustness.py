@@ -122,16 +122,6 @@ _SCENARIO_MODULES = frozenset({
     "repro.testbed.matrix",
 })
 
-#: Scenario/spec names whose import (directly or via the
-#: ``repro.testbed`` facade) marks the importer as scenario-wiring
-#: code and puts it in ROB002 scope.
-_SCENARIO_IMPORT_NAMES = frozenset({
-    "run_scenario", "scenario_names",
-    "ScenarioSpec", "TopologySpec",
-    "load_spec", "load_spec_dir", "save_spec", "run_spec",
-    "MatrixOptions", "run_matrix",
-})
-
 
 @register
 class ScenarioThresholdRule(Rule):
@@ -173,8 +163,7 @@ class ScenarioThresholdRule(Rule):
         if len(self.module.module) < 2 or self.module.module[0] != "repro":
             return []
         if self.module.dotted() not in _SCENARIO_MODULES \
-                and not self.module.imports.imports_any(
-                    _SCENARIO_MODULES, "repro.testbed", _SCENARIO_IMPORT_NAMES):
+                and not self.module.imports.modules & _SCENARIO_MODULES:
             return []
         return super().run()
 

@@ -6,15 +6,3 @@ radio *promotion* delay on the first uplink packet, which inflates the
 request path asymmetrically and biases SNTP offsets — the mechanism
 behind Figure 5's 192 ms mean offset.
 """
-
-from repro.cellular.ran import RadioAccessNetwork, RanParams, RrcState
-from repro.cellular.phone import CellularExperiment, CellularOptions, GpsTimeSync
-
-__all__ = [
-    "RadioAccessNetwork",
-    "RanParams",
-    "RrcState",
-    "CellularExperiment",
-    "CellularOptions",
-    "GpsTimeSync",
-]

@@ -201,7 +201,7 @@ class CellularResult:
     """Series and counters from one phone run.
 
     ``telemetry`` holds the run's frozen
-    :meth:`repro.obs.Telemetry.snapshot` (metrics + trace records).
+    :meth:`repro.obs.telemetry.Telemetry.snapshot` (metrics + trace records).
     """
 
     offsets: List[OffsetPoint] = field(default_factory=list)

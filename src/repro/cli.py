@@ -273,7 +273,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_scenarios() -> int:
-    from repro.reporting import render_table
+    from repro.reporting.tables import render_table
     from repro.testbed.catalog import SCENARIO_DIR
     from repro.testbed.specs import load_spec_dir
 
@@ -433,7 +433,8 @@ def _summary_dict(result) -> Dict[str, Any]:
 
 
 def _summarise(result) -> int:
-    from repro.reporting import render_series, render_table
+    from repro.reporting.series import render_series
+    from repro.reporting.tables import render_table
 
     sntp = result.sntp_error_stats()
     rows = [["SNTP", sntp.count, f"{sntp.mean_abs * 1000:.1f}",
@@ -469,7 +470,7 @@ def _load_archived_telemetry(path: str):
 def _cmd_trace(args) -> int:
     from repro.obs.exporters import write_chrome_trace, write_jsonl
     from repro.obs.spans import SPAN_COMPONENT
-    from repro.reporting import render_table
+    from repro.reporting.tables import render_table
 
     snapshot = _load_archived_telemetry(args.path)
     if snapshot is None:
@@ -612,7 +613,7 @@ def _cmd_logstudy(args) -> int:
     from repro.logs.analysis import LogStudy
     from repro.logs.generator import GeneratorOptions
     from repro.logs.servers import TABLE1_SERVERS, server_by_id
-    from repro.reporting import render_table
+    from repro.reporting.tables import render_table
 
     try:
         servers = [server_by_id(s) for s in args.servers]
@@ -663,7 +664,7 @@ def _cmd_logstudy(args) -> int:
 
 def _cmd_cellular(args) -> int:
     from repro.cellular.phone import CellularExperiment, CellularOptions
-    from repro.reporting import render_cdf
+    from repro.reporting.series import render_cdf
 
     result = CellularExperiment(seed=args.seed, options=CellularOptions()).run()
     if getattr(args, "telemetry", None):
@@ -691,7 +692,7 @@ def _cmd_cellular(args) -> int:
 def _cmd_tune(args) -> int:
     from repro.core.config import TABLE2_CONFIGS
     from repro.obs.telemetry import Telemetry
-    from repro.reporting import render_table
+    from repro.reporting.tables import render_table
     from repro.tuner.logger import LoggerOptions, TraceLogger
     from repro.tuner.searcher import ParameterSearcher
 
@@ -721,7 +722,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from repro.reporting import render_table
+    from repro.reporting.tables import render_table
     from repro.testbed.calibration import run_calibration
 
     report = run_calibration(seed=args.seed)
@@ -777,7 +778,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_autotune(args) -> int:
     from repro.obs.telemetry import Telemetry
-    from repro.reporting import render_table
+    from repro.reporting.tables import render_table
     from repro.tuner.autotune import AutoTuneOptions, AutoTuner
     from repro.tuner.logger import LoggerOptions, TraceLogger
 

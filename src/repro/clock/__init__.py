@@ -7,26 +7,3 @@ Terminology follows Paxson (SIGMETRICS 1998), as the paper does:
 * **drift** — second derivative; here realised as random-walk frequency
   wander plus a temperature-sensitivity term.
 """
-
-from repro.clock.oscillator import Oscillator, OscillatorGrade, OSCILLATOR_GRADES
-from repro.clock.temperature import (
-    TemperatureProfile,
-    ConstantTemperature,
-    DiurnalTemperature,
-    RampTemperature,
-)
-from repro.clock.simclock import SimClock
-from repro.clock.discipline_api import ClockCorrector, SlewLimits
-
-__all__ = [
-    "Oscillator",
-    "OscillatorGrade",
-    "OSCILLATOR_GRADES",
-    "TemperatureProfile",
-    "ConstantTemperature",
-    "DiurnalTemperature",
-    "RampTemperature",
-    "SimClock",
-    "ClockCorrector",
-    "SlewLimits",
-]

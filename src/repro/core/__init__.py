@@ -14,33 +14,3 @@ MNTP modifies SNTP in two ways:
 The drift estimate (trend-line slope) is re-estimated on every accepted
 sample — the fix the authors report discovering via the MNTP tuner.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "MntpConfig",
-    "HintThresholds",
-    "favorable_snr_condition",
-    "TrendLine",
-    "reject_false_tickers",
-    "FalseTickerVerdict",
-    "OffsetFilter",
-    "FilterDecision",
-    "Mntp",
-    "MntpPhase",
-    "MntpEventKind",
-]
-
-# Re-exports resolve on first use: the configuration dataclasses and the
-# filter maths must not pull in the protocol, and with it the simulator.
-_HOMES = {
-    "repro.core.config": ("MntpConfig", "HintThresholds"),
-    "repro.core.thresholds": ("favorable_snr_condition",),
-    "repro.core.trend": ("TrendLine",),
-    "repro.core.falsetickers": ("reject_false_tickers", "FalseTickerVerdict"),
-    "repro.core.filter": ("OffsetFilter", "FilterDecision"),
-    "repro.core.protocol": ("Mntp", "MntpPhase"),
-    "repro.core.events": ("MntpEventKind",),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _HOMES)

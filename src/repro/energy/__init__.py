@@ -13,14 +13,3 @@ This package implements that benchmark: a radio power-state machine
 a protocol produces, and an accountant that attributes energy to each
 synchronization strategy.
 """
-
-from repro.energy.radio import RadioEnergyModel, RadioEnergyParams, RadioState
-from repro.energy.accounting import EnergyAccountant, ProtocolEnergyReport
-
-__all__ = [
-    "RadioEnergyModel",
-    "RadioEnergyParams",
-    "RadioState",
-    "EnergyAccountant",
-    "ProtocolEnergyReport",
-]

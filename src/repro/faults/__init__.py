@@ -17,23 +17,3 @@ The fault matrices themselves are data: ``scenarios/chaos_smoke.json``
 and ``scenarios/chaos_full.json`` embed their schedules, and
 ``repro-mntp matrix`` runs and judges them.
 """
-
-from repro.faults.schedule import (
-    DIRECTIONS,
-    FaultEpisode,
-    FaultKind,
-    FaultSchedule,
-    NETWORK_KINDS,
-    SERVER_KINDS,
-)
-from repro.faults.injectors import FaultInjector
-
-__all__ = [
-    "DIRECTIONS",
-    "FaultEpisode",
-    "FaultInjector",
-    "FaultKind",
-    "FaultSchedule",
-    "NETWORK_KINDS",
-    "SERVER_KINDS",
-]

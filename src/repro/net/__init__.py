@@ -4,19 +4,3 @@ Models one-way delays, jitter and loss on the paths between the testbed
 nodes and the (simulated) stratum servers, plus presets calibrated to
 the per-provider latency categories observed in the paper's Figure 1.
 """
-
-from repro.net.message import Datagram
-from repro.net.path import PathModel, DelaySample
-from repro.net.link import Link, LinkEffect
-from repro.net.internet import InternetPath, PROVIDER_CATEGORY_PROFILES, CategoryProfile
-
-__all__ = [
-    "Datagram",
-    "PathModel",
-    "DelaySample",
-    "Link",
-    "LinkEffect",
-    "InternetPath",
-    "CategoryProfile",
-    "PROVIDER_CATEGORY_PROFILES",
-]

@@ -375,7 +375,7 @@ def explain_run(
     """Assemble, decompose and aggregate one run's telemetry snapshot.
 
     Args:
-        snapshot: A :meth:`repro.obs.Telemetry.snapshot` dict (live or
+        snapshot: A :meth:`repro.obs.telemetry.Telemetry.snapshot` dict (live or
             loaded from an archive).
         samples: Optional offset observations with ground truth —
             ``OffsetPoint``-like objects or ``(time, offset, truth)``

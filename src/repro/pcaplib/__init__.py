@@ -8,23 +8,3 @@ as genuine pcap bytes and parses them back through this stack, so the
 analysis pipeline exercises the same code path it would on real
 captures.
 """
-
-from repro.pcaplib.pcap import PcapReader, PcapWriter, PcapRecord
-from repro.pcaplib.ethernet import EthernetFrame, ETHERTYPE_IPV4, ETHERTYPE_IPV6
-from repro.pcaplib.ip import Ipv4Header, Ipv6Header
-from repro.pcaplib.udp import UdpDatagram
-from repro.pcaplib.ntpdissect import dissect_ntp_packet, NtpDissection
-
-__all__ = [
-    "PcapReader",
-    "PcapWriter",
-    "PcapRecord",
-    "EthernetFrame",
-    "ETHERTYPE_IPV4",
-    "ETHERTYPE_IPV6",
-    "Ipv4Header",
-    "Ipv6Header",
-    "UdpDatagram",
-    "dissect_ntp_packet",
-    "NtpDissection",
-]

@@ -10,21 +10,3 @@ both as a faithful substrate and to demonstrate that PTP's accuracy
 advantage on clean LANs evaporates over the asymmetric wireless hop —
 the same failure mode the paper shows for SNTP.
 """
-
-from repro.ptp.messages import (
-    PtpHeader,
-    PtpMessageType,
-    encode_ptp_timestamp,
-    decode_ptp_timestamp,
-)
-from repro.ptp.protocol import PtpMaster, PtpSlave, PtpSample
-
-__all__ = [
-    "PtpHeader",
-    "PtpMessageType",
-    "encode_ptp_timestamp",
-    "decode_ptp_timestamp",
-    "PtpMaster",
-    "PtpSlave",
-    "PtpSample",
-]

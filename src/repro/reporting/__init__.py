@@ -1,6 +1,1 @@
 """Text rendering for tables and series (no plotting dependency)."""
-
-from repro.reporting.tables import render_table
-from repro.reporting.series import render_series, render_cdf
-
-__all__ = ["render_table", "render_series", "render_cdf"]

@@ -6,15 +6,3 @@ in the library ever sleeps on the wall clock, which makes hour-long
 protocol experiments run in seconds and keeps millisecond-level timing
 exact regardless of interpreter jitter.
 """
-
-from repro.simcore.simulator import Event, Simulator
-from repro.simcore.random import RngRegistry
-from repro.simcore.trace import TraceRecord, TraceLog
-
-__all__ = [
-    "Event",
-    "Simulator",
-    "RngRegistry",
-    "TraceRecord",
-    "TraceLog",
-]

@@ -108,7 +108,7 @@ class ExperimentResult:
             fault schedule, in schedule order (an episode may end after
             ``duration``); None on archives written before they were
             recorded.
-        telemetry: Frozen :meth:`repro.obs.Telemetry.snapshot` of the
+        telemetry: Frozen :meth:`repro.obs.telemetry.Telemetry.snapshot` of the
             run: metric dicts plus the run's own
             :class:`~repro.simcore.trace.TraceRecord` objects, which a
             loaded archive rebuilds (the dict form of a record exists
@@ -116,7 +116,7 @@ class ExperimentResult:
             :class:`ExperimentRunner`.
         explain: Compact root-cause report embedded by persistence in
             archived runs (see :mod:`repro.obs.explain`); None on live
-            results — call :func:`repro.obs.explain_run` on
+            results — call :func:`repro.obs.explain.explain_run` on
             ``telemetry`` instead.
 
     :func:`repro.obs.health.judge_health` judges a run's health from

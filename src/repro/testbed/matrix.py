@@ -319,7 +319,7 @@ def report_to_json(report: Dict[str, Any]) -> str:
 
 def render_matrix_text(report: Dict[str, Any]) -> str:
     """Human-readable rendering of a matrix report (no trailing \\n)."""
-    from repro.reporting import render_table
+    from repro.reporting.tables import render_table
 
     rows = []
     for entry in report["specs"]:

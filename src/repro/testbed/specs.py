@@ -149,8 +149,11 @@ def _temperature_from_dict(
         )
     cls, keys = _TEMPERATURE_PROFILES[name]
     _reject_unknown_keys(data, {"profile", *(k for k, _ in keys)}, where)
-    kwargs = {attr: float(data[spec_key])
-              for spec_key, attr in keys if spec_key in data}
+    kwargs: Dict[str, float] = {}
+    for spec_key, attr in keys:
+        if spec_key in data:
+            _require_number(data[spec_key], f"{where}.{spec_key}")
+            kwargs[attr] = float(data[spec_key])
     return cls(**kwargs)
 
 
@@ -184,9 +187,16 @@ def _mntp_from_dict(data: Dict[str, Any], where: str) -> MntpConfig:
             thresholds, {f.name for f in fields(HintThresholds)},
             f"{where}.thresholds",
         )
+        for key, value in thresholds.items():
+            _require_number(value, f"{where}.thresholds.{key}")
         kwargs["thresholds"] = HintThresholds(**thresholds)
     if "warmup_pools" in kwargs:
-        kwargs["warmup_pools"] = tuple(str(p) for p in kwargs["warmup_pools"])
+        pools = kwargs["warmup_pools"]
+        if not isinstance(pools, list) or not all(
+                isinstance(p, str) for p in pools):
+            raise ValueError(f"{where}.warmup_pools must be a list of "
+                             f"strings, got {pools!r}")
+        kwargs["warmup_pools"] = tuple(pools)
     try:
         return MntpConfig(**kwargs)
     except (TypeError, ValueError) as exc:

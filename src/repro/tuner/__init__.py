@@ -11,32 +11,3 @@
   against a perfectly synchronized clock (0 ms) and counting the
   requests it generates (Table 2's two metrics).
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "OffsetTrace",
-    "TraceEntry",
-    "TraceLogger",
-    "LoggerOptions",
-    "MntpEmulator",
-    "EmulationResult",
-    "ParameterSearcher",
-    "SearchSpace",
-    "SearchResult",
-    "AutoTuner",
-    "AutoTuneOptions",
-    "TuneOutcome",
-]
-
-# Re-exports resolve on first use: logging a trace needs neither the
-# emulator nor the searches, and replaying one needs no logger.
-_HOMES = {
-    "repro.tuner.traces": ("OffsetTrace", "TraceEntry"),
-    "repro.tuner.logger": ("TraceLogger", "LoggerOptions"),
-    "repro.tuner.emulator": ("MntpEmulator", "EmulationResult"),
-    "repro.tuner.searcher": ("ParameterSearcher", "SearchSpace", "SearchResult"),
-    "repro.tuner.autotune": ("AutoTuner", "AutoTuneOptions", "TuneOutcome"),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _HOMES)

@@ -9,29 +9,3 @@ MNTP consumes only the *hints* (RSSI, noise, SNR margin) and the
 resulting packet timings, so reproducing the joint statistics of
 (hints, loss, delay) reproduces the paper's operating conditions.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "WirelessHints",
-    "HintProvider",
-    "WirelessChannel",
-    "ChannelParams",
-    "CrossTrafficGenerator",
-    "CrossTrafficParams",
-    "AccessPoint",
-    "ChannelEffects",
-    "EffectsParams",
-]
-
-# Re-exports resolve on first use: the hint types that MNTP's gate and
-# the tuner read must not pull in the channel, and with it the simulator.
-_HOMES = {
-    "repro.wireless.hints": ("WirelessHints", "HintProvider"),
-    "repro.wireless.channel": ("WirelessChannel", "ChannelParams"),
-    "repro.wireless.crosstraffic": ("CrossTrafficGenerator", "CrossTrafficParams"),
-    "repro.wireless.wap": ("AccessPoint",),
-    "repro.wireless.effects": ("ChannelEffects", "EffectsParams"),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _HOMES)

@@ -3,7 +3,7 @@
 import ast
 import json
 
-from repro.analysis import Engine
+from repro.analysis.engine import Engine
 from repro.analysis.cache import LintCache, config_key
 
 

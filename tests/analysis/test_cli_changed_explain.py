@@ -1,6 +1,6 @@
 """``lint --explain`` and the RES rules through the CLI, end to end."""
 
-from repro.analysis import all_project_rules, all_rules
+from repro.analysis.rules import all_project_rules, all_rules
 from repro.cli import main
 
 

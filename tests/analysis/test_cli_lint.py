@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rules
+from repro.analysis.rules import all_rules
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

@@ -1,6 +1,6 @@
 """COR001-COR004: float equality, mutable defaults, __all__, imports."""
 
-from repro.analysis import check_source
+from repro.analysis.engine import check_source
 
 MODULE = "repro.core.protocol"
 

@@ -14,7 +14,7 @@ DET004 chains through it.
 
 from pathlib import Path
 
-from repro.analysis import Engine
+from repro.analysis.engine import Engine
 
 POSITIONS = '''\
 """Effect calls in every position the DET rules reach."""

@@ -1,6 +1,6 @@
 """DET001/DET002/DET003: wall clock, stdlib random, numpy global RNG."""
 
-from repro.analysis import check_source
+from repro.analysis.engine import check_source
 
 
 def rules_for(src, module):

@@ -4,8 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Engine, Finding, check_source
-from repro.analysis.engine import load_source, module_parts_for
+from repro.analysis.engine import (
+    Engine,
+    Finding,
+    check_source,
+    load_source,
+    module_parts_for,
+)
 
 WALL_CLOCK_SRC = """\
 import time

@@ -8,9 +8,9 @@ machinery production runs use.
 
 from pathlib import Path
 
-from repro.analysis import Engine, check_source
-from repro.analysis.engine import load_source
-from repro.analysis.flow import Project, summarize
+from repro.analysis.engine import Engine, check_source, load_source
+from repro.analysis.flow.project import Project
+from repro.analysis.flow.summary import summarize
 
 
 def _project_findings(src, module="repro.simcore.node"):
@@ -165,6 +165,24 @@ def run():
     findings = check_source(src, module="repro.ntp.poll", project=True,
                             select=["UNIT005"])
     assert findings == []
+
+
+def test_unit005_annotated_class_attribute():
+    src = """\
+def poll_s():
+    return 1.0
+
+
+class Config:
+    plain_ms = poll_s()
+    annotated_ms: float = poll_s()
+"""
+    findings = check_source(src, module="repro.ntp.poll", project=True,
+                            select=["UNIT005"])
+    assert [(f.rule, f.line) for f in findings] == [
+        ("UNIT005", 6), ("UNIT005", 7),
+    ]
+    assert "'annotated_ms'" in findings[1].message
 
 
 # ---------------------------------------------------------------------------

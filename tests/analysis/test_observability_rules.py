@@ -1,6 +1,6 @@
 """OBS001 (bare print) and OBS002 (telemetry taxonomy) rules."""
 
-from repro.analysis import check_source
+from repro.analysis.engine import check_source
 
 
 def rules_for(src, module):
@@ -163,17 +163,9 @@ def test_slo_literal_flagged_in_health_importer():
     assert [f.rule for f in obs004_for(src, "repro.testbed.experiment")] == ["OBS004"]
 
 
-def test_slo_literal_flagged_via_obs_facade_import():
-    src = (
-        "from repro.obs import SloSpec\n"
-        "def f(starvation_s):\n    return 600.0 < starvation_s\n"
-    )
-    assert [f.rule for f in obs004_for(src, "repro.cli")] == ["OBS004"]
-
-
 def test_slo_literal_flagged_in_judge_importer():
     src = (
-        "from repro.obs import judge_health\n"
+        "from repro.obs.health import judge_health\n"
         "def f(p99_abs_error_ms):\n    return p99_abs_error_ms > 25.0\n"
     )
     assert [f.rule for f in obs004_for(src, "repro.testbed.specs")] == ["OBS004"]

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis import check_source
+from repro.analysis.engine import check_source
 
 MODULE = "repro.core.worker"
 

@@ -1,7 +1,7 @@
 """ROB001 (bare except / degenerate waits) and ROB002 (hard-coded
 guarantee thresholds in scenario code)."""
 
-from repro.analysis import check_source
+from repro.analysis.engine import check_source
 
 
 def rules_for(src, module):
@@ -94,14 +94,6 @@ def test_rob002_flags_thresholds_in_scenario_modules():
 def test_rob002_flags_thresholds_in_spec_importers():
     src = SPEC_IMPORT + "def f(duration_s):\n    return duration_s >= 600.0\n"
     assert [f.rule for f in rob002_for(src, "repro.core.protocol")] == ["ROB002"]
-
-
-def test_rob002_scope_via_testbed_facade_import():
-    src = (
-        "from repro.testbed import run_matrix\n"
-        "def f(starvation_s):\n    return 600.0 < starvation_s\n"
-    )
-    assert [f.rule for f in rob002_for(src, "repro.cli")] == ["ROB002"]
 
 
 def test_rob002_out_of_scope_without_scenario_import():

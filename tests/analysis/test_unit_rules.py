@@ -1,6 +1,6 @@
 """UNIT001/UNIT002/UNIT003: suffix units and NTP fixed-point mixing."""
 
-from repro.analysis import check_source
+from repro.analysis.engine import check_source
 
 MODULE = "repro.core.filter"
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cellular import CellularExperiment, CellularOptions
+from repro.cellular.phone import CellularExperiment, CellularOptions
 from repro.cellular.ran import RanParams
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 
 
 @pytest.fixture

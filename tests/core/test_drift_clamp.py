@@ -6,7 +6,7 @@ from repro.clock.discipline_api import ClockCorrector
 from repro.core.config import MntpConfig
 from repro.core.protocol import Mntp
 from repro.ntp.server import ServerConfig
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from repro.wireless.hints import ALWAYS_FAVORABLE, StaticHintProvider
 from tests.ntp.helpers import MiniNet, drifting_clock
 

@@ -7,7 +7,7 @@ from repro.core.config import MntpConfig
 from repro.core.events import MntpEventKind
 from repro.core.protocol import Mntp, MntpPhase
 from repro.ntp.server import ServerConfig, ServerPersona
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from repro.wireless.hints import WirelessHints
 from tests.ntp.helpers import MiniNet, drifting_clock
 

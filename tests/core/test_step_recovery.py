@@ -4,7 +4,7 @@ from repro.clock.discipline_api import ClockCorrector
 from repro.core.config import MntpConfig
 from repro.core.protocol import Mntp, MntpPhase
 from repro.ntp.server import ServerConfig
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from tests.ntp.helpers import MiniNet, drifting_clock
 
 POOLS = ("0.pool.ntp.org", "1.pool.ntp.org", "3.pool.ntp.org")

@@ -6,7 +6,7 @@ from repro.faults.injectors import FaultInjector
 from repro.faults.schedule import FaultEpisode, FaultKind, FaultSchedule
 from repro.net.link import LinkEffect
 from repro.ntp.server import NtpServer, ServerConfig
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from tests.ntp.helpers import perfect_clock
 
 

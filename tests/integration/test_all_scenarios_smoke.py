@@ -9,7 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.testbed.specs import load_scenario, scenario_names
+from repro.testbed.catalog import scenario_names
+from repro.testbed.specs import load_scenario
 
 
 @pytest.mark.parametrize("name", scenario_names())

@@ -6,13 +6,12 @@ import io
 
 import pytest
 
-from repro.cellular import CellularExperiment, CellularOptions
+from repro.cellular.phone import CellularExperiment, CellularOptions
 from repro.core.config import MntpConfig
 from repro.logs.analysis import LogStudy
 from repro.logs.generator import GeneratorOptions
 from repro.logs.servers import server_by_id
-from repro.obs import jsonl_lines
-from repro.obs.exporters import write_chrome_trace
+from repro.obs.exporters import jsonl_lines, write_chrome_trace
 from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 from repro.testbed.persistence import save_result

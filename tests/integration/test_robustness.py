@@ -14,7 +14,7 @@ from repro.ntp.server import ServerConfig, ServerPersona
 from repro.pcaplib.ntpdissect import dissect_ntp_packet
 from repro.pcaplib.pcap import PcapReader
 from repro.ptp.messages import PtpHeader
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from repro.tuner.traces import TraceEntry
 from tests.ntp.helpers import MiniNet
 

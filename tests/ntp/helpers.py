@@ -10,7 +10,7 @@ from repro.net.link import Link
 from repro.net.path import PathModel
 from repro.ntp.server import NtpServer, ServerConfig
 from repro.ntp.sntp_client import HardeningPolicy, SntpClient
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 
 PERFECT = OscillatorGrade(
     name="perfect", base_skew_ppm_sigma=0.0, wander_ppm_per_sqrt_s=0.0,

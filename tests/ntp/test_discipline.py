@@ -5,7 +5,7 @@ import pytest
 from repro.clock.discipline_api import ClockCorrector
 from repro.ntp.discipline import ClockDiscipline, DisciplineParams
 from repro.ntp.server import ServerConfig, ServerPersona
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from tests.ntp.helpers import MiniNet, drifting_clock
 
 

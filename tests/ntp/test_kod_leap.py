@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ntp.server import ServerConfig, ServerPersona
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from tests.ntp.helpers import MiniNet
 
 

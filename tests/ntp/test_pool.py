@@ -5,7 +5,7 @@ import pytest
 
 from repro.ntp.pool import PoolDns
 from repro.ntp.server import NtpServer, ServerConfig
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from tests.ntp.helpers import perfect_clock
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ntp.server import ServerConfig
 from repro.ntp.sntp_client import HardeningPolicy, ServerHealth
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from tests.ntp.helpers import MiniNet
 
 POLICY = HardeningPolicy(jitter_frac=0.0)  # exact windows for assertions

@@ -2,7 +2,7 @@
 
 from repro.ntp.server import ServerConfig
 from repro.ntp.sntp_client import HardeningPolicy
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from tests.ntp.helpers import MiniNet
 
 

@@ -1,11 +1,6 @@
 """Causal exchange assembly: joining spans back into trees."""
 
-from repro.obs import (
-    Exchange,
-    Hop,
-    assemble_exchanges,
-    completeness,
-)
+from repro.obs.causal import Exchange, Hop, assemble_exchanges, completeness
 from repro.simcore.trace import TraceRecord
 
 
@@ -170,7 +165,7 @@ def test_exchange_order_follows_root_emission_order():
 
 
 def test_seeded_run_reconstructs_nearly_all_exchanges():
-    from repro.testbed import run_scenario
+    from repro.testbed.specs import run_scenario
 
     result = run_scenario("wireless_uncorrected", seed=5)
     exchanges = assemble_exchanges(result.telemetry)
@@ -188,7 +183,7 @@ def test_seeded_run_reconstructs_nearly_all_exchanges():
 def test_cellular_run_assembles_without_link_spans():
     # The RAN path bypasses Link entirely: exchanges still assemble
     # (turnaround only), they are just not 'ok'-complete.
-    from repro.cellular import CellularExperiment, CellularOptions
+    from repro.cellular.phone import CellularExperiment, CellularOptions
 
     result = CellularExperiment(
         seed=2, options=CellularOptions(duration=600.0)

@@ -5,13 +5,8 @@ import math
 
 import pytest
 
-from repro.obs import (
-    CAUSES,
-    assemble_exchanges,
-    decompose,
-    explain_run,
-    render_tree,
-)
+from repro.obs.causal import assemble_exchanges
+from repro.obs.explain import CAUSES, decompose, explain_run, render_tree
 from tests.obs.test_causal import exchange_records, snapshot_of, span_record
 
 
@@ -162,7 +157,7 @@ def test_render_tree_shows_all_children():
 
 
 def test_seeded_run_attributes_every_sample_above_p90():
-    from repro.testbed import run_scenario
+    from repro.testbed.specs import run_scenario
 
     result = run_scenario("wireless_uncorrected", seed=5)
     report = explain_run(result.telemetry, samples=result.offset_samples())
@@ -182,8 +177,8 @@ def test_seeded_run_attributes_every_sample_above_p90():
 def test_same_seed_runs_byte_identical_without_resets():
     # Two runs in ONE process, no manual ident/telemetry resets: the
     # telemetry JSONL and the explain JSON must match byte for byte.
-    from repro.obs import jsonl_lines
-    from repro.testbed import run_scenario
+    from repro.obs.exporters import jsonl_lines
+    from repro.testbed.specs import run_scenario
 
     a = run_scenario("wireless_uncorrected", seed=7)
     b = run_scenario("wireless_uncorrected", seed=7)

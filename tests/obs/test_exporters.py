@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from repro.obs import (
-    Telemetry,
+from repro.obs.exporters import (
     chrome_trace_events,
     jsonl_lines,
     load_jsonl,
@@ -14,6 +13,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.telemetry import Telemetry
 from repro.simcore.trace import TraceRecord
 
 

@@ -7,18 +7,17 @@ from dataclasses import fields
 
 import pytest
 
-from repro.obs import (
+from repro.obs.health import (
     HEALTH_FORMAT,
     HealthMonitor,
     SloSpec,
+    _p99,
     judge_health,
     recovered_transitions,
     render_health_text,
     smoke_spec,
-    snapshot_metric_names,
-    snapshot_span_kinds,
 )
-from repro.obs.health import _p99
+from repro.obs.telemetry import snapshot_metric_names, snapshot_span_kinds
 from repro.testbed.experiment import ExperimentResult, OffsetPoint
 from repro.testbed.persistence import load_result, save_result
 from repro.testbed.specs import run_scenario

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.obs import judge_health
+from repro.obs.health import judge_health
 from repro.testbed.specs import load_scenario
 
 

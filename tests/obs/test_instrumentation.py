@@ -3,13 +3,9 @@
 import pytest
 
 from repro.core.config import MntpConfig
-from repro.obs import (
-    SPAN_COMPONENT,
-    Telemetry,
-    jsonl_lines,
-    snapshot_metric_names,
-    snapshot_span_kinds,
-)
+from repro.obs.exporters import jsonl_lines
+from repro.obs.spans import SPAN_COMPONENT
+from repro.obs.telemetry import Telemetry, snapshot_metric_names, snapshot_span_kinds
 from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 
@@ -88,8 +84,8 @@ def test_telemetry_is_seed_deterministic():
 
 
 def test_tuner_search_spans_and_counter():
-    from repro.tuner import LoggerOptions, ParameterSearcher, TraceLogger
-    from repro.tuner.searcher import SearchSpace
+    from repro.tuner.logger import LoggerOptions, TraceLogger
+    from repro.tuner.searcher import ParameterSearcher, SearchSpace
 
     trace = TraceLogger(seed=2, options=LoggerOptions(duration=1800.0)).run()
     telemetry = Telemetry.standalone()

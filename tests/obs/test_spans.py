@@ -1,6 +1,6 @@
 """Span tracing over the shared TraceLog."""
 
-from repro.obs import SPAN_COMPONENT, SpanTracer
+from repro.obs.spans import SPAN_COMPONENT, SpanTracer
 from repro.simcore.trace import TraceLog, TraceRecord
 
 

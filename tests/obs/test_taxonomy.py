@@ -1,6 +1,6 @@
 """The registered span taxonomy and metric naming convention."""
 
-from repro.obs import (
+from repro.obs.taxonomy import (
     SPAN_KINDS,
     SPAN_SUBSYSTEMS,
     metric_name_conforms,
@@ -35,8 +35,8 @@ def test_gauge_and_histogram_need_unit_but_not_total():
 
 
 def test_emitted_kinds_in_seeded_run_are_all_registered():
-    from repro.obs import snapshot_span_kinds
-    from repro.testbed import run_scenario
+    from repro.obs.telemetry import snapshot_span_kinds
+    from repro.testbed.specs import run_scenario
 
     result = run_scenario("mntp_wireless_corrected", seed=1)
     assert set(snapshot_span_kinds(result.telemetry)) <= SPAN_KINDS

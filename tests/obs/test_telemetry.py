@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from repro.obs import (
+from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     ManualClock,
     Telemetry,

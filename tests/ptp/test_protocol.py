@@ -5,8 +5,8 @@ import pytest
 
 from repro.net.link import Link, LinkEffect
 from repro.net.path import PathModel
-from repro.ptp import PtpMaster, PtpSlave
-from repro.simcore import Simulator
+from repro.ptp.protocol import PtpMaster, PtpSlave
+from repro.simcore.simulator import Simulator
 from tests.ntp.helpers import drifting_clock, perfect_clock
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 
 
 def test_call_after_fires_at_right_time(sim):

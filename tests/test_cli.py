@@ -62,7 +62,7 @@ def test_tune_and_save(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "RMSE (ms)" in out
     assert path.exists()
-    from repro.tuner import OffsetTrace
+    from repro.tuner.traces import OffsetTrace
 
     with open(path) as f:
         trace = OffsetTrace.load(f)
@@ -190,7 +190,8 @@ def test_run_telemetry_export_meets_acceptance(tmp_path, capsys):
     """The ISSUE acceptance bar: >=5 metric names, >=4 span kinds."""
     import json
 
-    from repro.obs import load_jsonl, snapshot_metric_names, snapshot_span_kinds
+    from repro.obs.exporters import load_jsonl
+    from repro.obs.telemetry import snapshot_metric_names, snapshot_span_kinds
 
     path = tmp_path / "out.jsonl"
     assert main(["--seed", "1", "run", "mntp_wireless_corrected",
@@ -299,7 +300,8 @@ def test_cellular_json_and_telemetry(tmp_path, capsys):
 
 
 def test_autotune_telemetry(tmp_path, capsys):
-    from repro.obs import load_jsonl, snapshot_span_kinds
+    from repro.obs.exporters import load_jsonl
+    from repro.obs.telemetry import snapshot_span_kinds
 
     path = tmp_path / "tune.jsonl"
     assert main(["--seed", "2", "autotune", "--hours", "0.5",
@@ -367,7 +369,7 @@ def test_explain_missing_file(capsys):
 
 
 def test_health_archived_run_and_slo_spec(tmp_path, capsys):
-    from repro.obs import SloSpec
+    from repro.obs.health import SloSpec
 
     path = tmp_path / "run.json"
     assert main(["--seed", "4", "run", "wired_corrected",
@@ -422,7 +424,7 @@ def test_run_and_health_reject_slo_files_that_gate_nothing(
 
 def test_run_judged_telemetry_equals_unjudged(tmp_path, capsys):
     # Judging happens after the run, so it leaves the telemetry alone.
-    from repro.obs import smoke_spec
+    from repro.obs.health import smoke_spec
 
     slo = tmp_path / "smoke.json"
     slo.write_text(smoke_spec().to_json())
@@ -484,7 +486,7 @@ def test_run_slo_with_unreadable_spec_fails(capsys):
 
 
 def _slo_file(tmp_path, name, **overrides):
-    from repro.obs import SloSpec
+    from repro.obs.health import SloSpec
 
     data = SloSpec().to_dict()
     data.update(overrides)
@@ -522,7 +524,7 @@ def test_run_violated_verdict_exits_nonzero(tmp_path, capsys):
 
 
 def _matrix_spec_file(tmp_path, name, tags=(), strict=False):
-    from repro.obs import SloSpec
+    from repro.obs.health import SloSpec
     from repro.testbed.specs import ScenarioSpec, TopologySpec, save_spec
 
     bars = (

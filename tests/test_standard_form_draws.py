@@ -23,7 +23,7 @@ from repro.clock.simclock import SimClock
 from repro.clock.temperature import DiurnalTemperature
 from repro.net.path import PathModel
 from repro.ntp.server import ServerConfig
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from repro.simcore.random import RngRegistry
 from repro.testbed.nodes import Testbed, TestbedOptions
 from repro.wireless.channel import ChannelParams, WirelessChannel

@@ -150,6 +150,32 @@ def test_invalid_spec_file_costs_itself_not_the_matrix(tmp_path):
     assert report["verdict"]["hard_failed"] == ["broken"]
 
 
+def test_mistyped_spec_values_cost_their_file_not_the_matrix(tmp_path):
+    good = _spec("good_a", "ok")
+    bad_temperature = good.to_dict()
+    bad_temperature["name"] = "cold"
+    bad_temperature["topology"]["temperature"] = {
+        "profile": "diurnal", "mean_c": None,
+    }
+    (tmp_path / "cold.json").write_text(json.dumps(bad_temperature))
+    bad_pools = good.to_dict()
+    bad_pools["name"] = "pools"
+    bad_pools["mntp"] = {"warmup_pools": 5}
+    (tmp_path / "pools.json").write_text(json.dumps(bad_pools))
+    save_spec(good, str(tmp_path / "good_a.json"))
+    report = run_matrix(
+        str(tmp_path), MatrixOptions(seed=1, timeout_s=5.0),
+        worker=scripted_worker,
+    )
+    entries = entry_by_name(report)
+    assert entries["cold"]["status"] == "invalid"
+    assert "spec.topology.temperature.mean_c" in entries["cold"]["error"]
+    assert entries["pools"]["status"] == "invalid"
+    assert "spec.mntp.warmup_pools" in entries["pools"]["error"]
+    assert entries["good_a"]["status"] == "success"
+    assert report["verdict"]["hard_failed"] == ["cold", "pools"]
+
+
 def test_duplicate_spec_names_flag_the_second_file(tmp_path):
     save_spec(_spec("twin", "ok"), str(tmp_path / "a.json"))
     save_spec(_spec("twin", "ok"), str(tmp_path / "b.json"))

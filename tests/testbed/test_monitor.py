@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from repro.testbed.monitor import MonitorNode, MonitorParams
 from repro.testbed.pingtool import PingTool
 from repro.wireless.channel import ChannelParams, WirelessChannel

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from repro.testbed.nodes import OS_REFERENCE, POOL_NAMES, Testbed, TestbedOptions
 from repro.wireless.hints import StaticHintProvider
 

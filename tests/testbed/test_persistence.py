@@ -69,7 +69,7 @@ def test_wrong_format_rejected():
 
 
 def test_roundtrip_preserves_telemetry_payload(result):
-    from repro.obs import snapshot_metric_names, snapshot_span_kinds
+    from repro.obs.telemetry import snapshot_metric_names, snapshot_span_kinds
 
     assert result.telemetry is not None
     buf = io.StringIO()
@@ -130,7 +130,7 @@ def test_save_embeds_explain_report(result):
     loaded = result_from_dict(data)
     assert loaded.explain == explain
     # And matches a fresh computation from the archived telemetry.
-    from repro.obs import explain_run
+    from repro.obs.explain import explain_run
 
     fresh = explain_run(
         loaded.telemetry, samples=loaded.offset_samples()
@@ -141,7 +141,7 @@ def test_save_embeds_explain_report(result):
 def test_roundtrip_preserves_health_report():
     import json
 
-    from repro.obs import judge_health, smoke_spec
+    from repro.obs.health import judge_health, smoke_spec
     from repro.testbed.specs import run_scenario
 
     run = run_scenario("chaos_smoke", seed=2)

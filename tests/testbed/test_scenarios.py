@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.testbed.specs import load_scenario, run_scenario, scenario_names
+from repro.testbed.catalog import scenario_names
+from repro.testbed.specs import load_scenario, run_scenario
 
 
 EXPECTED = {

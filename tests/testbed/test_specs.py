@@ -8,8 +8,8 @@ import pytest
 from repro.clock.temperature import DiurnalTemperature
 from repro.faults.schedule import FaultKind
 from repro.obs.health import SloSpec, judge_health, smoke_spec
+from repro.testbed.catalog import SCENARIO_DIR, scenario_names
 from repro.testbed.specs import (
-    SCENARIO_DIR,
     SPEC_FORMAT,
     ScenarioSpec,
     TopologySpec,
@@ -19,7 +19,6 @@ from repro.testbed.specs import (
     load_spec_dir,
     run_spec,
     save_spec,
-    scenario_names,
 )
 
 REPO_SPEC_DIR = Path(__file__).resolve().parents[2] / "scenarios"
@@ -154,6 +153,37 @@ def test_unknown_temperature_profile_rejected():
     data = base_dict()
     data["topology"]["temperature"] = {"profile": "volcanic", "celsius_c": 9000}
     with pytest.raises(ValueError, match="spec.topology.temperature.profile"):
+        ScenarioSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("value", [None, "abc", True, math.nan])
+def test_temperature_values_must_be_finite_numbers(value):
+    data = base_dict()
+    data["topology"]["temperature"] = {"profile": "diurnal", "mean_c": value}
+    with pytest.raises(
+        ValueError,
+        match="spec.topology.temperature.mean_c must be a finite number",
+    ):
+        ScenarioSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("value", [None, "x", True, math.inf])
+def test_mntp_thresholds_must_be_finite_numbers(value):
+    data = load_scenario("chaos_smoke").to_dict()
+    data["mntp"]["thresholds"]["min_rssi_dbm"] = value
+    with pytest.raises(
+        ValueError,
+        match="spec.mntp.thresholds.min_rssi_dbm must be a finite number",
+    ):
+        ScenarioSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("value", [5, "abc", ["pool.ntp.org", 3], None])
+def test_mntp_warmup_pools_must_be_a_list_of_strings(value):
+    data = load_scenario("chaos_smoke").to_dict()
+    data["mntp"]["warmup_pools"] = value
+    with pytest.raises(ValueError,
+                       match="spec.mntp.warmup_pools must be a list of strings"):
         ScenarioSpec.from_dict(data)
 
 

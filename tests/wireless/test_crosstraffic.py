@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from repro.wireless.crosstraffic import CrossTrafficGenerator, CrossTrafficParams
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.wireless.channel import ChannelParams, WirelessChannel
 from repro.wireless.crosstraffic import CrossTrafficGenerator, CrossTrafficParams
-from repro.simcore import Simulator
+from repro.simcore.simulator import Simulator
 from repro.wireless.effects import ChannelEffects, EffectsParams
 
 
