@@ -19,9 +19,8 @@ echo "== repro-mntp lint (domain static analysis, src + tests)"
 # One run over both trees.  Each rule states its own scope: under
 # tests/ only the determinism and resource rules apply.
 # Any finding left after inline '# repro: noqa[RULE] reason' fails the
-# gate.  Warm runs hit the content-hash cache (.repro-lint-cache.json);
-# --stats puts per-phase timing in the CI log.
-python -m repro.analysis src tests --jobs 4 --stats
+# gate.
+python -m repro.analysis src tests
 
 if python -m ruff --version >/dev/null 2>&1; then
     echo "== ruff"

@@ -6,7 +6,8 @@ options and return identical exit codes:
 
 * 0 — no findings left after inline ``# repro: noqa`` suppressions,
 * 1 — at least one finding or an unreadable file,
-* 2 — usage errors (unknown options or rule ids, missing paths).
+* 2 — usage errors (unknown options or rule ids, an empty
+  ``--select``/``--ignore`` list, missing paths).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.cache import DEFAULT_CACHE_NAME, LintCache, config_key
 from repro.analysis.engine import Engine
 from repro.analysis.reporting import render_human, render_json
 
@@ -40,23 +40,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the per-file phase (default 1: "
-             "in-process; output is identical either way)",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print per-phase timing and cache hit rate after the report",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help=f"disable the incremental cache ({DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--cache-path", metavar="PATH", default=DEFAULT_CACHE_NAME,
-        help=argparse.SUPPRESS,  # for tests; the default name is the contract
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="list every shipped rule and exit",
     )
@@ -69,15 +52,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a lint run from parsed arguments; returns the exit code."""
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     if args.explain:
         return _explain(args.explain)
 
     try:
         engine = Engine(
-            select=_split(args.select), ignore=_split(args.ignore)
+            select=_split(args.select, "--select"),
+            ignore=_split(args.ignore, "--ignore"),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -98,35 +79,11 @@ def run_lint(args: argparse.Namespace) -> int:
             print(f"error: no such path: {p}", file=sys.stderr)
         return 2
 
-    cache = None
-    if not args.no_cache:
-        cache = LintCache(
-            Path(args.cache_path), config_key(engine.rule_ids)
-        )
-
-    result = engine.check_paths(paths, cache=cache, jobs=args.jobs)
-
-    if cache is not None:
-        cache.save()
-
+    result = engine.check_paths(paths)
     if args.output_format == "json":
         print(render_json(result))
     else:
         print(render_human(result))
-
-    if args.stats:
-        stats = result.stats
-        checked = stats.get("cache_hits", 0) + stats.get("cache_misses", 0)
-        rate = stats.get("cache_hits", 0) / checked if checked else 0.0
-        stream = sys.stdout if args.output_format == "human" else sys.stderr
-        print(
-            f"stats: {stats.get('files', 0)} files, cache "
-            f"{stats.get('cache_hits', 0)}/{checked} hits ({rate:.0%}), "
-            f"jobs {stats.get('jobs', 1)}, "
-            f"phase1 {stats.get('phase1_s', 0.0):.3f}s, "
-            f"phase2 {stats.get('phase2_s', 0.0):.3f}s",
-            file=stream,
-        )
     return 1 if (result.findings or result.errors) else 0
 
 
@@ -141,10 +98,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     return run_lint(parser.parse_args(argv))
 
 
-def _split(value: Optional[str]) -> Optional[List[str]]:
+def _split(value: Optional[str], option: str) -> Optional[List[str]]:
+    """Rule ids from a comma-separated option; an empty list is an error."""
     if value is None:
         return None
-    return [part.strip() for part in value.split(",") if part.strip()]
+    ids = [part.strip() for part in value.split(",") if part.strip()]
+    if not ids:
+        raise ValueError(f"{option} names no rule ids")
+    return ids
 
 
 def _explain(rule_id: str) -> int:

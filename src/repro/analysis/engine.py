@@ -4,8 +4,8 @@ A :class:`Rule` is an :class:`ast.NodeVisitor` subclass instantiated
 fresh for every analysed module; the :class:`Engine` parses each file
 once and hands the :class:`SourceModule` to every enabled per-file
 rule.  What several rules need of one module (its import map, its
-``__all__``, its flow summary, its resource analysis) is a lazy
-attribute of the :class:`SourceModule`, built once and shared.  A
+flow summary, its resource analysis) is a lazy attribute of the
+:class:`SourceModule`, built once and shared.  A
 :class:`ProjectRule` runs in a second, whole-program phase over the
 :class:`repro.analysis.flow.project.Project` built from every analysed
 module's flow summary, so it can see across call and module boundaries.
@@ -32,10 +32,8 @@ as a warning — a typo must never silently widen a suppression.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
-import time
 import tokenize
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,10 +49,6 @@ from typing import (
 )
 
 from repro.analysis.rules.base import ImportMap
-
-#: Bumped whenever findings, summaries, or rule semantics change shape;
-#: part of the incremental cache key so stale caches self-invalidate.
-TOOL_VERSION = "7.1"
 
 #: Matches ``# repro: noqa`` with an optional ``[RULE1,RULE2]`` list.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?P<rest>\[[^\]]*\])?")
@@ -101,20 +95,12 @@ class Finding:
         return text
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record / reports)."""
+        """JSON-serializable form (``--format json``)."""
         return {
             "rule": self.rule, "path": self.path, "line": self.line,
             "col": self.col, "message": self.message,
             "endpoint": self.endpoint,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=data["rule"], path=data["path"], line=data["line"],
-            col=data["col"], message=data["message"],
-            endpoint=data.get("endpoint", ""),
-        )
 
 
 @dataclass
@@ -137,11 +123,6 @@ class SourceModule:
         return ImportMap(self.tree)
 
     @cached_property
-    def exports(self) -> Optional[List[str]]:
-        """The literal names ``__all__`` lists; None when it is unassigned."""
-        return _dunder_all(self.tree)
-
-    @cached_property
     def summary(self) -> Any:
         """The :class:`~repro.analysis.flow.summary.ModuleSummary`."""
         from repro.analysis.flow import summary
@@ -156,11 +137,6 @@ class SourceModule:
         return resources.resource_findings(self)
 
     @property
-    def is_init(self) -> bool:
-        """Whether this file is a package ``__init__.py``."""
-        return self.path.endswith("__init__.py")
-
-    @property
     def package(self) -> Optional[str]:
         """Top-level sub-package under ``repro`` (e.g. ``"simcore"``)."""
         if len(self.module) >= 2 and self.module[0] == "repro":
@@ -170,29 +146,6 @@ class SourceModule:
     def dotted(self) -> str:
         """The dotted module name (``repro.ntp.wire``)."""
         return ".".join(self.module)
-
-
-def _dunder_all(tree: ast.Module) -> Optional[List[str]]:
-    """Literal string names of the module-level ``__all__`` assignments."""
-    names: Optional[List[str]] = None
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-        else:
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-            continue
-        if names is None:
-            names = []
-        if isinstance(stmt.value, (ast.List, ast.Tuple)):
-            names.extend(
-                element.value for element in stmt.value.elts
-                if isinstance(element, ast.Constant)
-                and isinstance(element.value, str)
-            )
-    return names
 
 
 def in_tests(module: Sequence[str]) -> bool:
@@ -396,21 +349,12 @@ class ProjectRule:
 
 @dataclass
 class AnalysisResult:
-    """Everything one engine run produced.
-
-    ``project`` is the phase-two :class:`~repro.analysis.flow.project.
-    Project` when interprocedural rules ran (``None`` otherwise); it is
-    never serialized.
-    ``stats`` carries per-phase timings and cache hit counts for
-    ``lint --stats``.
-    """
+    """Everything one engine run produced."""
 
     findings: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)   # unreadable/unparsable files
     warnings: List[str] = field(default_factory=list)  # e.g. malformed noqa
     files_checked: int = 0
-    project: Optional[Any] = None
-    stats: Dict[str, Any] = field(default_factory=dict)
 
 
 class Engine:
@@ -423,10 +367,6 @@ class Engine:
     ) -> None:
         from repro.analysis.rules import all_project_rules, all_rules
 
-        # Kept verbatim so --jobs worker processes can rebuild an
-        # identical engine from picklable arguments.
-        self._select_arg = list(select) if select else None
-        self._ignore_arg = list(ignore) if ignore else None
         registry = all_rules()
         project_registry = all_project_rules()
         known = set(registry) | set(project_registry)
@@ -455,11 +395,6 @@ class Engine:
         self._rules = chosen
         self._project_rules = chosen_project
 
-    @property
-    def rule_ids(self) -> List[str]:
-        """Ids of the rules this engine runs, sorted."""
-        return sorted(set(self._rules) | set(self._project_rules))
-
     def check_module(self, module: SourceModule) -> List[Finding]:
         """Run every enabled per-file rule in scope for one module."""
         tests = in_tests(module.module)
@@ -485,161 +420,54 @@ class Engine:
                     findings.append(f)
         return findings
 
-    def phase_one_record(
-        self, raw: bytes, display: str, module_parts: Tuple[str, ...]
-    ) -> Dict[str, Any]:
-        """Phase one for one file: parse, per-file rules, flow summary.
-
-        Returns the JSON-serializable cache record.  Raises
-        ``SyntaxError`` / ``UnicodeDecodeError`` / ``ValueError`` for
-        unparsable input.  Pure with respect to engine state, so it is
-        safe to run in a ``--jobs`` worker process.
-        """
-        text = raw.decode("utf-8")
-        module = source_from_text(text, path=display, module=module_parts)
-        return {
-            "findings": [f.to_dict() for f in self.check_module(module)],
-            "summary": module.summary.to_dict(),
-            "noqa": {
-                str(line): sorted(rules)
-                for line, rules in module.noqa.items()
-            },
-            "noqa_problems": [
-                [line, text] for line, text in module.noqa_problems
-            ],
-        }
-
     def check_paths(
         self,
         paths: Sequence[Path],
         *,
-        cache: Optional[Any] = None,
         reference_roots: Optional[Sequence[Path]] = None,
-        jobs: int = 1,
     ) -> AnalysisResult:
         """Analyse files and directories (recursed for ``*.py``).
 
-        ``cache`` is a :class:`repro.analysis.cache.LintCache` (duck
-        typed: ``lookup(path, digest)`` / ``store(path, digest,
-        record)``); cached files are not re-parsed.  ``reference_roots``
+        Phase one parses each file once, runs the per-file rules, and
+        keeps only its flow summary and noqa table, so no two ASTs are
+        held at once.  Phase two builds the
+        :class:`~repro.analysis.flow.project.Project` from those
+        summaries and runs the project rules.  ``reference_roots``
         override the directories scanned for name references by the
         dead-code rule (default: existing ``tests``/``scripts``/
-        ``benchmarks``/``examples`` directories).  ``jobs > 1`` fans the
-        per-file phase out over a process pool; results merge back in
-        file order, so output and cache contents are identical to a
-        serial run.
+        ``benchmarks``/``examples`` directories).
         """
         from repro.analysis.flow.project import Project
-        from repro.analysis.flow.summary import ModuleSummary
 
-        phase1_start = time.perf_counter()
         result = AnalysisResult()
-        hits = 0
-        # One slot per readable file, filled from cache, worker pool, or
-        # the serial path — always consumed in file order.
-        slots: List[Tuple[str, str, Optional[Dict[str, Any]], bytes, Tuple[str, ...]]] = []
+        summaries: List[Any] = []
+        noqa_by_path: Dict[str, Dict[int, Set[str]]] = {}
         for path in _collect_files(paths):
-            try:
-                raw = path.read_bytes()
-            except OSError as exc:
-                result.errors.append(f"{_display(path)}: {exc}")
-                continue
             display = _display(path)
-            digest = hashlib.sha256(raw).hexdigest()
-            record = cache.lookup(display, digest) if cache is not None else None
-            if record is not None:
-                hits += 1
-            slots.append((display, digest, record, raw, module_parts_for(path)))
-        pending = [i for i, slot in enumerate(slots) if slot[2] is None]
-        computed: Dict[int, Any] = {}
-        if jobs > 1 and len(pending) > 1:
-            computed = self._pool_phase_one(slots, pending, jobs)
-        else:
-            for i in pending:
-                display, _, _, raw, parts = slots[i]
-                try:
-                    computed[i] = self.phase_one_record(raw, display, parts)
-                except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
-                    computed[i] = f"{display}: {exc}"
-        records: List[Dict[str, Any]] = []
-        for i, (display, digest, record, _, _) in enumerate(slots):
-            if record is None:
-                record = computed[i]
-                if isinstance(record, str):  # error text from phase one
-                    result.errors.append(record)
-                    continue
-                if cache is not None:
-                    cache.store(display, digest, record)
-            records.append(record)
+            try:
+                text = path.read_bytes().decode("utf-8")
+                module = source_from_text(
+                    text, path=display, module=module_parts_for(path)
+                )
+                findings = self.check_module(module)
+                if self._project_rules:
+                    summaries.append(module.summary)
+                    noqa_by_path[display] = module.noqa
+            except (OSError, SyntaxError, UnicodeDecodeError, ValueError) as exc:
+                result.errors.append(f"{display}: {exc}")
+                continue
             result.files_checked += 1
-            result.findings.extend(
-                Finding.from_dict(f) for f in record["findings"]
-            )
-            for line, text in record["noqa_problems"]:
-                result.warnings.append(f"{display}:{line}: {text}")
-        phase2_start = time.perf_counter()
-        if self._project_rules and records:
-            summaries = [
-                ModuleSummary.from_dict(r["summary"]) for r in records
-            ]
-            noqa_by_path = {
-                s.path: {
-                    int(line): set(rules)
-                    for line, rules in r["noqa"].items()
-                }
-                for s, r in zip(summaries, records)
-            }
+            result.findings.extend(findings)
+            for line, problem in module.noqa_problems:
+                result.warnings.append(f"{display}:{line}: {problem}")
+        if summaries:
             project = Project(
                 summaries,
                 _reference_tokens(reference_roots, analysed=paths),
             )
-            result.project = project
             result.findings.extend(self._check_project(project, noqa_by_path))
         result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        end = time.perf_counter()
-        result.stats = {
-            "files": len(slots),
-            "cache_hits": hits,
-            "cache_misses": len(pending),
-            "jobs": jobs,
-            "phase1_s": phase2_start - phase1_start,
-            "phase2_s": end - phase2_start,
-        }
         return result
-
-    def _pool_phase_one(
-        self,
-        slots: Sequence[Tuple[str, str, Optional[Dict[str, Any]], bytes, Tuple[str, ...]]],
-        pending: Sequence[int],
-        jobs: int,
-    ) -> Dict[int, Any]:
-        """Run phase one for cache misses on a process pool.
-
-        ``executor.map`` preserves input order, so the merge back into
-        ``slots`` order is deterministic regardless of which worker
-        finished first.  Falls back to serial execution when the
-        platform cannot spawn processes (restricted sandboxes).
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        items = [
-            (slots[i][0], slots[i][3], slots[i][4]) for i in pending
-        ]
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(items)),
-                initializer=_pool_init,
-                initargs=(self._select_arg, self._ignore_arg),
-            ) as pool:
-                outputs = list(pool.map(_pool_run, items, chunksize=4))
-        except (OSError, ValueError, RuntimeError):
-            outputs = []
-            for display, raw, parts in items:
-                try:
-                    outputs.append(self.phase_one_record(raw, display, parts))
-                except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
-                    outputs.append(f"{display}: {exc}")
-        return dict(zip(pending, outputs))
 
 
 def check_source(
@@ -667,26 +495,6 @@ def check_source(
         ))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-#: Per-process engine for the --jobs pool, built once by the initializer
-#: so each worker pays rule-registry setup a single time.
-_POOL_ENGINE: Optional[Engine] = None
-
-
-def _pool_init(select: Optional[List[str]], ignore: Optional[List[str]]) -> None:
-    global _POOL_ENGINE
-    _POOL_ENGINE = Engine(select=select, ignore=ignore)
-
-
-def _pool_run(item: Tuple[str, bytes, Tuple[str, ...]]) -> Any:
-    """Phase one in a worker: a record dict, or error text on failure."""
-    display, raw, parts = item
-    assert _POOL_ENGINE is not None
-    try:
-        return _POOL_ENGINE.phase_one_record(raw, display, parts)
-    except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
-        return f"{display}: {exc}"
 
 
 def _suppressed(finding: Finding, noqa: Dict[int, Set[str]]) -> bool:

@@ -1,8 +1,8 @@
 """The whole-program model: summaries stitched into a call graph.
 
-A :class:`Project` is built from :class:`ModuleSummary` objects (phase
-one output, possibly straight from the incremental cache) and provides
-the three derived facts the interprocedural rules consume:
+A :class:`Project` is built from the :class:`ModuleSummary` objects
+phase one kept and provides the three derived facts the
+interprocedural rules consume:
 
 * **call resolution** — a summary-level resolution key plus the calling
   module resolves to a concrete project function (alias-aware dotted

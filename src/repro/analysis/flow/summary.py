@@ -4,7 +4,7 @@ Interprocedural analysis never holds two ASTs at once.  Phase one
 reduces every module to a :class:`ModuleSummary` — its functions with
 parameter/return unit declarations, the calls they make (with the unit
 each argument carries), the determinism-relevant *effects* they perform
-directly, the names the module references, and its exports.  Phase two
+directly, and the names the module references.  Phase two
 (:mod:`repro.analysis.flow.project`) stitches the summaries into a call
 graph and propagates units and effects across it.
 
@@ -17,9 +17,8 @@ in, a nested def or lambda to its enclosing function.  An effect site
 under a matching noqa is kept but marked ``suppressed``, which stops
 DET004 chains through it and nothing else.
 
-Summaries are plain-data and round-trip through JSON (``to_dict`` /
-``from_dict``), which is what makes the incremental lint cache work: a
-warm run re-reads bytes to hash them but re-parses nothing.
+Summaries are plain data holding no AST nodes, so the engine keeps
+only a module's summary once its per-file rules have run.
 
 Call targets are recorded as *resolution keys*, resolved lazily by the
 project pass:
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.analysis.engine import SourceModule
 from repro.analysis.rules.base import suffix_unit
@@ -60,22 +59,6 @@ class ArgUnit:
     call_ref: Optional[str]        # resolution key when the argument is a call
     display: str                   # short source text for messages
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "position": self.position, "keyword": self.keyword,
-            "unit": self.unit, "call_ref": self.call_ref,
-            "display": self.display,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ArgUnit":
-        return cls(
-            position=data["position"], keyword=data["keyword"],
-            unit=data["unit"], call_ref=data["call_ref"],
-            display=data["display"],
-        )
-
 
 @dataclass
 class CallSite:
@@ -85,20 +68,6 @@ class CallSite:
     lineno: int
     col: int
     args: List[ArgUnit] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "ref": self.ref, "lineno": self.lineno, "col": self.col,
-            "args": [a.to_dict() for a in self.args],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallSite":
-        return cls(
-            ref=data["ref"], lineno=data["lineno"], col=data["col"],
-            args=[ArgUnit.from_dict(a) for a in data["args"]],
-        )
 
 
 @dataclass
@@ -111,22 +80,6 @@ class EffectSite:
     col: int
     suppressed: bool               # a noqa on the line stops DET004 chains
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "kind": self.kind, "dotted": self.dotted,
-            "lineno": self.lineno, "col": self.col,
-            "suppressed": self.suppressed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EffectSite":
-        return cls(
-            kind=data["kind"], dotted=data["dotted"],
-            lineno=data["lineno"], col=data["col"],
-            suppressed=data["suppressed"],
-        )
-
 
 @dataclass
 class AssignFromCall:
@@ -137,20 +90,6 @@ class AssignFromCall:
     ref: str                       # resolution key of the called function
     lineno: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "target": self.target, "unit": self.unit, "ref": self.ref,
-            "lineno": self.lineno, "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AssignFromCall":
-        return cls(
-            target=data["target"], unit=data["unit"], ref=data["ref"],
-            lineno=data["lineno"], col=data["col"],
-        )
 
 
 @dataclass
@@ -173,38 +112,6 @@ class FunctionInfo:
     is_method: bool = False
     decorated: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "qualname": self.qualname, "name": self.name,
-            "lineno": self.lineno, "col": self.col,
-            "pos_params": [list(p) for p in self.pos_params],
-            "kw_units": dict(self.kw_units),
-            "has_vararg": self.has_vararg, "has_kwarg": self.has_kwarg,
-            "name_unit": self.name_unit,
-            "return_descs": list(self.return_descs),
-            "calls": [c.to_dict() for c in self.calls],
-            "effects": [e.to_dict() for e in self.effects],
-            "is_public": self.is_public, "is_method": self.is_method,
-            "decorated": self.decorated,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qualname=data["qualname"], name=data["name"],
-            lineno=data["lineno"], col=data["col"],
-            pos_params=[(p[0], p[1]) for p in data["pos_params"]],
-            kw_units=dict(data["kw_units"]),
-            has_vararg=data["has_vararg"], has_kwarg=data["has_kwarg"],
-            name_unit=data["name_unit"],
-            return_descs=list(data["return_descs"]),
-            calls=[CallSite.from_dict(c) for c in data["calls"]],
-            effects=[EffectSite.from_dict(e) for e in data["effects"]],
-            is_public=data["is_public"], is_method=data["is_method"],
-            decorated=data["decorated"],
-        )
-
 
 @dataclass
 class ClassInfo:
@@ -217,26 +124,6 @@ class ClassInfo:
     ctor_kw_units: Dict[str, Optional[str]] = field(default_factory=dict)
     methods: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "name": self.name, "lineno": self.lineno,
-            "bases": list(self.bases),
-            "ctor_pos_params": [list(p) for p in self.ctor_pos_params],
-            "ctor_kw_units": dict(self.ctor_kw_units),
-            "methods": list(self.methods),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassInfo":
-        return cls(
-            name=data["name"], lineno=data["lineno"],
-            bases=list(data["bases"]),
-            ctor_pos_params=[(p[0], p[1]) for p in data["ctor_pos_params"]],
-            ctor_kw_units=dict(data["ctor_kw_units"]),
-            methods=list(data["methods"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -248,7 +135,6 @@ class ModuleSummary:
     classes: List[ClassInfo] = field(default_factory=list)
     assigns: List[AssignFromCall] = field(default_factory=list)
     referenced: Set[str] = field(default_factory=set)
-    exports: List[str] = field(default_factory=list)
     import_bindings: Dict[str, str] = field(default_factory=dict)
 
     def dotted(self) -> str:
@@ -260,30 +146,6 @@ class ModuleSummary:
         if len(self.module) >= 2 and self.module[0] == "repro":
             return self.module[1]
         return None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (cache record)."""
-        return {
-            "path": self.path, "module": list(self.module),
-            "functions": [f.to_dict() for f in self.functions],
-            "classes": [c.to_dict() for c in self.classes],
-            "assigns": [a.to_dict() for a in self.assigns],
-            "referenced": sorted(self.referenced),
-            "exports": list(self.exports),
-            "import_bindings": dict(self.import_bindings),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=data["path"], module=tuple(data["module"]),
-            functions=[FunctionInfo.from_dict(f) for f in data["functions"]],
-            classes=[ClassInfo.from_dict(c) for c in data["classes"]],
-            assigns=[AssignFromCall.from_dict(a) for a in data["assigns"]],
-            referenced=set(data["referenced"]),
-            exports=list(data["exports"]),
-            import_bindings=dict(data["import_bindings"]),
-        )
 
 
 def summarize(module: SourceModule) -> ModuleSummary:
@@ -357,7 +219,6 @@ class _Summarizer:
                               collect_returns=False, class_name=None)
         self.summary.functions.append(module_fn)
         self._references(tree)
-        self.summary.exports = list(self.module.exports or ())
         self.summary.import_bindings = {
             local: dotted
             for local, dotted in self.imports.aliases.items()

@@ -3,8 +3,7 @@
 Not domain-specific to time synchronization, but each one guards a bug
 class that has bitten timekeeping code in practice: float equality on
 measured offsets, mutable default arguments acting as cross-run shared
-state, public packages without an explicit ``__all__``, and imports
-that quietly stop being used.
+state, and imports that quietly stop being used.
 """
 
 from __future__ import annotations
@@ -124,53 +123,11 @@ class MutableDefaultRule(Rule):
 
 
 @register
-class MissingAllRule(Rule):
-    """Public package ``__init__`` files must declare ``__all__``."""
-
-    rule_id = "COR003"
-    summary = (
-        "every repro package __init__.py that binds public names must "
-        "declare __all__ so the public surface is explicit"
-    )
-    rationale = (
-        "Without __all__ the public surface of a package is whatever "
-        "happens to be imported, and refactors silently change the "
-        "API."
-    )
-    example = (
-        "# __init__.py\n"
-        "from .clock import Clock  # no __all__"
-    )
-    fix_hint = "Add __all__ listing every intentionally public name."
-
-    def run(self) -> List[Finding]:
-        """Whole-module check: __init__.py files under repro only."""
-        module = self.module
-        if not module.is_init or not module.module or module.module[0] != "repro":
-            return []
-        binds_names = any(
-            isinstance(stmt, (ast.Import, ast.ImportFrom,
-                              ast.FunctionDef, ast.ClassDef))
-            for stmt in module.tree.body
-        )
-        if binds_names and module.exports is None:
-            self.report(
-                module.tree.body[0] if module.tree.body else module.tree,
-                f"package '{module.dotted()}' binds public names but "
-                "declares no __all__",
-            )
-        return self.findings
-
-
-@register
 class UnusedImportRule(Rule):
-    """Flag imports that are never referenced (and not re-exported)."""
+    """Flag imports that are never referenced."""
 
     rule_id = "COR004"
-    summary = (
-        "no unused imports; in __init__.py a name counts as used when "
-        "it is listed in __all__"
-    )
+    summary = "no unused imports"
     rationale = (
         "Unused imports hide real dependencies, slow import time, and "
         "mask typos (the intended name differs from the imported "
@@ -205,7 +162,6 @@ class UnusedImportRule(Rule):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-        used.update(self.module.exports or ())
         used.update(_string_annotation_names(tree))
         for local, node in imported.items():
             if local not in used:

@@ -62,36 +62,6 @@ def test_nested_function_defaults_checked():
     assert rules_for(src) == ["COR002"]
 
 
-# -- COR003: __all__ in package __init__ --------------------------------
-
-INIT_WITHOUT_ALL = "from repro.core.protocol import Mntp\n"
-INIT_WITH_ALL = INIT_WITHOUT_ALL + "\n__all__ = ['Mntp']\n"
-
-
-def test_init_without_all_flagged():
-    findings = check_source(
-        INIT_WITHOUT_ALL, module="repro.core",
-        path="src/repro/core/__init__.py", select=["COR003"],
-    )
-    assert [f.rule for f in findings] == ["COR003"]
-
-
-def test_init_with_all_clean():
-    findings = check_source(
-        INIT_WITH_ALL, module="repro.core",
-        path="src/repro/core/__init__.py", select=["COR003"],
-    )
-    assert findings == []
-
-
-def test_non_init_module_not_required_to_declare_all():
-    findings = check_source(
-        INIT_WITHOUT_ALL, module="repro.core.protocol",
-        path="src/repro/core/protocol.py", select=["COR003"],
-    )
-    assert findings == []
-
-
 # -- COR004: unused imports ---------------------------------------------
 
 def test_unused_import_flagged():
@@ -110,7 +80,8 @@ def test_quoted_annotation_counts_as_use():
     assert rules_for(src) == []
 
 
-def test_dunder_all_reexport_counts_as_use():
+def test_dunder_all_reexport_is_not_a_use():
+    """Package inits hold no re-exports, so __all__ keeps no import alive."""
     src = (
         "from repro.core.protocol import Mntp\n\n"
         "__all__ = ['Mntp']\n"
@@ -119,7 +90,7 @@ def test_dunder_all_reexport_counts_as_use():
         src, module="repro.core", path="src/repro/core/__init__.py",
         select=["COR004"],
     )
-    assert findings == []
+    assert [f.rule for f in findings] == ["COR004"]
 
 
 def test_optional_dependency_guard_exempt():

@@ -210,7 +210,7 @@ def test_cor001_is_skipped_under_tests_but_fires_under_src(tmp_path):
 
 
 def test_each_module_fact_is_built_once_per_run(tmp_path, monkeypatch):
-    """Import map, ``__all__`` and flow summary: one build per module."""
+    """Import map and flow summary: one build per module."""
     from repro.analysis import engine
     from repro.analysis.flow import summary
     from repro.analysis.rules.base import ImportMap
@@ -225,7 +225,7 @@ def test_each_module_fact_is_built_once_per_run(tmp_path, monkeypatch):
         "from repro.simcore.clock import now\n\n\n"
         "def later_s():\n    return now() + 1.0\n"
     )
-    counts = {"imports": 0, "exports": 0, "summary": 0}
+    counts = {"imports": 0, "summary": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -237,12 +237,9 @@ def test_each_module_fact_is_built_once_per_run(tmp_path, monkeypatch):
         ImportMap, "__init__", counting("imports", ImportMap.__init__)
     )
     monkeypatch.setattr(
-        engine, "_dunder_all", counting("exports", engine._dunder_all)
-    )
-    monkeypatch.setattr(
         summary, "summarize", counting("summary", summary.summarize)
     )
     result = Engine().check_paths([tmp_path], reference_roots=[])
     assert result.errors == []
     assert result.files_checked == 3
-    assert counts == {"imports": 3, "exports": 3, "summary": 3}
+    assert counts == {"imports": 3, "summary": 3}
