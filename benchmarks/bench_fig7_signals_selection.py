@@ -1,29 +1,23 @@
 """Figure 7 — signals and selection plot.
 
-For the Figure-6 run, reproduces the wireless hints (RSSI, noise, SNR
-margin) alongside MNTP's decisions: deferrals (gate), acceptances, and
-rejections, with the failing threshold attributed to each deferral.
+For the Figure-6 run (``scenarios/mntp_wireless_corrected.json``),
+reproduces the wireless hints (RSSI, noise, SNR margin) alongside
+MNTP's decisions: deferrals (gate), acceptances, and rejections, with
+the failing threshold attributed to each deferral.
 """
 
 from collections import Counter
 
-from repro.core.config import MntpConfig
 from repro.reporting.series import render_series
 from repro.reporting.tables import render_table
-from repro.testbed.experiment import ExperimentRunner
-from repro.testbed.nodes import TestbedOptions
+from repro.testbed.specs import load_scenario
 
 SEED = 1
 
 
 def bench_fig7_signals_selection(once, report):
     def run():
-        runner = ExperimentRunner(
-            seed=SEED,
-            options=TestbedOptions(wireless=True, ntp_correction=True),
-            duration=3600.0,
-            mntp_config=MntpConfig.baseline_headtohead(),
-        )
+        runner = load_scenario("mntp_wireless_corrected").build_runner(seed=SEED)
         runner.run()
         return runner
 

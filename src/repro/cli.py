@@ -342,7 +342,7 @@ def _load_slo_spec(path: str):
     try:
         with open(path) as f:
             return SloSpec.from_json(f.read())
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load {path}: {exc}", file=sys.stderr)
         return None
 

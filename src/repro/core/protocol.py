@@ -23,7 +23,7 @@ the filter needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional
 
@@ -55,15 +55,16 @@ class MntpReport:
     """One reported (post-filter) MNTP offset.
 
     Attributes:
-        time: Virtual time of the measurement.
-        offset: Raw measured offset (server - local), seconds.
+        time: Virtual time of the measurement (archived as ``t``).
+        offset: Raw measured offset (server - local), seconds (archived
+            as ``o``).
         accepted: Whether the filter accepted it.
         phase: Phase during which it was measured.
         corrected: Whether a clock correction was applied on it.
     """
 
-    time: float
-    offset: float
+    time: float = field(metadata={"json": "t"})
+    offset: float = field(metadata={"json": "o"})
     accepted: bool
     phase: MntpPhase
     corrected: bool = False

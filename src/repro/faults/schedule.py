@@ -11,15 +11,18 @@ so the same root seed and schedule always produce the same run, byte
 for byte.
 
 Schedules serialize to a plain dict and load back losslessly through
-one strict parser (unknown keys raise), which is what lets a scenario
-spec embed the exact hostile conditions it runs under.
+the typed codec (:mod:`repro.codec`: unknown keys and wrong types
+raise with their path), which is what lets a scenario spec embed the
+exact hostile conditions it runs under.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
+
+from repro.codec import decode, encode
 
 
 class FaultKind(Enum):
@@ -85,22 +88,6 @@ SERVER_KINDS = frozenset(
 
 #: Valid ``direction`` values for network episodes.
 DIRECTIONS = ("up", "down", "both")
-
-#: Keys :meth:`FaultEpisode.to_dict` emits.
-_EPISODE_KEYS = ("kind", "start", "duration", "target", "direction", "params")
-
-#: Keys :meth:`FaultSchedule.to_dict` emits.
-_SCHEDULE_KEYS = ("name", "episodes")
-
-
-def _check_keys(data: Any, known: Sequence[str]) -> None:
-    """Raise unless ``data`` is a JSON object whose keys are all ``known``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(f"unknown keys {unknown}; known keys are {sorted(known)}")
-
 
 @dataclass(frozen=True)
 class FaultEpisode:
@@ -168,59 +155,19 @@ class FaultEpisode:
         """Numeric parameter lookup with a default."""
         return float(self.params.get(key, default))
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (stable, JSON-serializable)."""
-        return {
-            "kind": self.kind.value,
-            "start": self.start,
-            "duration": self.duration,
-            "target": self.target,
-            "direction": self.direction,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultEpisode":
-        """Rebuild an episode from :meth:`to_dict` output.
-
-        Raises:
-            ValueError: On a non-object, an unknown or missing key, or
-                an invalid field value.
-        """
-        _check_keys(data, _EPISODE_KEYS)
-        missing = [key for key in ("kind", "start", "duration") if key not in data]
-        if missing:
-            raise ValueError(f"missing keys {missing}")
-        params = data.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError("params must be a JSON object")
-        try:
-            return cls(
-                kind=FaultKind(data["kind"]),
-                start=float(data["start"]),
-                duration=float(data["duration"]),
-                target=str(data.get("target", "*")),
-                direction=str(data.get("direction", "both")),
-                params={str(k): float(v) for k, v in params.items()},
-            )
-        except TypeError as exc:
-            raise ValueError(str(exc)) from exc
-
-
+@dataclass(repr=False)
 class FaultSchedule:
     """An ordered collection of :class:`FaultEpisode` entries.
 
-    Args:
+    Attributes:
         episodes: The episodes, in any order (kept as given; consumers
             that need time order sort on ``start``).
         name: Label used in reports and telemetry.
     """
 
-    def __init__(
-        self, episodes: Sequence[FaultEpisode] = (), name: str = "schedule"
-    ) -> None:
-        self.name = name
-        self.episodes: List[FaultEpisode] = list(episodes)
+    episodes: List[FaultEpisode] = field(default_factory=list)
+    name: str = "schedule"
 
     def __iter__(self) -> Iterator[FaultEpisode]:
         """Iterate the episodes in declaration order."""
@@ -229,12 +176,6 @@ class FaultSchedule:
     def __len__(self) -> int:
         """Number of episodes."""
         return len(self.episodes)
-
-    def __eq__(self, other: object) -> bool:
-        """Schedules are equal when name and episodes match exactly."""
-        if not isinstance(other, FaultSchedule):
-            return NotImplemented
-        return self.name == other.name and self.episodes == other.episodes
 
     def __repr__(self) -> str:
         """Compact debugging form."""
@@ -259,35 +200,17 @@ class FaultSchedule:
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (stable, JSON-serializable)."""
-        return {
-            "name": self.name,
-            "episodes": [e.to_dict() for e in self.episodes],
-        }
+        return encode(self)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
+    def from_dict(cls, data: Any) -> "FaultSchedule":
         """Rebuild a schedule from :meth:`to_dict` output.
 
         Errors name the path of the bad value from the ``faults`` block
         a scenario spec embeds, e.g. ``faults.episodes[1]: unknown keys``.
 
         Raises:
-            ValueError: On a non-object schedule or episode, a non-list
-                ``episodes``, an unknown key, or an invalid episode.
+            ValueError: On a malformed schedule (see :mod:`repro.codec`)
+                or an invalid episode.
         """
-        where = "faults"
-        try:
-            _check_keys(data, _SCHEDULE_KEYS)
-            where = "faults.episodes"
-            episodes_data = data.get("episodes", [])
-            if not isinstance(episodes_data, list):
-                raise ValueError(
-                    f"must be a list, got {type(episodes_data).__name__}"
-                )
-            episodes = []
-            for index, episode in enumerate(episodes_data):
-                where = f"faults.episodes[{index}]"
-                episodes.append(FaultEpisode.from_dict(episode))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-        return cls(episodes=episodes, name=str(data.get("name", "schedule")))
+        return decode(cls, data, "faults")

@@ -33,6 +33,8 @@ from collections import deque
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.codec import decode, encode
+
 #: Format tag of the frozen verdict document.
 HEALTH_FORMAT = "mntp-health-report-v1"
 
@@ -121,16 +123,12 @@ class SloSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready field mapping (declaration order)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return encode(self)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SloSpec":
-        """Rebuild a spec; unknown keys raise ``ValueError``."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown SloSpec fields: {unknown}")
-        return cls(**data)
+    def from_dict(cls, data: Any) -> "SloSpec":
+        """Rebuild a spec; a bad key or value raises ``ValueError``."""
+        return decode(cls, data, "slo")
 
     def to_json(self) -> str:
         """Canonical JSON encoding."""
@@ -138,11 +136,8 @@ class SloSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SloSpec":
-        """Parse :meth:`to_json` output (unknown fields rejected)."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("SloSpec JSON must be an object")
-        return cls.from_dict(data)
+        """Parse :meth:`to_json` output (strict, like :meth:`from_dict`)."""
+        return decode(cls, json.loads(text), "slo")
 
 
 def _round(value: Optional[float], digits: int = 6) -> Optional[float]:

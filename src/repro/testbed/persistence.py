@@ -9,9 +9,10 @@ forward-checked on load.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Optional, Tuple
+from typing import IO, Any, Dict, List, Optional, Tuple
 
-from repro.core.protocol import MntpPhase, MntpReport
+from repro.codec import decode, encode
+from repro.core.protocol import MntpReport
 from repro.obs.explain import explain_run
 from repro.obs.health import SloSpec
 from repro.simcore.trace import TraceRecord
@@ -43,7 +44,7 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
         "fault_windows": result.fault_windows,
         "sntp": [_point(p) for p in result.sntp],
         "true_offsets": [_point(p) for p in result.true_offsets],
-        "mntp_reports": [_report(r) for r in result.mntp_reports],
+        "mntp_reports": encode(result.mntp_reports),
     }
     if result.telemetry is not None:
         out["telemetry"] = {
@@ -64,8 +65,9 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     windows were recorded loads with those fields None.
 
     Raises:
-        ValueError: On a document of another format, or one missing a
-            required key (the message names the key).
+        ValueError: On a document of another format, one missing a
+            required key (the message names the key), or a malformed
+            MNTP report (the message names its path).
     """
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
@@ -92,7 +94,9 @@ def _result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     )
     result.sntp = [_point_from(d) for d in data.get("sntp", [])]
     result.true_offsets = [_point_from(d) for d in data.get("true_offsets", [])]
-    result.mntp_reports = [_report_from(d) for d in data.get("mntp_reports", [])]
+    result.mntp_reports = decode(
+        List[MntpReport], data.get("mntp_reports", []), "mntp_reports"
+    )
     telemetry = data.get("telemetry")
     if telemetry is not None:
         telemetry = {
@@ -133,15 +137,13 @@ def load_archive(
 ) -> Tuple[ExperimentResult, Optional[SloSpec]]:
     """Read a result and its archived guarantees (None if it has none).
 
-    Malformed guarantees raise ``ValueError`` or ``TypeError``.
+    Malformed guarantees raise ``ValueError`` naming their path.
     """
     data = json.load(fileobj)
     result = result_from_dict(data)
     guarantees = data.get("guarantees")
     if guarantees is not None:
-        if not isinstance(guarantees, dict):
-            raise ValueError("guarantees must be an object")
-        guarantees = SloSpec.from_dict(guarantees)
+        guarantees = decode(SloSpec, guarantees, "guarantees")
     return result, guarantees
 
 
@@ -157,28 +159,4 @@ def _point_from(d: Dict[str, Any]) -> OffsetPoint:
         time=float(d["t"]),
         offset=float(d["o"]),
         truth=float(d["truth"]) if "truth" in d else float("nan"),
-    )
-
-
-def _report(r: MntpReport) -> Dict[str, Any]:
-    return {
-        "t": r.time,
-        "o": r.offset,
-        "accepted": r.accepted,
-        "phase": r.phase.value,
-        "corrected": r.corrected,
-        "residual": r.residual,
-        "truth": r.truth,
-    }
-
-
-def _report_from(d: Dict[str, Any]) -> MntpReport:
-    return MntpReport(
-        time=float(d["t"]),
-        offset=float(d["o"]),
-        accepted=bool(d["accepted"]),
-        phase=MntpPhase(d["phase"]),
-        corrected=bool(d.get("corrected", False)),
-        residual=d.get("residual"),
-        truth=d.get("truth"),
     )

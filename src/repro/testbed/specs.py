@@ -19,11 +19,14 @@ Guarantee rule:
   (laxer) spec; holding it downgrades the outcome to ``minimal``
   instead of a hard ``failed``.
 
-Validation mirrors ``SloSpec``: unknown keys are rejected at every
-nesting level, numeric fields carry unit suffixes (``duration_s``,
-``cadence_s``, ``initial_clock_offset_s``), and error messages name the
-offending path so a typo'd spec fails loudly instead of silently
-running the wrong experiment.
+Every block is read by the typed codec (:mod:`repro.codec`) from its
+dataclass's field types: unknown keys are rejected at every nesting
+level, ``"false"`` is not a boolean and ``"2"`` is not a number, numeric
+fields carry unit suffixes (``duration_s``, ``cadence_s``,
+``initial_clock_offset_s``), and error messages name the offending path
+(``spec.mntp.query_timeout must be a finite number, got '2'``) so a
+typo'd spec fails loudly instead of silently running the wrong
+experiment.
 
 The checked-in ``scenarios/*.json`` files are the only definition of
 a named scenario: :func:`run_scenario` loads ``scenarios/<name>.json``
@@ -35,18 +38,13 @@ these files and aggregates the verdicts.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.clock.temperature import (
-    ConstantTemperature,
-    DiurnalTemperature,
-    RampTemperature,
-    TemperatureProfile,
-)
-from repro.core.config import HintThresholds, MntpConfig
+from repro.clock.temperature import TemperatureProfile
+from repro.codec import decode, encode
+from repro.core.config import MntpConfig
 from repro.faults.schedule import FaultSchedule
 from repro.ntp.sntp_client import HardeningPolicy
 from repro.obs.health import SloSpec, judge_health
@@ -60,175 +58,6 @@ SPEC_FORMAT = "mntp-scenario-spec-v1"
 #: Judgement statuses in tier order; ``success`` and ``minimal`` keep
 #: the matrix green, everything else is a hard failure.
 JUDGEMENT_STATUSES = ("success", "minimal", "failed")
-
-
-def _reject_unknown_keys(
-    data: Dict[str, Any], known: Any, where: str
-) -> None:
-    """Raise a path-carrying error when ``data`` has unexpected keys."""
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(
-            f"{where}: unknown keys {unknown}; known keys are "
-            f"{sorted(known)}"
-        )
-
-
-def _require_mapping(value: Any, where: str) -> Dict[str, Any]:
-    """Raise unless ``value`` is a JSON object; return it typed."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be a JSON object, got "
-                         f"{type(value).__name__}")
-    return value
-
-
-def _require_bool(value: Any, where: str) -> None:
-    """Raise unless ``value`` is a JSON boolean (``"false"`` is not)."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{where} must be a boolean, got {value!r}")
-
-
-def _require_number(value: Any, where: str) -> None:
-    """Raise unless ``value`` is a finite int/float (bools excluded)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ValueError(f"{where} must be a finite number, got {value!r}")
-
-
-def _require_str(value: Any, where: str) -> None:
-    """Raise unless ``value`` is a string."""
-    if not isinstance(value, str):
-        raise ValueError(f"{where} must be a string, got {value!r}")
-
-
-# -- temperature profiles --------------------------------------------------
-
-#: Spec-file profile names mapped to (class, unit-suffixed spec keys,
-#: constructor keyword per key).  Spec keys follow the unit-suffix
-#: convention even where the constructor predates it (``celsius_c``).
-_TEMPERATURE_PROFILES: Dict[str, Tuple[type, Tuple[Tuple[str, str], ...]]] = {
-    "constant": (ConstantTemperature, (("celsius_c", "celsius"),)),
-    "diurnal": (
-        DiurnalTemperature,
-        (("mean_c", "mean_c"), ("amplitude_c", "amplitude_c"),
-         ("period_s", "period_s"), ("phase_s", "phase_s")),
-    ),
-    "ramp": (
-        RampTemperature,
-        (("start_c", "start_c"), ("end_c", "end_c"),
-         ("ramp_duration_s", "ramp_duration_s")),
-    ),
-}
-
-
-def _temperature_to_dict(profile: TemperatureProfile) -> Dict[str, Any]:
-    """Serialize a temperature profile to its spec-file form."""
-    for name, (cls, keys) in _TEMPERATURE_PROFILES.items():
-        if type(profile) is cls:
-            out: Dict[str, Any] = {"profile": name}
-            for spec_key, attr in keys:
-                out[spec_key] = getattr(profile, attr)
-            return out
-    raise ValueError(
-        f"temperature profile {type(profile).__name__} has no spec-file "
-        "form; supported profiles: "
-        f"{sorted(_TEMPERATURE_PROFILES)}"
-    )
-
-
-def _temperature_from_dict(
-    data: Dict[str, Any], where: str
-) -> TemperatureProfile:
-    """Rebuild a temperature profile; unknown profiles/keys raise."""
-    data = _require_mapping(data, where)
-    name = data.get("profile")
-    if name not in _TEMPERATURE_PROFILES:
-        raise ValueError(
-            f"{where}.profile must be one of "
-            f"{sorted(_TEMPERATURE_PROFILES)}, got {name!r}"
-        )
-    cls, keys = _TEMPERATURE_PROFILES[name]
-    _reject_unknown_keys(data, {"profile", *(k for k, _ in keys)}, where)
-    kwargs: Dict[str, float] = {}
-    for spec_key, attr in keys:
-        if spec_key in data:
-            _require_number(data[spec_key], f"{where}.{spec_key}")
-            kwargs[attr] = float(data[spec_key])
-    return cls(**kwargs)
-
-
-# -- embedded config blocks ------------------------------------------------
-
-
-def _mntp_to_dict(config: MntpConfig) -> Dict[str, Any]:
-    """Serialize an :class:`MntpConfig` field-for-field."""
-    out: Dict[str, Any] = {}
-    for f in fields(MntpConfig):
-        value = getattr(config, f.name)
-        if f.name == "thresholds":
-            out[f.name] = {tf.name: getattr(value, tf.name)
-                           for tf in fields(HintThresholds)}
-        elif f.name == "warmup_pools":
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
-    return out
-
-
-def _mntp_from_dict(data: Dict[str, Any], where: str) -> MntpConfig:
-    """Rebuild an :class:`MntpConfig`; unknown keys raise."""
-    data = _require_mapping(data, where)
-    _reject_unknown_keys(data, {f.name for f in fields(MntpConfig)}, where)
-    kwargs = dict(data)
-    if "thresholds" in kwargs:
-        thresholds = _require_mapping(kwargs["thresholds"],
-                                      f"{where}.thresholds")
-        _reject_unknown_keys(
-            thresholds, {f.name for f in fields(HintThresholds)},
-            f"{where}.thresholds",
-        )
-        for key, value in thresholds.items():
-            _require_number(value, f"{where}.thresholds.{key}")
-        kwargs["thresholds"] = HintThresholds(**thresholds)
-    if "warmup_pools" in kwargs:
-        pools = kwargs["warmup_pools"]
-        if not isinstance(pools, list) or not all(
-                isinstance(p, str) for p in pools):
-            raise ValueError(f"{where}.warmup_pools must be a list of "
-                             f"strings, got {pools!r}")
-        kwargs["warmup_pools"] = tuple(pools)
-    try:
-        return MntpConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def _hardening_to_dict(policy: HardeningPolicy) -> Dict[str, Any]:
-    """Serialize a :class:`HardeningPolicy` field-for-field."""
-    return {f.name: getattr(policy, f.name) for f in fields(HardeningPolicy)}
-
-
-def _hardening_from_dict(data: Dict[str, Any], where: str) -> HardeningPolicy:
-    """Rebuild a :class:`HardeningPolicy`; unknown keys raise."""
-    data = _require_mapping(data, where)
-    _reject_unknown_keys(
-        data, {f.name for f in fields(HardeningPolicy)}, where
-    )
-    try:
-        return HardeningPolicy(**data)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def _slo_from_dict(data: Dict[str, Any], where: str) -> SloSpec:
-    """Rebuild an embedded :class:`SloSpec`, prefixing errors with the
-    spec path so "unknown SloSpec fields" names the guarantee block it
-    came from."""
-    data = _require_mapping(data, where)
-    try:
-        return SloSpec.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
 
 
 # -- topology --------------------------------------------------------------
@@ -266,60 +95,11 @@ class TopologySpec:
     temperature: Optional[TemperatureProfile] = None
 
     def __post_init__(self) -> None:
-        """Validate field types and the structural fields."""
-        for name in ("wireless", "ntp_correction", "monitor_active",
-                     "include_falseticker"):
-            _require_bool(getattr(self, name), f"topology.{name}")
-        for name in ("initial_clock_offset_s", "wired_base_delay_s"):
-            _require_number(getattr(self, name), f"topology.{name}")
-        pool_size = self.pool_size
-        if isinstance(pool_size, bool) or not isinstance(pool_size, int):
-            raise ValueError(
-                f"topology.pool_size must be an integer, got {pool_size!r}"
-            )
+        """Validate the structural fields."""
         if self.pool_size < 1:
             raise ValueError("topology.pool_size must be >= 1")
-        if self.wired_base_delay_s <= 0:
+        if not self.wired_base_delay_s > 0:
             raise ValueError("topology.wired_base_delay_s must be positive")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready field mapping (declaration order)."""
-        out: Dict[str, Any] = {
-            "wireless": self.wireless,
-            "ntp_correction": self.ntp_correction,
-            "monitor_active": self.monitor_active,
-            "pool_size": self.pool_size,
-            "include_falseticker": self.include_falseticker,
-            "initial_clock_offset_s": self.initial_clock_offset_s,
-            "wired_base_delay_s": self.wired_base_delay_s,
-            "temperature": (
-                None if self.temperature is None
-                else _temperature_to_dict(self.temperature)
-            ),
-        }
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any],
-                  where: str = "topology") -> "TopologySpec":
-        """Rebuild a topology block; unknown keys raise."""
-        data = _require_mapping(data, where)
-        known = {
-            "wireless", "ntp_correction", "monitor_active", "pool_size",
-            "include_falseticker", "initial_clock_offset_s",
-            "wired_base_delay_s", "temperature",
-        }
-        _reject_unknown_keys(data, known, where)
-        kwargs = dict(data)
-        temperature = kwargs.pop("temperature", None)
-        if temperature is not None:
-            temperature = _temperature_from_dict(
-                temperature, f"{where}.temperature"
-            )
-        try:
-            return cls(temperature=temperature, **kwargs)
-        except TypeError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
 
 
 # -- the spec itself -------------------------------------------------------
@@ -364,100 +144,34 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         """Validate identity, timing, and tag fields."""
-        _require_str(self.name, "spec.name")
         if not self.name or any(c in self.name for c in "/\\ \t\n"):
             raise ValueError(
                 f"spec name must be a non-empty filename stem without "
                 f"separators or whitespace, got {self.name!r}"
             )
-        _require_str(self.description, "spec.description")
-        _require_bool(self.run_sntp, "spec.run_sntp")
-        for name in ("duration_s", "cadence_s"):
-            _require_number(getattr(self, name), f"spec.{name}")
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ValueError("spec.duration_s must be positive")
-        if self.cadence_s <= 0:
+        if not self.cadence_s > 0:
             raise ValueError("spec.cadence_s must be positive")
-        if not all(isinstance(tag, str) and tag for tag in self.tags):
+        if not all(self.tags):
             raise ValueError("tags must be non-empty strings")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready document (stable key set, format-tagged)."""
-        return {
-            "format": SPEC_FORMAT,
-            "name": self.name,
-            "description": self.description,
-            "duration_s": self.duration_s,
-            "cadence_s": self.cadence_s,
-            "run_sntp": self.run_sntp,
-            "topology": self.topology.to_dict(),
-            "mntp": None if self.mntp is None else _mntp_to_dict(self.mntp),
-            "hardening": (
-                None if self.hardening is None
-                else _hardening_to_dict(self.hardening)
-            ),
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "guarantees": self.guarantees.to_dict(),
-            "minimal_guarantees": (
-                None if self.minimal_guarantees is None
-                else self.minimal_guarantees.to_dict()
-            ),
-            "tags": list(self.tags),
-        }
+        return {"format": SPEC_FORMAT, **encode(self)}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec; wrong format tag or unknown keys raise."""
-        data = _require_mapping(data, "spec")
-        fmt = data.get("format")
-        if fmt != SPEC_FORMAT:
-            raise ValueError(
-                f"spec.format must be {SPEC_FORMAT!r}, got {fmt!r}"
-            )
-        known = {
-            "format", "name", "description", "duration_s", "cadence_s",
-            "run_sntp", "topology", "mntp", "hardening", "faults",
-            "guarantees", "minimal_guarantees", "tags",
-        }
-        _reject_unknown_keys(data, known, "spec")
-        kwargs: Dict[str, Any] = {
-            key: data[key]
-            for key in ("name", "description", "duration_s", "cadence_s",
-                        "run_sntp")
-            if key in data
-        }
-        if "topology" in data:
-            kwargs["topology"] = TopologySpec.from_dict(
-                data["topology"], "spec.topology"
-            )
-        if data.get("mntp") is not None:
-            kwargs["mntp"] = _mntp_from_dict(data["mntp"], "spec.mntp")
-        if data.get("hardening") is not None:
-            kwargs["hardening"] = _hardening_from_dict(
-                data["hardening"], "spec.hardening"
-            )
-        if data.get("faults") is not None:
-            try:
-                kwargs["faults"] = FaultSchedule.from_dict(data["faults"])
-            except ValueError as exc:
-                raise ValueError(f"spec.{exc}") from exc
-        if "guarantees" in data:
-            kwargs["guarantees"] = _slo_from_dict(
-                data["guarantees"], "spec.guarantees"
-            )
-        if data.get("minimal_guarantees") is not None:
-            kwargs["minimal_guarantees"] = _slo_from_dict(
-                data["minimal_guarantees"], "spec.minimal_guarantees"
-            )
-        if "tags" in data:
-            tags = data["tags"]
-            if not isinstance(tags, list):
-                raise ValueError("spec.tags must be a list of strings")
-            kwargs["tags"] = tuple(str(tag) for tag in tags)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ValueError(f"spec: {exc}") from exc
+    def from_dict(cls, data: Any) -> "ScenarioSpec":
+        """Rebuild a spec; a wrong format tag, an unknown or missing key
+        or a wrong type raises ``ValueError`` naming its path."""
+        if isinstance(data, dict):
+            data = dict(data)
+            fmt = data.pop("format", None)
+            if fmt != SPEC_FORMAT:
+                raise ValueError(
+                    f"spec.format must be {SPEC_FORMAT!r}, got {fmt!r}"
+                )
+        return decode(cls, data, "spec")
 
     def to_json(self) -> str:
         """Canonical JSON encoding (sorted keys, trailing newline)."""

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, IO, Iterator, List, Optional
 
+from repro.codec import decode, encode
 from repro.wireless.hints import WirelessHints
 
 
@@ -21,7 +22,8 @@ class TraceEntry:
 
     Attributes:
         time: Seconds since trace start.
-        rssi_dbm / noise_dbm: Wireless hints at request time.
+        rssi_dbm / noise_dbm: Wireless hints at request time (stored
+            under the keys ``rssi`` / ``noise``).
         offsets: Per-source measured offset (seconds) or None if the
             query failed/timed out.
         true_offset: Ground-truth clock offset if the logger ran inside
@@ -29,8 +31,8 @@ class TraceEntry:
     """
 
     time: float
-    rssi_dbm: float
-    noise_dbm: float
+    rssi_dbm: float = field(metadata={"json": "rssi"})
+    noise_dbm: float = field(metadata={"json": "noise"})
     offsets: Dict[str, Optional[float]] = field(default_factory=dict)
     true_offset: Optional[float] = None
 
@@ -41,28 +43,12 @@ class TraceEntry:
 
     def to_json(self) -> str:
         """One-line JSON encoding."""
-        return json.dumps(
-            {
-                "time": self.time,
-                "rssi": self.rssi_dbm,
-                "noise": self.noise_dbm,
-                "offsets": self.offsets,
-                "true_offset": self.true_offset,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(encode(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEntry":
-        """Parse one JSONL line."""
-        data = json.loads(line)
-        return cls(
-            time=float(data["time"]),
-            rssi_dbm=float(data["rssi"]),
-            noise_dbm=float(data["noise"]),
-            offsets={k: v for k, v in data.get("offsets", {}).items()},
-            true_offset=data.get("true_offset"),
-        )
+        """Parse one JSONL line; a malformed line raises ``ValueError``."""
+        return decode(cls, json.loads(line), "trace entry")
 
 
 class OffsetTrace:

@@ -102,9 +102,9 @@ def test_json_round_trip_is_lossless_and_stable():
     ({"episodes": [{"kind": "blackout", "duration": 1}]},
      r"^faults.episodes\[0\]: missing keys \['start'\]"),
     ({"episodes": [{"kind": "blackout", "start": None, "duration": 1}]},
-     r"^faults.episodes\[0\]: "),
+     r"^faults.episodes\[0\].start must be a finite number, got None"),
     ({"episodes": [{"kind": "blackout", "start": 0, "duration": 1, "params": [1]}]},
-     r"^faults.episodes\[0\]: params must be a JSON object"),
+     r"^faults.episodes\[0\].params: must be a JSON object, got list"),
 ])
 def test_from_dict_is_strict_and_names_the_path(data, message):
     with pytest.raises(ValueError, match=message):

@@ -54,11 +54,9 @@ def test_pcap_reader_never_crashes_unexpectedly(data):
 
 @given(st.text(max_size=200))
 def test_trace_entry_rejects_bad_json(text):
-    import json
-
     try:
         TraceEntry.from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+    except ValueError:  # json.JSONDecodeError included
         pass
 
 

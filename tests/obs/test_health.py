@@ -34,14 +34,14 @@ def test_spec_json_round_trip():
 
 
 def test_spec_unknown_fields_rejected():
-    with pytest.raises(ValueError, match="unknown SloSpec fields"):
+    with pytest.raises(ValueError, match=r"slo: unknown keys \['p99_err_ms'\]"):
         SloSpec.from_dict({"window_s": 60.0, "p99_err_ms": 5.0})
-    with pytest.raises(ValueError, match="unknown SloSpec fields"):
+    with pytest.raises(ValueError, match=r"slo: unknown keys \['drop_warn'\]"):
         SloSpec.from_json('{"drop_warn": 0.1}')
 
 
 def test_spec_json_must_be_object():
-    with pytest.raises(ValueError, match="must be an object"):
+    with pytest.raises(ValueError, match="slo: must be a JSON object, got list"):
         SloSpec.from_json("[1, 2]")
 
 

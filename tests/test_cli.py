@@ -470,7 +470,7 @@ def test_health_argument_validation(tmp_path, capsys):
     bad_spec.write_text('{"p99_err_ms": 1}')
     assert main(["health", str(tmp_path / "missing.json"),
                  "--slo", str(bad_spec)]) == 2
-    assert "unknown SloSpec fields" in capsys.readouterr().err
+    assert "slo: unknown keys ['p99_err_ms']" in capsys.readouterr().err
 
 
 def test_run_watch_prints_health_lines(capsys):

@@ -36,7 +36,14 @@ MODEL_CODE = (
     "repro.ntp",
 )
 
+#: Every ``repro`` subpackage and module but the codec.
+NOT_THE_CODEC = tuple(sorted(
+    f"repro.{path.stem}" for path in (SRC / "repro").iterdir()
+    if not path.stem.startswith("_") and path.stem != "codec"
+))
+
 CASES = {
+    "codec": (("repro.codec",), NOT_THE_CODEC),
     "scenario": (
         ("repro.testbed.specs", "repro.testbed.experiment"),
         NOT_IN_A_SCENARIO_RUN,

@@ -162,6 +162,16 @@ def test_mistyped_spec_values_cost_their_file_not_the_matrix(tmp_path):
     bad_pools["name"] = "pools"
     bad_pools["mntp"] = {"warmup_pools": 5}
     (tmp_path / "pools.json").write_text(json.dumps(bad_pools))
+    # A string timeout used to pass discovery and crash mid-run, and a
+    # string "false" used to run with failover on.
+    bad_timeout = good.to_dict()
+    bad_timeout["name"] = "timeout"
+    bad_timeout["mntp"] = {"query_timeout": "2"}
+    (tmp_path / "timeout.json").write_text(json.dumps(bad_timeout))
+    bad_failover = good.to_dict()
+    bad_failover["name"] = "failover"
+    bad_failover["hardening"] = {"failover": "false"}
+    (tmp_path / "failover.json").write_text(json.dumps(bad_failover))
     save_spec(good, str(tmp_path / "good_a.json"))
     report = run_matrix(
         str(tmp_path), MatrixOptions(seed=1, timeout_s=5.0),
@@ -172,8 +182,16 @@ def test_mistyped_spec_values_cost_their_file_not_the_matrix(tmp_path):
     assert "spec.topology.temperature.mean_c" in entries["cold"]["error"]
     assert entries["pools"]["status"] == "invalid"
     assert "spec.mntp.warmup_pools" in entries["pools"]["error"]
+    assert entries["timeout"]["status"] == "invalid"
+    assert ("spec.mntp.query_timeout must be a finite number, got '2'"
+            in entries["timeout"]["error"])
+    assert entries["failover"]["status"] == "invalid"
+    assert ("spec.hardening.failover must be a boolean, got 'false'"
+            in entries["failover"]["error"])
     assert entries["good_a"]["status"] == "success"
-    assert report["verdict"]["hard_failed"] == ["cold", "pools"]
+    assert report["verdict"]["hard_failed"] == [
+        "cold", "failover", "pools", "timeout",
+    ]
 
 
 def test_duplicate_spec_names_flag_the_second_file(tmp_path):

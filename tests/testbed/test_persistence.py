@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.config import MntpConfig
 from repro.testbed.experiment import ExperimentRunner, OffsetPoint
 from repro.testbed.nodes import TestbedOptions
 from repro.testbed.persistence import (
+    load_archive,
     load_result,
     result_from_dict,
     result_to_dict,
@@ -105,6 +107,56 @@ def test_loaded_archive_saves_to_the_same_bytes(result):
     second = io.StringIO()
     save_result(load_result(io.StringIO(first.getvalue())), second)
     assert second.getvalue() == first.getvalue()
+
+
+def _archive_with_report(**overrides):
+    from repro.testbed.experiment import ExperimentResult
+
+    data = result_to_dict(ExperimentResult(duration=1.0))
+    report = {"t": 5.0, "o": 0.01, "accepted": True, "phase": "warmup",
+              "corrected": False, "residual": None, "truth": None}
+    report.update(overrides)
+    data["mntp_reports"] = [report]
+    return data
+
+
+def test_archived_report_round_trips():
+    loaded = result_from_dict(_archive_with_report(residual=0.002))
+    (report,) = loaded.mntp_reports
+    assert (report.time, report.offset, report.residual) == (5.0, 0.01, 0.002)
+    assert report.accepted is True
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"accepted": "false"},
+     "mntp_reports[0].accepted must be a boolean, got 'false'"),
+    ({"residual": "big"},
+     "mntp_reports[0].residual must be a finite number, got 'big'"),
+    ({"phase": "idle"}, "mntp_reports[0].phase must be one of"),
+    ({"rssi": -50.0}, "mntp_reports[0]: unknown keys ['rssi']"),
+], ids=["accepted", "residual", "phase", "unknown_key"])
+def test_malformed_archived_report_names_its_path(overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        result_from_dict(_archive_with_report(**overrides))
+
+
+def test_non_object_archived_report_names_its_path():
+    data = _archive_with_report()
+    data["mntp_reports"] = [5]
+    with pytest.raises(ValueError, match=re.escape(
+            "mntp_reports[0]: must be a JSON object, got int")):
+        result_from_dict(data)
+
+
+@pytest.mark.parametrize("guarantees,message", [
+    ([1], "guarantees: must be a JSON object, got list"),
+    ({"window_s": "300"}, "guarantees.window_s must be a finite number"),
+], ids=["non_object", "string_window"])
+def test_malformed_archived_guarantees_name_their_path(guarantees, message):
+    data = _archive_with_report()
+    data["guarantees"] = guarantees
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_archive(io.StringIO(json.dumps(data)))
 
 
 def test_result_without_telemetry_loads_as_none():

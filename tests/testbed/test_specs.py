@@ -1,6 +1,7 @@
 """ScenarioSpec: round-trip, strict validation, shipped files, judging."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -182,8 +183,51 @@ def test_mntp_thresholds_must_be_finite_numbers(value):
 def test_mntp_warmup_pools_must_be_a_list_of_strings(value):
     data = load_scenario("chaos_smoke").to_dict()
     data["mntp"]["warmup_pools"] = value
-    with pytest.raises(ValueError,
-                       match="spec.mntp.warmup_pools must be a list of strings"):
+    with pytest.raises(ValueError, match=r"spec\.mntp\.warmup_pools"
+                       r"(: must be a list, got|\[1\] must be a string)"):
+        ScenarioSpec.from_dict(data)
+
+
+#: Mistyped values older loaders accepted, some coerced into a different
+#: run: (path of the block, key, value, message naming the path).
+MISTYPED = [
+    (("hardening",), "failover", "false",
+     "spec.hardening.failover must be a boolean, got 'false'"),
+    (("mntp",), "enable_filter", "no",
+     "spec.mntp.enable_filter must be a boolean, got 'no'"),
+    (("mntp",), "query_timeout", "2",
+     "spec.mntp.query_timeout must be a finite number, got '2'"),
+    (("mntp",), "enable_hint_gate", 0,
+     "spec.mntp.enable_hint_gate must be a boolean, got 0"),
+    (("mntp",), "min_warmup_samples", 10.5,
+     "spec.mntp.min_warmup_samples must be an integer, got 10.5"),
+    (("mntp",), "regular_source", 5,
+     "spec.mntp.regular_source must be a string, got 5"),
+    (("mntp",), "hint_poll_interval", True,
+     "spec.mntp.hint_poll_interval must be a finite number, got True"),
+    (("faults", "episodes", 0), "start", "600",
+     "spec.faults.episodes[0].start must be a finite number, got '600'"),
+    (("faults", "episodes", 0), "start", True,
+     "spec.faults.episodes[0].start must be a finite number, got True"),
+    (("faults", "episodes", 0), "target", 5,
+     "spec.faults.episodes[0].target must be a string, got 5"),
+    (("faults",), "name", 7, "spec.faults.name must be a string, got 7"),
+    ((), "tags", [1], "spec.tags[0] must be a string, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "block,key,value,message", MISTYPED,
+    ids=[".".join(map(str, (*b, k))) + f"={v!r}" for b, k, v, _m in MISTYPED],
+)
+def test_mistyped_values_are_rejected_with_their_path(block, key, value,
+                                                      message):
+    data = load_scenario("chaos_smoke").to_dict()
+    target = data
+    for step in block:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
         ScenarioSpec.from_dict(data)
 
 

@@ -1,6 +1,8 @@
 """Tuner trace format and serialisation."""
 
 import io
+import json
+import re
 
 import pytest
 
@@ -60,6 +62,26 @@ def test_save_load_roundtrip():
     assert len(loaded) == 10
     assert loaded.cadence == 5.0
     assert loaded.entries[3].offsets == trace.entries[3].offsets
+
+
+def test_entry_json_keys():
+    data = json.loads(_entry(1.0, truth=0.5).to_json())
+    assert data == {"time": 1.0, "rssi": -50.0, "noise": -92.0,
+                    "offsets": {"0.pool.ntp.org": 0.001}, "true_offset": 0.5}
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"time": 0.0, "noise": -92.0}',
+     "trace entry: missing keys ['rssi']"),
+    ('{"time": 0.0, "rssi": true, "noise": -92.0}',
+     "trace entry.rssi must be a finite number, got True"),
+    ('{"time": 0.0, "rssi": -50.0, "noise": -92.0, "offsets": {"a": "x"}}',
+     "trace entry.offsets['a'] must be a finite number, got 'x'"),
+    ("[1]", "trace entry: must be a JSON object, got list"),
+], ids=["no_rssi", "bool_rssi", "string_offset", "non_object"])
+def test_malformed_entry_raises_value_error_naming_its_path(line, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TraceEntry.from_json(line)
 
 
 def test_load_rejects_foreign_file():
