@@ -29,6 +29,7 @@ def _run_variant(overrides):
         duration=3600.0,
         run_sntp=False,
         mntp_config=config,
+        instrument=False,
     )
     return runner.run()
 

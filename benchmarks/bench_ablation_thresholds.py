@@ -32,6 +32,7 @@ def _run(thresholds):
         duration=3600.0,
         run_sntp=False,
         mntp_config=config,
+        instrument=False,
     )
     result = runner.run()
     deferrals = runner.mntp.deferral_count

@@ -40,6 +40,7 @@ def _truth_series(ntp_correction: bool, mntp: bool):
             )
             if mntp else None
         ),
+        instrument=False,
     )
     result = runner.run()
     return [p.offset for p in result.true_offsets]

@@ -19,7 +19,7 @@ SEED = 1
 
 def bench_ext_insitu_day(once, report):
     def run():
-        return run_scenario("mntp_insitu_24h", seed=SEED)
+        return run_scenario("mntp_insitu_24h", seed=SEED, instrument=False)
 
     result = once(run)
     truth = np.array([p.offset for p in result.true_offsets])

@@ -15,8 +15,8 @@ SEED = 1
 
 def bench_fig10_cross_medium_uncorrected(once, report):
     def run():
-        wired = run_scenario("wired_uncorrected", seed=SEED)
-        mntp = run_scenario("mntp_wireless_uncorrected", seed=SEED)
+        wired = run_scenario("wired_uncorrected", seed=SEED, instrument=False)
+        mntp = run_scenario("mntp_wireless_uncorrected", seed=SEED, instrument=False)
         return wired, mntp
 
     wired, mntp_run = once(run)

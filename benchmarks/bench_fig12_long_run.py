@@ -14,7 +14,7 @@ SEED = 1
 
 def bench_fig12_long_run(once, report):
     def run():
-        return run_scenario("mntp_longrun", seed=SEED)
+        return run_scenario("mntp_longrun", seed=SEED, instrument=False)
 
     result = once(run)
     sntp = result.sntp_stats()

@@ -22,7 +22,7 @@ CONDITIONS = (
 
 def bench_fig4_sntp_wired_wireless(once, report):
     def run():
-        return {name: run_scenario(name, seed=SEED) for name, _ in CONDITIONS}
+        return {name: run_scenario(name, seed=SEED, instrument=False) for name, _ in CONDITIONS}
 
     results = once(run)
 

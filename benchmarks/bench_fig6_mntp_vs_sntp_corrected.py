@@ -16,7 +16,7 @@ SEED = 1
 
 def bench_fig6_mntp_vs_sntp_corrected(once, report):
     def run():
-        return run_scenario("mntp_wireless_corrected", seed=SEED)
+        return run_scenario("mntp_wireless_corrected", seed=SEED, instrument=False)
 
     result = once(run)
     sntp = result.sntp_error_stats()

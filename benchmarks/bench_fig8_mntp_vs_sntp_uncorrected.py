@@ -15,7 +15,7 @@ SEED = 2
 
 def bench_fig8_mntp_vs_sntp_uncorrected(once, report):
     def run():
-        return run_scenario("mntp_wireless_uncorrected", seed=SEED)
+        return run_scenario("mntp_wireless_uncorrected", seed=SEED, instrument=False)
 
     result = once(run)
     sntp = result.sntp_error_stats()

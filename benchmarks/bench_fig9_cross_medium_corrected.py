@@ -14,8 +14,8 @@ SEED = 1
 
 def bench_fig9_cross_medium_corrected(once, report):
     def run():
-        wired = run_scenario("wired_corrected", seed=SEED)
-        mntp = run_scenario("mntp_wireless_corrected", seed=SEED)
+        wired = run_scenario("wired_corrected", seed=SEED, instrument=False)
+        mntp = run_scenario("mntp_wireless_corrected", seed=SEED, instrument=False)
         return wired, mntp
 
     wired, mntp_run = once(run)

@@ -374,7 +374,7 @@ def _load_archive(path: str):
     try:
         with open(path) as f:
             return load_archive(f)
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load {path}: {exc}", file=sys.stderr)
         return None
 

@@ -11,7 +11,9 @@ wherever it is read:
 * ``int`` takes only integers (not a boolean, not ``10.5``);
 * ``float`` takes only finite numbers; an integer becomes a float;
 * ``str``, ``Optional[X]``, ``List[X]``, ``Tuple[X, ...]``,
+  ``Tuple[X, Y]`` (exactly that many items),
   ``Dict[str, X]``, nested dataclasses and enums (by value);
+* ``Any`` takes any JSON value as is;
 * ``field(metadata={"json": "t"})`` stores a field under another key;
 * a base class in :data:`TAGGED_UNIONS` decodes to the variant its tag
   names, and a variant encodes with its tag.
@@ -132,6 +134,8 @@ def decode(tp: Any, data: Any, where: str) -> Any:
             non-finite number, an unknown enum value or union tag, or a
             value ``__post_init__`` rejects.
     """
+    if tp is Any:
+        return data
     origin = typing.get_origin(tp)
     if origin is typing.Union:  # Optional[X]
         if data is None:
@@ -143,14 +147,25 @@ def decode(tp: Any, data: Any, where: str) -> Any:
             raise ValueError(
                 f"{where}: must be a list, got {type(data).__name__}"
             )
-        item_tp = typing.get_args(tp)[0]
+        args = typing.get_args(tp)
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(data) != len(args):
+                raise ValueError(
+                    f"{where}: must have {len(args)} items, got {len(data)}"
+                )
+            item_tps = args
+        else:
+            item_tps = (args[0],) * len(data)
         items = [decode(item_tp, item, f"{where}[{index}]")
-                 for index, item in enumerate(data)]
+                 for index, (item_tp, item) in enumerate(zip(item_tps, data))]
         return items if origin is list else tuple(items)
     if origin is dict:
         value_tp = typing.get_args(tp)[1]
+        mapping = _mapping(data, where)
+        if value_tp is Any:
+            return dict(mapping)
         return {key: decode(value_tp, value, f"{where}[{key!r}]")
-                for key, value in _mapping(data, where).items()}
+                for key, value in mapping.items()}
     if tp in TAGGED_UNIONS:
         tag, variants = TAGGED_UNIONS[tp]
         body = dict(_mapping(data, where))

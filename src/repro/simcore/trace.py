@@ -9,7 +9,9 @@ A :class:`TraceRecord` is the only in-memory form of a record: live
 logs, telemetry snapshots and loaded archives all hold them.  The dict
 form ``{"t", "component", "kind", "data"}`` exists only at the JSON
 boundary, through :meth:`TraceRecord.to_dict` and
-:meth:`TraceRecord.from_dict`.
+:meth:`TraceRecord.from_dict`.  A finished span
+(:class:`repro.obs.spans.Span`) is its own record: a subclass that
+keeps its payload as a tuple and builds its ``data`` dict on first read.
 """
 
 from __future__ import annotations

@@ -28,14 +28,15 @@ class OffsetPoint:
     """One time-stamped offset observation (seconds).
 
     Attributes:
-        time: Virtual time of the observation.
-        offset: Reported offset (server - local).
+        time: Virtual time of the observation (archived as ``t``).
+        offset: Reported offset (server - local; archived as ``o``).
         truth: Ground-truth clock offset (local - true) at the same
-            instant, when the runner captured it; NaN otherwise.
+            instant, when the runner captured it; NaN otherwise, and
+            then left out of the archive.
     """
 
-    time: float
-    offset: float
+    time: float = field(metadata={"json": "t"})
+    offset: float = field(metadata={"json": "o"})
     truth: float = float("nan")
 
     @property

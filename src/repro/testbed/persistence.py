@@ -66,8 +66,9 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
 
     Raises:
         ValueError: On a document of another format, one missing a
-            required key (the message names the key), or a malformed
-            MNTP report (the message names its path).
+            required key (the message names the key), or a field of the
+            wrong type (the message names its JSON path, e.g.
+            ``sntp[3].o must be a finite number, got None``).
     """
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
@@ -78,33 +79,34 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
 
 
 def _result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
-    failure_times = data.get("sntp_failure_times")
-    windows = data.get("fault_windows")
     result = ExperimentResult(
-        duration=float(data["duration"]),
-        sntp_failures=int(data.get("sntp_failures", 0)),
-        sntp_failure_times=(
-            None if failure_times is None
-            else [float(t) for t in failure_times]
+        duration=decode(float, data["duration"], "duration"),
+        sntp_failures=decode(int, data.get("sntp_failures", 0), "sntp_failures"),
+        sntp_failure_times=decode(
+            Optional[List[float]], data.get("sntp_failure_times"),
+            "sntp_failure_times",
         ),
-        fault_windows=(
-            None if windows is None
-            else [(float(start), float(end)) for start, end in windows]
+        fault_windows=decode(
+            Optional[List[Tuple[float, float]]], data.get("fault_windows"),
+            "fault_windows",
+        ),
+        sntp=decode(List[OffsetPoint], data.get("sntp", []), "sntp"),
+        true_offsets=decode(
+            List[OffsetPoint], data.get("true_offsets", []), "true_offsets"
+        ),
+        mntp_reports=decode(
+            List[MntpReport], data.get("mntp_reports", []), "mntp_reports"
         ),
     )
-    result.sntp = [_point_from(d) for d in data.get("sntp", [])]
-    result.true_offsets = [_point_from(d) for d in data.get("true_offsets", [])]
-    result.mntp_reports = decode(
-        List[MntpReport], data.get("mntp_reports", []), "mntp_reports"
+    telemetry = decode(
+        Optional[Dict[str, Any]], data.get("telemetry"), "telemetry"
     )
-    telemetry = data.get("telemetry")
     if telemetry is not None:
-        telemetry = {
-            **telemetry,
-            "records": [
-                TraceRecord.from_dict(r) for r in telemetry.get("records", [])
-            ],
-        }
+        records = decode(
+            List[Dict[str, Any]], telemetry.get("records", []),
+            "telemetry.records",
+        )
+        telemetry["records"] = [TraceRecord.from_dict(r) for r in records]
     result.telemetry = telemetry
     result.explain = data.get("explain")
     return result
@@ -152,11 +154,3 @@ def _point(p: OffsetPoint) -> Dict[str, Any]:
     if p.truth == p.truth:  # not NaN
         out["truth"] = p.truth
     return out
-
-
-def _point_from(d: Dict[str, Any]) -> OffsetPoint:
-    return OffsetPoint(
-        time=float(d["t"]),
-        offset=float(d["o"]),
-        truth=float(d["truth"]) if "truth" in d else float("nan"),
-    )

@@ -202,12 +202,14 @@ class ScenarioSpec:
             mntp_hardening=self.hardening,
         )
 
-    def build_runner(self, seed: int = 0) -> ExperimentRunner:
+    def build_runner(self, seed: int = 0, instrument: bool = True) -> ExperimentRunner:
         """An :class:`ExperimentRunner` for this spec.
 
         The runner never judges the run: :func:`judge_result` (or
         :func:`~repro.obs.health.judge_health`) judges its result
-        afterwards.
+        afterwards.  ``instrument=False`` records no telemetry (the
+        result's ``telemetry`` is then empty); the simulated numbers
+        are the same either way.
         """
         return ExperimentRunner(
             seed=seed,
@@ -216,6 +218,7 @@ class ScenarioSpec:
             sntp_cadence=self.cadence_s,
             run_sntp=self.run_sntp,
             mntp_config=self.mntp,
+            instrument=instrument,
         )
 
 
@@ -274,15 +277,17 @@ def load_scenario(name: str) -> ScenarioSpec:
     return load_spec(os.path.join(SCENARIO_DIR, f"{name}.json"))
 
 
-def run_scenario(name: str, seed: int = 0) -> ExperimentResult:
+def run_scenario(name: str, seed: int = 0, instrument: bool = True) -> ExperimentResult:
     """Run the named scenario ``scenarios/<name>.json``.
 
     Args:
         name: One of :func:`scenario_names`; anything else raises
             :class:`KeyError` (see :func:`load_scenario`).
         seed: Root seed for the run.
+        instrument: ``False`` runs without telemetry, for callers that
+            read no trace record (see :meth:`ScenarioSpec.build_runner`).
     """
-    return load_scenario(name).build_runner(seed=seed).run()
+    return load_scenario(name).build_runner(seed=seed, instrument=instrument).run()
 
 
 # -- execution + judging ---------------------------------------------------

@@ -99,14 +99,19 @@ class OffsetTrace:
 
     @classmethod
     def load(cls, fileobj: IO[str]) -> "OffsetTrace":
-        """Read a JSONL trace."""
+        """Read a JSONL trace; a malformed line raises ``ValueError``."""
         header_line = fileobj.readline()
         if not header_line:
             return cls()
         header = json.loads(header_line)
+        if not isinstance(header, dict):
+            raise ValueError(
+                f"trace header: must be a JSON object, got {type(header).__name__}"
+            )
         if header.get("format") != "mntp-trace-v1":
             raise ValueError("not an MNTP trace file")
-        trace = cls(cadence=float(header.get("cadence", 5.0)))
+        trace = cls(cadence=decode(float, header.get("cadence", 5.0),
+                                   "trace header.cadence"))
         for line in fileobj:
             line = line.strip()
             if line:

@@ -1,5 +1,7 @@
 """Span tracing over the shared TraceLog."""
 
+import pytest
+
 from repro.obs.spans import SPAN_COMPONENT, SpanTracer
 from repro.simcore.trace import TraceLog, TraceRecord
 
@@ -39,10 +41,13 @@ def test_begin_end_emits_one_record():
 
 def test_end_is_idempotent():
     clock, trace, tracer = make_tracer()
-    span = tracer.begin("x")
-    assert span.end() is not None
-    assert span.end() is None
+    span = tracer.begin("x", a=1)
+    clock.t = 1.0
+    assert span.end(b=2) is not None
+    clock.t = 5.0
+    assert span.end(b=3) is None
     assert len(trace) == 1
+    assert span.data == {"t0": 0.0, "t1": 1.0, "dur": 1.0, "a": 1, "b": 2}
 
 
 def test_unfinished_span_emits_nothing():
@@ -70,12 +75,15 @@ def test_explicit_times_and_negative_duration_clamped():
 
 def test_end_all_closes_stragglers():
     clock, trace, tracer = make_tracer()
-    tracer.begin("a")  # repro: noqa[RES001] left open on purpose; end_all() is under test
+    tracer.begin("a", k=1)  # repro: noqa[RES001] left open on purpose; end_all() is under test
     tracer.begin("b")  # repro: noqa[RES001] left open on purpose; end_all() is under test
     clock.t = 1.0
     assert tracer.end_all() == 2
     assert tracer.open_count == 0
-    assert len(trace) == 2
+    assert [(r.kind, r.data) for r in trace] == [
+        ("a", {"t0": 0.0, "t1": 1.0, "dur": 1.0, "k": 1}),
+        ("b", {"t0": 0.0, "t1": 1.0, "dur": 1.0}),
+    ]
 
 
 def test_span_records_invisible_to_component_queries():
@@ -84,3 +92,58 @@ def test_span_records_invisible_to_component_queries():
     tracer.begin("sim.run").end()
     assert len(trace.select(component="mntp")) == 1
     assert len(trace.select(component=SPAN_COMPONENT)) == 1
+
+
+def test_finished_span_is_its_own_record():
+    clock, trace, tracer = make_tracer()
+    span = tracer.begin("x")
+    record = span.end()
+    assert record is span
+    assert isinstance(span, TraceRecord)
+    assert list(trace) == [span]
+    assert span.to_dict() == {"t": 0.0, "component": SPAN_COMPONENT, "kind": "x",
+                              "data": {"t0": 0.0, "t1": 0.0, "dur": 0.0}}
+
+
+def test_payload_key_order_and_repeated_end_key():
+    clock, trace, tracer = make_tracer()
+    span = tracer.begin("sntp.exchange", trace_id="c/1", client="c", server="pool")
+    clock.t = 0.25
+    span.end(outcome="ok", server="pool#2", offset=0.001)
+    assert list(span.data.items()) == [
+        ("t0", 0.0), ("t1", 0.25), ("dur", 0.25),
+        ("trace_id", "c/1"), ("client", "c"), ("server", "pool#2"),
+        ("outcome", "ok"), ("offset", 0.001),
+    ]
+
+
+def test_payload_is_built_once_and_writes_persist():
+    clock, trace, tracer = make_tracer()
+    span = tracer.begin("x", a=1)
+    span.end()
+    data = span.data
+    assert span.data is data
+    data["a"] = 2
+    span.data["b"] = 3
+    assert trace.select(kind="x")[0].data == {"t0": 0.0, "t1": 0.0, "dur": 0.0,
+                                              "a": 2, "b": 3}
+
+
+def test_spans_with_the_same_attribute_names_share_one_key_tuple():
+    clock, trace, tracer = make_tracer()
+    first = tracer.begin("x", a=1, b=2)
+    second = tracer.begin("x", a=3)
+    first.end()
+    second.end(b=4)
+    assert first._keys is second._keys
+    assert first.data == {"t0": 0.0, "t1": 0.0, "dur": 0.0, "a": 1, "b": 2}
+    assert second.data == {"t0": 0.0, "t1": 0.0, "dur": 0.0, "a": 3, "b": 4}
+
+
+def test_open_span_has_no_payload():
+    clock, trace, tracer = make_tracer()
+    span = tracer.begin("x")  # repro: noqa[RES001] the open state is under test
+    with pytest.raises(ValueError, match="still open"):
+        _ = span.data
+    assert "open" in repr(span)
+

@@ -24,7 +24,9 @@ from repro.core.config import MntpConfig
 from repro.core.filter import OffsetFilter
 from repro.core.trend import TrendLine
 from repro.ntp.packet import NtpPacket
+from repro.obs.spans import Span, SpanTracer
 from repro.simcore.simulator import Simulator
+from repro.simcore.trace import TraceLog
 from repro.tuner.emulator import MntpEmulator
 from repro.tuner.logger import TraceLogger
 from repro.tuner.searcher import ParameterSearcher, SearchSpace
@@ -96,6 +98,8 @@ def test_packet_encode_is_a_plain_method_in_dict():
     (TraceLogger, "run"),
     (OffsetFilter, "offer"),
     (TrendLine, "_fit"),
+    (SpanTracer, "begin"),
+    (Span, "end"),
 ])
 def test_ledger_wrapped_model_methods_are_plain_functions_in_dict(cls, name):
     assert inspect.isfunction(cls.__dict__[name])
@@ -121,6 +125,35 @@ def test_effects_sample_reads_hints_once_per_packet(monkeypatch):
         now[0] = i * 0.4
         effects.sample()
     assert reads == [channel] * 50
+
+
+def test_one_span_is_one_begin_call_and_one_appended_record(monkeypatch):
+    """``obs.spans`` counts wrapped ``begin`` calls and the ``obs`` row
+    meters ``end``: one span must be one ``begin`` call, and its ``end``
+    must append exactly one record (and ``end_all`` go through ``end``)."""
+    begins, ends = [], []
+    begin, end = SpanTracer.begin, Span.end
+
+    def counted_begin(self, name, t=None, **attrs):
+        begins.append(name)
+        return begin(self, name, t, **attrs)
+
+    def counted_end(self, t=None, **attrs):
+        ends.append(self.kind)
+        return end(self, t, **attrs)
+
+    monkeypatch.setattr(SpanTracer, "begin", counted_begin)
+    monkeypatch.setattr(Span, "end", counted_end)
+    trace = TraceLog()
+    tracer = SpanTracer(trace, lambda: 0.0)
+    tracer.begin("a", k=1).end(k=2)
+    assert begins == ["a"] and ends == ["a"] and len(trace) == 1
+    with tracer.span("b"):
+        pass
+    tracer.begin("c")  # repro: noqa[RES001] left open on purpose; end_all() is under test
+    tracer.end_all()
+    assert begins == ["a", "b", "c"] and ends == ["a", "b", "c"]
+    assert [r.kind for r in trace] == ["a", "b", "c"]
 
 
 def _tuner_trace():

@@ -275,6 +275,21 @@ def test_malformed_archive_is_a_load_error(tmp_path, capsys, command,
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("command", ["trace", "explain", "replay", "health"])
+@pytest.mark.parametrize("archive,message", [
+    ({**_ARCHIVE, "duration": None}, "duration must be a finite number, got None"),
+    ({**_ARCHIVE, "sntp": [5]}, "sntp[0]: must be a JSON object, got int"),
+], ids=["null_duration", "non_object_point"])
+def test_mistyped_archive_field_is_a_load_error(tmp_path, capsys, command,
+                                                archive, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(archive))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load" in err
+    assert message in err
+
+
 def test_trace_without_telemetry_payload(tmp_path, capsys):
     import json
 

@@ -5,7 +5,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +124,20 @@ def test_optional_takes_null_or_the_inner_type():
     assert decode(Optional[Inner], {"flag": False}, "x") == Inner(False)
     with pytest.raises(ValueError, match=re.escape("x: must be a JSON object")):
         decode(Optional[Inner], 3, "x")
+
+
+def test_a_fixed_tuple_takes_exactly_its_items():
+    assert decode(Tuple[float, int], [1, 2], "x") == (1.0, 2)
+    with pytest.raises(ValueError, match=re.escape("x: must have 2 items, got 3")):
+        decode(Tuple[float, int], [1, 2, 3], "x")
+    with pytest.raises(ValueError, match=re.escape("x[1] must be an integer")):
+        decode(Tuple[float, int], [1, 2.5], "x")
+
+
+def test_any_takes_every_json_value_as_is():
+    payload = {"k": [1, None]}
+    assert decode(Any, payload, "x") is payload
+    assert decode(Dict[str, Any], {"a": payload}, "x") == {"a": payload}
 
 
 def test_post_init_errors_carry_the_path():

@@ -148,6 +148,27 @@ def test_non_object_archived_report_names_its_path():
         result_from_dict(data)
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"duration": None}, "duration must be a finite number, got None"),
+    ({"sntp_failures": 1.5}, "sntp_failures must be an integer, got 1.5"),
+    ({"sntp_failure_times": "0"}, "sntp_failure_times: must be a list, got str"),
+    ({"fault_windows": [[0.0, 1.0, 2.0]]},
+     "fault_windows[0]: must have 2 items, got 3"),
+    ({"sntp": [5]}, "sntp[0]: must be a JSON object, got int"),
+    ({"true_offsets": [{"t": 1.0, "o": "0"}]},
+     "true_offsets[0].o must be a finite number, got '0'"),
+    ({"telemetry": [1]}, "telemetry: must be a JSON object, got list"),
+    ({"telemetry": {"records": [7]}},
+     "telemetry.records[0]: must be a JSON object, got int"),
+], ids=["null_duration", "float_failures", "string_times", "long_window",
+        "non_object_point", "string_offset", "list_telemetry", "int_record"])
+def test_mistyped_archive_field_names_its_path(overrides, message):
+    data = _archive_with_report()
+    data.update(overrides)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        result_from_dict(data)
+
+
 @pytest.mark.parametrize("guarantees,message", [
     ([1], "guarantees: must be a JSON object, got list"),
     ({"window_s": "300"}, "guarantees.window_s must be a finite number"),

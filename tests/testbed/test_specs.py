@@ -324,6 +324,15 @@ def lax_slo():
     })
 
 
+def test_an_uninstrumented_run_records_nothing_and_changes_no_number():
+    spec = quick_spec()
+    timed = spec.build_runner(seed=3).run()
+    bare = spec.build_runner(seed=3, instrument=False).run()
+    assert timed.telemetry["records"] and bare.telemetry["records"] == []
+    assert bare.sntp == timed.sntp and bare.true_offsets == timed.true_offsets
+    assert bare.sntp_failure_times == timed.sntp_failure_times
+
+
 def test_success_tier():
     result, judgement = run_spec(quick_spec(guarantees=lax_slo()), seed=3)
     assert judgement["status"] == "success"

@@ -90,6 +90,16 @@ def test_load_rejects_foreign_file():
         OffsetTrace.load(buf)
 
 
+@pytest.mark.parametrize("header,message", [
+    ("[1]", "trace header: must be a JSON object, got list"),
+    ('{"format": "mntp-trace-v1", "cadence": null}',
+     "trace header.cadence must be a finite number, got None"),
+], ids=["non_object", "null_cadence"])
+def test_malformed_header_raises_value_error_naming_it(header, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OffsetTrace.load(io.StringIO(header + "\n"))
+
+
 def test_load_empty_file():
     assert len(OffsetTrace.load(io.StringIO(""))) == 0
 
