@@ -20,6 +20,8 @@ from typing import Dict
 
 import numpy as np
 
+from repro.simcore.random import block_reader
+
 
 @dataclass(frozen=True)
 class OscillatorGrade:
@@ -82,13 +84,15 @@ class Oscillator:
     """A concrete oscillator instance drawn from a grade.
 
     The constant skew is sampled once at construction from the grade's
-    distribution; wander is integrated by the owning clock.
+    distribution; wander is integrated by the owning clock.  After that
+    one ``normal`` draw the stream is only ever read through
+    ``standard_normal``, so the wander steps are read a block at a time.
     """
 
     def __init__(self, grade: OscillatorGrade, rng: np.random.Generator) -> None:
         self.grade = grade
         self.base_skew_ppm = float(rng.normal(0.0, grade.base_skew_ppm_sigma))
-        self._rng = rng
+        self._standard_normal = block_reader(rng.standard_normal)
 
     def frequency_error(self, wander_ppm: float, temperature_c: float) -> float:
         """Total fractional frequency error (dimensionless, s/s).
@@ -110,4 +114,4 @@ class Oscillator:
         if dt == 0:
             return 0.0
         sigma = self.grade.wander_ppm_per_sqrt_s * (dt**0.5)
-        return sigma * self._rng.standard_normal()
+        return sigma * self._standard_normal()

@@ -29,6 +29,7 @@ from repro.net.message import Datagram
 from repro.ntp.constants import LeapIndicator, Mode
 from repro.ntp.packet import NtpPacket
 from repro.obs.spans import Span
+from repro.simcore.random import block_reader
 from repro.simcore.simulator import Simulator
 
 
@@ -148,6 +149,12 @@ class NtpServer:
         self.config = config
         self.send_reply = send_reply
         self._rng = sim.rng.stream(f"server:{config.name}")
+        # The processing delay is the stream's only draw unless the
+        # persona also draws timestamp noise or drop decisions from it.
+        if config.persona in (ServerPersona.NOISY, ServerPersona.UNRESPONSIVE):
+            self._standard_exponential = self._rng.standard_exponential
+        else:
+            self._standard_exponential = block_reader(self._rng.standard_exponential)
         # Trace component name, precomputed: on_datagram is a hot root
         # and an f-string per ignored packet is per-event cost.
         self._component = f"server:{config.name}"
@@ -202,7 +209,7 @@ class NtpServer:
             "server.turnaround", server=self.config.name,
             ident=datagram.ident, trace_id=datagram.trace_id,
         )
-        delay = self.config.processing_delay * self._rng.standard_exponential()
+        delay = self.config.processing_delay * self._standard_exponential()
         self._sim.call_after(
             delay,
             lambda: self._send_response(request, datagram, t2, span),

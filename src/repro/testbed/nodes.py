@@ -32,6 +32,7 @@ from repro.ntp.discipline import ClockDiscipline
 from repro.ntp.pool import PoolDns
 from repro.ntp.server import NtpServer, ServerConfig, ServerPersona
 from repro.ntp.sntp_client import HardeningPolicy, SntpClient
+from repro.simcore.random import block_reader
 from repro.simcore.simulator import Simulator
 from repro.testbed.monitor import MonitorNode
 from repro.testbed.pingtool import PingTool
@@ -161,7 +162,7 @@ class Testbed:
             self.ntpd = ClockDiscipline(sim, ntpd_client, corrector, upstream)
 
         # -- monitor node -------------------------------------------------------------
-        self._ping_rng = sim.rng.stream("ping-path")
+        self._ping_delay = block_reader(sim.rng.stream("ping-path").standard_exponential)
         self.ping = PingTool(sim, probe_fn=self._ping_probe)
         self.monitor: Optional[MonitorNode] = None
         if options.wireless and options.monitor_active:
@@ -277,7 +278,7 @@ class Testbed:
         """One ICMP-like probe to the probe destination across the same
         wireless + wired hops as the NTP traffic."""
         base_rtt = 2 * self.options.wired_base_delay
-        rtt = base_rtt + 0.004 * self._ping_rng.standard_exponential()
+        rtt = base_rtt + 0.004 * self._ping_delay()
         if self.effects is not None:
             out = self.effects.sample()
             back = self.effects.sample()

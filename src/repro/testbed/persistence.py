@@ -106,7 +106,16 @@ def _result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
             List[Dict[str, Any]], telemetry.get("records", []),
             "telemetry.records",
         )
-        telemetry["records"] = [TraceRecord.from_dict(r) for r in records]
+        telemetry["records"] = [
+            TraceRecord.from_dict({
+                **record,
+                "data": decode(
+                    Optional[Dict[str, Any]], record.get("data"),
+                    f"telemetry.records[{index}].data",
+                ),
+            })
+            for index, record in enumerate(records)
+        ]
     result.telemetry = telemetry
     result.explain = data.get("explain")
     return result

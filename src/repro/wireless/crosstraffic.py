@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.simcore.random import block_reader
 from repro.simcore.simulator import Simulator
 
 
@@ -54,7 +55,10 @@ class CrossTrafficGenerator:
     ) -> None:
         self._sim = sim
         self.params = params
-        self._rng = sim.rng.stream(stream_name)
+        # Gaps and durations are the stream's only draws.
+        self._standard_exponential = block_reader(
+            sim.rng.stream(stream_name).standard_exponential
+        )
         self.frequency_scale = 1.0
         self.downloading = False
         self._running = False
@@ -87,7 +91,7 @@ class CrossTrafficGenerator:
         if not self._running:
             return
         scale = self.params.mean_gap_s / self.frequency_scale
-        gap = scale * self._rng.standard_exponential()
+        gap = scale * self._standard_exponential()
         self._sim.call_after(gap, self._begin_download, label="xtraffic:begin")
 
     def _begin_download(self) -> None:
@@ -96,7 +100,7 @@ class CrossTrafficGenerator:
         self.downloading = True
         self.downloads_started += 1
         self._sim.telemetry.emit(self._sim.now, "crosstraffic", "download_start")
-        duration = self.params.mean_duration_s * self._rng.standard_exponential()
+        duration = self.params.mean_duration_s * self._standard_exponential()
         self._sim.call_after(duration, self._end_download, label="xtraffic:end")
 
     def _end_download(self) -> None:

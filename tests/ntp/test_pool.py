@@ -62,3 +62,42 @@ def test_rotation_roughly_uniform():
         counts[dns.resolve("pool").config.name] += 1
     for count in counts.values():
         assert count == pytest.approx(1000, rel=0.2)
+
+
+def test_equal_pools_resolve_as_scalar_integer_calls():
+    sim = Simulator(seed=1)
+    dns = PoolDns(np.random.default_rng(3))
+    pools = {"p": _servers(sim, ["a", "b", "c"]), "q": _servers(sim, ["d", "e", "f"])}
+    for name, members in pools.items():
+        dns.register(name, members)
+    reference = np.random.default_rng(3)
+    for i in range(200):
+        name = "pq"[i % 2]
+        want = pools[name][int(reference.integers(0, 3))]
+        assert dns.resolve(name) is want
+
+
+def test_mixed_size_pools_resolve_as_scalar_integer_calls():
+    sim = Simulator(seed=1)
+    dns = PoolDns(np.random.default_rng(3))
+    pools = {"p": _servers(sim, ["a", "b"]), "q": _servers(sim, ["c", "d", "e"])}
+    for name, members in pools.items():
+        dns.register(name, members)
+    reference = np.random.default_rng(3)
+    for i in range(200):
+        name = "q" if i % 3 == 0 else "p"
+        members = pools[name]
+        assert dns.resolve(name) is members[int(reference.integers(0, len(members)))]
+    assert dns._rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_pool_of_new_size_after_block_picks_rejected():
+    sim = Simulator(seed=1)
+    dns = PoolDns(np.random.default_rng(3))
+    dns.register("p", _servers(sim, ["a", "b"]))
+    dns.register("p2", _servers(sim, ["c", "d", "e"]))
+    dns.register("p2", _servers(sim, ["c", "d"]))  # before any resolve: fine
+    dns.resolve("p")
+    dns.register("q", _servers(sim, ["f", "g"]))  # the same size: fine
+    with pytest.raises(ValueError, match="register every pool before"):
+        dns.register("r", _servers(sim, ["h", "i", "j"]))

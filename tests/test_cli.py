@@ -279,7 +279,10 @@ def test_malformed_archive_is_a_load_error(tmp_path, capsys, command,
 @pytest.mark.parametrize("archive,message", [
     ({**_ARCHIVE, "duration": None}, "duration must be a finite number, got None"),
     ({**_ARCHIVE, "sntp": [5]}, "sntp[0]: must be a JSON object, got int"),
-], ids=["null_duration", "non_object_point"])
+    ({**_ARCHIVE, "telemetry": {"records": [
+        {"t": 0.0, "component": "mntp", "kind": "k", "data": [1]},
+    ]}}, "telemetry.records[0].data: must be a JSON object, got list"),
+], ids=["null_duration", "non_object_point", "non_object_record_data"])
 def test_mistyped_archive_field_is_a_load_error(tmp_path, capsys, command,
                                                 archive, message):
     path = tmp_path / "bad.json"

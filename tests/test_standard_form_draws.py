@@ -7,9 +7,11 @@ returns ``lo + (hi - lo) * random()``, each from the same bits of the
 stream.  The hot path uses the standard forms because
 they skip numpy's per-call argument handling.  Each test here runs a
 rewritten draw site next to a copy of the numpy calls it replaced and
-demands equal floats and an equal stream state afterwards.  Dropping
-numpy's calls also dropped its lazy ``scale < 0`` check, so the scale
-parameters are validated when their dataclasses are built.
+demands equal floats and an equal stream state afterwards.  A site that
+reads its stream through ``block_reader`` must leave the state of a
+generator that drew the same whole blocks.  Dropping numpy's calls also
+dropped its lazy ``scale < 0`` check, so the scale parameters are
+validated when their dataclasses are built.
 """
 
 import math
@@ -22,9 +24,9 @@ from repro.clock.oscillator import OSCILLATOR_GRADES, Oscillator, OscillatorGrad
 from repro.clock.simclock import SimClock
 from repro.clock.temperature import DiurnalTemperature
 from repro.net.path import PathModel
-from repro.ntp.server import ServerConfig
+from repro.ntp.server import ServerConfig, ServerPersona
 from repro.simcore.simulator import Simulator
-from repro.simcore.random import RngRegistry
+from repro.simcore.random import BLOCK_SIZE, RngRegistry
 from repro.testbed.nodes import Testbed, TestbedOptions
 from repro.wireless.channel import ChannelParams, WirelessChannel
 from repro.wireless.crosstraffic import CrossTrafficGenerator, CrossTrafficParams
@@ -40,6 +42,12 @@ scales = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
 
 def _same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
     return a.bit_generator.state == b.bit_generator.state
+
+
+def _drew_blocks(fill, draws):
+    """Call ``fill`` as a block reader does for ``draws`` values."""
+    for _ in range(math.ceil(draws / BLOCK_SIZE)):
+        fill(BLOCK_SIZE)
 
 
 # -- ChannelEffects.sample -------------------------------------------------
@@ -182,17 +190,30 @@ def test_channel_step_matches_numpy_calls(seed, shadow_sigma_db, shadow_tau_s,
 def test_wander_step_matches_numpy_calls(seed, wander, dts):
     grade = OscillatorGrade(name="t", base_skew_ppm_sigma=1.0,
                             wander_ppm_per_sqrt_s=wander, temp_coeff_ppm_per_k=0.1)
-    osc = Oscillator(grade, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    osc = Oscillator(grade, rng)
     reference = np.random.default_rng(seed)
     assert osc.base_skew_ppm == float(reference.normal(0.0, 1.0))
     for dt in dts:
         expected = float(reference.normal(0.0, wander * (dt**0.5))) if dt else 0.0
         assert osc.wander_step(dt) == expected
-    assert _same_state(osc._rng, reference)
+    blocks = np.random.default_rng(seed)
+    blocks.normal(0.0, 1.0)
+    _drew_blocks(blocks.standard_normal, sum(1 for dt in dts if dt))
+    assert _same_state(rng, blocks)
 
 
 class _ReferenceClock(SimClock):
-    """``SimClock`` with the integrator it had before the loop-local rewrite."""
+    """``SimClock`` with the integrator it had before the loop-local rewrite.
+
+    It draws its wander by scalar calls from its own generator, seeded
+    like the oscillator's and already past the oscillator's skew draw.
+    """
+
+    def __init__(self, oscillator, rng, **kwargs):
+        super().__init__(oscillator, **kwargs)
+        self.rng = rng
+        self.draws = 0
 
     def _advance_to(self, true_now):
         remaining = true_now - self._last_true
@@ -206,7 +227,8 @@ class _ReferenceClock(SimClock):
             if self._slew_remaining != 0.0:
                 self._apply_slew(dt)
             sigma = self.oscillator.grade.wander_ppm_per_sqrt_s * (dt**0.5)
-            self._wander_ppm += float(self.oscillator._rng.normal(0.0, sigma))
+            self._wander_ppm += float(self.rng.normal(0.0, sigma))
+            self.draws += 1
             t += dt
             remaining -= dt
         self._last_true = true_now
@@ -224,10 +246,16 @@ _clock_ops = st.lists(
 @given(seed=seeds, ops=_clock_ops)
 def test_clock_integrator_matches_reference(seed, ops):
     now = [0.0]
+    grade = OSCILLATOR_GRADES["phone"]
+    scalar = np.random.default_rng(seed)
+    scalar.normal(0.0, grade.base_skew_ppm_sigma)
+    rng = np.random.default_rng(seed)
     clocks = [
-        cls(Oscillator(OSCILLATOR_GRADES["phone"], np.random.default_rng(seed)),
-            now_fn=lambda: now[0], temperature=DiurnalTemperature(phase_s=2e4))
-        for cls in (SimClock, _ReferenceClock)
+        SimClock(Oscillator(grade, rng),
+                 now_fn=lambda: now[0], temperature=DiurnalTemperature(phase_s=2e4)),
+        _ReferenceClock(Oscillator(grade, np.random.default_rng(seed)), scalar,
+                        now_fn=lambda: now[0],
+                        temperature=DiurnalTemperature(phase_s=2e4)),
     ]
     for advance, op, value in ops:
         now[0] += advance
@@ -242,7 +270,10 @@ def test_clock_integrator_matches_reference(seed, ops):
         assert clocks[0].true_offset() == clocks[1].true_offset()
         assert clocks[0].read() == clocks[1].read()
     assert clocks[0]._wander_ppm == clocks[1]._wander_ppm
-    assert _same_state(clocks[0].oscillator._rng, clocks[1].oscillator._rng)
+    blocks = np.random.default_rng(seed)
+    blocks.normal(0.0, grade.base_skew_ppm_sigma)
+    _drew_blocks(blocks.standard_normal, clocks[1].draws)
+    assert _same_state(rng, blocks)
 
 
 # -- Testbed._ping_probe ---------------------------------------------------
@@ -259,7 +290,9 @@ def test_ping_rtt_matches_numpy_calls(seed):
     reference = RngRegistry(seed).stream("ping-path")
     base_rtt = 2 * testbed.options.wired_base_delay
     assert rtts == [base_rtt + float(reference.exponential(0.004)) for _ in range(5)]
-    assert _same_state(sim.rng.stream("ping-path"), reference)
+    blocks = RngRegistry(seed).stream("ping-path")
+    _drew_blocks(blocks.standard_exponential, 5)
+    assert _same_state(sim.rng.stream("ping-path"), blocks)
 
 
 # -- PathModel.sample ------------------------------------------------------
@@ -327,6 +360,68 @@ def test_server_processing_delay_matches_numpy_calls(seed, processing_delay):
     reference = RngRegistry(seed).stream("server:s1")
     assert delays == [float(reference.exponential(processing_delay))
                       for _ in range(10)], HINT
+    blocks = RngRegistry(seed).stream("server:s1")
+    _drew_blocks(blocks.standard_exponential, 10)
+    assert _same_state(server._rng, blocks), HINT
+
+
+def _query_ten_times(sim, net, server):
+    """Query ``server`` once a second for 10 s; return its processing delays."""
+    delays = []
+    call_after = sim.call_after
+
+    def recording(delay, callback, label=""):
+        if label == server._respond_label:
+            delays.append(delay)
+        return call_after(delay, callback, label)
+
+    sim.call_after = recording
+    for i in range(10):
+        sim.call_at(float(i), lambda: net.client.query(server.config.name,
+                                                       lambda result: None))
+    sim.run_until(20.0)
+    return delays
+
+
+# A NOISY or UNRESPONSIVE server also draws timestamp noise or drop
+# decisions from its stream, so it keeps numpy's scalar sequence.  The
+# delays stay far below the 1 s query spacing, so the draws of one
+# exchange never interleave with the next one's.
+short_delays = st.one_of(st.just(0.0), st.floats(1e-6, 0.01))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, processing_delay=short_delays)
+def test_noisy_server_draws_scalars(seed, processing_delay):
+    sim = Simulator(seed=seed)
+    config = ServerConfig(name="s1", persona=ServerPersona.NOISY,
+                          processing_delay=processing_delay)
+    net = MiniNet(sim, [config])
+    server = net.servers["s1"]
+    delays = _query_ten_times(sim, net, server)
+    reference = RngRegistry(seed).stream("server:s1")
+    want = []
+    for _ in range(10):
+        reference.normal(0.0, config.noisy_sigma)  # T2
+        want.append(float(reference.exponential(processing_delay)))
+        reference.normal(0.0, config.noisy_sigma)  # T3
+    assert delays == want, HINT
+    assert _same_state(server._rng, reference), HINT
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, processing_delay=short_delays, drop_rate=st.floats(0.0, 1.0))
+def test_unresponsive_server_draws_scalars(seed, processing_delay, drop_rate):
+    sim = Simulator(seed=seed)
+    net = MiniNet(sim, [ServerConfig(name="s1", persona=ServerPersona.UNRESPONSIVE,
+                                     processing_delay=processing_delay,
+                                     drop_rate=drop_rate)])
+    server = net.servers["s1"]
+    delays = _query_ten_times(sim, net, server)
+    reference = RngRegistry(seed).stream("server:s1")
+    want = [float(reference.exponential(processing_delay))
+            for _ in range(10) if not reference.random() < drop_rate]
+    assert delays == want, HINT
     assert _same_state(server._rng, reference), HINT
 
 
@@ -362,7 +457,9 @@ def test_cross_traffic_draws_match_numpy_calls(seed, mean_gap_s, mean_duration_s
                      float(reference.exponential(mean_gap_s / gen.frequency_scale))))
         want.append(("xtraffic:end", float(reference.exponential(mean_duration_s))))
     assert delays[:20] == want, HINT
-    assert _same_state(gen._rng, reference), HINT
+    blocks = RngRegistry(seed).stream("crosstraffic")
+    _drew_blocks(blocks.standard_exponential, len(delays))
+    assert _same_state(sim.rng.stream("crosstraffic"), blocks), HINT
 
 
 # -- the scale checks numpy used to make lazily ----------------------------
