@@ -1,21 +1,18 @@
 """Observability rules.
 
 Library code must not talk to stdout directly: anything worth printing
-is worth recording — as a metric, a span, or a trace record the
+is worth recording — as a span or a trace record the
 exporters in :mod:`repro.obs` can replay.  Bare ``print(`` calls in
 library packages bypass that substrate and are invisible to telemetry
 consumers, so :class:`BarePrintRule` flags them.  The CLI, the analysis
 framework, and the text-rendering helpers are the repo's sanctioned
 stdout surfaces and stay exempt.
 
-Telemetry identifiers are contracts, too: the causal assembler, the
-explain engine, and downstream dashboards key on span kinds and metric
-names.  :class:`TaxonomyRule` keeps statically-known identifiers honest
-— span kinds must be registered in :mod:`repro.obs.taxonomy` and metric
-names must follow the Prometheus convention (``_total`` counters, a
-unit suffix on gauges/histograms).  Dynamic names (variables,
-f-string prefixes) are out of static reach and are skipped, except that
-an f-string's literal tail still gets its suffix checked.
+Telemetry identifiers are contracts, too: the causal assembler and the
+explain engine key on span kinds.  :class:`TaxonomyRule` keeps
+statically-known kinds honest — they must be registered in
+:mod:`repro.obs.taxonomy`.  Dynamic kinds (variables, f-strings) are
+out of static reach and are skipped.
 
 SLO thresholds are contracts of a third kind: the health monitor's
 verdicts are only auditable if every threshold lives in the declarative
@@ -34,10 +31,7 @@ from typing import List, Optional
 
 from repro.analysis.engine import Finding, Rule
 from repro.analysis.rules import register
-from repro.obs.taxonomy import (
-    METRIC_UNIT_SUFFIXES,
-    span_kind_registered,
-)
+from repro.obs.taxonomy import span_kind_registered
 
 #: ``repro`` sub-packages whose whole purpose is terminal output.
 STDOUT_PACKAGES = frozenset({"analysis", "reporting"})
@@ -52,8 +46,8 @@ class BarePrintRule(Rule):
 
     rule_id = "OBS001"
     summary = (
-        "no print() in library packages; emit a metric, span, or trace "
-        "record (repro.obs) so output is structured and exportable"
+        "no print() in library packages; emit a span or trace record "
+        "(repro.obs) so output is structured and exportable"
     )
     rationale = (
         "print() output is unstructured, unexportable, and invisible "
@@ -62,8 +56,8 @@ class BarePrintRule(Rule):
     )
     example = "print(f'offset={offset_ms}')"
     fix_hint = (
-        "Emit a metric or trace record via repro.obs (telemetry.emit "
-        "/ metrics.counter)."
+        "Emit a trace record or span via repro.obs (telemetry.emit "
+        "/ telemetry.spans.begin)."
     )
 
     def run(self) -> List[Finding]:
@@ -99,56 +93,27 @@ def _receiver_named(node: ast.expr, name: str) -> bool:
     return isinstance(node, ast.Name) and node.id == name
 
 
-def _literal_tail(node: ast.expr) -> Optional[str]:
-    """The statically-known tail of a name expression.
-
-    A plain string literal is returned whole; an f-string yields its
-    trailing literal fragment (enough to check suffix conventions);
-    anything else is dynamic and yields None.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr) and node.values:
-        last = node.values[-1]
-        if isinstance(last, ast.Constant) and isinstance(last.value, str):
-            return last.value
-    return None
-
-
 @register
 class TaxonomyRule(Rule):
-    """Span kinds must be registered; metric names must carry their type.
+    """Span kinds must be registered.
 
     Checks ``<x>.spans.begin(...)`` / ``<x>.spans.span(...)`` first
-    arguments against :data:`repro.obs.taxonomy.SPAN_KINDS`, and
-    ``<x>.metrics.counter/gauge/histogram(...)`` first arguments against
-    the Prometheus naming convention.  Only statically-known names are
-    checked; fully dynamic kinds/names are skipped.
+    arguments against :data:`repro.obs.taxonomy.SPAN_KINDS`.  Only
+    string-literal kinds are checked; dynamic kinds are skipped.
     """
 
     rule_id = "OBS002"
-    summary = (
-        "span kinds must be registered in repro.obs.taxonomy and metric "
-        "names must follow the Prometheus convention (counters end in "
-        "_total; gauges/histograms carry a unit suffix)"
-    )
+    summary = "span kinds must be registered in repro.obs.taxonomy"
     rationale = (
-        "Unregistered span kinds and off-convention metric names "
-        "fragment dashboards: the same quantity ends up under several "
-        "names."
+        "An unregistered span kind is invisible to the causal assembler "
+        "and the explain engine, and fragments the trace: the same "
+        "work ends up under several names."
     )
     example = "tracer.begin('my.new.kind')  # not in taxonomy"
-    fix_hint = (
-        "Register the kind in repro.obs.taxonomy; name counters "
-        "*_total and put units on gauges."
-    )
+    fix_hint = "Register the kind in repro.obs.taxonomy or fix the typo."
 
     #: SpanTracer entry points that take a span kind first.
     _SPAN_METHODS = frozenset({"begin", "span"})
-
-    #: MetricsRegistry factories, mapped to the metric type they make.
-    _METRIC_METHODS = {"counter": "counter", "gauge": "gauge",
-                       "histogram": "histogram"}
 
     def run(self) -> List[Finding]:
         """Only ``repro`` library modules are in scope (like OBS001)."""
@@ -157,19 +122,15 @@ class TaxonomyRule(Rule):
         return super().run()
 
     def visit_Call(self, node: ast.Call) -> None:
-        """Check span-tracer and metric-factory call sites."""
+        """Check span-tracer call sites."""
         func = node.func
-        if isinstance(func, ast.Attribute) and node.args:
-            if (
-                func.attr in self._SPAN_METHODS
-                and _receiver_named(func.value, "spans")
-            ):
-                self._check_span_kind(node)
-            elif (
-                func.attr in self._METRIC_METHODS
-                and _receiver_named(func.value, "metrics")
-            ):
-                self._check_metric_name(node, self._METRIC_METHODS[func.attr])
+        if (
+            isinstance(func, ast.Attribute)
+            and node.args
+            and func.attr in self._SPAN_METHODS
+            and _receiver_named(func.value, "spans")
+        ):
+            self._check_span_kind(node)
         self.generic_visit(node)
 
     def _check_span_kind(self, node: ast.Call) -> None:
@@ -183,33 +144,6 @@ class TaxonomyRule(Rule):
                 f"span kind '{arg.value}' is not registered in "
                 "repro.obs.taxonomy.SPAN_KINDS; register it (and document "
                 "it in docs/OBSERVABILITY.md) or fix the typo",
-            )
-
-    def _check_metric_name(self, node: ast.Call, metric_type: str) -> None:
-        arg = node.args[0]
-        tail = _literal_tail(arg)
-        if tail is None:
-            return
-        if metric_type == "counter":
-            if not tail.endswith("_total"):
-                self.report(
-                    arg,
-                    f"counter name ending '...{tail}' must end in '_total' "
-                    "(Prometheus convention)",
-                )
-            return
-        if tail.endswith("_total"):
-            self.report(
-                arg,
-                f"{metric_type} name ending '...{tail}' must not end in "
-                "'_total' (reserved for counters)",
-            )
-        elif not tail.endswith(METRIC_UNIT_SUFFIXES):
-            self.report(
-                arg,
-                f"{metric_type} name ending '...{tail}' must carry a unit "
-                "suffix from repro.obs.taxonomy.METRIC_UNIT_SUFFIXES "
-                "(e.g. _seconds, _ms, _ppm, _ratio)",
             )
 
 

@@ -152,16 +152,6 @@ class CellularExperiment:
             server.send_reply = reply
 
         result = CellularResult(duration=opts.duration)
-        queries = sim.telemetry.metrics.counter(
-            "sntp_queries_total", "SNTP requests issued by the phone app"
-        )
-        failures = sim.telemetry.metrics.counter(
-            "sntp_query_failures_total",
-            "phone SNTP queries with no usable response",
-        )
-        fixes = sim.telemetry.metrics.counter(
-            "gps_fixes_total", "GPS clock corrections applied"
-        )
 
         def poll() -> None:
             if sim.now >= opts.duration:
@@ -175,9 +165,7 @@ class CellularExperiment:
                     )
                 else:
                     result.failures += 1
-                    failures.inc()
 
-            queries.inc()
             client.query("0.pool.ntp.org", on_result, timeout=3.0)
             sim.call_after(opts.cadence, poll, label="phone:poll")
 
@@ -187,7 +175,6 @@ class CellularExperiment:
         gps.stop()
         result.promotions = ran.promotions
         result.gps_fixes = gps.fixes
-        fixes.inc(gps.fixes)
         # Close spans of work still in flight at the horizon (open
         # exchanges, interference episodes) so the causal assembler sees
         # every tree the run started.
@@ -201,7 +188,7 @@ class CellularResult:
     """Series and counters from one phone run.
 
     ``telemetry`` holds the run's frozen
-    :meth:`repro.obs.telemetry.Telemetry.snapshot` (metrics + trace records).
+    :meth:`repro.obs.telemetry.Telemetry.snapshot` (its trace records).
     """
 
     offsets: List[OffsetPoint] = field(default_factory=list)

@@ -13,7 +13,6 @@ Exposes the main experiment flows without writing code::
     repro-mntp replay run.json               # summarise an archived run
     repro-mntp trace run.json                # inspect archived telemetry
     repro-mntp explain run.json --worst 5    # root-cause offset errors
-    repro-mntp metrics run.json              # Prometheus-format metrics
     repro-mntp matrix scenarios --smoke      # spec-file guarantee matrix
     repro-mntp lint src                      # domain static analysis
 
@@ -143,14 +142,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     health.add_argument("--json", action="store_true",
                         help="print the report as JSON instead of text")
 
-    metrics = sub.add_parser(
-        "metrics", help="metrics of a run in Prometheus text format"
-    )
-    metrics.add_argument(
-        "path", nargs="?", default=None,
-        help="archived run (default: simulate mntp_wireless_corrected)",
-    )
-
     logstudy = sub.add_parser("logstudy", help="the §3.1 server-log study")
     logstudy.add_argument(
         "--servers", nargs="+", default=["AG1", "JW2", "SU1"],
@@ -251,8 +242,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_explain(args)
     if command == "health":
         return _cmd_health(args)
-    if command == "metrics":
-        return _cmd_metrics(args)
     if command == "logstudy":
         return _cmd_logstudy(args)
     if command == "cellular":
@@ -412,7 +401,7 @@ def _stats_dict(stats) -> Dict[str, Any]:
 
 
 def _summary_dict(result) -> Dict[str, Any]:
-    from repro.obs.telemetry import snapshot_metric_names, snapshot_span_kinds
+    from repro.obs.telemetry import snapshot_span_kinds
 
     out: Dict[str, Any] = {
         "duration": result.duration,
@@ -425,7 +414,6 @@ def _summary_dict(result) -> Dict[str, Any]:
         out["improvement_factor"] = result.improvement_factor()
     if result.telemetry is not None:
         out["telemetry"] = {
-            "metric_names": snapshot_metric_names(result.telemetry),
             "span_kinds": snapshot_span_kinds(result.telemetry),
             "record_count": len(result.telemetry["records"]),
         }
@@ -592,21 +580,6 @@ def _cmd_health(args) -> int:
     else:
         print(render_health_text(report))
     return 1 if report["verdict"] == "violated" else 0
-
-
-def _cmd_metrics(args) -> int:
-    from repro.obs.exporters import render_prometheus
-    from repro.testbed.specs import run_scenario
-
-    if args.path is not None:
-        snapshot = _load_archived_telemetry(args.path)
-        if snapshot is None:
-            return 2
-    else:
-        result = run_scenario("mntp_wireless_corrected", seed=args.seed)
-        snapshot = result.telemetry
-    sys.stdout.write(render_prometheus(snapshot))
-    return 0
 
 
 def _cmd_logstudy(args) -> int:

@@ -38,9 +38,6 @@ from repro.obs.spans import Span
 from repro.simcore.simulator import Simulator
 from repro.wireless.hints import HintProvider
 
-#: Bucket bounds (milliseconds) for the filter-residual histogram.
-_RESIDUAL_MS_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 1000.0)
-
 
 class MntpPhase(Enum):
     """Which part of Algorithm 1 is executing."""
@@ -169,20 +166,6 @@ class Mntp:
         self._phase_epoch = 0
         self._running = False
         self._phase_span: Optional[Span] = None
-        metrics = sim.telemetry.metrics
-        self._drift_gauge = metrics.gauge(
-            "mntp_drift_estimate_ppm", "latest trend-line drift estimate"
-        )
-        self._residual_hist = metrics.histogram(
-            "mntp_abs_residual_ms",
-            "absolute filter residual of each offered offset",
-            buckets=_RESIDUAL_MS_BUCKETS,
-        )
-        # Precomputed per-event counter names: _emit runs once per
-        # protocol event, where an f-string per event is real cost.
-        self._counter_names = {
-            kind: f"mntp_{kind.value}_total" for kind in MntpEventKind
-        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -198,9 +181,7 @@ class Mntp:
         self._close_phase_span()
 
     def _emit(self, kind: MntpEventKind, **data) -> None:
-        telemetry = self._sim.telemetry
-        telemetry.emit(self._sim.now, "mntp", kind.value, **data)
-        telemetry.count(self._counter_names[kind])
+        self._sim.telemetry.emit(self._sim.now, "mntp", kind.value, **data)
 
     def _open_phase_span(self, name: str, **attrs) -> None:
         self._close_phase_span()
@@ -255,7 +236,6 @@ class Mntp:
         self.drift_estimate = self.filter.drift_estimate()
         self._emit(MntpEventKind.WARMUP_COMPLETE, drift=self.drift_estimate)
         if self.drift_estimate is not None:
-            self._drift_gauge.set(self.drift_estimate * 1e6)
             self._emit(MntpEventKind.DRIFT_ESTIMATED, drift=self.drift_estimate)
             if self.config.enable_drift_correction:
                 # Trend slope s means the local clock's skew is -s
@@ -420,7 +400,6 @@ class Mntp:
         residual = None
         if outcome is not None and outcome.predicted == outcome.predicted:  # not NaN
             residual = uncorrected - outcome.predicted
-            self._residual_hist.observe(abs(residual) * 1000.0)
         report = MntpReport(
             time=now, offset=offset, accepted=accepted, phase=self.phase,
             residual=residual,

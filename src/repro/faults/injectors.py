@@ -51,22 +51,6 @@ class FaultInjector:
         self._sim = sim
         self.schedule = schedule
         self._rng = sim.rng.stream("faults:injector")
-        metrics = sim.telemetry.metrics
-        self._episodes_started = metrics.counter(
-            "fault_episodes_total", "fault episodes whose window opened"
-        )
-        self._packets_dropped = metrics.counter(
-            "fault_packets_dropped_total",
-            "packets dropped by blackout/burst-loss/suspend faults",
-        )
-        self._packets_delayed = metrics.counter(
-            "fault_packets_delayed_total",
-            "packets given extra delay by surge/reorder faults",
-        )
-        self._packets_duplicated = metrics.counter(
-            "fault_packets_duplicated_total",
-            "packets duplicated by duplication faults",
-        )
         self._installed = False
 
     # -- arming -----------------------------------------------------------
@@ -91,7 +75,6 @@ class FaultInjector:
         state = {"span": None}
 
         def begin() -> None:
-            self._episodes_started.inc()
             state["span"] = self._sim.telemetry.spans.begin(
                 "fault.episode",
                 fault=episode.kind.value,
@@ -178,20 +161,12 @@ class FaultInjector:
             active = self.schedule.active(self._sim.now, NETWORK_KINDS)
             if not active:
                 return effect
-            was_lost = effect.lost
-            base_delay = effect.extra_delay
             for episode in active:
                 if not episode.matches(target):
                     continue
                 if not episode.affects_direction(direction):
                     continue
                 self._apply_packet_fault(episode, effect)
-            if effect.lost and not was_lost:
-                self._packets_dropped.inc()
-            if effect.extra_delay > base_delay and not effect.lost:
-                self._packets_delayed.inc()
-            if effect.duplicate_extra is not None and not effect.lost:
-                self._packets_duplicated.inc()
             return effect
 
         return hook
@@ -232,7 +207,6 @@ class FaultInjector:
         assembler still closes the tree (outcome ``timeout`` with an
         attributable drop) instead of losing completeness.
         """
-        self._packets_dropped.inc()
         self._sim.telemetry.emit(
             self._sim.now, f"node:{name}", "drop",
             cause="suspend", trace_id=trace_id, ident=ident,

@@ -22,14 +22,6 @@ from repro.ntp.wire import OffsetSample, sample_from_exchange
 from repro.obs.spans import Span
 from repro.simcore.simulator import Event, Simulator
 
-# Hardening counter names, hoisted: the call sites run per query (the
-# counters are still created lazily, so a plain client's snapshot keeps
-# the exact baseline metric-name set).
-_BACKED_OFF_TOTAL = "sntp_backed_off_queries_total"
-_FAILOVERS_TOTAL = "sntp_failovers_total"
-_INVALID_TOTAL = "sntp_invalid_responses_total"
-_EVICTIONS_TOTAL = "sntp_pending_evictions_total"
-
 
 @dataclass
 class SntpResult:
@@ -216,7 +208,7 @@ class SntpClient:
         self.backed_off_queries = 0
         self.pending_evictions = 0
         # Hardened-only state, created lazily so plain clients keep the
-        # exact RNG stream set and metric names of the baseline.
+        # exact RNG stream set of the baseline.
         self.health: Dict[str, ServerHealth] = {}
         self._peers: "list[str]" = []
         self._hardening_rng = (
@@ -305,7 +297,6 @@ class SntpClient:
             chosen = self._select_server(server_name)
             if chosen is None:
                 self.backed_off_queries += 1
-                self._sim.telemetry.count(_BACKED_OFF_TOTAL)
                 self._sim.call_after(
                     0.0,
                     lambda: callback(SntpResult(
@@ -317,7 +308,6 @@ class SntpClient:
                 return
             if chosen != server_name:
                 self.failovers += 1
-                self._sim.telemetry.count(_FAILOVERS_TOTAL)
             server_name = chosen
             inner_callback = callback
 
@@ -425,7 +415,6 @@ class SntpClient:
             # guard sample_from_exchange would raise out of the event
             # loop and crash the run.
             self.invalid_received += 1
-            self._sim.telemetry.count(_INVALID_TOTAL)
             pending.span.end(outcome="invalid", server=datagram.src)
             pending.callback(
                 SntpResult(sample=None, server_name=datagram.src, invalid=True)
@@ -468,7 +457,6 @@ class SntpClient:
         if pending.timeout_event is not None:
             pending.timeout_event.cancel()
         self.pending_evictions += 1
-        self._sim.telemetry.count(_EVICTIONS_TOTAL)
         pending.span.end(outcome="evicted")
         pending.callback(
             SntpResult(sample=None, server_name=pending.server_name, timed_out=True)

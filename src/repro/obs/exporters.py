@@ -1,27 +1,26 @@
-"""Telemetry snapshot exporters: JSONL, Chrome trace-event, Prometheus.
+"""Telemetry snapshot exporters: JSONL and Chrome trace-event.
 
-All three render the snapshot produced by
+Both render the snapshot produced by
 :meth:`repro.obs.telemetry.Telemetry.snapshot`, whose records are
 :class:`~repro.simcore.trace.TraceRecord` objects; the JSONL writer
 and :func:`load_jsonl` are where a record becomes a dict and back:
 
 * **JSONL** — one self-describing JSON object per line (``meta``,
-  ``metric``, ``record``); the archival format ``--telemetry`` writes.
+  then one ``record`` line per record); the archival format
+  ``--telemetry`` writes.
   Key order and float formatting are fixed, so identical runs produce
   byte-identical files.
 * **Chrome trace-event** — a JSON document loadable in
   ``chrome://tracing`` / Perfetto; spans become complete (``"X"``)
   events on a per-component track, other records become instants.
-* **Prometheus text exposition** — counters/gauges/histograms in the
-  scrape format, for eyeballing and for diffing metric sets across
-  code versions.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterator, List
+from typing import IO, Any, Dict, Iterator, List, Optional
 
+from repro.codec import decode
 from repro.obs.spans import SPAN_COMPONENT
 from repro.obs.telemetry import TELEMETRY_FORMAT
 from repro.simcore.trace import TraceRecord
@@ -37,20 +36,14 @@ def _dumps(obj: Any) -> str:
 
 def jsonl_lines(snapshot: Dict[str, Any]) -> Iterator[str]:
     """The JSONL export, line by line (without trailing newlines)."""
-    metrics = snapshot.get("metrics", [])
     records = snapshot.get("records", [])
     yield _dumps(
         {
             "type": "meta",
             "format": snapshot.get("format", TELEMETRY_FORMAT),
-            "metric_count": len(metrics),
             "record_count": len(records),
         }
     )
-    for metric in metrics:
-        # Nested: the metric's own "type" (counter/gauge/...) must not
-        # collide with the line discriminator.
-        yield _dumps({"type": "metric", "metric": metric})
     for record in records:
         yield _dumps({"type": "record", **record.to_dict()})
 
@@ -71,10 +64,11 @@ def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
     snapshot.
 
     Raises:
-        ValueError: If the stream is not a telemetry JSONL document.
+        ValueError: If the stream is not a telemetry JSONL document;
+            a bad line is named by its number (``line 2: data: must be
+            a JSON object, got list``).
     """
     meta: Dict[str, Any] = {}
-    metrics: List[Dict[str, Any]] = []
     records: List[TraceRecord] = []
     for lineno, line in enumerate(fileobj, start=1):
         line = line.strip()
@@ -87,22 +81,22 @@ def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
         kind = obj.get("type") if isinstance(obj, dict) else None
         if kind == "meta":
             meta = obj
-        elif kind == "metric":
-            metrics.append(dict(obj.get("metric", {})))
         elif kind == "record":
             try:
-                records.append(TraceRecord.from_dict(obj))
+                records.append(TraceRecord.from_dict({
+                    **obj,
+                    "data": decode(
+                        Optional[Dict[str, Any]], obj.get("data"),
+                        f"line {lineno}: data",
+                    ),
+                }))
             except KeyError as exc:
                 raise ValueError(f"line {lineno}: record lacks {exc}") from exc
         else:
             raise ValueError(f"line {lineno}: unknown entry type {kind!r}")
     if meta.get("format") != TELEMETRY_FORMAT:
         raise ValueError(f"not a {TELEMETRY_FORMAT} document")
-    return {
-        "format": TELEMETRY_FORMAT,
-        "metrics": metrics,
-        "records": records,
-    }
+    return {"format": TELEMETRY_FORMAT, "records": records}
 
 
 # -- Chrome trace-event format -------------------------------------------
@@ -182,50 +176,3 @@ def write_chrome_trace(snapshot: Dict[str, Any], fileobj: IO[str]) -> int:
     )
     return len(events)
 
-
-# -- Prometheus text exposition ------------------------------------------
-
-
-def _format_value(value: float) -> str:
-    """Render a sample value the way Prometheus clients do."""
-    as_int = int(value)
-    return str(as_int) if value == as_int else repr(value)
-
-
-def _escape_help(text: str) -> str:
-    """Escape a HELP string per the exposition format (``\\`` and LF)."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _escape_label_value(text: str) -> str:
-    """Escape a label value (``\\``, ``"`` and LF)."""
-    return (
-        text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def render_prometheus(snapshot: Dict[str, Any]) -> str:
-    """Metrics of a snapshot in the Prometheus text exposition format."""
-    lines: List[str] = []
-    for metric in snapshot.get("metrics", []):
-        name = metric["name"]
-        if metric.get("help"):
-            lines.append(f"# HELP {name} {_escape_help(metric['help'])}")
-        lines.append(f"# TYPE {name} {metric['type']}")
-        if metric["type"] == "histogram":
-            running = 0
-            for bound, count in zip(metric["bounds"], metric["bucket_counts"]):
-                running += count
-                le = _escape_label_value(_format_value(float(bound)))
-                lines.append(f'{name}_bucket{{le="{le}"}} {running}')
-            # +Inf is the sum over *all* buckets (including overflow),
-            # which keeps the series monotone even for snapshots whose
-            # bucket_counts and bounds are the same length.
-            lines.append(
-                f'{name}_bucket{{le="+Inf"}} {sum(metric["bucket_counts"])}'
-            )
-            lines.append(f"{name}_sum {_format_value(metric['sum'])}")
-            lines.append(f"{name}_count {metric['count']}")
-        else:
-            lines.append(f"{name} {_format_value(metric['value'])}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,4 +1,4 @@
-"""The per-run telemetry bundle: metrics + spans + trace.
+"""The per-run telemetry bundle: spans + trace.
 
 One :class:`Telemetry` object accompanies each run.  Inside a
 simulation the :class:`~repro.simcore.simulator.Simulator` constructs it
@@ -8,18 +8,19 @@ grid search, which replays a recorded trace with no virtual clock) use
 :meth:`Telemetry.standalone`, which runs on a :class:`ManualClock` —
 a deterministic step counter standing in for a time axis.
 
-:meth:`Telemetry.snapshot` freezes the metrics into plain dicts and
-the record membership into a new list of the log's own
-:class:`~repro.simcore.trace.TraceRecord` objects, for persistence and
-the exporters (:mod:`repro.obs.exporters`), which alone build the dict
-form of a record.
+:meth:`Telemetry.snapshot` freezes the record membership into a new
+list of the log's own :class:`~repro.simcore.trace.TraceRecord`
+objects, for persistence and the exporters (:mod:`repro.obs.exporters`),
+which alone build the dict form of a record.  Counts live where their
+events do: a ``sim.run`` span's ``events`` attribute, the number of
+``mntp/<kind>`` records, or a result or client field (see
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.simcore.trace import TraceLog, TraceRecord
 
@@ -49,67 +50,6 @@ class ManualClock:
         """Advance by one step and return the new position."""
         self._now += self._step
         return self._now
-
-
-class _NullInstrument:
-    """No-op stand-in for Counter/Gauge/Histogram in a disabled bundle."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Discard a counter increment."""
-
-    def set(self, value: float) -> None:
-        """Discard a gauge write."""
-
-    def add(self, amount: float) -> None:
-        """Discard a gauge delta."""
-
-    def observe(self, value: float) -> None:
-        """Discard a histogram observation."""
-
-
-class _NullMetricsRegistry:
-    """Registry facade that records nothing (``instrument=False`` runs)."""
-
-    __slots__ = ("_null",)
-
-    def __init__(self) -> None:
-        self._null = _NullInstrument()
-
-    def counter(self, name: str, help: str = "") -> _NullInstrument:
-        """Return the shared no-op instrument."""
-        return self._null
-
-    def gauge(self, name: str, help: str = "") -> _NullInstrument:
-        """Return the shared no-op instrument."""
-        return self._null
-
-    def histogram(self, name: str, help: str = "", buckets: Any = None) -> _NullInstrument:
-        """Return the shared no-op instrument."""
-        return self._null
-
-    def get(self, name: str) -> None:
-        """Nothing is ever registered."""
-        return None
-
-    def value(self, name: str, default: float = 0.0) -> float:
-        """Every read sees the default."""
-        return default
-
-    def names(self) -> List[str]:
-        """Nothing is ever registered."""
-        return []
-
-    def snapshot(self) -> List[Dict[str, Any]]:
-        """Nothing to freeze."""
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def __contains__(self, name: str) -> bool:
-        return False
 
 
 class _NullSpan:
@@ -156,14 +96,14 @@ class _NullSpanTracer:
 
 
 class Telemetry:
-    """Metrics registry + span tracer + trace log for one run.
+    """Span tracer + trace log for one run.
 
     Args:
         now_fn: The run's time axis (virtual seconds in a simulation).
         trace: Existing log to share (the simulator passes its own so
             span records land next to component events); a fresh log is
             created when omitted.
-        enabled: ``False`` swaps in no-op metrics and spans and drops
+        enabled: ``False`` swaps in no-op spans and drops
             every :meth:`emit`, so an uninstrumented run records
             nothing and measures the bare simulator cost.
     """
@@ -178,12 +118,9 @@ class Telemetry:
         self._now_fn = now_fn
         self._clock: Optional[ManualClock] = None
         self.enabled = bool(enabled)
-        if not self.enabled:
-            self.metrics: Any = _NullMetricsRegistry()
-            self.spans: Any = _NullSpanTracer()
-            return
-        self.metrics = MetricsRegistry()
-        self.spans = SpanTracer(self.trace, now_fn)
+        self.spans: Any = (
+            SpanTracer(self.trace, now_fn) if self.enabled else _NullSpanTracer()
+        )
 
     @classmethod
     def standalone(cls, start: float = 0.0, step: float = 1.0) -> "Telemetry":
@@ -227,17 +164,19 @@ class Telemetry:
             self.trace.append(TraceRecord(t, component, kind, data))
 
     def count(self, name: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to the counter ``name``."""
-        self.metrics.counter(name).inc(amount)
+        """Do nothing: every count lives in a record, span or result field.
+
+        Kept because the ``perfbench/`` layer ledger wraps it by name.
+        """
 
     def flush(self) -> None:
-        """Do nothing: every record and count is applied when made.
+        """Do nothing: every record is applied when made.
 
         Kept because the ``perfbench/`` layer ledger wraps it by name.
         """
 
     def snapshot(self) -> Dict[str, Any]:
-        """Freeze metrics into plain dicts and the record list as it stands.
+        """Freeze the record list as it stands.
 
         ``"records"`` is a new list holding the log's own
         :class:`TraceRecord` objects, not copies: records are immutable
@@ -245,7 +184,6 @@ class Telemetry:
         """
         return {
             "format": TELEMETRY_FORMAT,
-            "metrics": self.metrics.snapshot(),
             "records": list(self.trace),
         }
 
@@ -262,7 +200,3 @@ def snapshot_span_kinds(snapshot: Dict[str, Any]) -> List[str]:
         }
     )
 
-
-def snapshot_metric_names(snapshot: Dict[str, Any]) -> List[str]:
-    """Distinct metric names in a snapshot, sorted."""
-    return sorted({m["name"] for m in snapshot.get("metrics", [])})

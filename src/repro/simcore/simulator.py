@@ -63,7 +63,7 @@ class Simulator:
         now: Current virtual time in seconds.
         rng: Registry of named random streams for components.
         trace: Structured log of component events (optional use).
-        telemetry: Metrics/span bundle on this simulator's virtual
+        telemetry: Span and record bundle on this simulator's virtual
             clock, sharing :attr:`trace` (see :mod:`repro.obs`).
         datagram_ids: Per-run datagram ident sequence; network senders
             allocate from here so trace records carry run-local idents
@@ -91,9 +91,6 @@ class Simulator:
             now_fn=lambda: self.now,
             trace=self.trace,
             enabled=instrument,
-        )
-        self._events_total = self.telemetry.metrics.counter(
-            "sim_events_total", "events executed by the simulator loop"
         )
 
     # -- scheduling ------------------------------------------------------
@@ -155,8 +152,6 @@ class Simulator:
             # loses exactly the run that went wrong.
             span.end(events=executed, error=True)
             raise
-        finally:
-            self._events_total.inc(executed)
         if end_time > self.now:
             self.now = end_time
         span.end(events=executed)

@@ -110,15 +110,11 @@ class ExperimentResult:
             ``duration``); None on archives written before they were
             recorded.
         telemetry: Frozen :meth:`repro.obs.telemetry.Telemetry.snapshot` of the
-            run: metric dicts plus the run's own
+            run: the run's own
             :class:`~repro.simcore.trace.TraceRecord` objects, which a
             loaded archive rebuilds (the dict form of a record exists
             only in JSON); None for results built outside
             :class:`ExperimentRunner`.
-        explain: Compact root-cause report embedded by persistence in
-            archived runs (see :mod:`repro.obs.explain`); None on live
-            results — call :func:`repro.obs.explain.explain_run` on
-            ``telemetry`` instead.
 
     :func:`repro.obs.health.judge_health` judges a run's health from
     these fields after the run.
@@ -134,7 +130,6 @@ class ExperimentResult:
         default_factory=list
     )
     telemetry: Optional[Dict[str, Any]] = None
-    explain: Optional[Dict[str, Any]] = None
 
     # -- derived series --------------------------------------------------
 
@@ -305,14 +300,6 @@ class ExperimentRunner:
     def _start_sntp_loop(
         self, sim: Simulator, testbed: Testbed, result: ExperimentResult
     ) -> None:
-        queries = sim.telemetry.metrics.counter(
-            "sntp_queries_total", "SNTP requests issued by the baseline client"
-        )
-        failures = sim.telemetry.metrics.counter(
-            "sntp_query_failures_total",
-            "SNTP queries with no usable response (timeout or KoD)",
-        )
-
         failure_times: List[float] = []
         result.sntp_failure_times = failure_times
 
@@ -330,9 +317,7 @@ class ExperimentRunner:
                 else:
                     result.sntp_failures += 1
                     failure_times.append(sim.now)
-                    failures.inc()
 
-            queries.inc()
             testbed.sntp_app.query("0.pool.ntp.org", on_result)
             sim.call_after(self.sntp_cadence, poll, label="sntp:poll")
 

@@ -13,15 +13,11 @@ from typing import IO, Any, Dict, List, Optional, Tuple
 
 from repro.codec import decode, encode
 from repro.core.protocol import MntpReport
-from repro.obs.explain import explain_run
 from repro.obs.health import SloSpec
 from repro.simcore.trace import TraceRecord
 from repro.testbed.experiment import ExperimentResult, OffsetPoint
 
 FORMAT = "mntp-experiment-v1"
-
-#: Worst-sample depth of the embedded explain report.
-_EXPLAIN_WORST_N = 5
 
 
 def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
@@ -29,11 +25,8 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
 
     The run's telemetry snapshot rides along under ``"telemetry"``
     when present, its records in their dict form, so archived runs
-    stay inspectable with
-    ``repro-mntp trace`` / ``repro-mntp metrics``; a compact
-    root-cause report (``repro.obs.explain``) is embedded under
-    ``"explain"`` so archives answer "why was this run noisy?"
-    without re-assembly.  SNTP failure times and fault windows ride
+    stay inspectable with ``repro-mntp trace`` and
+    ``repro-mntp explain``.  SNTP failure times and fault windows ride
     along so ``repro-mntp health`` can judge the archive.
     """
     out = {
@@ -51,9 +44,6 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
             **result.telemetry,
             "records": [r.to_dict() for r in result.telemetry["records"]],
         }
-        out["explain"] = explain_run(
-            result.telemetry, samples=result.offset_samples()
-        ).to_dict(worst_n=_EXPLAIN_WORST_N)
     return out
 
 
@@ -62,7 +52,9 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
 
     Telemetry records come back as :class:`TraceRecord` objects, as
     in a fresh run.  An archive written before failure times and fault
-    windows were recorded loads with those fields None.
+    windows were recorded loads with those fields None; the
+    ``"explain"`` report and ``telemetry.metrics`` list that older
+    archives carry are ignored.
 
     Raises:
         ValueError: On a document of another format, one missing a
@@ -102,6 +94,7 @@ def _result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
         Optional[Dict[str, Any]], data.get("telemetry"), "telemetry"
     )
     if telemetry is not None:
+        telemetry.pop("metrics", None)
         records = decode(
             List[Dict[str, Any]], telemetry.get("records", []),
             "telemetry.records",
@@ -117,7 +110,6 @@ def _result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
             for index, record in enumerate(records)
         ]
     result.telemetry = telemetry
-    result.explain = data.get("explain")
     return result
 
 

@@ -133,10 +133,6 @@ class ParameterSearcher:
         """
         span = None
         if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "tuner_evaluations_total",
-                "configurations scored by the parameter searcher",
-            ).inc()
             span = self.telemetry.spans.begin(
                 "tuner.eval",
                 warmup_period=config.warmup_period,

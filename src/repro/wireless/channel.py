@@ -142,14 +142,6 @@ class WirelessChannel:
         self._hints_occupancy: Optional[float] = None
         self._telemetry = telemetry
         self._intf_span: Optional[Span] = None
-        self._episodes_total = (
-            telemetry.metrics.counter(
-                "channel_interference_episodes_total",
-                "interference episodes started on the wireless channel",
-            )
-            if telemetry is not None
-            else None
-        )
 
     # -- state advancement -------------------------------------------------
 
@@ -194,7 +186,6 @@ class WirelessChannel:
                 self._intf_rssi_dip_db = p.interference_rssi_dip_db + 3.0 * normal()
                 self._intf_noise_lift_db = p.interference_noise_lift_db + 4.0 * normal()
                 if self._telemetry is not None:
-                    self._episodes_total.inc()
                     self._intf_span = self._telemetry.spans.begin(
                         "channel.interference",
                         t=t,

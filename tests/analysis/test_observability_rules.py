@@ -18,7 +18,7 @@ PRINTING = "def f():\n    print('hello')\n"
 def test_print_flagged_in_library_package():
     assert rules_for(PRINTING, "repro.core.protocol") == ["OBS001"]
     assert rules_for(PRINTING, "repro.testbed.experiment") == ["OBS001"]
-    assert rules_for(PRINTING, "repro.obs.metrics") == ["OBS001"]
+    assert rules_for(PRINTING, "repro.obs.spans") == ["OBS001"]
 
 
 def test_print_allowed_in_cli_analysis_reporting():
@@ -47,7 +47,7 @@ def test_message_names_the_module():
     assert any("repro.wireless.channel" in f.message for f in findings)
 
 
-# -- OBS002: span-kind taxonomy + metric naming ---------------------------
+# -- OBS002: span-kind taxonomy --------------------------------------------
 
 
 def test_unregistered_span_kind_flagged():
@@ -72,49 +72,10 @@ def test_dynamic_span_kind_skipped():
     assert rules_for(src, "repro.core.protocol") == []
 
 
-def test_counter_without_total_suffix_flagged():
-    src = 'def f(m):\n    m.metrics.counter("sntp_queries")\n'
-    assert rules_for(src, "repro.ntp.server") == ["OBS002"]
-
-
-def test_counter_fstring_tail_checked():
-    ok = 'def f(m, k):\n    m.metrics.counter(f"mntp_{k}_total")\n'
-    assert rules_for(ok, "repro.core.protocol") == []
-    bad = 'def f(m, k):\n    m.metrics.counter(f"mntp_{k}_count")\n'
-    assert rules_for(bad, "repro.core.protocol") == ["OBS002"]
-
-
-def test_gauge_requires_unit_suffix():
-    assert rules_for(
-        'def f(m):\n    m.metrics.gauge("drift")\n', "repro.core.protocol"
-    ) == ["OBS002"]
-    assert rules_for(
-        'def f(m):\n    m.metrics.gauge("drift_ppm")\n', "repro.core.protocol"
-    ) == []
-
-
-def test_gauge_must_not_end_in_total():
-    src = 'def f(m):\n    m.metrics.gauge("events_total")\n'
-    findings = check_source(src, module="repro.core.protocol")
-    assert [f.rule for f in findings] == ["OBS002"]
-    assert "reserved for counters" in findings[0].message
-
-
-def test_histogram_unit_suffix():
-    assert rules_for(
-        'def f(m):\n    m.metrics.histogram("residual_ms")\n',
-        "repro.core.protocol",
-    ) == []
-    assert rules_for(
-        'def f(m):\n    m.metrics.histogram("residual")\n',
-        "repro.core.protocol",
-    ) == ["OBS002"]
-
-
 def test_obs002_scoped_to_repro_modules():
-    src = 'def f(m):\n    m.metrics.counter("oops")\n'
+    src = 'def f(sim):\n    sim.telemetry.spans.begin("mntp.mystery")\n'
     assert rules_for(src, "scratch") == []
-    assert rules_for(src, "tests.obs.test_metrics") == []
+    assert rules_for(src, "tests.obs.test_spans") == []
 
 
 def test_obs002_ignores_unrelated_receivers():

@@ -77,19 +77,22 @@ def _telemetry_jsonl(name):
 #: sha256 and line count of the canonical telemetry JSONL of each
 #: scenario at seed 3, capped at 600 simulated seconds.  A change to a
 #: random stream, an event order or the export format moves these;
-#: such a change must update them and say why.
+#: such a change must update them and say why.  Last moved when the
+#: metrics registry went: each pin is the earlier export with its
+#: ``metric`` lines dropped and ``metric_count`` taken off the meta
+#: line, every record line unchanged.
 _TELEMETRY_PINS = {
     "wired_corrected": (
-        "e862a98c09a759255a4f4f8a0ec461c1d9b178f06dacfcda1c0618eae1379381",
-        587,
+        "2c810961237fc8126d21218175adde47fa87dff2122e54271a6fe3b57782e98f",
+        584,
     ),
     "mntp_wireless_corrected": (
-        "cbb10d332b4cd0b9fd734694ac463e3cd4df7f8ba557a01d1a0568f236ad2ecd",
-        2210,
+        "9c3eae94bb87713f79fb833cb923697b6bd090176658f895c825f1e4c5fdc7b0",
+        2199,
     ),
     "chaos_smoke": (
-        "5e41d38ed44aabc38481defd3be8fb74f1685b2633400085b2b3eb9fb3512b55",
-        1787,
+        "255a0260aa57313ba1f7e3663c624a8c7d690ba24ced2d60547bacbbd27c1acf",
+        1773,
     ),
 }
 
@@ -105,10 +108,13 @@ def test_telemetry_bytes_pinned_per_seed(name):
 #: forms at seed 3, capped at 600 s: the ``run --save`` archive (with
 #: the scenario's guarantees) and the Chrome trace-event export
 #: (length = event count).  The in-memory record form may change;
-#: these bytes may not.
+#: these bytes may not.  The archive pin last moved when archives
+#: stopped carrying ``telemetry.metrics`` and the ``explain`` report
+#: (the earlier archive with both keys deleted); the Chrome trace did
+#: not move.
 _ARCHIVE_PIN = (
-    "0f2885aafe726da9a248f2a2671037ea886bf88c0839c89fbf3b8d83a2e847c0",
-    186278,
+    "a115b83f475ff02347cbe70146093b62ca29b6a9d74394e48f6906a59cebf2ac",
+    183402,
 )
 _CHROME_TRACE_PIN = (
     "aed48d4ea3a7087de545a6130f177f41f96c46eb68f52a9e4b65ebc2bf4e0308",

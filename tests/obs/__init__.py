@@ -1,1 +1,1 @@
-"""Tests for the observability layer (metrics, spans, exporters)."""
+"""Tests for the observability layer (records, spans, exporters)."""

@@ -45,7 +45,7 @@ def exchange_records(
 
 
 def snapshot_of(records):
-    return {"format": "mntp-telemetry-v1", "metrics": [], "records": records}
+    return {"format": "mntp-telemetry-v1", "records": records}
 
 
 def test_assembles_complete_ok_exchange():

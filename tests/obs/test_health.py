@@ -17,7 +17,7 @@ from repro.obs.health import (
     render_health_text,
     smoke_spec,
 )
-from repro.obs.telemetry import snapshot_metric_names, snapshot_span_kinds
+from repro.obs.telemetry import snapshot_span_kinds
 from repro.testbed.experiment import ExperimentResult, OffsetPoint
 from repro.testbed.persistence import load_result, save_result
 from repro.testbed.specs import run_scenario
@@ -326,6 +326,6 @@ def test_unmonitored_run_has_no_health():
     assert not hasattr(result, "health")
     assert not any(
         name.startswith("health") for name in
-        snapshot_metric_names(result.telemetry)
+        [r.component for r in result.telemetry["records"]]
         + snapshot_span_kinds(result.telemetry)
     )

@@ -1,9 +1,8 @@
-"""The registered span taxonomy and metric naming convention."""
+"""The registered span taxonomy."""
 
 from repro.obs.taxonomy import (
     SPAN_KINDS,
     SPAN_SUBSYSTEMS,
-    metric_name_conforms,
     span_kind_registered,
     span_subsystem,
 )
@@ -20,18 +19,6 @@ def test_kind_registration():
     assert span_kind_registered("link.transit")
     assert span_kind_registered("server.turnaround")
     assert not span_kind_registered("sntp.mystery")
-
-
-def test_counter_names_need_total():
-    assert metric_name_conforms("sntp_queries_total", "counter")
-    assert not metric_name_conforms("sntp_queries", "counter")
-
-
-def test_gauge_and_histogram_need_unit_but_not_total():
-    assert metric_name_conforms("mntp_drift_estimate_ppm", "gauge")
-    assert metric_name_conforms("mntp_abs_residual_ms", "histogram")
-    assert not metric_name_conforms("mntp_drift", "gauge")
-    assert not metric_name_conforms("events_total", "gauge")
 
 
 def test_emitted_kinds_in_seeded_run_are_all_registered():

@@ -8,7 +8,6 @@ from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     ManualClock,
     Telemetry,
-    snapshot_metric_names,
     snapshot_span_kinds,
 )
 from repro.simcore.simulator import Simulator
@@ -46,9 +45,9 @@ def test_simulator_bundle_shares_trace_and_clock():
     sim.call_after(5.0, lambda: None)
     sim.run_until(10.0)
     assert sim.telemetry.now == 10.0
-    # The event loop recorded its span and its counter.
-    assert sim.telemetry.metrics.value("sim_events_total") == 1.0
-    assert len(sim.trace.select(kind="sim.run")) == 1
+    # The event loop recorded its span, which counts the events run.
+    (run,) = sim.trace.select(kind="sim.run")
+    assert run.data["events"] == 1
 
 
 def test_spans_emits_and_direct_appends_interleave_in_emission_order():
@@ -74,17 +73,18 @@ def test_spans_emits_and_direct_appends_interleave_in_emission_order():
 
 
 def test_counted_value_reads_exactly_mid_run():
+    """A count is the number of its records, exact the moment one lands."""
     sim = Simulator(seed=0)
     seen = []
 
     def bump():
-        sim.telemetry.count("mntp_query_sent_total")
-        seen.append(sim.telemetry.metrics.value("mntp_query_sent_total"))
+        sim.telemetry.emit(sim.now, "mntp", "query_sent")
+        seen.append(len(sim.trace.select(component="mntp", kind="query_sent")))
 
     for k in range(3):
         sim.call_after(float(k + 1), bump)
     sim.run_until(10.0)
-    assert seen == [1.0, 2.0, 3.0]
+    assert seen == [1, 2, 3]
 
 
 def test_disabled_bundle_records_nothing():
@@ -94,26 +94,19 @@ def test_disabled_bundle_records_nothing():
     def step():
         with telemetry.spans.span("mntp.warmup"):
             telemetry.emit(sim.now, "mntp", "query_sent", server="a")
-            telemetry.count("mntp_query_sent_total")
-            telemetry.metrics.gauge("mntp_offset_s").set(1.0)
 
     sim.call_after(1.0, step)
     sim.run_until(2.0)
     assert len(sim.trace) == 0
-    assert telemetry.metrics.names() == []
     assert telemetry.snapshot()["records"] == []
-    assert telemetry.snapshot()["metrics"] == []
 
 
 def test_snapshot_shape_and_helpers():
     telemetry = Telemetry.standalone()
-    telemetry.metrics.counter("a_total").inc()
-    telemetry.metrics.gauge("b_gauge").set(2)
     with telemetry.spans.span("phase.one"):
         telemetry.advance()
     snap = telemetry.snapshot()
-    assert snap["format"] == TELEMETRY_FORMAT
-    assert snapshot_metric_names(snap) == ["a_total", "b_gauge"]
+    assert snap == {"format": TELEMETRY_FORMAT, "records": snap["records"]}
     assert snapshot_span_kinds(snap) == ["phase.one"]
     assert len(snap["records"]) == 1
 

@@ -75,6 +75,10 @@ CASES = {
          "repro.net", "repro.testbed", "repro.logs", "repro.cellular",
          "repro.metrics.allan", "repro.metrics.distributions"),
     ),
+    "persistence": (
+        ("repro.testbed.persistence",),
+        ("repro.obs.explain", "repro.obs.causal"),
+    ),
     "cli": (
         ("repro.cli",),
         NOT_IN_A_SCENARIO_RUN
