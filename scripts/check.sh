@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-shot verification gate: one domain static-analysis run over src
-# and tests, ruff, mypy, the tier-1 test suite, the smoke benches, the
+# and tests, ruff, mypy, the tier-1 test suite, the core and tuner
+# tests with floating-point warnings as errors, the smoke benches, the
 # perfbench self-tests and the smoke scenario matrix.
 # Intended for CI and as a pre-push check.
 #
@@ -39,6 +40,12 @@ fi
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== pytest (tier-1)"
     python -m pytest -x -q
+
+    echo "== core + tuner with floating-point warnings as errors"
+    # The trend fit calls LAPACK under its own error state instead of
+    # through np.linalg.lstsq; a floating-point warning that state used
+    # to silence fails here instead of printing during a run.
+    python -X dev -W error::RuntimeWarning -m pytest -q tests/core tests/tuner
 
     echo "== paper benches (smoke)"
     # The fast figure/table benches; their shape asserts must hold.

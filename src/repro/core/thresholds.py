@@ -2,24 +2,42 @@
 
 from __future__ import annotations
 
+from typing import Protocol
+
 from repro.core.config import HintThresholds
-from repro.wireless.hints import WirelessHints
 
 
-def favorable_snr_condition(hints: WirelessHints, thresholds: HintThresholds) -> bool:
+class HintReading(Protocol):
+    """Anything holding an RSSI/noise reading: a
+    :class:`~repro.wireless.hints.WirelessHints` or a logged
+    :class:`~repro.tuner.traces.TraceEntry`."""
+
+    @property
+    def rssi_dbm(self) -> float:
+        """Received signal strength (dBm)."""
+        ...
+
+    @property
+    def noise_dbm(self) -> float:
+        """Noise floor (dBm)."""
+        ...
+
+
+def favorable_snr_condition(hints: HintReading, thresholds: HintThresholds) -> bool:
     """Whether the channel currently looks stable enough to query.
 
     All three conditions must hold (§4.2): RSSI above the floor, noise
-    below the ceiling, and SNR margin at or above the minimum.
+    below the ceiling, and SNR margin (``rssi_dbm - noise_dbm``, the
+    float ``WirelessHints.snr_margin_db`` reads) at or above the minimum.
     """
     return (
         hints.rssi_dbm > thresholds.min_rssi_dbm
         and hints.noise_dbm < thresholds.max_noise_dbm
-        and hints.snr_margin_db >= thresholds.min_snr_margin_db
+        and hints.rssi_dbm - hints.noise_dbm >= thresholds.min_snr_margin_db
     )
 
 
-def failing_conditions(hints: WirelessHints, thresholds: HintThresholds) -> "list[str]":
+def failing_conditions(hints: HintReading, thresholds: HintThresholds) -> "list[str]":
     """Names of the threshold(s) a reading violates — used by the
     Figure-7 signals/selection reproduction to attribute deferrals."""
     failures = []
@@ -27,6 +45,6 @@ def failing_conditions(hints: WirelessHints, thresholds: HintThresholds) -> "lis
         failures.append("rssi")
     if hints.noise_dbm >= thresholds.max_noise_dbm:
         failures.append("noise")
-    if hints.snr_margin_db < thresholds.min_snr_margin_db:
+    if hints.rssi_dbm - hints.noise_dbm < thresholds.min_snr_margin_db:
         failures.append("snr_margin")
     return failures

@@ -18,8 +18,15 @@ import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import lstsq as _lapack_lstsq
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _unconverged(err: str, flag: int) -> None:
+    """The error-state callback np.linalg.lstsq installs: LAPACK flags an
+    SVD that did not converge as an invalid operation."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 class TrendLine:
@@ -90,18 +97,26 @@ class TrendLine:
                 t0 = float(np.add.reduce(t)) / n
                 # np.polyfit(t - t0, offsets, 1), step by step: the
                 # ``+ 0.0`` copies (they turn -0.0 into 0.0), the
-                # Vandermonde columns scaled to unit norm, lstsq with
-                # rcond = n·eps, and the scale taken back out.
-                x = t - t0
-                x += 0.0
-                y = self._offsets[self._start:self._end] + 0.0
+                # Vandermonde columns scaled to unit norm, the LAPACK
+                # solve np.linalg.lstsq makes with rcond = n·eps, and
+                # the scale taken back out.
                 lhs = np.empty((n, 2))
-                lhs[:, 0] = x
-                lhs[:, 1] = 1.0
-                scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
-                lhs /= scale
+                x = lhs[:, 0]
+                np.subtract(t, t0, out=x)
+                x += 0.0
+                # polyfit's ``(lhs * lhs).sum(axis=0)`` adds the rows one
+                # after another: a running sum of x², and exactly n for
+                # the column of ones.
+                scale_slope = math.sqrt(np.add.accumulate(x * x)[-1])
+                scale_intercept = math.sqrt(n)
+                x /= scale_slope
+                lhs[:, 1] = 1.0 / scale_intercept
+                y = self._offsets[self._start:self._end] + 0.0
                 try:
-                    c, _, rank, _ = np.linalg.lstsq(lhs, y, n * _EPS)
+                    with np.errstate(call=_unconverged, invalid="call",
+                                     over="ignore", divide="ignore", under="ignore"):
+                        c, _, rank, _ = _lapack_lstsq(lhs, y[:, None], n * _EPS,
+                                                      signature="ddd->ddid")
                 except np.linalg.LinAlgError:
                     # LAPACK's SVD can fail to converge (offsets at
                     # subnormal scale): the line stays unfit.
@@ -110,9 +125,9 @@ class TrendLine:
                     if rank != 2:
                         warnings.warn("Polyfit may be poorly conditioned",
                                       np.exceptions.RankWarning, stacklevel=2)
-                    slope = float(c[0]) / float(scale[0])
-                    intercept_c = float(c[1]) / float(scale[1])
-                    self._coeffs = (slope, intercept_c - slope * t0)
+                    (c_slope,), (c_intercept,) = c.tolist()
+                    slope = c_slope / scale_slope
+                    self._coeffs = (slope, c_intercept / scale_intercept - slope * t0)
             self._dirty = False
         return self._coeffs
 
@@ -138,14 +153,17 @@ class TrendLine:
         if coeffs is None:
             return np.asarray([])
         slope, intercept = coeffs
-        t = self._times[self._start:self._end]
-        resid = self._offsets[self._start:self._end] - (slope * t + intercept)
-        return resid**2
+        errs = slope * self._times[self._start:self._end]
+        errs += intercept
+        np.subtract(self._offsets[self._start:self._end], errs, out=errs)
+        errs *= errs
+        return errs
 
     def residual_stats(self) -> Tuple[float, float]:
         """(mean, std) of the squared residuals; (0, 0) when unfit.
 
-        Computed once per fit, in ``errs.mean()``/``errs.std()``'s order.
+        Computed once per fit, in ``errs.mean()``/``errs.std()``'s order,
+        centring and squaring the squared residuals in place.
         """
         if self._dirty or self._stats is None:
             errs = self.squared_errors()
@@ -154,9 +172,9 @@ class TrendLine:
                 self._stats = (0.0, 0.0)
             else:
                 mean = float(np.add.reduce(errs)) / n
-                dev = errs - mean
-                dev *= dev
-                self._stats = (mean, math.sqrt(float(np.add.reduce(dev)) / n))
+                errs -= mean
+                errs *= errs
+                self._stats = (mean, math.sqrt(float(np.add.reduce(errs)) / n))
         return self._stats
 
     def points(self) -> "Tuple[List[float], List[float]]":

@@ -128,6 +128,11 @@ def _replay_group(
         two_sided=cfg.two_sided_rejection,
         reestimate_every_sample=cfg.reestimate_every_sample,
     )
+    # Hint gate (steps 5 / 17): its verdict reads no swept parameter,
+    # so every branch of the group shares one verdict per entry.
+    thresholds = cfg.thresholds
+    deferred_at = ([not favorable_snr_condition(entry, thresholds) for entry in entries]
+                   if cfg.enable_hint_gate else [False] * len(entries))
     start = entries[0].time if entries else 0.0
     # (members, next entry, filter, result, in warm-up, phase start,
     #  algorithm start, next action)
@@ -166,11 +171,9 @@ def _replay_group(
                     split = ("warmup_period", elapsed)
                     break
             warmup_step = (warmup or reset) and not complete
-            # Hint gate (steps 5 / 17): a deferred instant retries at the
-            # next trace entry without consuming the wait time.
-            gated = cfg.enable_hint_gate and not favorable_snr_condition(
-                entry.hints, cfg.thresholds
-            )
+            # A deferred instant retries at the next trace entry without
+            # consuming the wait time.
+            gated = deferred_at[index]
             if not gated:
                 wait, longest = warmup_waits if warmup_step else regular_waits
                 if wait != longest:

@@ -88,7 +88,8 @@ class ParameterSearcher:
             toggles) every candidate inherits.
         space: The grid.
         telemetry: Optional telemetry bundle; each evaluation becomes a
-            ``tuner.eval`` span and bumps ``tuner_evaluations_total``.
+            ``tuner.eval`` span that ends with its RMSE and request
+            count.
             A :meth:`Telemetry.standalone` bundle (manual clock) keeps
             the coordinates deterministic — there is no virtual clock
             during offline grid search.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.core.trend as trend_module
 from repro.core.trend import TrendLine
 from tests.core.parity import HINT, same, same_array
 
@@ -97,10 +98,14 @@ def test_unconverged_solve_is_unfit(monkeypatch):
     for x in range(5):
         t.add(float(x), 0.001 * x)
 
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    def no_convergence(a, b, rcond, signature):
+        # The gufunc signals an unconverged SVD the way LAPACK's wrapper
+        # does: it raises the invalid floating-point flag, which the
+        # fit's error state turns into LinAlgError.
+        np.multiply(np.inf, 0.0)
+        return np.full((2, 1), np.nan), np.full(1, np.nan), np.int32(2), np.full(2, np.nan)
 
-    monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+    monkeypatch.setattr(trend_module, "_lapack_lstsq", no_convergence)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert t.slope is None

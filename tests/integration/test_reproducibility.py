@@ -16,6 +16,8 @@ from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 from repro.testbed.persistence import save_result
 from repro.testbed.specs import load_scenario
+from repro.tuner.logger import LoggerOptions, TraceLogger
+from repro.tuner.searcher import ParameterSearcher, SearchSpace
 
 
 def _mntp_run(seed):
@@ -132,3 +134,23 @@ def test_saved_archive_and_chrome_trace_bytes_pinned():
     events = write_chrome_trace(result.telemetry, chrome)
     digest = hashlib.sha256(chrome.getvalue().encode()).hexdigest()
     assert (digest, events) == _CHROME_TRACE_PIN
+
+
+#: sha256 and row count of a grid search's results over a 1-h trace
+#: logged at seed 5: each row's ``repr`` of the Table-2 row (parameters,
+#: RMSE, requests) and the reported count, best first.  The grid resets,
+#: completes warm-ups at two periods and splits on both waits, and the
+#: hint gate defers 317 of the 720 entries, so the pin covers the
+#: replay, the filter's trend fits and the gate.  No change to the
+#: replay or to ``core`` numerics may move it without a reviewed diff.
+_TUNER_PIN = ("e6999fe3bd2e257df0b1b0d69bebc9769f5cd9517d95b1828b101b5db7b6e7c6", 16)
+
+
+def test_tuner_search_rows_pinned():
+    trace = TraceLogger(seed=5, options=LoggerOptions(duration=3600.0)).run()
+    space = SearchSpace(warmup_periods=(600.0, 1200.0), warmup_wait_times=(5.0, 15.0),
+                        regular_wait_times=(60.0, 300.0), reset_periods=(1800.0, 3600.0))
+    results = ParameterSearcher(trace, space=space).search()
+    lines = [repr((*r.row(), r.reported_count)) for r in results]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (digest, len(lines)) == _TUNER_PIN
