@@ -67,3 +67,11 @@ def bench_fig4_sntp_wired_wireless(once, report):
     assert wifi_u.mean_abs > wifi_c.mean_abs
     # Paper: wired uncorrected drift reaches ~50 ms in the hour.
     assert 0.01 < wired_u.max_abs < 0.3
+    # The channel's calibration bands (DESIGN.md §4): loose, because the
+    # shape is the goal, not the digits.
+    assert wired_c.mean_abs >= 0.0005  # paper 4 ms
+    assert 0.0005 <= wired_c.std_abs <= 0.020  # paper 7 ms
+    assert 0.010 <= wifi_c.mean_abs <= 0.090  # paper 31 ms
+    assert 0.015 <= wifi_c.std_abs <= 0.200  # paper 47 ms
+    assert wifi_c.max_abs <= 1.6  # paper ~600 ms
+    assert 0.020 <= wifi_u.mean_abs <= 0.250  # paper 118 ms

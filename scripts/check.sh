@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-shot verification gate: one domain static-analysis run over src
-# and tests, ruff, mypy, the tier-1 test suite, the core and tuner
-# tests with floating-point warnings as errors, the smoke benches, the
-# perfbench self-tests and the smoke scenario matrix.
+# and tests, ruff, mypy, the tier-1 test suite (which runs the Figure 4
+# bench too), the core and tuner tests with floating-point warnings as
+# errors, the Figure 7 and Table 2 smoke benches, the perfbench
+# self-tests and the smoke scenario matrix.
 # Intended for CI and as a pre-push check.
 #
 #   scripts/check.sh            # everything
@@ -49,9 +50,9 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     echo "== paper benches (smoke)"
     # The fast figure/table benches; their shape asserts must hold.
+    # Figure 4's bench is in tier-1 (pyproject testpaths) and ran above.
     # Wall time is not gated here: perfbench/ is the perf ledger.
     python -m pytest -q \
-        benchmarks/bench_fig4_sntp_wired_wireless.py \
         benchmarks/bench_fig7_signals_selection.py \
         benchmarks/bench_table2_tuner_configs.py
 

@@ -4,9 +4,8 @@ Exposes the main experiment flows without writing code::
 
     repro-mntp scenarios                     # list scenarios/*.json
     repro-mntp run mntp_wireless_corrected   # run one scenario
-    repro-mntp logstudy --servers AG1 SU1    # the §3.1 pipeline
-    repro-mntp cellular                      # Figure 5
-    repro-mntp tune --save trace.jsonl       # tuner trace + Table 2
+    repro-mntp pcap traces/ --servers AG1    # §3.1 synthetic server pcaps
+    repro-mntp log-trace trace.jsonl         # log a tuner trace
     repro-mntp autotune --target-ms 8        # self-tuning pass
     repro-mntp run X --save run.json         # archive a run
     repro-mntp run X --telemetry out.jsonl   # export run telemetry
@@ -16,8 +15,9 @@ Exposes the main experiment flows without writing code::
     repro-mntp matrix scenarios --smoke      # spec-file guarantee matrix
     repro-mntp lint src                      # domain static analysis
 
-Summaries print as tables by default; ``--json`` on ``run``, ``replay``
-and ``cellular`` emits machine-readable JSON instead.
+Summaries print as tables by default; ``--json`` on ``run`` and
+``replay`` emits machine-readable JSON instead.  The paper's figures and
+tables are the benches under ``benchmarks/``; no command recomputes one.
 """
 
 from __future__ import annotations
@@ -142,36 +142,24 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     health.add_argument("--json", action="store_true",
                         help="print the report as JSON instead of text")
 
-    logstudy = sub.add_parser("logstudy", help="the §3.1 server-log study")
-    logstudy.add_argument(
+    pcap = sub.add_parser(
+        "pcap", help="write each server's synthetic §3.1 trace as a .pcap file"
+    )
+    pcap.add_argument("directory", help="directory for the <server>.pcap files")
+    pcap.add_argument(
         "--servers", nargs="+", default=["AG1", "JW2", "SU1"],
         help="Table-1 server ids (default: the Figure-1 trio)",
     )
-    logstudy.add_argument(
+    pcap.add_argument(
         "--scale", type=float, default=3e-4,
         help="population subsampling factor",
     )
-    logstudy.add_argument(
-        "--save-pcap-dir", metavar="DIR",
-        help="also write each server's synthetic trace as a .pcap file",
+
+    log_trace = sub.add_parser(
+        "log-trace", help="log a tuner trace on the testbed and save it"
     )
-
-    cellular = sub.add_parser(
-        "cellular", help="the §3.3 4G phone experiment (Fig 5)"
-    )
-    cellular.add_argument("--telemetry", metavar="PATH",
-                          help="export the run's telemetry as JSONL")
-    cellular.add_argument("--json", action="store_true",
-                          help="print the summary as JSON instead of tables")
-
-    tune = sub.add_parser("tune", help="log a trace and print Table 2")
-    tune.add_argument("--hours", type=_positive_float, default=4.0)
-    tune.add_argument("--save", metavar="PATH", help="save the trace (JSONL)")
-    tune.add_argument("--telemetry", metavar="PATH",
-                      help="export search telemetry as JSONL")
-
-    sub.add_parser("calibrate",
-                   help="check channel calibration against Figure-4 targets")
+    log_trace.add_argument("path", help="file to write the trace to (JSONL)")
+    log_trace.add_argument("--hours", type=_positive_float, default=4.0)
 
     autotune = sub.add_parser("autotune", help="self-tuning pass (§7)")
     autotune.add_argument("--hours", type=_positive_float, default=4.0)
@@ -242,16 +230,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_explain(args)
     if command == "health":
         return _cmd_health(args)
-    if command == "logstudy":
-        return _cmd_logstudy(args)
-    if command == "cellular":
-        return _cmd_cellular(args)
-    if command == "tune":
-        return _cmd_tune(args)
+    if command == "pcap":
+        return _cmd_pcap(args)
+    if command == "log-trace":
+        return _cmd_log_trace(args)
     if command == "autotune":
         return _cmd_autotune(args)
-    if command == "calibrate":
-        return _cmd_calibrate(args)
     if command == "matrix":
         return _cmd_matrix(args)
     if command == "lint":
@@ -582,11 +566,9 @@ def _cmd_health(args) -> int:
     return 1 if report["verdict"] == "violated" else 0
 
 
-def _cmd_logstudy(args) -> int:
-    from repro.logs.analysis import LogStudy
-    from repro.logs.generator import GeneratorOptions
+def _cmd_pcap(args) -> int:
+    from repro.logs.generator import GeneratorOptions, TraceGenerator
     from repro.logs.servers import TABLE1_SERVERS, server_by_id
-    from repro.reporting.tables import render_table
 
     try:
         servers = [server_by_id(s) for s in args.servers]
@@ -594,121 +576,27 @@ def _cmd_logstudy(args) -> int:
         known = ", ".join(s.server_id for s in TABLE1_SERVERS)
         print(f"unknown server {exc}; known: {known}", file=sys.stderr)
         return 2
-    study = LogStudy(
-        seed=args.seed,
-        options=GeneratorOptions(scale=args.scale),
-        servers=servers,
-    )
-    study.run()
-    if getattr(args, "save_pcap_dir", None):
-        import os
-
-        from repro.logs.generator import TraceGenerator
-
-        os.makedirs(args.save_pcap_dir, exist_ok=True)
-        for server in servers:
-            generator = TraceGenerator(
-                server, seed=args.seed,
-                options=GeneratorOptions(scale=args.scale),
-            )
-            path = os.path.join(args.save_pcap_dir,
-                                f"{server.server_id}.pcap")
-            with open(path, "wb") as f:
-                generator.generate(fileobj=f)
-            print(f"wrote {path}")
-    rows = [
-        [r.server_id, r.stratum, r.ip_versions, f"{r.published_clients:,}",
-         r.generated_clients, r.synchronized_clients,
-         f"{r.sntp_share * 100:.0f}%"]
-        for r in study.table1()
-    ]
-    print(render_table(
-        ["server", "stratum", "ipv", "published", "generated", "synced",
-         "SNTP"], rows,
-    ))
-    for server in args.servers:
-        medians = study.category_medians(server)
-        line = "  ".join(
-            f"{cat}={value * 1000:.0f}ms" for cat, value in sorted(medians.items())
+    os.makedirs(args.directory, exist_ok=True)
+    for server in servers:
+        generator = TraceGenerator(
+            server, seed=args.seed, options=GeneratorOptions(scale=args.scale),
         )
-        print(f"{server} category medians: {line}")
+        path = os.path.join(args.directory, f"{server.server_id}.pcap")
+        with open(path, "wb") as f:
+            generator.generate(fileobj=f)
+        print(f"wrote {path}")
     return 0
 
 
-def _cmd_cellular(args) -> int:
-    from repro.cellular.phone import CellularExperiment, CellularOptions
-    from repro.reporting.series import render_cdf
-
-    result = CellularExperiment(seed=args.seed, options=CellularOptions()).run()
-    if getattr(args, "telemetry", None):
-        _write_telemetry(result.telemetry, args.telemetry)
-    stats = result.stats()
-    if getattr(args, "json", False):
-        print(json.dumps(
-            {
-                "duration": result.duration,
-                "offsets": _stats_dict(stats),
-                "failures": result.failures,
-                "promotions": result.promotions,
-                "gps_fixes": result.gps_fixes,
-            },
-            sort_keys=True, indent=2,
-        ))
-        return 0
-    print(f"samples={stats.count} mean={stats.mean_abs * 1000:.1f}ms "
-          f"std={stats.std_abs * 1000:.1f}ms max={stats.max_abs * 1000:.1f}ms "
-          f"promotions={result.promotions}")
-    print(render_cdf([p.offset for p in result.offsets], label="offset CDF"))
-    return 0
-
-
-def _cmd_tune(args) -> int:
-    from repro.core.config import TABLE2_CONFIGS
-    from repro.obs.telemetry import Telemetry
-    from repro.reporting.tables import render_table
+def _cmd_log_trace(args) -> int:
     from repro.tuner.logger import LoggerOptions, TraceLogger
-    from repro.tuner.searcher import ParameterSearcher
 
     options = LoggerOptions(duration=args.hours * 3600.0)
     trace = TraceLogger(seed=args.seed, options=options).run()
-    if args.save:
-        with open(args.save, "w") as f:
-            trace.save(f)
-        print(f"trace saved to {args.save}")
-    telemetry = (
-        Telemetry.standalone() if getattr(args, "telemetry", None) else None
-    )
-    searcher = ParameterSearcher(trace, telemetry=telemetry)
-    rows = []
-    for num, config in TABLE2_CONFIGS.items():
-        result = searcher.evaluate(config)
-        wp, ww, rw, rp, rmse_ms, requests = result.row()
-        rows.append([num, f"{wp:.0f}", f"{ww:.3f}", f"{rw:.0f}",
-                     f"{rmse_ms:.2f}", requests])
-    print(render_table(
-        ["config", "warmup (min)", "warmup wait (min)", "regular wait (min)",
-         "RMSE (ms)", "requests"], rows,
-    ))
-    if telemetry is not None:
-        _write_telemetry(telemetry.snapshot(), args.telemetry)
+    with open(args.path, "w") as f:
+        trace.save(f)
+    print(f"trace saved to {args.path}")
     return 0
-
-
-def _cmd_calibrate(args) -> int:
-    from repro.reporting.tables import render_table
-    from repro.testbed.calibration import run_calibration
-
-    report = run_calibration(seed=args.seed)
-    print(render_table(
-        ["target", "paper (ms)", "measured (ms)", "band (ms)", "verdict"],
-        report.rows(),
-    ))
-    if report.ok:
-        print("calibration OK")
-        return 0
-    print("calibration OUT OF BAND — see DESIGN.md §2 before trusting "
-          "figure benches")
-    return 1
 
 
 def _cmd_matrix(args) -> int:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, IO, Iterator, List, Optional
 
 from repro.codec import decode, encode
-from repro.wireless.hints import WirelessHints
 
 
 @dataclass
@@ -35,11 +34,6 @@ class TraceEntry:
     noise_dbm: float = field(metadata={"json": "noise"})
     offsets: Dict[str, Optional[float]] = field(default_factory=dict)
     true_offset: Optional[float] = None
-
-    @property
-    def hints(self) -> WirelessHints:
-        """The entry's hints as a :class:`WirelessHints`."""
-        return WirelessHints(rssi_dbm=self.rssi_dbm, noise_dbm=self.noise_dbm)
 
     def to_json(self) -> str:
         """One-line JSON encoding."""

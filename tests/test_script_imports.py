@@ -1,9 +1,9 @@
 """Every ``repro`` import in the benches and examples resolves.
 
-The test suite never runs ``benchmarks/*.py`` or ``examples/*.py``, so a
-stale import there would fail only when someone runs that file.  Each
-file is read with :mod:`ast`; every ``repro`` module an import statement
-names is imported and every name taken from it must exist.  No
+Tier-1 runs only the Figure 4 bench and the two examples, so a stale
+import in any other bench would fail only when someone runs that file.
+Each file is read with :mod:`ast`; every ``repro`` module an import
+statement names is imported and every name taken from it must exist.  No
 simulation runs.
 """
 

@@ -21,6 +21,7 @@ from repro.obs.telemetry import Telemetry
 from repro.tuner.emulator import EmulationResult, MntpEmulator, replay_grid
 from repro.tuner.searcher import ParameterSearcher, SearchSpace
 from repro.tuner.traces import OffsetTrace, TraceEntry
+from repro.wireless.hints import WirelessHints
 
 GOOD = dict(rssi_dbm=-45.0, noise_dbm=-92.0)
 BAD = dict(rssi_dbm=-85.0, noise_dbm=-60.0)
@@ -152,7 +153,8 @@ def reference_run(trace, cfg):
             phase, phase_start = "regular", entry.time
             result.warmup_completions += 1
         if cfg.enable_hint_gate and not favorable_snr_condition(
-            entry.hints, cfg.thresholds
+            WirelessHints(rssi_dbm=entry.rssi_dbm, noise_dbm=entry.noise_dbm),
+            cfg.thresholds,
         ):
             result.deferred += 1
             continue

@@ -31,11 +31,6 @@ def test_time_order_enforced():
         trace.append(_entry(5.0))
 
 
-def test_entry_hints():
-    e = _entry(0.0, rssi=-60.0, noise=-90.0)
-    assert e.hints.snr_margin_db == 30.0
-
-
 def test_sources_enumeration():
     trace = OffsetTrace()
     trace.append(_entry(0.0, offsets={"a": 0.1, "b": None}))
