@@ -16,7 +16,7 @@ SNTP offsets of Figure 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List
 
 from repro.cellular.ran import RadioAccessNetwork, RanParams
 from repro.clock.oscillator import OSCILLATOR_GRADES, Oscillator
@@ -101,7 +101,7 @@ class CellularExperiment:
     def run(self) -> "CellularResult":
         """Execute and return the SNTP offset series."""
         opts = self.options
-        sim = Simulator(seed=self.seed)
+        sim = Simulator(seed=self.seed, instrument=False)
         ran = RadioAccessNetwork(opts.ran, sim.rng.stream("ran"), lambda: sim.now)
         phone_clock = SimClock(
             oscillator=Oscillator(OSCILLATOR_GRADES["phone"], sim.rng.stream("phone-osc")),
@@ -175,28 +175,18 @@ class CellularExperiment:
         gps.stop()
         result.promotions = ran.promotions
         result.gps_fixes = gps.fixes
-        # Close spans of work still in flight at the horizon (open
-        # exchanges, interference episodes) so the causal assembler sees
-        # every tree the run started.
-        sim.telemetry.spans.end_all()
-        result.telemetry = sim.telemetry.snapshot()
         return result
 
 
 @dataclass
 class CellularResult:
-    """Series and counters from one phone run.
-
-    ``telemetry`` holds the run's frozen
-    :meth:`repro.obs.telemetry.Telemetry.snapshot` (its trace records).
-    """
+    """Series and counters from one phone run."""
 
     offsets: List[OffsetPoint] = field(default_factory=list)
     failures: int = 0
     promotions: int = 0
     gps_fixes: int = 0
     duration: float = 0.0
-    telemetry: Optional[Dict[str, Any]] = None
 
     def stats(self) -> SeriesStats:
         """Summary of the reported SNTP offsets."""

@@ -8,16 +8,17 @@ Exposes the main experiment flows without writing code::
     repro-mntp log-trace trace.jsonl         # log a tuner trace
     repro-mntp autotune --target-ms 8        # self-tuning pass
     repro-mntp run X --save run.json         # archive a run
-    repro-mntp run X --telemetry out.jsonl   # export run telemetry
     repro-mntp replay run.json               # summarise an archived run
     repro-mntp trace run.json                # inspect archived telemetry
     repro-mntp explain run.json --worst 5    # root-cause offset errors
+    repro-mntp health run.json               # judge an archived run
     repro-mntp matrix scenarios --smoke      # spec-file guarantee matrix
     repro-mntp lint src                      # domain static analysis
 
-Summaries print as tables by default; ``--json`` on ``run`` and
-``replay`` emits machine-readable JSON instead.  The paper's figures and
-tables are the benches under ``benchmarks/``; no command recomputes one.
+``run`` prints a summary and, with ``--save``, writes the archive; every
+other view of a run (its JSON summary, telemetry export and health
+verdict) is read from that archive.  The paper's figures and tables are
+the benches under ``benchmarks/``; no command recomputes one.
 """
 
 from __future__ import annotations
@@ -79,18 +80,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run.add_argument("--save", metavar="PATH",
                      help="archive the result and the scenario's "
                      "guarantees as JSON")
-    run.add_argument("--telemetry", metavar="PATH",
-                     help="export the run's telemetry as JSONL")
-    run.add_argument("--json", action="store_true",
-                     help="print the summary as JSON instead of tables")
-    run.add_argument("--watch", action="store_true",
-                     help="judge the run after it finishes and print one "
-                     "line per periodic SLO evaluation")
-    run.add_argument("--slo", metavar="PATH", default=None,
-                     help="SloSpec JSON to judge the run against after it "
-                     "finishes (the scenario's guarantees otherwise; the "
-                     "verdict lands in the summary and a violated run "
-                     "exits 1)")
 
     replay = sub.add_parser("replay", help="summarise an archived run")
     replay.add_argument("path", help="JSON file written by 'run --save'")
@@ -131,10 +120,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         help="judge an archived run against an SLO envelope and print "
         "the mntp-health-report-v1 verdict",
     )
-    health.add_argument(
-        "path", nargs="?", default=None,
-        help="archived run (JSON written by 'run --save')",
-    )
+    health.add_argument("path", help="JSON file written by 'run --save'")
     health.add_argument("--slo", metavar="PATH", default=None,
                         help="SloSpec JSON with the thresholds to judge "
                         "against (the archived scenario guarantees "
@@ -166,8 +152,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     autotune.add_argument("--target-ms", type=_positive_float, default=10.0)
     autotune.add_argument("--budget-per-hour", type=_positive_float,
                           default=None)
-    autotune.add_argument("--telemetry", metavar="PATH",
-                          help="export tuning telemetry as JSONL")
 
     matrix = sub.add_parser(
         "matrix",
@@ -191,8 +175,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     matrix.add_argument("--smoke", action="store_true",
                         help="only run specs tagged 'smoke' (the CI gate "
                         "tier)")
-    matrix.add_argument("--save", metavar="PATH",
-                        help="write the aggregated report JSON to a file")
     matrix.add_argument("--json", action="store_true",
                         help="print the report as JSON instead of the "
                         "table")
@@ -259,53 +241,21 @@ def _cmd_scenarios() -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.obs.health import judge_health
     from repro.testbed.specs import load_scenario
 
-    watch = getattr(args, "watch", False)
-    slo = None
-    if getattr(args, "slo", None):
-        # --slo judges on its own; --watch only adds the per-evaluation
-        # lines.
-        slo = _load_slo_spec(args.slo)
-        if slo is None:
-            return 2
     try:
         spec = load_scenario(args.scenario)
         result = spec.build_runner(seed=args.seed).run()
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    health = None
-    if slo is not None or watch:
-        health, rows = judge_health(
-            result, spec.guarantees if slo is None else slo
-        )
-        if watch:
-            for row in rows:
-                _print_health_line(row)
-    if getattr(args, "save", None):
+    if args.save:
         from repro.testbed.persistence import save_result
 
         with open(args.save, "w") as f:
             save_result(result, f, guarantees=spec.guarantees)
         print(f"result archived to {args.save}")
-    if getattr(args, "telemetry", None):
-        _write_telemetry(result.telemetry, args.telemetry)
-    # A judged run that ends violated is a failed run: rc 1 so
-    # scripted callers (and CI) see the verdict without parsing output.
-    rc = 1 if health is not None and health["verdict"] == "violated" else 0
-    if getattr(args, "json", False):
-        summary = _summary_dict(result)
-        if health is not None:
-            summary["health"] = health
-        print(json.dumps(summary, sort_keys=True, indent=2))
-        return rc
-    if health is not None:
-        print(f"health verdict: {health['verdict']} "
-              f"(final state: {health['state']})")
-    _summarise(result)
-    return rc
+    return _summarise(result)
 
 
 def _load_slo_spec(path: str):
@@ -318,22 +268,6 @@ def _load_slo_spec(path: str):
     except (OSError, ValueError) as exc:
         print(f"cannot load {path}: {exc}", file=sys.stderr)
         return None
-
-
-def _print_health_line(row: Dict[str, Any]) -> None:
-    """One ``run --watch`` line per periodic SLO evaluation."""
-    signals = row["signals"]
-
-    def fmt(key: str, unit: str) -> str:
-        value = signals.get(key)
-        return "n/a" if value is None else f"{value:.2f}{unit}"
-
-    fault = "  [fault window]" if row["in_fault_window"] else ""
-    print(f"health t={row['t']:9.2f}  {row['state']:<9} "
-          f"p99|err|={fmt('p99_abs_error_ms', 'ms')} "
-          f"drop={fmt('drop_rate_ratio', '')} "
-          f"starvation={fmt('starvation_s', 's')} "
-          f"rate={fmt('exchange_rate_per_s', '/s')}{fault}")
 
 
 def _load_archive(path: str):
@@ -361,17 +295,6 @@ def _cmd_replay(args) -> int:
         print(json.dumps(_summary_dict(result), sort_keys=True, indent=2))
         return 0
     return _summarise(result)
-
-
-def _write_telemetry(snapshot, path: str) -> None:
-    from repro.obs.exporters import write_jsonl
-
-    if snapshot is None:
-        print("no telemetry captured for this run", file=sys.stderr)
-        return
-    with open(path, "w") as f:
-        lines = write_jsonl(snapshot, f)
-    print(f"telemetry ({lines} lines) written to {path}")
 
 
 def _stats_dict(stats) -> Dict[str, Any]:
@@ -427,7 +350,7 @@ def _summarise(result) -> int:
 
 
 def _load_archived_telemetry(path: str):
-    """Telemetry snapshot out of an archived run (None + message if absent)."""
+    """An archived run that carries telemetry (None + message otherwise)."""
     loaded = _load_archive(path)
     if loaded is None:
         return None
@@ -436,7 +359,7 @@ def _load_archived_telemetry(path: str):
         print(f"{path} has no telemetry payload (saved by an older "
               "version?)", file=sys.stderr)
         return None
-    return result.telemetry
+    return result
 
 
 def _cmd_trace(args) -> int:
@@ -444,9 +367,10 @@ def _cmd_trace(args) -> int:
     from repro.obs.spans import SPAN_COMPONENT
     from repro.reporting.tables import render_table
 
-    snapshot = _load_archived_telemetry(args.path)
-    if snapshot is None:
+    result = _load_archived_telemetry(args.path)
+    if result is None:
         return 2
+    snapshot = result.telemetry
     records = snapshot["records"]
     if getattr(args, "chrome", None):
         with open(args.chrome, "w") as f:
@@ -492,13 +416,8 @@ def _cmd_explain(args) -> int:
     from repro.obs.causal import assemble_exchanges
     from repro.obs.explain import decompose, explain_run, render_tree
 
-    loaded = _load_archive(args.path)
-    if loaded is None:
-        return 2
-    result = loaded[0]
-    if result.telemetry is None:
-        print(f"{args.path} has no telemetry payload (saved by an older "
-              "version?)", file=sys.stderr)
+    result = _load_archived_telemetry(args.path)
+    if result is None:
         return 2
     samples = result.offset_samples()
     if getattr(args, "trace_id", None):
@@ -544,10 +463,6 @@ def _cmd_health(args) -> int:
         spec = _load_slo_spec(args.slo)
         if spec is None:
             return 2
-    if args.path is None:
-        print("give an archived run path (JSON written by 'run --save')",
-              file=sys.stderr)
-        return 2
     loaded = _load_archive(args.path)
     if loaded is None:
         return 2
@@ -625,11 +540,6 @@ def _cmd_matrix(args) -> int:
         print(f"no scenario specs selected in {args.directory}",
               file=sys.stderr)
         return 2
-    if getattr(args, "save", None):
-        with open(args.save, "w") as f:
-            f.write(report_to_json(report))
-        if not args.json:
-            print(f"matrix report written to {args.save}")
     if args.json:
         print(report_to_json(report), end="")
     else:
@@ -638,26 +548,19 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_autotune(args) -> int:
-    from repro.obs.telemetry import Telemetry
     from repro.reporting.tables import render_table
     from repro.tuner.autotune import AutoTuneOptions, AutoTuner
     from repro.tuner.logger import LoggerOptions, TraceLogger
 
     options = LoggerOptions(duration=args.hours * 3600.0)
     trace = TraceLogger(seed=args.seed, options=options).run()
-    telemetry = (
-        Telemetry.standalone() if getattr(args, "telemetry", None) else None
-    )
     tuner = AutoTuner(
         options=AutoTuneOptions(
             target_rmse_ms=args.target_ms,
             max_requests_per_hour=args.budget_per_hour,
         ),
-        telemetry=telemetry,
     )
     outcome = tuner.tune(trace)
-    if telemetry is not None:
-        _write_telemetry(telemetry.snapshot(), args.telemetry)
     if outcome.recommended is None:
         print("no viable configuration under the given constraints")
         return 1

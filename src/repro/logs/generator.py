@@ -21,6 +21,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import io
+import zlib
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -116,7 +117,8 @@ class TraceGenerator:
         if self.server.isp_specific:
             # ISP-internal server: clients are that ISP's own hosts.
             isp_pool = [p for p in PROVIDERS if p.category == "isp"]
-            anchor = isp_pool[hash(self.server.server_id) % len(isp_pool)]
+            # crc32, not hash(): str hashes are salted per process.
+            anchor = isp_pool[zlib.crc32(self.server.server_id.encode()) % len(isp_pool)]
             if self._rng.random() < 0.9:
                 return anchor
         weights = np.asarray([p.client_weight for p in PROVIDERS])

@@ -7,7 +7,7 @@ and :func:`load_jsonl` are where a record becomes a dict and back:
 
 * **JSONL** — one self-describing JSON object per line (``meta``,
   then one ``record`` line per record); the archival format
-  ``--telemetry`` writes.
+  ``trace --jsonl`` writes.
   Key order and float formatting are fixed, so identical runs produce
   byte-identical files.
 * **Chrome trace-event** — a JSON document loadable in

@@ -21,7 +21,7 @@ offers both styles::
     ...                       # event callbacks fire
     handle.end(samples=12)
 
-    with tracer.span("tuner.tune"):
+    with tracer.span("mntp.gate_wait"):
         ...
 
 A span that is never ended produces no record (the run stopped mid

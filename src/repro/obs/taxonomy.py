@@ -11,7 +11,7 @@ from __future__ import annotations
 
 #: Subsystems allowed to own span kinds (the prefix before the dot).
 SPAN_SUBSYSTEMS = frozenset(
-    {"sim", "mntp", "sntp", "link", "server", "channel", "tuner", "fault"}
+    {"sim", "mntp", "sntp", "link", "server", "channel", "fault"}
 )
 
 #: Every registered span kind.  Emitting an unregistered kind from a
@@ -26,8 +26,6 @@ SPAN_KINDS = frozenset(
         "link.transit",
         "server.turnaround",
         "channel.interference",
-        "tuner.tune",
-        "tuner.eval",
         "fault.episode",
     }
 )

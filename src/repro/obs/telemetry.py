@@ -1,12 +1,9 @@
 """The per-run telemetry bundle: spans + trace.
 
-One :class:`Telemetry` object accompanies each run.  Inside a
-simulation the :class:`~repro.simcore.simulator.Simulator` constructs it
-over its own virtual clock and trace log, so everything recorded is a
-deterministic function of the seed.  Outside a simulation (the tuner's
-grid search, which replays a recorded trace with no virtual clock) use
-:meth:`Telemetry.standalone`, which runs on a :class:`ManualClock` —
-a deterministic step counter standing in for a time axis.
+One :class:`Telemetry` object accompanies each run.  The
+:class:`~repro.simcore.simulator.Simulator` constructs it over its own
+virtual clock and trace log, so everything recorded is a deterministic
+function of the seed.
 
 :meth:`Telemetry.snapshot` freezes the record membership into a new
 list of the log's own :class:`~repro.simcore.trace.TraceRecord`
@@ -26,30 +23,6 @@ from repro.simcore.trace import TraceLog, TraceRecord
 
 #: Format tag stamped into snapshots and JSONL exports.
 TELEMETRY_FORMAT = "mntp-telemetry-v1"
-
-
-class ManualClock:
-    """A deterministic, manually-advanced time axis.
-
-    Used where telemetry is wanted but no simulator clock exists (the
-    tuner replays traces in a plain loop); ``tick()`` advances by one
-    step so spans get distinct, reproducible begin/end coordinates.
-    """
-
-    def __init__(self, start: float = 0.0, step: float = 1.0) -> None:
-        if step <= 0:
-            raise ValueError("step must be positive")
-        self._now = float(start)
-        self._step = float(step)
-
-    def now(self) -> float:
-        """Current position on the axis."""
-        return self._now
-
-    def tick(self) -> float:
-        """Advance by one step and return the new position."""
-        self._now += self._step
-        return self._now
 
 
 class _NullSpan:
@@ -115,46 +88,10 @@ class Telemetry:
         enabled: bool = True,
     ) -> None:
         self.trace = trace if trace is not None else TraceLog()
-        self._now_fn = now_fn
-        self._clock: Optional[ManualClock] = None
         self.enabled = bool(enabled)
         self.spans: Any = (
             SpanTracer(self.trace, now_fn) if self.enabled else _NullSpanTracer()
         )
-
-    @classmethod
-    def standalone(cls, start: float = 0.0, step: float = 1.0) -> "Telemetry":
-        """A telemetry bundle on a :class:`ManualClock` (non-sim layers)."""
-        clock = ManualClock(start=start, step=step)
-        telemetry = cls(now_fn=clock.now)
-        telemetry._clock = clock
-        return telemetry
-
-    @property
-    def now(self) -> float:
-        """Current position on the bundle's time axis."""
-        return float(self._now_fn())
-
-    @property
-    def manual(self) -> bool:
-        """Whether the bundle runs on a manually-advanced clock."""
-        return self._clock is not None
-
-    def advance(self, steps: int = 1) -> float:
-        """Advance a standalone bundle's manual clock by ``steps`` ticks.
-
-        Raises:
-            RuntimeError: On a simulator-backed bundle, whose time only
-                moves with the event loop.
-        """
-        if self._clock is None:
-            raise RuntimeError("telemetry clock is not manually advanceable")
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
-        now = self._clock.now()
-        for _ in range(steps):
-            now = self._clock.tick()
-        return now
 
     # -- emission -----------------------------------------------------------
 

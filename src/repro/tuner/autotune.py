@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.config import MntpConfig
-from repro.obs.telemetry import Telemetry
 from repro.tuner.searcher import ParameterSearcher, SearchResult, SearchSpace
 from repro.tuner.traces import OffsetTrace
 
@@ -69,25 +68,15 @@ class AutoTuner:
         space: SearchSpace = SearchSpace(),
         base_config: MntpConfig = MntpConfig(),
         options: AutoTuneOptions = AutoTuneOptions(),
-        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.space = space
         self.base_config = base_config
         self.options = options
-        self.telemetry = telemetry
 
     def tune(self, trace: OffsetTrace) -> TuneOutcome:
         """Run one tuning pass over ``trace``."""
-        tune_span = (
-            self.telemetry.spans.begin("tuner.tune", entries=len(trace.entries))
-            if self.telemetry is not None
-            else None
-        )
         searcher = ParameterSearcher(
-            trace,
-            base_config=self.base_config,
-            space=self.space,
-            telemetry=self.telemetry,
+            trace, base_config=self.base_config, space=self.space
         )
         results = [
             r for r in searcher.search()
@@ -102,32 +91,23 @@ class AutoTuner:
             ]
         pareto = self._pareto(results)
         if not affordable:
-            outcome = TuneOutcome(recommended=None, evaluated=results, pareto=pareto)
-        else:
-            meeting = [
-                r for r in affordable if r.rmse_ms <= self.options.target_rmse_ms
-            ]
-            if meeting:
-                # Cheapest configuration that meets the target.
-                best = min(meeting, key=lambda r: (r.requests, r.rmse_ms))
-                outcome = TuneOutcome(
-                    recommended=best.config, evaluated=results, pareto=pareto,
-                    met_target=True,
-                )
-            else:
-                # Target unreachable within budget: most accurate affordable.
-                best = min(affordable, key=lambda r: r.rmse_ms)
-                outcome = TuneOutcome(
-                    recommended=best.config, evaluated=results, pareto=pareto,
-                    met_target=False,
-                )
-        if tune_span is not None:
-            tune_span.end(
-                evaluated=len(results),
-                met_target=outcome.met_target,
-                recommended=outcome.recommended is not None,
+            return TuneOutcome(recommended=None, evaluated=results, pareto=pareto)
+        meeting = [
+            r for r in affordable if r.rmse_ms <= self.options.target_rmse_ms
+        ]
+        if meeting:
+            # Cheapest configuration that meets the target.
+            best = min(meeting, key=lambda r: (r.requests, r.rmse_ms))
+            return TuneOutcome(
+                recommended=best.config, evaluated=results, pareto=pareto,
+                met_target=True,
             )
-        return outcome
+        # Target unreachable within budget: most accurate affordable.
+        best = min(affordable, key=lambda r: r.rmse_ms)
+        return TuneOutcome(
+            recommended=best.config, evaluated=results, pareto=pareto,
+            met_target=False,
+        )
 
     def tune_window(self, trace: OffsetTrace, window: float) -> TuneOutcome:
         """Tune over only the most recent ``window`` seconds of the

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.config import MntpConfig
-from repro.obs.telemetry import Telemetry
 from repro.tuner.emulator import EmulationResult, MntpEmulator, replay_grid
 from repro.tuner.traces import OffsetTrace
 
@@ -87,18 +86,11 @@ class ParameterSearcher:
         base_config: Template whose non-swept fields (thresholds,
             toggles) every candidate inherits.
         space: The grid.
-        telemetry: Optional telemetry bundle; each evaluation becomes a
-            ``tuner.eval`` span that ends with its RMSE and request
-            count.
-            A :meth:`Telemetry.standalone` bundle (manual clock) keeps
-            the coordinates deterministic — there is no virtual clock
-            during offline grid search.
     """
 
     trace: OffsetTrace
     base_config: MntpConfig = field(default_factory=MntpConfig)
     space: SearchSpace = field(default_factory=SearchSpace)
-    telemetry: Optional[Telemetry] = None
 
     def search(self) -> List[SearchResult]:
         """Evaluate every combination; results sorted best-RMSE first.
@@ -132,25 +124,11 @@ class ParameterSearcher:
         it already (:meth:`search` replays the whole grid at once);
         otherwise the configuration is replayed here.
         """
-        span = None
-        if self.telemetry is not None:
-            span = self.telemetry.spans.begin(
-                "tuner.eval",
-                warmup_period=config.warmup_period,
-                warmup_wait_time=config.warmup_wait_time,
-                regular_wait_time=config.regular_wait_time,
-                reset_period=config.reset_period,
-            )
         if emulation is None:
             emulation = MntpEmulator(self.trace, config).run()
-        result = SearchResult(
+        return SearchResult(
             config=config,
             rmse_ms=emulation.rmse_ms(),
             requests=emulation.requests,
             reported_count=len(emulation.reported),
         )
-        if span is not None:
-            if self.telemetry.manual:
-                self.telemetry.advance()
-            span.end(rmse_ms=round(result.rmse_ms, 6), requests=result.requests)
-        return result

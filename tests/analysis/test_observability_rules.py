@@ -59,10 +59,10 @@ def test_registered_span_kinds_pass():
     src = (
         "def f(sim):\n"
         '    sim.telemetry.spans.begin("sntp.exchange", trace_id="c/1")\n'
-        '    with sim.telemetry.spans.span("tuner.tune"):\n'
+        '    with sim.telemetry.spans.span("mntp.gate_wait"):\n'
         "        pass\n"
     )
-    assert rules_for(src, "repro.tuner.autotune") == []
+    assert rules_for(src, "repro.core.protocol") == []
 
 
 def test_dynamic_span_kind_skipped():

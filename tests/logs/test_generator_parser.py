@@ -1,6 +1,10 @@
 """Trace generation and parsing (the §3.1 pipeline plumbing)."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,25 @@ def test_deterministic():
     assert a == b
     _, c = _generate(seed=6)
     assert a != c
+
+
+def test_pcap_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """An ISP-internal server's trace is a function of the seed alone,
+    not of the per-process ``str`` hash salt."""
+    root = Path(__file__).resolve().parents[2]
+    written = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--seed", "3", "pcap",
+             str(out), "--servers", "CI3", "--scale", "1e-4"],
+            capture_output=True, text=True, env=env, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append((out / "CI3.pcap").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_parser_recovers_every_client():

@@ -17,10 +17,11 @@ from repro.simcore.trace import TraceRecord
 
 
 def sample_snapshot():
-    telemetry = Telemetry.standalone()
+    now = [0.0]
+    telemetry = Telemetry(now_fn=lambda: now[0])
     telemetry.emit(0.0, "mntp", "offset_accepted", offset=0.002)
     span = telemetry.spans.begin("mntp.warmup", phase="warmup")
-    telemetry.advance()
+    now[0] = 1.0
     span.end(ok=1)
     return telemetry.snapshot()
 
@@ -82,7 +83,7 @@ def test_chrome_trace_is_valid_json_with_span_events():
     assert len(document["traceEvents"]) == count
     complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
     assert complete and complete[0]["name"] == "mntp.warmup"
-    assert complete[0]["dur"] == pytest.approx(1e6)  # 1 manual tick in us
+    assert complete[0]["dur"] == pytest.approx(1e6)  # 1 s in us
     instants = [e for e in document["traceEvents"] if e["ph"] == "i"]
     assert instants and instants[0]["name"] == "mntp.offset_accepted"
     metas = [e for e in document["traceEvents"] if e["ph"] == "M"]
@@ -90,9 +91,9 @@ def test_chrome_trace_is_valid_json_with_span_events():
 
 
 def test_chrome_trace_zero_duration_span():
-    telemetry = Telemetry.standalone()
+    telemetry = Telemetry(now_fn=lambda: 5.0)
     span = telemetry.spans.begin("mntp.warmup")
-    span.end()  # same manual tick: zero duration
+    span.end()  # same instant: zero duration
     events = chrome_trace_events(telemetry.snapshot())
     complete = [e for e in events if e["ph"] == "X"]
     assert len(complete) == 1

@@ -1,11 +1,11 @@
-"""End-to-end instrumentation: simulator, Mntp, channel, tuner."""
+"""End-to-end instrumentation: simulator, Mntp, channel."""
 
 import pytest
 
 from repro.core.config import MntpConfig
 from repro.obs.exporters import jsonl_lines
 from repro.obs.spans import SPAN_COMPONENT
-from repro.obs.telemetry import Telemetry, snapshot_span_kinds
+from repro.obs.telemetry import snapshot_span_kinds
 from repro.testbed.experiment import ExperimentRunner
 from repro.testbed.nodes import TestbedOptions
 
@@ -84,31 +84,6 @@ def test_telemetry_is_seed_deterministic():
         return "\n".join(jsonl_lines(result.telemetry))
 
     assert snapshot() == snapshot()
-
-
-def test_tuner_search_spans():
-    from repro.tuner.logger import LoggerOptions, TraceLogger
-    from repro.tuner.searcher import ParameterSearcher, SearchSpace
-
-    trace = TraceLogger(seed=2, options=LoggerOptions(duration=1800.0)).run()
-    telemetry = Telemetry.standalone()
-    searcher = ParameterSearcher(
-        trace,
-        space=SearchSpace(
-            warmup_periods=(30 * 60,),
-            warmup_wait_times=(15.0,),
-            regular_wait_times=(15 * 60, 30 * 60),
-            reset_periods=(240 * 60,),
-        ),
-        telemetry=telemetry,
-    )
-    results = searcher.search()
-    snap = telemetry.snapshot()
-    evals = [r for r in snap["records"] if r.kind == "tuner.eval"]
-    assert len(evals) == len(results) == 2
-    for record in evals:
-        assert "rmse_ms" in record.data
-        assert "requests" in record.data
 
 
 def test_telemetry_never_changes_the_simulation():

@@ -1,42 +1,10 @@
-"""Telemetry bundle: clocks, emission, snapshots, simulator integration."""
+"""Telemetry bundle: emission, snapshots, simulator integration."""
 
 import tracemalloc
 
-import pytest
-
-from repro.obs.telemetry import (
-    TELEMETRY_FORMAT,
-    ManualClock,
-    Telemetry,
-    snapshot_span_kinds,
-)
+from repro.obs.telemetry import TELEMETRY_FORMAT, Telemetry, snapshot_span_kinds
 from repro.simcore.simulator import Simulator
 from repro.simcore.trace import TraceRecord
-
-
-def test_manual_clock_ticks():
-    clock = ManualClock(start=2.0, step=0.5)
-    assert clock.now() == 2.0
-    assert clock.tick() == 2.5
-    assert clock.now() == 2.5
-    with pytest.raises(ValueError):
-        ManualClock(step=0.0)
-
-
-def test_standalone_bundle_is_manual():
-    telemetry = Telemetry.standalone()
-    assert telemetry.manual
-    assert telemetry.now == 0.0
-    assert telemetry.advance(3) == 3.0
-    with pytest.raises(ValueError):
-        telemetry.advance(0)
-
-
-def test_simulator_bundle_is_not_manual():
-    sim = Simulator(seed=0)
-    assert not sim.telemetry.manual
-    with pytest.raises(RuntimeError):
-        sim.telemetry.advance()
 
 
 def test_simulator_bundle_shares_trace_and_clock():
@@ -44,9 +12,10 @@ def test_simulator_bundle_shares_trace_and_clock():
     assert sim.telemetry.trace is sim.trace
     sim.call_after(5.0, lambda: None)
     sim.run_until(10.0)
-    assert sim.telemetry.now == 10.0
-    # The event loop recorded its span, which counts the events run.
+    # The event loop recorded its span on the simulator's clock, and the
+    # span counts the events run.
     (run,) = sim.trace.select(kind="sim.run")
+    assert run.data["t1"] == 10.0
     assert run.data["events"] == 1
 
 
@@ -102,9 +71,9 @@ def test_disabled_bundle_records_nothing():
 
 
 def test_snapshot_shape_and_helpers():
-    telemetry = Telemetry.standalone()
+    telemetry = Telemetry(now_fn=lambda: 0.0)
     with telemetry.spans.span("phase.one"):
-        telemetry.advance()
+        pass
     snap = telemetry.snapshot()
     assert snap == {"format": TELEMETRY_FORMAT, "records": snap["records"]}
     assert snapshot_span_kinds(snap) == ["phase.one"]
@@ -112,11 +81,11 @@ def test_snapshot_shape_and_helpers():
 
 
 def test_snapshot_shares_the_logs_records_and_freezes_membership():
-    telemetry = Telemetry.standalone()
+    telemetry = Telemetry(now_fn=lambda: 0.0)
     for i in range(5):
         telemetry.emit(float(i), "mntp", "query_sent", n=i)
     with telemetry.spans.span("phase.one"):
-        telemetry.advance()
+        pass
     records = telemetry.snapshot()["records"]
     logged = list(telemetry.trace)
     assert len(records) == len(logged) == 6
@@ -130,7 +99,7 @@ def test_snapshot_shares_the_logs_records_and_freezes_membership():
 
 
 def test_snapshot_does_not_copy_records():
-    telemetry = Telemetry.standalone()
+    telemetry = Telemetry(now_fn=lambda: 0.0)
     for i in range(10_000):
         telemetry.emit(float(i), "mntp", "query_sent", server="a")
     tracemalloc.start()

@@ -103,6 +103,12 @@ def test_removed_perf_commands_are_usage_errors(argv):
     ["run", "wired_corrected", "--sample-rate", "2"],
     ["run", "wired_corrected", "--ring-capacity", "8"],
     ["trace", "x", "--sample-rate", "2"],
+    ["run", "wired_corrected", "--telemetry", "out.jsonl"],
+    ["run", "wired_corrected", "--json"],
+    ["run", "wired_corrected", "--watch"],
+    ["run", "wired_corrected", "--slo", "spec.json"],
+    ["autotune", "--telemetry", "tune.jsonl"],
+    ["matrix", "scenarios", "--save", "report.json"],
 ])
 def test_removed_telemetry_options_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -161,17 +167,24 @@ def test_pcap(tmp_path, capsys):
 # -- telemetry surface ---------------------------------------------------
 
 
-def test_run_telemetry_export_meets_acceptance(tmp_path, capsys):
-    """An export carries its records and >=4 span kinds, byte-stable."""
-    import json
+def _save_and_export(tmp_path, name):
+    """``run --save`` then ``trace --jsonl``; the exported bytes."""
+    archive = tmp_path / f"{name}.json"
+    export = tmp_path / f"{name}.jsonl"
+    assert main(["--seed", "1", "run", "mntp_wireless_corrected",
+                 "--save", str(archive)]) == 0
+    assert main(["trace", str(archive), "--jsonl", str(export)]) == 0
+    return export
 
+
+def test_run_telemetry_export_meets_acceptance(tmp_path, capsys):
+    """A run's export (``trace A --jsonl``) carries its records and >= 4
+    span kinds, and is byte-stable across save-and-export rounds."""
     from repro.obs.exporters import load_jsonl
     from repro.obs.telemetry import snapshot_span_kinds
 
-    path = tmp_path / "out.jsonl"
-    assert main(["--seed", "1", "run", "mntp_wireless_corrected",
-                 "--telemetry", str(path)]) == 0
-    assert "telemetry" in capsys.readouterr().out
+    path = _save_and_export(tmp_path, "first")
+    assert f"written to {path}" in capsys.readouterr().out
     with open(path) as f:
         snap = load_jsonl(f)
     assert len(snapshot_span_kinds(snap)) >= 4
@@ -180,45 +193,35 @@ def test_run_telemetry_export_meets_acceptance(tmp_path, capsys):
         meta = json.loads(f.readline())
     assert meta == {"format": snap["format"], "record_count": len(snap["records"]),
                     "type": "meta"}
-    # Byte-identical on re-run with the same seed.
-    first = path.read_bytes()
-    assert main(["--seed", "1", "run", "mntp_wireless_corrected",
-                 "--telemetry", str(path)]) == 0
+    # Byte-identical on a second round with the same seed.
+    assert _save_and_export(tmp_path, "second").read_bytes() == path.read_bytes()
+
+
+def test_run_json_summary(tmp_path, capsys):
+    """A run's JSON summary is ``replay A --json`` on its archive."""
+    path = tmp_path / "run.json"
+    assert main(["--seed", "1", "run", "wired_uncorrected",
+                 "--save", str(path)]) == 0
     capsys.readouterr()
-    assert path.read_bytes() == first
-
-
-def test_run_json_summary(capsys):
-    import json
-
-    assert main(["--seed", "1", "run", "wired_uncorrected", "--json"]) == 0
-    out = capsys.readouterr().out
-    data = json.loads(out)
+    assert main(["replay", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["sntp"]["count"] > 0
     assert set(data["telemetry"]) == {"record_count", "span_kinds"}
 
 
 def test_trace_subcommand(tmp_path, capsys):
-    import json
-
     run_path = tmp_path / "run.json"
-    run_jsonl = tmp_path / "run.jsonl"
     assert main(["--seed", "1", "run", "mntp_wireless_corrected",
-                 "--save", str(run_path), "--telemetry", str(run_jsonl)]) == 0
+                 "--save", str(run_path)]) == 0
     capsys.readouterr()
 
     chrome_path = tmp_path / "chrome.json"
-    trace_jsonl = tmp_path / "trace.jsonl"
     assert main(["trace", str(run_path), "--chrome", str(chrome_path),
-                 "--jsonl", str(trace_jsonl),
                  "--kind", "deferred", "--limit", "2"]) == 0
     out = capsys.readouterr().out
-    # Re-exporting the archive reproduces the run's export byte for byte.
-    assert trace_jsonl.read_bytes() == run_jsonl.read_bytes()
     assert "sim.run" in out            # span summary table
     assert "mntp/deferred" in out      # filtered record listing
-    with open(chrome_path) as f:
-        document = json.load(f)        # must be valid JSON
+    document = json.loads(chrome_path.read_text())  # must be valid JSON
     assert document["traceEvents"]
 
 
@@ -294,20 +297,6 @@ def test_trace_without_telemetry_payload(tmp_path, capsys):
     }))
     assert main(["trace", str(path)]) == 2
     assert "no telemetry payload" in capsys.readouterr().err
-
-
-def test_autotune_telemetry(tmp_path, capsys):
-    from repro.obs.exporters import load_jsonl
-    from repro.obs.telemetry import snapshot_span_kinds
-
-    path = tmp_path / "tune.jsonl"
-    assert main(["--seed", "2", "autotune", "--hours", "0.5",
-                 "--target-ms", "50", "--telemetry", str(path)]) == 0
-    capsys.readouterr()
-    with open(path) as f:
-        snap = load_jsonl(f)
-    kinds = snapshot_span_kinds(snap)
-    assert "tuner.tune" in kinds and "tuner.eval" in kinds
 
 
 def test_explain_subcommand(tmp_path, capsys):
@@ -409,30 +398,12 @@ def test_health_archive_without_failure_times_exits_2(tmp_path, capsys):
     ("window_s", math.inf),
     ("min_samples", 2.5),
 ])
-def test_run_and_health_reject_slo_files_that_gate_nothing(
+def test_health_rejects_slo_files_that_gate_nothing(
     tmp_path, capsys, field, value
 ):
     slo = _slo_file(tmp_path, "typo.json", **{field: value})
-    assert main(["run", "wired_corrected", "--slo", slo]) == 2
-    assert field in capsys.readouterr().err
     assert main(["health", str(tmp_path / "run.json"), "--slo", slo]) == 2
     assert field in capsys.readouterr().err
-
-
-def test_run_judged_telemetry_equals_unjudged(tmp_path, capsys):
-    # Judging happens after the run, so it leaves the telemetry alone.
-    from repro.obs.health import smoke_spec
-
-    slo = tmp_path / "smoke.json"
-    slo.write_text(smoke_spec().to_json())
-    judged = tmp_path / "judged.jsonl"
-    plain = tmp_path / "plain.jsonl"
-    assert main(["--seed", "3", "run", "chaos_smoke", "--slo", str(slo),
-                 "--telemetry", str(judged)]) == 0
-    assert main(["--seed", "3", "run", "chaos_smoke",
-                 "--telemetry", str(plain)]) == 0
-    assert "health verdict: pass" in capsys.readouterr().out
-    assert judged.read_bytes() == plain.read_bytes()
 
 
 def test_health_judges_an_archive_against_its_scenario_guarantees(
@@ -441,9 +412,9 @@ def test_health_judges_an_archive_against_its_scenario_guarantees(
     # chaos_smoke at seed 1 passes its own guarantees (as the smoke
     # matrix judges it) but violates the default SloSpec().
     path = tmp_path / "run.json"
-    assert main(["--seed", "1", "run", "chaos_smoke", "--watch",
+    assert main(["--seed", "1", "run", "chaos_smoke",
                  "--save", str(path)]) == 0
-    assert "health verdict: pass" in capsys.readouterr().out
+    capsys.readouterr()
     assert main(["health", str(path)]) == 0
     assert "verdict: pass" in capsys.readouterr().out
     # An archive without the key is judged against the defaults.
@@ -459,8 +430,10 @@ def test_health_judges_an_archive_against_its_scenario_guarantees(
 
 
 def test_health_argument_validation(tmp_path, capsys):
-    assert main(["health"]) == 2
-    assert "archived run path" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["health"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: path" in capsys.readouterr().err
     assert main(["health", str(tmp_path / "missing.json")]) == 2
     assert "cannot load" in capsys.readouterr().err
     bad_spec = tmp_path / "spec.json"
@@ -470,16 +443,9 @@ def test_health_argument_validation(tmp_path, capsys):
     assert "slo: unknown keys ['p99_err_ms']" in capsys.readouterr().err
 
 
-def test_run_watch_prints_health_lines(capsys):
-    assert main(["--seed", "2", "run", "wired_corrected", "--watch"]) == 0
-    out = capsys.readouterr().out
-    assert "health t=" in out
-    assert "p99|err|=" in out
-
-
-def test_run_slo_with_unreadable_spec_fails(capsys):
-    assert main(["run", "wired_corrected", "--slo", "missing-spec.json"]) == 2
-    assert "cannot load" in capsys.readouterr().err
+def test_health_slo_with_unreadable_spec_fails(capsys):
+    assert main(["health", "run.json", "--slo", "missing-spec.json"]) == 2
+    assert "cannot load missing-spec.json" in capsys.readouterr().err
 
 
 def _slo_file(tmp_path, name, **overrides):
@@ -492,29 +458,43 @@ def _slo_file(tmp_path, name, **overrides):
     return str(path)
 
 
-def test_run_slo_without_watch_monitors_and_reports(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def wired_corrected_archive(tmp_path_factory):
+    """``run wired_corrected --save`` at seed 2, shared by the SLO cases."""
+    path = tmp_path_factory.mktemp("archive") / "run.json"
+    assert main(["--seed", "2", "run", "wired_corrected",
+                 "--save", str(path)]) == 0
+    return str(path)
+
+
+def test_health_lax_slo_reports_a_passing_verdict(
+    tmp_path, capsys, wired_corrected_archive
+):
     lax = _slo_file(tmp_path, "lax.json",
                     p99_abs_error_warn_ms=5000.0,
                     p99_abs_error_violate_ms=10000.0)
-    assert main(["--seed", "2", "run", "wired_corrected",
-                 "--slo", lax, "--json"]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["health"]["format"] == "mntp-health-report-v1"
-    assert summary["health"]["verdict"] != "violated"
+    capsys.readouterr()
+    assert main(["health", wired_corrected_archive, "--slo", lax,
+                 "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["format"] == "mntp-health-report-v1"
+    assert report["verdict"] != "violated"
 
 
-def test_run_violated_verdict_exits_nonzero(tmp_path, capsys):
+def test_run_violated_verdict_exits_nonzero(
+    tmp_path, capsys, wired_corrected_archive
+):
+    """A run judged violated (``health A --slo S`` on its archive) exits 1."""
     strict = _slo_file(tmp_path, "strict.json",
                        p99_abs_error_warn_ms=0.0005,
                        p99_abs_error_violate_ms=0.001)
-    assert main(["--seed", "2", "run", "wired_corrected",
-                 "--slo", strict, "--json"]) == 1
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["health"]["verdict"] == "violated"
-    # Same verdict, table mode: the verdict line prints and rc stays 1.
-    assert main(["--seed", "2", "run", "wired_corrected",
-                 "--slo", strict]) == 1
-    assert "health verdict: violated" in capsys.readouterr().out
+    capsys.readouterr()
+    assert main(["health", wired_corrected_archive, "--slo", strict,
+                 "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "violated"
+    # Same verdict, text mode: the verdict line prints and rc stays 1.
+    assert main(["health", wired_corrected_archive, "--slo", strict]) == 1
+    assert "verdict: violated" in capsys.readouterr().out
 
 
 # -- matrix ----------------------------------------------------------------
@@ -541,16 +521,14 @@ def _matrix_spec_file(tmp_path, name, tags=(), strict=False):
     return spec
 
 
-def test_matrix_cli_json_and_save(tmp_path, capsys):
+def test_matrix_cli_json(tmp_path, capsys):
     _matrix_spec_file(tmp_path, "tiny", tags=("smoke",))
-    out_path = tmp_path / "report.json"
     assert main(["--seed", "3", "matrix", str(tmp_path), "--jobs", "1",
-                 "--json", "--save", str(out_path)]) == 0
+                 "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["format"] == "mntp-matrix-report-v1"
     assert report["specs"][0]["name"] == "tiny"
     assert report["specs"][0]["status"] == "success"
-    assert json.loads(out_path.read_text()) == report
 
 
 def test_matrix_cli_hard_fail_exits_nonzero(tmp_path, capsys):

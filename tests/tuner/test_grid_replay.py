@@ -16,8 +16,6 @@ from repro.core.config import HintThresholds, MntpConfig
 from repro.core.falsetickers import reject_false_tickers
 from repro.core.filter import OffsetFilter
 from repro.core.thresholds import favorable_snr_condition
-from repro.obs.exporters import jsonl_lines
-from repro.obs.telemetry import Telemetry
 from repro.tuner.emulator import EmulationResult, MntpEmulator, replay_grid
 from repro.tuner.searcher import ParameterSearcher, SearchSpace
 from repro.tuner.traces import OffsetTrace, TraceEntry
@@ -268,9 +266,9 @@ def test_configurations_share_the_warm_up_they_replay_alike(monkeypatch):
     assert sorted(offers) == sorted(warmup * 2 + regular)
 
 
-def _reference_search(trace, space, telemetry):
+def _reference_search(trace, space):
     """:meth:`ParameterSearcher.search` as a per-configuration loop."""
-    searcher = ParameterSearcher(trace, space=space, telemetry=telemetry)
+    searcher = ParameterSearcher(trace, space=space)
     results = [
         searcher.evaluate(searcher.base_config.with_overrides(
             warmup_period=wp, warmup_wait_time=ww,
@@ -281,19 +279,13 @@ def _reference_search(trace, space, telemetry):
     return results
 
 
-def test_search_telemetry_and_rows_match_per_config_loop():
+def test_search_rows_match_per_config_loop():
     trace = _trace()
-    grid_telemetry = Telemetry.standalone()
-    loop_telemetry = Telemetry.standalone()
-    grid = ParameterSearcher(trace, space=_SPACE, telemetry=grid_telemetry).search()
-    loop = _reference_search(trace, _SPACE, loop_telemetry)
+    grid = ParameterSearcher(trace, space=_SPACE).search()
+    loop = _reference_search(trace, _SPACE)
     assert [r.row() + (r.reported_count,) for r in grid] == \
         [r.row() + (r.reported_count,) for r in loop]
     assert [r.config for r in grid] == [r.config for r in loop]
-    assert list(jsonl_lines(grid_telemetry.snapshot())) == \
-        list(jsonl_lines(loop_telemetry.snapshot()))
-    evals = [r for r in grid_telemetry.snapshot()["records"] if r.kind == "tuner.eval"]
-    assert len(evals) == len(_SPACE.combinations())
 
 
 def test_configurations_without_reports_rank_last():
