@@ -66,8 +66,9 @@ if [[ "${1:-}" != "--fast" ]]; then
     # runner, one worker process per spec with a per-spec deadline
     # (chaos smoke matrix + wired baseline), and judges each finished
     # run against its embedded SloSpec guarantees (chaos_smoke:
-    # smoke_spec() with no Minimal tier, so any out-of-fault violation
-    # fails the gate).  Exit 1 on any hard-failed spec; see
+    # chaos_smoke.json's guarantees with no Minimal tier, so any
+    # out-of-fault violation fails the gate).  Exit 1 on any
+    # hard-failed spec; see
     # docs/SCENARIO_SPECS.md.  The report must not depend on the
     # worker count, so it runs at --jobs 1 and --jobs 2 and the two
     # reports must be byte-identical.

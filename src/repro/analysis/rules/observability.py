@@ -14,7 +14,7 @@ statically-known kinds honest — they must be registered in
 :mod:`repro.obs.taxonomy`.  Dynamic kinds (variables, f-strings) are
 out of static reach and are skipped.
 
-SLO thresholds are contracts of a third kind: the health monitor's
+SLO thresholds are contracts of a third kind: the health judge's
 verdicts are only auditable if every threshold lives in the declarative
 :class:`~repro.obs.health.SloSpec` (unit-suffixed, JSON-round-tripped,
 archived with the run).  A magic number inlined into health-checking

@@ -468,9 +468,7 @@ def _cmd_health(args) -> int:
         return 2
     result, archived = loaded
     try:
-        report, _rows = judge_health(
-            result, archived if spec is None else spec
-        )
+        report = judge_health(result, archived if spec is None else spec)
     except ValueError as exc:
         print(f"cannot judge {args.path}: {exc}", file=sys.stderr)
         return 2

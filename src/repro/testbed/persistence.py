@@ -60,7 +60,8 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
         ValueError: On a document of another format, one missing a
             required key (the message names the key), or a field of the
             wrong type (the message names its JSON path, e.g.
-            ``sntp[3].o must be a finite number, got None``).
+            ``sntp[3].o must be a finite number, got None``), or a
+            fault window that ends before it starts (named by index).
     """
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
@@ -90,6 +91,12 @@ def _result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
             List[MntpReport], data.get("mntp_reports", []), "mntp_reports"
         ),
     )
+    for index, (start, end) in enumerate(result.fault_windows or ()):
+        if end < start:
+            raise ValueError(
+                f"fault_windows[{index}] ends before it starts "
+                f"({start} > {end})"
+            )
     telemetry = decode(
         Optional[Dict[str, Any]], data.get("telemetry"), "telemetry"
     )

@@ -305,12 +305,12 @@ def judge_result(
     judged by :func:`~repro.obs.health.judge_health`, which raises
     ``ValueError`` for a result that lacks what it reads.
     """
-    guarantees, _rows = judge_health(result, spec.guarantees)
+    guarantees = judge_health(result, spec.guarantees)
     minimal: Optional[Dict[str, Any]] = None
     if guarantees["verdict"] != "violated":
         status = "success"
     elif spec.minimal_guarantees is not None:
-        minimal, _rows = judge_health(result, spec.minimal_guarantees)
+        minimal = judge_health(result, spec.minimal_guarantees)
         status = "minimal" if minimal["verdict"] != "violated" else "failed"
     else:
         status = "failed"

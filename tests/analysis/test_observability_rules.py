@@ -105,7 +105,7 @@ def test_noqa_suppresses_obs002():
 # -- OBS004: SLO thresholds must be SloSpec fields ------------------------
 
 
-HEALTH_IMPORT = "from repro.obs.health import HealthMonitor\n"
+HEALTH_IMPORT = "from repro.obs.health import SloSpec\n"
 
 
 def obs004_for(src, module):

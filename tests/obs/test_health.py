@@ -7,20 +7,18 @@ from dataclasses import fields
 
 import pytest
 
+from repro.core.protocol import MntpPhase, MntpReport
 from repro.obs.health import (
     HEALTH_FORMAT,
-    HealthMonitor,
     SloSpec,
     _p99,
     judge_health,
-    recovered_transitions,
     render_health_text,
-    smoke_spec,
 )
 from repro.obs.telemetry import snapshot_span_kinds
 from repro.testbed.experiment import ExperimentResult, OffsetPoint
 from repro.testbed.persistence import load_result, save_result
-from repro.testbed.specs import run_scenario
+from repro.testbed.specs import load_scenario, run_scenario
 
 
 # -- SloSpec --------------------------------------------------------------
@@ -94,61 +92,68 @@ def test_p99_is_nearest_rank(n, expected):
     assert _p99([float(v) for v in range(n, 0, -1)]) == expected
 
 
-# -- state machine over synthetic feeds -----------------------------------
+# -- state machine over hand-built runs ----------------------------------
 
 
-def drive(monitor, t0, n, ok=True, error_s=0.001, client="c0", dt=1.0):
-    for i in range(n):
-        monitor.observe_exchange(
-            t0 + i * dt, client, ok, offset_s=error_s, error_s=error_s
-        )
+def run_of(duration, errors=(), failures=(), mntp=(), windows=()):
+    """A finished run: SNTP points ``(t, error_s)`` (truth 0), SNTP
+    failure times, accepted MNTP reports ``(t, error_s)`` and fault
+    windows."""
+    return ExperimentResult(
+        sntp=[OffsetPoint(float(t), error, 0.0) for t, error in errors],
+        sntp_failure_times=[float(t) for t in failures],
+        mntp_reports=[
+            MntpReport(float(t), error, True, MntpPhase.REGULAR, truth=0.0)
+            for t, error in mntp
+        ],
+        duration=duration,
+        fault_windows=list(windows),
+    )
+
+
+def steady(t0, t1, error_s=0.001):
+    """One SNTP point a second over ``[t0, t1)``."""
+    return [(t, error_s) for t in range(t0, t1)]
 
 
 def test_ok_run_stays_ok():
-    monitor = HealthMonitor(SloSpec(window_s=60.0, eval_interval_s=10.0))
-    drive(monitor, 0.0, 30)
-    monitor.evaluate(30.0)
-    assert monitor.state == "ok"
-    report = monitor.report()
+    spec = SloSpec(window_s=60.0, eval_interval_s=10.0)
+    report = judge_health(run_of(30.0, errors=steady(0, 30)), spec)
     assert report["format"] == HEALTH_FORMAT
+    assert report["state"] == "ok"
     assert report["verdict"] == "pass"
+    assert report["evaluations"] == 3  # ticks at 10 and 20, final at 30
     assert report["transitions"] == []
     assert "stayed ok" in render_health_text(report)
 
 
 def test_drop_rate_degrades_then_recovers():
     spec = SloSpec(window_s=30.0, eval_interval_s=10.0, min_samples=5)
-    monitor = HealthMonitor(spec)
-    drive(monitor, 0.0, 10)
-    monitor.evaluate(10.0)
-    assert monitor.state == "ok"
-    # 50% failures in the window: past warn (0.10), below violate (0.50).
-    drive(monitor, 10.0, 5, ok=True)
-    drive(monitor, 15.0, 5, ok=False)
-    monitor.evaluate(20.0)
-    assert monitor.state == "degraded"
-    # Window slides clean again: degraded -> recovered -> ok.
-    drive(monitor, 20.0, 40)
-    monitor.evaluate(60.0)
-    assert monitor.state == "recovered"
-    monitor.evaluate(70.0)
-    assert monitor.state == "ok"
-    report = monitor.report()
+    # 5 failures among 20 attempts by t=20: past warn (0.10), below
+    # violate (0.50).  The window slides clean again by t=50.
+    run = run_of(
+        80.0, errors=steady(0, 15) + steady(20, 80), failures=range(15, 20)
+    )
+    report = judge_health(run, spec)
+    assert [(tr["t"], tr["to"]) for tr in report["transitions"]] == [
+        (20.0, "degraded"), (50.0, "recovered"), (60.0, "ok"),
+    ]
+    assert report["transitions"][0]["signal"] == "drop_rate_ratio"
+    assert report["transitions"][0]["value"] == 0.25
+    assert report["state"] == "ok"
     assert report["verdict"] == "degraded"  # outside any fault window
     assert report["transition_counts"] == {
         "degraded->recovered": 1, "ok->degraded": 1, "recovered->ok": 1,
     }
-    assert recovered_transitions(report) == 1
 
 
 def test_p99_error_violates():
     spec = SloSpec(window_s=60.0, eval_interval_s=10.0, min_samples=5)
-    monitor = HealthMonitor(spec)
-    drive(monitor, 0.0, 10, error_s=0.5)  # 500 ms >> violate (200 ms)
-    monitor.evaluate(10.0)
-    assert monitor.state == "violated"
-    report = monitor.report()
+    # 500 ms >> violate (200 ms); the one evaluation is the final one.
+    report = judge_health(run_of(10.0, errors=steady(0, 10, 0.5)), spec)
+    assert report["state"] == "violated"
     assert report["verdict"] == "violated"
+    assert report["evaluations"] == 1
     assert report["violations_outside_fault"] == 1
     assert report["transitions"][0]["signal"] == "p99_abs_error_ms"
     assert report["worst"]["p99_abs_error_ms"] == pytest.approx(500.0)
@@ -156,34 +161,48 @@ def test_p99_error_violates():
 
 def test_starvation_signal():
     spec = SloSpec(window_s=1000.0, eval_interval_s=100.0, min_samples=1)
-    monitor = HealthMonitor(spec)
-    monitor.observe_exchange(0.0, "c0", True, offset_s=0.001)
-    monitor.observe_exchange(0.0, "c1", True, offset_s=0.001)
-    # c1 keeps syncing; c0 starves past warn (120 s).
-    for t in range(100, 500, 100):
-        monitor.observe_exchange(float(t), "c1", True, offset_s=0.001)
-        monitor.evaluate(float(t))
-    assert monitor.state == "degraded"
-    assert monitor.report()["worst"]["starvation_s"] == pytest.approx(400.0)
+    # MNTP keeps syncing; SNTP's one sample at t=0 starves past warn
+    # (120 s).
+    run = run_of(
+        400.0, errors=[(0, 0.001)],
+        mntp=[(t, 0.001) for t in range(0, 500, 100)],
+    )
+    report = judge_health(run, spec)
+    assert report["state"] == "degraded"
+    assert report["transitions"][0]["t"] == 200.0
+    assert report["transitions"][0]["signal"] == "starvation_s"
+    assert report["worst"]["starvation_s"] == pytest.approx(400.0)
 
 
 def test_exchange_rate_signal_opt_in():
+    run = run_of(100.0, errors=[(t, 0.001) for t in (0, 25, 50, 75)])
     quiet = SloSpec(window_s=100.0, eval_interval_s=50.0, min_samples=2)
-    monitor = HealthMonitor(quiet)
-    drive(monitor, 0.0, 4, dt=25.0)  # 0.04/s, but the signal is off
-    monitor.evaluate(100.0)
-    assert monitor.state == "ok"
+    assert judge_health(run, quiet)["state"] == "ok"  # 0.04/s, signal off
     rated = SloSpec(
         window_s=100.0, eval_interval_s=50.0, min_samples=2,
         exchange_rate_warn_per_s=1.0, exchange_rate_violate_per_s=0.5,
     )
-    monitor = HealthMonitor(rated)
-    drive(monitor, 0.0, 4, dt=25.0)
-    monitor.evaluate(100.0)
-    assert monitor.state == "violated"
-    assert monitor.report()["transitions"][0]["signal"] == (
-        "exchange_rate_per_s"
+    report = judge_health(run, rated)
+    assert report["state"] == "violated"
+    assert report["transitions"][0]["signal"] == "exchange_rate_per_s"
+
+
+@pytest.mark.parametrize("grace_s,in_fault,outside", [
+    (18.0, 3, 1),  # t=30 is exactly end + grace: still in the window
+    (17.9, 2, 2),  # t=30 falls just past the grace period
+])
+def test_fault_window_annotates_with_its_grace_edge(grace_s, in_fault, outside):
+    spec = SloSpec(
+        window_s=60.0, eval_interval_s=10.0, min_samples=5,
+        fault_grace_s=grace_s,
     )
+    run = run_of(40.0, errors=steady(0, 40, 0.5), windows=[(0.0, 12.0)])
+    report = judge_health(run, spec)
+    # Every evaluation (t = 10, 20, 30 and the final 40) violates.
+    assert report["violations_in_fault"] == in_fault
+    assert report["violations_outside_fault"] == outside
+    assert report["verdict"] == "violated"
+    assert report["transitions"][0]["in_fault_window"] is True
 
 
 def test_fault_window_annotates_and_excuses():
@@ -191,39 +210,35 @@ def test_fault_window_annotates_and_excuses():
         window_s=60.0, eval_interval_s=10.0, min_samples=5,
         fault_grace_s=20.0,
     )
-    monitor = HealthMonitor(spec)
-    monitor.fault_begin(0.0)
-    drive(monitor, 0.0, 10, error_s=0.5)
-    monitor.evaluate(10.0)
-    monitor.fault_end(12.0)
-    assert monitor.state == "violated"
-    # Still inside the grace period at t=30 (12 + 20 >= 30? no: 32 >= 30).
-    assert monitor.in_fault_window(30.0)
-    assert not monitor.in_fault_window(33.0)
-    report = monitor.report()
-    assert report["verdict"] == "pass"  # violation fell inside the episode
-    assert report["violations_in_fault"] == 1
+    run = run_of(30.0, errors=steady(0, 30, 0.5), windows=[(0.0, 12.0)])
+    report = judge_health(run, spec)
+    assert report["state"] == "violated"
+    assert report["verdict"] == "pass"  # every violation fell in the episode
+    assert report["violations_in_fault"] == 3
     assert report["violations_outside_fault"] == 0
     assert report["transitions"][0]["in_fault_window"] is True
 
 
 def test_report_round_trips_as_json():
-    monitor = HealthMonitor(SloSpec(window_s=30.0, eval_interval_s=10.0))
-    drive(monitor, 0.0, 10)
-    monitor.evaluate(10.0)
-    report = monitor.report()
+    spec = SloSpec(window_s=30.0, eval_interval_s=10.0)
+    report = judge_health(run_of(10.0, errors=steady(0, 10)), spec)
     assert json.loads(json.dumps(report, sort_keys=True)) == report
-    assert report["spec"] == monitor.spec.to_dict()
+    assert report["spec"] == spec.to_dict()
 
 
-# -- judging a finished run ----------------------------------------------
+def test_an_unset_spec_judges_against_the_defaults():
+    run = run_of(30.0, errors=steady(0, 30))
+    assert judge_health(run) == judge_health(run, SloSpec())
+
+
+# -- edges of a finished run ---------------------------------------------
 
 
 def violating_result(duration, windows=()):
     """A run whose every SNTP sample is 500 ms off (truth 0)."""
-    points = [OffsetPoint(float(t), 0.5, 0.0) for t in range(0, int(duration), 5)]
-    return ExperimentResult(
-        sntp=points, duration=duration, fault_windows=list(windows)
+    return run_of(
+        duration, errors=[(t, 0.5) for t in range(0, int(duration), 5)],
+        windows=windows,
     )
 
 
@@ -233,22 +248,19 @@ SHARP = SloSpec(window_s=60.0, eval_interval_s=60.0, min_samples=1,
 
 
 def test_fault_episode_after_duration_has_no_effect():
-    plain, plain_rows = judge_health(violating_result(300.0), SHARP)
-    late, late_rows = judge_health(
-        violating_result(300.0, windows=[(310.0, 320.0)]), SHARP
-    )
-    assert (late, late_rows) == (plain, plain_rows)
+    plain = judge_health(violating_result(300.0), SHARP)
+    late = judge_health(violating_result(300.0, windows=[(310.0, 320.0)]), SHARP)
+    assert late == plain
     # Ticks at 60..240 plus the final evaluation at 300, all outside.
     assert late["evaluations"] == 5
     assert late["violations_outside_fault"] == 5
 
 
 def test_episode_outlasting_duration_keeps_final_evaluation_in_fault():
-    report, rows = judge_health(
+    report = judge_health(
         violating_result(300.0, windows=[(30.0, 400.0)]), SHARP
     )
-    assert [row["t"] for row in rows] == [60.0, 120.0, 180.0, 240.0]
-    assert all(row["in_fault_window"] for row in rows)
+    assert report["evaluations"] == 5
     assert report["violations_in_fault"] == 5
     assert report["violations_outside_fault"] == 0
     assert report["verdict"] == "pass"
@@ -261,20 +273,15 @@ def test_same_instant_order_faults_then_evaluation_then_exchanges():
         duration=90.0,
         fault_windows=[(60.0, 70.0)],
     )
-    report, rows = judge_health(result, SHARP)
+    report = judge_health(result, SHARP)
     # The t=60 evaluation sees the episode that opens at 60 but not the
-    # exchange completing at 60; the final one (t=90) comes after every
-    # event of its instant, so it sees both exchanges.
-    assert rows == [{
-        "t": 60.0, "state": "ok", "level": "ok", "signal": None,
-        "in_fault_window": True,
-        "signals": {"p99_abs_error_ms": None, "drop_rate_ratio": None,
-                    "starvation_s": None, "exchange_rate_per_s": None},
-    }]
+    # exchange completing at 60, so nothing trips there; the final one
+    # (t=90) sees every exchange, including both at its own instant.
+    assert report["evaluations"] == 2
+    assert [tr["t"] for tr in report["transitions"]] == [90.0]
+    assert report["transitions"][0]["in_fault_window"] is False
     assert report["state"] == "violated"
     assert report["worst"]["drop_rate_ratio"] == 0.5
-    assert report["transitions"][0]["t"] == 90.0
-    assert report["transitions"][0]["in_fault_window"] is False
 
 
 @pytest.fixture(scope="module")
@@ -282,41 +289,46 @@ def chaos_result():
     return run_scenario("chaos_smoke", seed=7)
 
 
-def test_chaos_smoke_cycles_back_to_healthy(chaos_result):
-    report, _rows = judge_health(chaos_result, smoke_spec())
+@pytest.fixture(scope="module")
+def smoke_slo():
+    return load_scenario("chaos_smoke").guarantees
+
+
+def test_chaos_smoke_cycles_back_to_healthy(chaos_result, smoke_slo):
+    report = judge_health(chaos_result, smoke_slo)
     assert report["format"] == HEALTH_FORMAT
     assert report["verdict"] != "violated"
-    assert recovered_transitions(report) >= 1
+    assert any(tr["to"] == "recovered" for tr in report["transitions"])
     assert report["violations_outside_fault"] == 0
     # The seeded fault matrix must actually stress the run.
     assert any(tr["in_fault_window"] for tr in report["transitions"])
 
 
-def test_replay_agrees_with_live_verdict(chaos_result):
+def test_replay_agrees_with_live_verdict(chaos_result, smoke_slo):
     # Judging the archived run (`repro-mntp health <archive>`) gives the
-    # report and rows of judging the run it archived, byte for byte.
+    # report of judging the run it archived, byte for byte.
     buf = io.StringIO()
     save_result(chaos_result, buf)
     buf.seek(0)
     archived = load_result(buf)
-    live = judge_health(chaos_result, smoke_spec())
-    replayed = judge_health(archived, smoke_spec())
+    live = judge_health(chaos_result, smoke_slo)
+    replayed = judge_health(archived, smoke_slo)
     assert json.dumps(replayed, sort_keys=True) == json.dumps(
         live, sort_keys=True
     )
 
 
-def test_replay_is_deterministic(chaos_result):
-    a = judge_health(chaos_result, smoke_spec())
-    b = judge_health(chaos_result, smoke_spec())
+def test_replay_is_deterministic(chaos_result, smoke_slo):
+    a = judge_health(chaos_result, smoke_slo)
+    b = judge_health(chaos_result, smoke_slo)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_same_seed_reports_identical(chaos_result):
+def test_same_seed_reports_identical(chaos_result, smoke_slo):
     again = run_scenario("chaos_smoke", seed=7)
     assert json.dumps(
-        judge_health(again, smoke_spec()), sort_keys=True
-    ) == json.dumps(judge_health(chaos_result, smoke_spec()), sort_keys=True)
+        judge_health(again, smoke_slo), sort_keys=True
+    ) == json.dumps(judge_health(chaos_result, smoke_slo), sort_keys=True)
 
 
 def test_unmonitored_run_has_no_health():

@@ -166,6 +166,16 @@ def test_mistyped_archive_field_names_its_path(overrides, message):
         result_from_dict(data)
 
 
+def test_inverted_fault_window_is_rejected_by_its_index():
+    data = _archive_with_report()
+    data["fault_windows"] = [[0.0, 1.0], [5.0, 4.0]]
+    with pytest.raises(ValueError, match=re.escape(
+            "fault_windows[1] ends before it starts (5.0 > 4.0)")):
+        result_from_dict(data)
+    data["fault_windows"] = [[0.0, 1.0], [5.0, 5.0]]
+    assert result_from_dict(data).fault_windows == [(0.0, 1.0), (5.0, 5.0)]
+
+
 @pytest.mark.parametrize("guarantees,message", [
     ([1], "guarantees: must be a JSON object, got list"),
     ({"window_s": "300"}, "guarantees.window_s must be a finite number"),
@@ -222,8 +232,8 @@ def test_old_archive_with_metrics_and_explain_loads(result):
 def test_roundtrip_preserves_health_report():
     import json
 
-    from repro.obs.health import judge_health, smoke_spec
-    from repro.testbed.specs import run_scenario
+    from repro.obs.health import judge_health
+    from repro.testbed.specs import load_scenario, run_scenario
 
     run = run_scenario("chaos_smoke", seed=2)
     assert run.sntp_failure_times and run.fault_windows
@@ -231,9 +241,8 @@ def test_roundtrip_preserves_health_report():
     loaded = result_from_dict(json.loads(json.dumps(archived)))
     assert loaded.sntp_failure_times == run.sntp_failure_times
     assert loaded.fault_windows == run.fault_windows
-    assert judge_health(loaded, smoke_spec()) == judge_health(
-        run, smoke_spec()
-    )
+    guarantees = load_scenario("chaos_smoke").guarantees
+    assert judge_health(loaded, guarantees) == judge_health(run, guarantees)
     # An archive written before failure times and fault windows were
     # recorded loads them as None (and keeps its failure count).
     del archived["sntp_failure_times"], archived["fault_windows"]
