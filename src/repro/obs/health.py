@@ -4,16 +4,14 @@ The paper's core claim is distributional — MNTP holds the offset error
 inside a tight envelope where SNTP degrades — so a run's health is a
 *continuous* property, not a one-shot verdict.  :func:`judge_health`
 judges a finished run in one pass over its recorded exchanges and
-fault windows, evaluating four windowed signals at a fixed interval
+fault windows, evaluating three windowed signals at a fixed interval
 against a declarative :class:`SloSpec`:
 
 * ``p99_abs_error_ms`` — p99 of |offset error| over the sliding window
   (|offset| when no ground truth is available for a sample);
 * ``drop_rate_ratio`` — failed / attempted exchanges in the window;
 * ``starvation_s`` — the oldest per-client age since the last accepted
-  sample;
-* ``exchange_rate_per_s`` — attempted exchanges per second (disabled
-  unless the spec sets a positive threshold).
+  sample.
 
 Evaluations drive a deterministic state machine (``ok`` → ``degraded``
 → ``violated`` → ``recovered``); every state change is recorded,
@@ -30,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -39,15 +38,11 @@ from repro.codec import decode, encode
 HEALTH_FORMAT = "mntp-health-report-v1"
 
 #: Signal evaluation order (deterministic tripping-signal tie-break).
-#: Each entry: (signal name, warn field, violate field, low_is_bad).
+#: Each entry: (signal name, warn field, violate field).
 _SIGNALS = (
-    ("p99_abs_error_ms", "p99_abs_error_warn_ms",
-     "p99_abs_error_violate_ms", False),
-    ("drop_rate_ratio", "drop_rate_warn_ratio",
-     "drop_rate_violate_ratio", False),
-    ("starvation_s", "starvation_warn_s", "starvation_violate_s", False),
-    ("exchange_rate_per_s", "exchange_rate_warn_per_s",
-     "exchange_rate_violate_per_s", True),
+    ("p99_abs_error_ms", "p99_abs_error_warn_ms", "p99_abs_error_violate_ms"),
+    ("drop_rate_ratio", "drop_rate_warn_ratio", "drop_rate_violate_ratio"),
+    ("starvation_s", "starvation_warn_s", "starvation_violate_s"),
 )
 
 
@@ -58,8 +53,7 @@ class SloSpec:
     JSON-round-trippable (:meth:`to_json` / :meth:`from_json`); unknown
     fields, non-finite numbers and a non-integer ``min_samples`` are
     rejected (naming the field) so a typo'd spec fails loudly instead
-    of silently gating nothing.  ``exchange_rate_*_per_s`` at 0 disables
-    the rate signal (a run's natural cadence is scenario-specific).
+    of silently gating nothing.
     """
 
     window_s: float = 300.0
@@ -71,8 +65,6 @@ class SloSpec:
     drop_rate_violate_ratio: float = 0.50
     starvation_warn_s: float = 120.0
     starvation_violate_s: float = 600.0
-    exchange_rate_warn_per_s: float = 0.0
-    exchange_rate_violate_per_s: float = 0.0
     fault_grace_s: float = 90.0
 
     def __post_init__(self) -> None:
@@ -102,18 +94,12 @@ class SloSpec:
             raise ValueError("min_samples must be >= 1")
         if self.fault_grace_s < 0:
             raise ValueError("fault_grace_s must be non-negative")
-        for _signal, warn_field, violate_field, low_is_bad in _SIGNALS:
+        for _signal, warn_field, violate_field in _SIGNALS:
             warn = getattr(self, warn_field)
             violate = getattr(self, violate_field)
             if warn < 0 or violate < 0:
                 raise ValueError(f"{warn_field}/{violate_field} must be >= 0")
-            if low_is_bad:
-                if violate > warn:
-                    raise ValueError(
-                        f"{violate_field} must not exceed {warn_field} "
-                        "(lower rates are worse)"
-                    )
-            elif warn > violate:
+            if warn > violate:
                 raise ValueError(
                     f"{warn_field} must not exceed {violate_field}"
                 )
@@ -178,36 +164,22 @@ def _attempts(result: Any) -> List[Tuple[float, str, bool, Optional[float]]]:
     return attempts
 
 
-def _judge(
-    spec: SloSpec, signals: Dict[str, Optional[float]]
-) -> Tuple[str, Optional[str], Optional[float], Optional[float]]:
-    """(level, tripping signal, value, threshold) for one evaluation."""
-    worst: Tuple[str, Optional[str], Optional[float], Optional[float]] = (
-        "ok", None, None, None
-    )
-    for signal, warn_field, violate_field, low_is_bad in _SIGNALS:
+#: One evaluation's (level, tripping signal, value, threshold).
+_Level = Tuple[str, Optional[str], Optional[float], Optional[float]]
+
+
+def _judge(spec: SloSpec, signals: Dict[str, Optional[float]]) -> _Level:
+    """The level one evaluation's signals reach, and what tripped it."""
+    worst: _Level = ("ok", None, None, None)
+    for signal, warn_field, violate_field in _SIGNALS:
         value = signals[signal]
         if value is None:
             continue
         warn = getattr(spec, warn_field)
         violate = getattr(spec, violate_field)
-        if low_is_bad:
-            if violate <= 0:
-                continue  # the rate signal is opt-in
-            tripped = (
-                "violated" if value < violate
-                else "degraded" if value < warn
-                else "ok"
-            )
-        else:
-            tripped = (
-                "violated" if value >= violate
-                else "degraded" if value >= warn
-                else "ok"
-            )
-        if tripped == "violated":
+        if value >= violate:
             return ("violated", signal, value, violate)
-        if tripped == "degraded" and worst[0] == "ok":
+        if value >= warn and worst[0] == "ok":
             worst = ("degraded", signal, value, warn)
     return worst
 
@@ -227,10 +199,10 @@ def judge_health(
     addition, as a recurring simulator event is) while that is below
     ``duration``; each sees the attempts strictly before its tick
     within the last ``window_s``.  A final evaluation at ``duration``
-    sees every attempt and settles the report's state.  A tick ``t``
-    is in a fault window when an episode starting by ``duration`` has
-    started by ``t`` and either outlasts the run or ended no more than
-    ``fault_grace_s`` before ``t``.
+    sees every attempt and settles the report's state.  An evaluation
+    at ``t`` (never after ``duration``) is in a fault window when an
+    episode has started by ``t`` and either outlasts the run or ended
+    at most ``fault_grace_s`` before ``t``.
 
     Raises:
         ValueError: The result does not record SNTP failure times or
@@ -245,7 +217,6 @@ def judge_health(
         )
     spec = spec if spec is not None else SloSpec()
     duration = float(result.duration)
-    windows = [(s, e) for s, e in fault_windows if s <= duration]
     attempts = _attempts(result)
     times = [attempt[0] for attempt in attempts]
     # Prefix counts: samples and failures among attempts[:i].
@@ -269,13 +240,8 @@ def judge_health(
     seen = 0
     state = "ok"
     transitions: List[Dict[str, Any]] = []
-    in_fault_count = outside_count = degraded_outside = 0
-    worst: Dict[str, Optional[float]] = {
-        "p99_abs_error_ms": None,
-        "drop_rate_ratio": None,
-        "starvation_s": None,
-        "min_exchange_rate_per_s": None,
-    }
+    tally: Counter[Tuple[str, bool]] = Counter()  # per (level, in fault)
+    worst: Dict[str, Optional[float]] = {name: None for name, *_ in _SIGNALS}
     for t, end in ticks:
         for t_attempt, client, ok, _value in attempts[seen:end]:
             first_seen.setdefault(client, t_attempt)
@@ -285,11 +251,6 @@ def judge_health(
         start = bisect_left(times, t - spec.window_s)
         window = values[sampled[start]:sampled[end]]
         attempted = end - start
-        rate: Optional[float] = None
-        if end:
-            covered = min(spec.window_s, t - times[0])
-            if covered > 0:
-                rate = attempted / covered
         signals = {
             "p99_abs_error_ms": (
                 _p99(window) if len(window) >= spec.min_samples else None
@@ -303,28 +264,17 @@ def judge_health(
                  for client, first in first_seen.items()),
                 default=None,
             ),
-            "exchange_rate_per_s": rate,
         }
-        for key in ("p99_abs_error_ms", "drop_rate_ratio", "starvation_s"):
-            value = signals[key]
+        for key, value in signals.items():
             if value is not None and (worst[key] is None or value > worst[key]):
                 worst[key] = value
-        low = worst["min_exchange_rate_per_s"]
-        if rate is not None and (low is None or rate < low):
-            worst["min_exchange_rate_per_s"] = rate
 
         level, signal, value, threshold = _judge(spec, signals)
         in_fault = any(
             s <= t and (e > duration or t <= e + spec.fault_grace_s)
-            for s, e in windows
+            for s, e in fault_windows
         )
-        if level == "violated":
-            if in_fault:
-                in_fault_count += 1
-            else:
-                outside_count += 1
-        elif level == "degraded" and not in_fault:
-            degraded_outside += 1
+        tally[level, in_fault] += 1
         # A healthy evaluation after a degraded/violated stretch lands on
         # ``recovered`` first, then settles back to ``ok`` on the next.
         if level == "ok":
@@ -344,16 +294,12 @@ def judge_health(
             })
             state = to_state
 
-    counts: Dict[str, int] = {}
-    for tr in transitions:
-        key = f"{tr['from']}->{tr['to']}"
-        counts[key] = counts.get(key, 0) + 1
-    if outside_count > 0:
-        verdict = "violated"
-    elif degraded_outside > 0:
-        verdict = "degraded"
-    else:
-        verdict = "pass"
+    counts = Counter(f"{tr['from']}->{tr['to']}" for tr in transitions)
+    verdict = (
+        "violated" if tally["violated", False]
+        else "degraded" if tally["degraded", False]
+        else "pass"
+    )
     return {
         "format": HEALTH_FORMAT,
         "spec": spec.to_dict(),
@@ -364,8 +310,8 @@ def judge_health(
         "evaluations": len(ticks),
         "transitions": transitions,
         "transition_counts": dict(sorted(counts.items())),
-        "violations_in_fault": in_fault_count,
-        "violations_outside_fault": outside_count,
+        "violations_in_fault": tally["violated", True],
+        "violations_outside_fault": tally["violated", False],
         "worst": {k: _round(v) for k, v in worst.items()},
     }
 
@@ -385,23 +331,16 @@ def render_health_text(report: Dict[str, Any]) -> str:
         "worst: "
         f"p99|err|={fmt(worst['p99_abs_error_ms'], 'ms')} "
         f"drop={fmt(worst['drop_rate_ratio'], '')} "
-        f"starvation={fmt(worst['starvation_s'], 's')} "
-        f"min-rate={fmt(worst['min_exchange_rate_per_s'], '/s')}",
+        f"starvation={fmt(worst['starvation_s'], 's')}",
         f"violations: {report['violations_outside_fault']} outside fault "
         f"windows, {report['violations_in_fault']} inside (annotated)",
     ]
     if report["transitions"]:
-        lines.append("")
-        lines.append("transitions:")
+        lines += ["", "transitions:"]
         for tr in report["transitions"]:
             cause = ""
             if tr["signal"] is not None:
                 cause = f"  {tr['signal']}={tr['value']} (>= {tr['threshold']})"
-                sig = tr["signal"]
-                if sig == "exchange_rate_per_s":
-                    cause = (
-                        f"  {sig}={tr['value']} (< {tr['threshold']})"
-                    )
             fault = "  [fault window]" if tr["in_fault_window"] else ""
             lines.append(
                 f"  t={tr['t']:9.2f}  {tr['from']} -> {tr['to']}{cause}{fault}"

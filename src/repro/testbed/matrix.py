@@ -258,11 +258,7 @@ def _worst_tables(specs: List[Dict[str, Any]]) -> Dict[str, Any]:
             if value is None:
                 continue
             seen = worst.get(signal)
-            better = seen is None or (
-                value < seen["value"] if signal.startswith("min_")
-                else value > seen["value"]
-            )
-            if better:
+            if seen is None or value > seen["value"]:
                 worst[signal] = {"value": value, "spec": entry["name"]}
     return worst
 

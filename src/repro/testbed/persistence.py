@@ -142,17 +142,32 @@ def load_result(fileobj: IO[str]) -> ExperimentResult:
     return result_from_dict(json.load(fileobj))
 
 
+#: Guarantee keys of the retired exchange-rate signal; 0 disabled it.
+_RETIRED_SLO_KEYS = ("exchange_rate_warn_per_s", "exchange_rate_violate_per_s")
+
+
 def load_archive(
     fileobj: IO[str],
 ) -> Tuple[ExperimentResult, Optional[SloSpec]]:
     """Read a result and its archived guarantees (None if it has none).
 
-    Malformed guarantees raise ``ValueError`` naming their path.
+    Malformed guarantees raise ``ValueError`` naming their path.  Older
+    archives' exchange-rate thresholds load when 0 (the signal was
+    off) and are dropped; a non-zero one is rejected by name, since no
+    judge enforces it any more.
     """
     data = json.load(fileobj)
     result = result_from_dict(data)
     guarantees = data.get("guarantees")
     if guarantees is not None:
+        if isinstance(guarantees, dict):
+            guarantees = dict(guarantees)
+            for key in _RETIRED_SLO_KEYS:
+                if guarantees.pop(key, 0.0) != 0.0:
+                    raise ValueError(
+                        f"guarantees.{key}: the exchange-rate signal is "
+                        "retired; only 0 (off) is accepted"
+                    )
         guarantees = decode(SloSpec, guarantees, "guarantees")
     return result, guarantees
 

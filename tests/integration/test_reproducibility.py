@@ -110,13 +110,13 @@ def test_telemetry_bytes_pinned_per_seed(name):
 #: forms at seed 3, capped at 600 s: the ``run --save`` archive (with
 #: the scenario's guarantees) and the Chrome trace-event export
 #: (length = event count).  The in-memory record form may change;
-#: these bytes may not.  The archive pin last moved when archives
-#: stopped carrying ``telemetry.metrics`` and the ``explain`` report
-#: (the earlier archive with both keys deleted); the Chrome trace did
-#: not move.
+#: these bytes may not.  The archive pin last moved when the
+#: exchange-rate signal was retired (the earlier archive with
+#: ``guarantees.exchange_rate_{warn,violate}_per_s`` deleted); the
+#: Chrome trace did not move.
 _ARCHIVE_PIN = (
-    "a115b83f475ff02347cbe70146093b62ca29b6a9d74394e48f6906a59cebf2ac",
-    183402,
+    "5dec683370d7bcfbad497a73d517bb01378efe403be3197c840c24a80ad22867",
+    183333,
 )
 _CHROME_TRACE_PIN = (
     "aed48d4ea3a7087de545a6130f177f41f96c46eb68f52a9e4b65ebc2bf4e0308",

@@ -52,10 +52,6 @@ def test_spec_validation():
         SloSpec(min_samples=0)
     with pytest.raises(ValueError, match="must not exceed"):
         SloSpec(p99_abs_error_warn_ms=300.0, p99_abs_error_violate_ms=200.0)
-    with pytest.raises(ValueError, match="lower rates are worse"):
-        SloSpec(
-            exchange_rate_warn_per_s=0.1, exchange_rate_violate_per_s=0.5
-        )
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(SloSpec)])
@@ -172,19 +168,6 @@ def test_starvation_signal():
     assert report["transitions"][0]["t"] == 200.0
     assert report["transitions"][0]["signal"] == "starvation_s"
     assert report["worst"]["starvation_s"] == pytest.approx(400.0)
-
-
-def test_exchange_rate_signal_opt_in():
-    run = run_of(100.0, errors=[(t, 0.001) for t in (0, 25, 50, 75)])
-    quiet = SloSpec(window_s=100.0, eval_interval_s=50.0, min_samples=2)
-    assert judge_health(run, quiet)["state"] == "ok"  # 0.04/s, signal off
-    rated = SloSpec(
-        window_s=100.0, eval_interval_s=50.0, min_samples=2,
-        exchange_rate_warn_per_s=1.0, exchange_rate_violate_per_s=0.5,
-    )
-    report = judge_health(run, rated)
-    assert report["state"] == "violated"
-    assert report["transitions"][0]["signal"] == "exchange_rate_per_s"
 
 
 @pytest.mark.parametrize("grace_s,in_fault,outside", [

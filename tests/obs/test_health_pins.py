@@ -4,7 +4,10 @@ Each scenario runs at seed 7 under its own guarantees.  The pins are
 the sha256 of the canonical JSON (``sort_keys=True``) of the
 ``mntp-health-report-v1`` report.  A change to what the judge reads,
 its evaluation order or the state machine moves them; such a change
-must update them and say why.
+must update them and say why.  They last moved when the exchange-rate
+signal was retired: each new report is the old one without
+``spec.exchange_rate_{warn,violate}_per_s`` and
+``worst.min_exchange_rate_per_s``.
 """
 
 import hashlib
@@ -29,13 +32,13 @@ def _judged(name):
 #: Report sha256 per scenario.
 _HEALTH_PINS = {
     "chaos_full":
-        "50619277c2c6f28e455c8d9ef7172a7ec4e792b6c504b76ec3113cb2a98d956d",
+        "18811ab0f02588679b3e0a4c2ae6d5e27804a08eab000a802a7ea3f0cb499024",
     "chaos_smoke":
-        "2e93bf8bff97a61ed4a470349ac14ced43b5963eff133b28cd2c6babb442bf21",
+        "b2430f89325f7b8a524fbabf175d966dc79072e76475c196e4131dbfad260864",
     "mntp_wireless_corrected":
-        "681ecc665d2e5aa3b6ce7017994e1f3091a71f8cf442342a39a094a16f4c6c3d",
+        "69fcc4adc129a8f7d3e7acf94ef37e17aa626d1a2ff110de3b9453dad6f18d26",
     "wired_corrected":
-        "0f88be8e6cac4906a07b663788ea7e33ddc1261db2a49df48009fa532d07ad8d",
+        "c2fba53375c6f9b040264b265dc6f9271953de0225049c9cdf04a2a471d9d947",
 }
 
 

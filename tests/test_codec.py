@@ -248,7 +248,7 @@ def slo_specs(draw):
         return sorted(draw(st.floats(min_value=0.0, max_value=1e4))
                       for _ in range(2))
 
-    p99, drop, starvation, rate = pair(), pair(), pair(), pair()
+    p99, drop, starvation = pair(), pair(), pair()
     return SloSpec(
         window_s=draw(positive),
         eval_interval_s=draw(positive),
@@ -259,8 +259,6 @@ def slo_specs(draw):
         drop_rate_violate_ratio=drop[1],
         starvation_warn_s=starvation[0],
         starvation_violate_s=starvation[1],
-        exchange_rate_warn_per_s=rate[1],
-        exchange_rate_violate_per_s=rate[0],
         fault_grace_s=draw(st.floats(min_value=0.0, max_value=1e4)),
     )
 

@@ -176,6 +176,31 @@ def test_inverted_fault_window_is_rejected_by_its_index():
     assert result_from_dict(data).fault_windows == [(0.0, 1.0), (5.0, 5.0)]
 
 
+def _guarantees_loaded(guarantees):
+    data = _archive_with_report()
+    data["guarantees"] = guarantees
+    return load_archive(io.StringIO(json.dumps(data)))[1]
+
+
+def test_legacy_guarantees_with_the_rate_signal_off_load():
+    from repro.obs.health import SloSpec
+
+    legacy = {**SloSpec(window_s=120.0).to_dict(),
+              "exchange_rate_warn_per_s": 0.0,
+              "exchange_rate_violate_per_s": 0.0}
+    assert _guarantees_loaded(legacy) == SloSpec(window_s=120.0)
+
+
+@pytest.mark.parametrize("key", [
+    "exchange_rate_warn_per_s", "exchange_rate_violate_per_s",
+])
+def test_legacy_guarantees_with_the_rate_signal_on_are_rejected(key):
+    legacy = {"exchange_rate_warn_per_s": 0.0,
+              "exchange_rate_violate_per_s": 0.0, key: 0.5}
+    with pytest.raises(ValueError, match=re.escape(f"guarantees.{key}")):
+        _guarantees_loaded(legacy)
+
+
 @pytest.mark.parametrize("guarantees,message", [
     ([1], "guarantees: must be a JSON object, got list"),
     ({"window_s": "300"}, "guarantees.window_s must be a finite number"),
