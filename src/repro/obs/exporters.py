@@ -3,10 +3,10 @@
 Both render the snapshot produced by
 :meth:`repro.obs.telemetry.Telemetry.snapshot`, whose records are
 :class:`~repro.simcore.trace.TraceRecord` objects; the JSONL writer
-and :func:`load_jsonl` are where a record becomes a dict and back:
+is where a record becomes a dict:
 
 * **JSONL** — one self-describing JSON object per line (``meta``,
-  then one ``record`` line per record); the archival format
+  then one ``record`` line per record); the export
   ``trace --jsonl`` writes.
   Key order and float formatting are fixed, so identical runs produce
   byte-identical files.
@@ -18,12 +18,10 @@ and :func:`load_jsonl` are where a record becomes a dict and back:
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterator, List, Optional
+from typing import IO, Any, Dict, Iterator, List
 
-from repro.codec import decode
 from repro.obs.spans import SPAN_COMPONENT
 from repro.obs.telemetry import TELEMETRY_FORMAT
-from repro.simcore.trace import TraceRecord
 
 
 def _dumps(obj: Any) -> str:
@@ -55,48 +53,6 @@ def write_jsonl(snapshot: Dict[str, Any], fileobj: IO[str]) -> int:
         fileobj.write(line + "\n")
         n += 1
     return n
-
-
-def load_jsonl(fileobj: IO[str]) -> Dict[str, Any]:
-    """Rebuild a snapshot dict from a JSONL export.
-
-    Records come back as :class:`TraceRecord` objects, as in a live
-    snapshot.
-
-    Raises:
-        ValueError: If the stream is not a telemetry JSONL document;
-            a bad line is named by its number (``line 2: data: must be
-            a JSON object, got list``).
-    """
-    meta: Dict[str, Any] = {}
-    records: List[TraceRecord] = []
-    for lineno, line in enumerate(fileobj, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: not JSON ({exc})") from exc
-        kind = obj.get("type") if isinstance(obj, dict) else None
-        if kind == "meta":
-            meta = obj
-        elif kind == "record":
-            try:
-                records.append(TraceRecord.from_dict({
-                    **obj,
-                    "data": decode(
-                        Optional[Dict[str, Any]], obj.get("data"),
-                        f"line {lineno}: data",
-                    ),
-                }))
-            except KeyError as exc:
-                raise ValueError(f"line {lineno}: record lacks {exc}") from exc
-        else:
-            raise ValueError(f"line {lineno}: unknown entry type {kind!r}")
-    if meta.get("format") != TELEMETRY_FORMAT:
-        raise ValueError(f"not a {TELEMETRY_FORMAT} document")
-    return {"format": TELEMETRY_FORMAT, "records": records}
 
 
 # -- Chrome trace-event format -------------------------------------------

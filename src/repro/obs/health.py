@@ -266,9 +266,9 @@ def judge_health(
             ),
         }
         for key, value in signals.items():
-            if value is not None and (worst[key] is None or value > worst[key]):
+            seen_worst = worst[key]
+            if value is not None and (seen_worst is None or value > seen_worst):
                 worst[key] = value
-
         level, signal, value, threshold = _judge(spec, signals)
         in_fault = any(
             s <= t and (e > duration or t <= e + spec.fault_grace_s)

@@ -9,11 +9,6 @@ kind must be registered.
 
 from __future__ import annotations
 
-#: Subsystems allowed to own span kinds (the prefix before the dot).
-SPAN_SUBSYSTEMS = frozenset(
-    {"sim", "mntp", "sntp", "link", "server", "channel", "fault"}
-)
-
 #: Every registered span kind.  Emitting an unregistered kind from a
 #: string literal is an OBS002 finding.
 SPAN_KINDS = frozenset(
@@ -34,9 +29,3 @@ SPAN_KINDS = frozenset(
 def span_kind_registered(kind: str) -> bool:
     """Whether ``kind`` is in the registered taxonomy."""
     return kind in SPAN_KINDS
-
-
-def span_subsystem(kind: str) -> str:
-    """The subsystem prefix of a span kind (text before the first dot)."""
-    return kind.split(".", 1)[0]
-

@@ -5,9 +5,9 @@ to evaluate the trade-offs between MNTP's performance and the tuning of
 its parameters."
 
 :class:`AutoTuner` closes the loop the paper left open: given a
-recorded trace (or a rolling window of one), it grid-searches the
-parameter space, computes the accuracy/request-count trade-off, and
-recommends the cheapest configuration meeting an accuracy target — or,
+recorded trace, it grid-searches the parameter space, computes the
+accuracy/request-count trade-off, and recommends the cheapest
+configuration meeting an accuracy target — or,
 dually, the most accurate configuration within a request budget.  The
 Pareto front of (requests, RMSE) quantifies the §5.3 trade-off
 directly.
@@ -108,21 +108,6 @@ class AutoTuner:
             recommended=best.config, evaluated=results, pareto=pareto,
             met_target=False,
         )
-
-    def tune_window(self, trace: OffsetTrace, window: float) -> TuneOutcome:
-        """Tune over only the most recent ``window`` seconds of the
-        trace — the rolling-window mode an in-situ deployment would run
-        periodically."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if not trace.entries:
-            return self.tune(trace)
-        cutoff = trace.entries[-1].time - window
-        recent = OffsetTrace(
-            entries=[e for e in trace.entries if e.time >= cutoff],
-            cadence=trace.cadence,
-        )
-        return self.tune(recent)
 
     @staticmethod
     def _pareto(results: List[SearchResult]) -> List[SearchResult]:

@@ -1,4 +1,4 @@
-"""Exporters: JSONL round-trip and Chrome trace validity."""
+"""Exporters: JSONL determinism and Chrome trace validity."""
 
 import io
 import json
@@ -8,9 +8,7 @@ import pytest
 from repro.obs.exporters import (
     chrome_trace_events,
     jsonl_lines,
-    load_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.telemetry import Telemetry
 from repro.simcore.trace import TraceRecord
@@ -26,52 +24,10 @@ def sample_snapshot():
     return telemetry.snapshot()
 
 
-def test_jsonl_roundtrip():
-    snap = sample_snapshot()
-    buf = io.StringIO()
-    lines = write_jsonl(snap, buf)
-    assert lines == 1 + len(snap["records"])
-    buf.seek(0)
-    again = load_jsonl(buf)
-    assert again == snap
-    assert all(isinstance(r, TraceRecord) for r in again["records"])
-
-
-def test_load_jsonl_rejects_a_record_without_its_fields():
-    buf = io.StringIO(
-        '{"format":"mntp-telemetry-v1","type":"meta"}\n'
-        '{"component":"mntp","t":1.0,"type":"record"}\n'
-    )
-    with pytest.raises(ValueError, match="line 2"):
-        load_jsonl(buf)
-
-
-@pytest.mark.parametrize("line, message", [
-    ('{"component":"mntp","data":[1],"kind":"k","t":1.0,"type":"record"}',
-     "line 2: data: must be a JSON object, got list"),
-    ('{"metric":{"name":"q_total"},"type":"metric"}',
-     "line 2: unknown entry type 'metric'"),
-])
-def test_load_jsonl_rejects_a_mistyped_line(line, message):
-    """Record data decodes as archives decode it; metric lines are gone."""
-    buf = io.StringIO('{"format":"mntp-telemetry-v1","type":"meta"}\n' + line)
-    with pytest.raises(ValueError, match=message):
-        load_jsonl(buf)
-
-
 def test_jsonl_is_byte_deterministic():
     a = "\n".join(jsonl_lines(sample_snapshot()))
     b = "\n".join(jsonl_lines(sample_snapshot()))
     assert a == b
-
-
-def test_load_jsonl_rejects_garbage():
-    with pytest.raises(ValueError):
-        load_jsonl(io.StringIO("not json\n"))
-    with pytest.raises(ValueError):
-        load_jsonl(io.StringIO('{"type":"meta","format":"other"}\n'))
-    with pytest.raises(ValueError):
-        load_jsonl(io.StringIO('{"type":"mystery"}\n'))
 
 
 def test_chrome_trace_is_valid_json_with_span_events():

@@ -209,11 +209,6 @@ def test_report_round_trips_as_json():
     assert report["spec"] == spec.to_dict()
 
 
-def test_an_unset_spec_judges_against_the_defaults():
-    run = run_of(30.0, errors=steady(0, 30))
-    assert judge_health(run) == judge_health(run, SloSpec())
-
-
 # -- edges of a finished run ---------------------------------------------
 
 

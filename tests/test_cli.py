@@ -178,21 +178,24 @@ def _save_and_export(tmp_path, name):
 
 
 def test_run_telemetry_export_meets_acceptance(tmp_path, capsys):
-    """A run's export (``trace A --jsonl``) carries its records and >= 4
-    span kinds, and is byte-stable across save-and-export rounds."""
-    from repro.obs.exporters import load_jsonl
-    from repro.obs.telemetry import snapshot_span_kinds
+    """A run's export (``trace A --jsonl``) carries the archive's records
+    losslessly and >= 4 span kinds, and is byte-stable across
+    save-and-export rounds."""
+    from repro.obs.telemetry import TELEMETRY_FORMAT, snapshot_span_kinds
+    from repro.testbed.persistence import load_result
 
     path = _save_and_export(tmp_path, "first")
     assert f"written to {path}" in capsys.readouterr().out
     with open(path) as f:
-        snap = load_jsonl(f)
-    assert len(snapshot_span_kinds(snap)) >= 4
+        meta, *lines = [json.loads(line) for line in f]
+    with open(tmp_path / "first.json") as f:
+        telemetry = load_result(f).telemetry
+    records = telemetry["records"]
     # The meta line counts exactly the records the export carries.
-    with open(path) as f:
-        meta = json.loads(f.readline())
-    assert meta == {"format": snap["format"], "record_count": len(snap["records"]),
+    assert meta == {"format": TELEMETRY_FORMAT, "record_count": len(records),
                     "type": "meta"}
+    assert lines == [{**r.to_dict(), "type": "record"} for r in records]
+    assert len(snapshot_span_kinds(telemetry)) >= 4
     # Byte-identical on a second round with the same seed.
     assert _save_and_export(tmp_path, "second").read_bytes() == path.read_bytes()
 

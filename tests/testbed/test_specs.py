@@ -72,8 +72,10 @@ def test_chaos_full_spec_carries_the_twelve_episode_matrix():
 def test_chaos_full_covers_every_fault_kind():
     kinds = {e.kind for e in load_scenario("chaos_full").faults}
     assert kinds == set(FaultKind)
-    smoke_kinds = {e.kind for e in load_scenario("chaos_smoke").faults}
-    assert smoke_kinds < kinds
+    smoke = load_scenario("chaos_smoke")
+    assert {e.kind for e in smoke.faults} < kinds
+    # The smoke gate fails on any out-of-fault violation: no Minimal tier.
+    assert smoke.minimal_guarantees is None
 
 
 def test_load_spec_dir_round_trips_the_shipped_set():

@@ -85,15 +85,6 @@ def test_pareto_front_is_monotone():
             )
 
 
-def test_rolling_window():
-    tuner = AutoTuner(space=SPACE)
-    trace = _trace(duration=4 * 3600.0)
-    outcome = tuner.tune_window(trace, window=3600.0)
-    assert isinstance(outcome, TuneOutcome)
-    with pytest.raises(ValueError):
-        tuner.tune_window(trace, window=0.0)
-
-
 def test_empty_trace():
     tuner = AutoTuner(space=SPACE)
     outcome = tuner.tune(OffsetTrace())
